@@ -8,17 +8,21 @@ Five quantities over a partial function f on an x_size * y_size grid:
 * smooth rectangle bound per output label (``srec``);
 * rectangle/corruption bound in dual form (``rect_dual``), plus the explicit
   corruption witness construction (``corruption_witness``);
-* discrepancy (``discrepancy``), by direct enumeration.
+* discrepancy (``discrepancy``).
+
+All of them stand on one rectangle layer.  ``_incidence`` lists the
+nonempty rectangles and which cells each contains, and every LP row is read
+off it.  ``_best_rectangle`` finds the largest and smallest total weight
+over all rectangles by enumerating row sets only; it decides discrepancy,
+the feasibility of a corruption witness and the rect witness check.
+``bprt``, ``bprt_mu`` and ``prt`` are one weight-form LP over (rectangle,
+label) weights, differing only in their correctness rows and coverage
+relation.  Each LP bound computes its LP shape from the rectangle count
+before it builds a row, so an instance over the caps is rejected at once.
 
 Every LP result carries both a primal and a dual witness and the two
 objective values are required to agree (1e-6 float, exact rational).  The
 chain 1 - eps <= srec <= bprt <= prt is checked by ``verify_bound_chain``.
-
-The distribution-free bprt is solved in its dual form: variables alpha_{x,y}
-(one per input, rewarding correctness) and beta_{x,y} (one per input, paying
-for coverage), maximizing (1-eps)*sum(alpha) - sum(beta) under one constraint
-per (rectangle, label) pair.  The weight-form primal witness is read off the
-LP row multipliers.
 """
 
 from __future__ import annotations
@@ -33,10 +37,12 @@ from .core import (
     Number,
     PartialFunction,
     Rectangle,
+    check_rect_side,
     enumerate_rectangles,
+    rectangle_count,
 )
 from .errors import DegenerateInputError, ParameterError, SolverError
-from .solver import LpProblem, LpSolution, lp_solve
+from .solver import LpProblem, LpSolution, check_lp_caps, lp_solve
 
 __all__ = [
     "LabeledRectangleStrategy",
@@ -157,10 +163,6 @@ def _check_eps(eps) -> None:
         raise ParameterError(f"eps must lie in [0, 1), got {eps}")
 
 
-def _rectangles(f: PartialFunction, caps: Caps) -> list[Rectangle]:
-    return [r for r in enumerate_rectangles(f.x_size, f.y_size, caps) if not r.is_empty]
-
-
 def _one(mode: str) -> Number:
     return Fraction(1) if mode == "rational" else 1.0
 
@@ -171,10 +173,10 @@ def _coerce(v, mode: str) -> Number:
     return float(v)
 
 
-def _strategy_from_weights(weights, value, x_size, y_size) -> LabeledRectangleStrategy:
-    """Scale raw LP weights w (summing to `value`) into a normalized strategy
-    with efficiency 1/value (inflated to the actual max coverage when float
-    noise pushes a cell fractionally above it)."""
+def _strategy_from_weights(weights, x_size, y_size) -> LabeledRectangleStrategy:
+    """Scale raw LP weights w into a normalized strategy with efficiency
+    1/sum(w) (inflated to the actual max coverage when float noise pushes a
+    cell fractionally above it)."""
     total = sum((w for _, _, w in weights), Fraction(0))
     if total <= 0:
         raise SolverError("cannot normalize an all-zero weight vector")
@@ -201,8 +203,147 @@ def _check_gap(primal_value, dual_value, mode: str, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Relaxed partition bound
+# The rectangle layer
 # ---------------------------------------------------------------------------
+
+
+def _rect_count(f: PartialFunction, caps: Caps) -> int:
+    """Number of nonempty rectangles of f's grid, after the rect_side check.
+    Every LP shape follows from it, so caps are checked before any row is
+    built."""
+    check_rect_side(f.x_size, f.y_size, caps)
+    return rectangle_count(f.x_size, f.y_size) - 1
+
+
+def _incidence(
+    f: PartialFunction, caps: Caps
+) -> tuple[list[Rectangle], list[tuple[int, int]], list[list[bool]]]:
+    """The nonempty rectangles in enumeration order, the cells in row-major
+    order, and covers[i][j]: whether rects[j] contains cells[i].  Every LP
+    row is read off this incidence."""
+    rects = [r for r in enumerate_rectangles(f.x_size, f.y_size, caps) if not r.is_empty]
+    cells = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
+    return rects, cells, [[r.contains(x, y) for r in rects] for x, y in cells]
+
+
+def _column_sums(grid):
+    """Yield, for every nonempty row set A, the column sums of `grid` over
+    A; each is an earlier sum plus one row."""
+    sums = [None] * (1 << len(grid))
+    sums[0] = [v * 0 for v in grid[0]]
+    for a in range(1, len(sums)):
+        low = a & -a
+        sums[a] = [s + v for s, v in zip(sums[a ^ low], grid[low.bit_length() - 1])]
+        yield sums[a]
+
+
+def _best_rectangle(grid, caps: Caps) -> tuple[Number, Number]:
+    """(max, min) over all rectangles A x B, the empty one included, of the
+    total of `grid` on A x B.  For a fixed row set A the best column set
+    keeps exactly the columns whose sum over A is positive (negative for the
+    min), so only the row sets are enumerated."""
+    check_rect_side(len(grid), len(grid[0]), caps)
+    hi = lo = 0
+    for sums in _column_sums(grid):
+        hi = max(hi, sum(s for s in sums if s > 0))
+        lo = min(lo, sum(s for s in sums if s < 0))
+    return hi, lo
+
+
+def _signed_grid(f: PartialFunction, weight, z: int) -> list[list]:
+    """weight(x, y) on f^{-1}(z), its negation on the rest of the promise,
+    and 0 off the promise."""
+
+    def entry(x: int, y: int):
+        fz = f.value(x, y)
+        return 0 if fz is None else weight(x, y) if fz == z else -weight(x, y)
+
+    return [[entry(x, y) for y in range(f.y_size)] for x in range(f.x_size)]
+
+
+def _rects_meeting(f: PartialFunction, cells: set[tuple[int, int]]) -> int:
+    """Number of nonempty rectangles containing at least one of `cells`: over
+    a row set A, every column set except those avoiding the columns A meets."""
+    hits = [[int((x, y) in cells) for y in range(f.y_size)] for x in range(f.x_size)]
+    return sum((1 << f.y_size) - (1 << sums.count(0)) for sums in _column_sums(hits))
+
+
+# ---------------------------------------------------------------------------
+# Weight-form LP: relaxed partition bounds and partition bound
+# ---------------------------------------------------------------------------
+
+
+def _weight_form(
+    name: str,
+    f: PartialFunction,
+    eps,
+    mode: str,
+    caps: Caps | None,
+    mu: InputDistribution | None = None,
+) -> BoundResult:
+    """bprt, bprt_mu or prt as one LP over weights w_{R,z} >= 0, minimizing
+    sum(w).  Coverage rows sum w over the rectangles containing a cell (<= 1;
+    = 1 for prt).  Correctness rows sum only the labels that answer the cell
+    correctly (any label off the promise) and must reach 1 - eps: one row
+    per cell for bprt, per promise cell for prt, one mu-weighted row for
+    bprt_mu.  The dual witness alpha / beta holds the multipliers of the
+    correctness / coverage rows (alpha = multiplier * mu for bprt_mu)."""
+    _check_eps(eps)
+    if mu is not None:
+        mu.check_compatible(f)
+    caps = caps or default_caps()
+    eps = _coerce(eps, mode)
+    one = _one(mode)
+    zero = one * 0
+    n_labels = f.z_size
+    n_correct = {"bprt": f.x_size * f.y_size, "prt": len(f.domain()), "bprt_mu": 1}[name]
+    check_lp_caps(
+        _rect_count(f, caps) * n_labels, n_correct + f.x_size * f.y_size, mode, caps
+    )
+
+    rects, cells, covers = _incidence(f, caps)
+    nvars = len(rects) * n_labels  # variable (j, z) sits at j * n_labels + z
+    labels = [f.value(x, y) for x, y in cells]
+    cover = [[one if hit else zero for hit in row for _ in range(n_labels)] for row in covers]
+    correct = [
+        [one if hit and fz in (None, z) else zero for hit in row for z in range(n_labels)]
+        for row, fz in zip(covers, labels)
+    ]
+    if name == "bprt_mu":
+        weights = [_coerce(mu.prob(x, y), mode) for x, y in cells]
+        mixed = [zero] * nvars
+        for w, row in zip(weights, correct):
+            for j, hit in enumerate(row):
+                if hit:
+                    mixed[j] += w
+        correct = [mixed]
+    elif name == "prt":
+        correct = [row for row, fz in zip(correct, labels) if fz is not None]
+
+    rows = correct + cover
+    relations = [">="] * len(correct) + ["=" if name == "prt" else "<="] * len(cover)
+    rhs = [one - eps] * len(correct) + [one] * len(cover)
+    problem = LpProblem.build("min", [one] * nvars, rows, relations, rhs)
+    sol = lp_solve(problem, mode, caps)
+    _require_optimal(sol, name)
+    value = sol.objective_value
+
+    strategy = _strategy_from_weights(
+        [(rects[j // n_labels], j % n_labels, w) for j, w in enumerate(sol.primal) if w > 0],
+        f.x_size,
+        f.y_size,
+    )
+    if name == "bprt_mu":
+        alpha = {cell: sol.dual[0] * w for cell, w in zip(cells, weights)}
+    else:
+        alpha = dict(zip(f.domain() if name == "prt" else cells, sol.dual))
+    sign = 1 if name == "prt" else -1
+    beta = {cell: sign * d for cell, d in zip(cells, sol.dual[len(correct):])}
+    dual_value = sum(d * b for d, b in zip(sol.dual, rhs))
+    _check_gap(value, dual_value, mode, name)
+    return BoundResult(
+        name, value, eps, strategy, {"alpha": alpha, "beta": beta}, sol.status, dual_value
+    )
 
 
 def bprt_mu(
@@ -218,119 +359,16 @@ def bprt_mu(
     average correctness >= 1 - eps (inputs outside the promise count as
     correct under any label) and per-input coverage <= 1.
     """
-    _check_eps(eps)
-    mu.check_compatible(f)
-    caps = caps or default_caps()
-    eps = _coerce(eps, mode)
-    one = _one(mode)
-    rects = _rectangles(f, caps)
-    cells = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
-    nvars = len(rects) * f.z_size
-
-    def var(r_idx: int, z: int) -> int:
-        return r_idx * f.z_size + z
-
-    correctness = [one * 0] * nvars
-    for r_idx, rect in enumerate(rects):
-        for x, y in rect.cells(f.x_size, f.y_size):
-            fz = f.value(x, y)
-            w = _coerce(mu.prob(x, y), mode)
-            if fz is None:
-                for z in range(f.z_size):
-                    correctness[var(r_idx, z)] += w
-            else:
-                correctness[var(r_idx, fz)] += w
-    rows = [correctness]
-    relations = [">="]
-    rhs = [one - eps]
-    for x, y in cells:
-        row = [one * 0] * nvars
-        for r_idx, rect in enumerate(rects):
-            if rect.contains(x, y):
-                for z in range(f.z_size):
-                    row[var(r_idx, z)] = one
-        rows.append(row)
-        relations.append("<=")
-        rhs.append(one)
-
-    problem = LpProblem.build("min", [one] * nvars, rows, relations, rhs)
-    sol = lp_solve(problem, mode, caps)
-    _require_optimal(sol, "bprt_mu")
-    value = sol.objective_value
-
-    weights = [
-        (rects[j // f.z_size], j % f.z_size, sol.primal[j])
-        for j in range(nvars)
-        if sol.primal[j] > 0
-    ]
-    strategy = _strategy_from_weights(weights, value, f.x_size, f.y_size)
-
-    y_corr = sol.dual[0]
-    alpha = {
-        (x, y): y_corr * _coerce(mu.prob(x, y), mode) for x, y in cells
-    }
-    beta = {cell: -sol.dual[1 + i] for i, cell in enumerate(cells)}
-    dual_value = (one - eps) * y_corr - sum(beta.values())
-    _check_gap(value, dual_value, mode, "bprt_mu")
-    return BoundResult(
-        "bprt_mu", value, eps, strategy, {"alpha": alpha, "beta": beta},
-        sol.status, dual_value,
-    )
+    return _weight_form("bprt_mu", f, eps, mode, caps, mu)
 
 
 def bprt(
     f: PartialFunction, eps, mode: str = "float", caps: Caps | None = None
 ) -> BoundResult:
-    """Distribution-free relaxed partition bound (the max over mu of bprt_mu),
-    solved as a single LP in the (alpha, beta) input-weight variables."""
-    _check_eps(eps)
-    caps = caps or default_caps()
-    eps = _coerce(eps, mode)
-    one = _one(mode)
-    rects = _rectangles(f, caps)
-    cells = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
-    idx = {cell: i for i, cell in enumerate(cells)}
-    n = len(cells)
-    nvars = 2 * n  # alpha block then beta block
-
-    objective = [one - eps] * n + [-one] * n
-    rows, relations, rhs = [], [], []
-    for rect in rects:
-        members = list(rect.cells(f.x_size, f.y_size))
-        for z in range(f.z_size):
-            row = [one * 0] * nvars
-            for x, y in members:
-                fz = f.value(x, y)
-                if fz is None or fz == z:
-                    row[idx[(x, y)]] = one
-                row[n + idx[(x, y)]] = -one
-            rows.append(row)
-            relations.append("<=")
-            rhs.append(one)
-
-    problem = LpProblem.build("max", objective, rows, relations, rhs)
-    sol = lp_solve(problem, mode, caps)
-    _require_optimal(sol, "bprt")
-    value = sol.objective_value
-
-    weights = []
-    for i, y_val in enumerate(sol.dual):
-        if y_val > 0:
-            weights.append((rects[i // f.z_size], i % f.z_size, y_val))
-    dual_value = sum((w for _, _, w in weights), Fraction(0))
-    _check_gap(value, dual_value, mode, "bprt")
-    strategy = _strategy_from_weights(weights, dual_value, f.x_size, f.y_size)
-    alpha = {cell: sol.primal[idx[cell]] for cell in cells}
-    beta = {cell: sol.primal[n + idx[cell]] for cell in cells}
-    return BoundResult(
-        "bprt", value, eps, strategy, {"alpha": alpha, "beta": beta},
-        sol.status, dual_value,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Partition bound
-# ---------------------------------------------------------------------------
+    """Distribution-free relaxed partition bound (the max over mu of
+    bprt_mu): per-input correctness >= 1 - eps (any label off the promise)
+    and per-input coverage <= 1."""
+    return _weight_form("bprt", f, eps, mode, caps)
 
 
 def prt(
@@ -339,57 +377,7 @@ def prt(
     """Partition bound: per-input correctness >= 1 - eps on the promise and
     per-input total coverage exactly 1.  Always feasible via singleton
     rectangles."""
-    _check_eps(eps)
-    caps = caps or default_caps()
-    eps = _coerce(eps, mode)
-    one = _one(mode)
-    rects = _rectangles(f, caps)
-    cells = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
-    nvars = len(rects) * f.z_size
-
-    def var(r_idx: int, z: int) -> int:
-        return r_idx * f.z_size + z
-
-    rows, relations, rhs = [], [], []
-    setin = f.domain()
-    for x, y in setin:
-        row = [one * 0] * nvars
-        fz = f.value(x, y)
-        for r_idx, rect in enumerate(rects):
-            if rect.contains(x, y):
-                row[var(r_idx, fz)] = one
-        rows.append(row)
-        relations.append(">=")
-        rhs.append(one - eps)
-    for x, y in cells:
-        row = [one * 0] * nvars
-        for r_idx, rect in enumerate(rects):
-            if rect.contains(x, y):
-                for z in range(f.z_size):
-                    row[var(r_idx, z)] = one
-        rows.append(row)
-        relations.append("=")
-        rhs.append(one)
-
-    problem = LpProblem.build("min", [one] * nvars, rows, relations, rhs)
-    sol = lp_solve(problem, mode, caps)
-    _require_optimal(sol, "prt")
-    value = sol.objective_value
-
-    weights = [
-        (rects[j // f.z_size], j % f.z_size, sol.primal[j])
-        for j in range(nvars)
-        if sol.primal[j] > 0
-    ]
-    strategy = _strategy_from_weights(weights, value, f.x_size, f.y_size)
-    alpha = {cell: sol.dual[i] for i, cell in enumerate(setin)}
-    beta = {cell: sol.dual[len(setin) + i] for i, cell in enumerate(cells)}
-    dual_value = (one - eps) * sum(alpha.values()) + sum(beta.values())
-    _check_gap(value, dual_value, mode, "prt")
-    return BoundResult(
-        "prt", value, eps, strategy, {"alpha": alpha, "beta": beta},
-        sol.status, dual_value,
-    )
+    return _weight_form("prt", f, eps, mode, caps)
 
 
 # ---------------------------------------------------------------------------
@@ -412,29 +400,20 @@ def srec(
     caps = caps or default_caps()
     eps = _coerce(eps, mode)
     one = _one(mode)
-    rects = _rectangles(f, caps)
     other = [cell for cell in f.domain() if f.value(*cell) != z0]
+    check_lp_caps(_rect_count(f, caps), 2 * len(side) + len(other), mode, caps)
 
-    rows, relations, rhs = [], [], []
-    dual_keys = []
-    for x, y in side:
-        row = [one if rect.contains(x, y) else one * 0 for rect in rects]
-        rows.append(row)
-        relations.append(">=")
-        rhs.append(one - eps)
-        dual_keys.append(("lower", x, y))
-    for x, y in side:
-        row = [one if rect.contains(x, y) else one * 0 for rect in rects]
-        rows.append(row)
-        relations.append("<=")
-        rhs.append(one)
-        dual_keys.append(("upper", x, y))
-    for x, y in other:
-        row = [one if rect.contains(x, y) else one * 0 for rect in rects]
-        rows.append(row)
-        relations.append("<=")
-        rhs.append(eps)
-        dual_keys.append(("wrong", x, y))
+    rects, cells, covers = _incidence(f, caps)
+    cover = {cell: [one if hit else one * 0 for hit in row] for cell, row in zip(cells, covers)}
+    blocks = (("lower", side, ">=", one - eps), ("upper", side, "<=", one),
+              ("wrong", other, "<=", eps))
+    rows, relations, rhs, dual_keys = [], [], [], []
+    for kind, members, rel, bound in blocks:
+        for x, y in members:
+            rows.append(cover[(x, y)])
+            relations.append(rel)
+            rhs.append(bound)
+            dual_keys.append((kind, x, y))
 
     problem = LpProblem.build("min", [one] * len(rects), rows, relations, rhs)
     sol = lp_solve(problem, mode, caps)
@@ -482,30 +461,24 @@ def rect_dual(
     if not cells:
         zero = one * 0
         return BoundResult("rect", zero, eps, {}, {}, "optimal", zero)
-    idx = {cell: i for i, cell in enumerate(cells)}
-    rects = _rectangles(f, caps)
+    check_rect_side(f.x_size, f.y_size, caps)
+    check_lp_caps(len(cells), _rects_meeting(f, set(cells)), mode, caps)
 
-    objective = [
-        (one - eps) if f.value(*cell) == z else -eps for cell in cells
+    rects, _, covers = _incidence(f, caps)
+    signs = [one if f.value(x, y) == z else -one for x, y in cells]
+    hits = [covers[x * f.y_size + y] for x, y in cells]
+    objective = [(one - eps) if s > 0 else -eps for s in signs]
+    rows = [
+        [s if hit[j] else one * 0 for s, hit in zip(signs, hits)]
+        for j in range(len(rects))
+        if any(hit[j] for hit in hits)
     ]
-    rows, relations, rhs = [], [], []
-    for rect in rects:
-        row = [one * 0] * len(cells)
-        touched = False
-        for cell in cells:
-            if rect.contains(*cell):
-                row[idx[cell]] = one if f.value(*cell) == z else -one
-                touched = True
-        if touched:
-            rows.append(row)
-            relations.append("<=")
-            rhs.append(one)
 
-    problem = LpProblem.build("max", objective, rows, relations, rhs)
+    problem = LpProblem.build("max", objective, rows, ["<="] * len(rows), [one] * len(rows))
     sol = lp_solve(problem, mode, caps)
     _require_optimal(sol, "rect_dual")
     value = sol.objective_value
-    alpha = {cell: sol.primal[idx[cell]] for cell in cells}
+    alpha = dict(zip(cells, sol.primal))
     dual_value = sum(sol.dual)
     _check_gap(value, dual_value, mode, "rect_dual")
     if value < 0:
@@ -526,8 +499,8 @@ def corruption_witness(
     """The explicit corruption assignment for a two-output function:
     alpha = mu/beta on f^{-1}(z), mu/(delta_c * beta) on the other defined
     side, 0 off the promise.  Feasibility of every rectangle constraint is
-    decided by enumeration; the rect_dual objective at this alpha is returned
-    either way."""
+    decided by the best-rectangle oracle; the rect_dual objective at this
+    alpha is returned either way."""
     if f.z_size != 2:
         raise ParameterError("corruption witness requires a two-output function")
     if beta <= 0 or delta_c <= 0:
@@ -542,16 +515,8 @@ def corruption_witness(
 
     exact = all(isinstance(v, (Fraction, int)) for v in alpha.values())
     slack = 0 if exact else 1e-12
-    feasible = True
-    for rect in _rectangles(f, caps):
-        lhs = sum(
-            (alpha[cell] if f.value(*cell) == z else -alpha[cell])
-            for cell in f.domain()
-            if rect.contains(*cell)
-        )
-        if lhs > 1 + slack:
-            feasible = False
-            break
+    worst, _ = _best_rectangle(_signed_grid(f, lambda x, y: alpha[(x, y)], z), caps)
+    feasible = worst <= 1 + slack
     on_side = sum(alpha[cell] for cell in f.preimage(z))
     off_side = sum(alpha[cell] for cell in f.domain() if f.value(*cell) != z)
     objective = (1 - eps) * on_side - eps * off_side
@@ -571,20 +536,8 @@ def discrepancy(
     if f.z_size != 2:
         raise ParameterError("discrepancy requires a two-output function")
     mu.check_compatible(f)
-    caps = caps or default_caps()
-    best = None
-    for rect in enumerate_rectangles(f.x_size, f.y_size, caps):
-        balance = 0
-        for x, y in rect.cells(f.x_size, f.y_size):
-            fz = f.value(x, y)
-            if fz == 0:
-                balance = balance + mu.prob(x, y)
-            elif fz == 1:
-                balance = balance - mu.prob(x, y)
-        imbalance = abs(balance)
-        if best is None or imbalance > best:
-            best = imbalance
-    return best
+    hi, lo = _best_rectangle(_signed_grid(f, mu.prob, 0), caps or default_caps())
+    return max(hi, -lo)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +596,8 @@ def check_witness(
         objective = scale * sum((w for _, _, w in strategy.entries), Fraction(0))
         feasible = True
         if name == "bprt_mu":
-            assert mu is not None
+            if mu is None:
+                raise ParameterError("checking a bprt_mu witness needs its distribution mu")
             correct = sum(
                 mu.prob(x, y) * strategy.correct_coverage(x, y, f.value(x, y))
                 for x in range(f.x_size)
@@ -686,17 +640,8 @@ def check_witness(
             return False, 0
         best = None
         for z in range(f.z_size):
-            ok = True
-            for rect in _rectangles(f, caps):
-                lhs = sum(
-                    (alpha.get(cell, 0) if f.value(*cell) == z else -alpha.get(cell, 0))
-                    for cell in f.domain()
-                    if rect.contains(*cell)
-                )
-                if lhs > 1 + tol:
-                    ok = False
-                    break
-            if not ok:
+            grid = _signed_grid(f, lambda x, y: alpha.get((x, y), 0), z)
+            if _best_rectangle(grid, caps)[0] > 1 + tol:
                 continue
             obj = (1 - eps) * sum(
                 alpha.get(cell, 0) for cell in f.preimage(z)

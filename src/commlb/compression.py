@@ -38,7 +38,13 @@ from .errors import (
     DimensionError,
     ParameterError,
 )
-from .protocol import Factorization, ProtocolTree, factorization, protocol_error
+from .protocol import (
+    Factorization,
+    ProtocolTree,
+    factorization,
+    output_distribution,
+    protocol_error,
+)
 
 __all__ = [
     "ExperimentInputs",
@@ -580,16 +586,6 @@ class CompressionReport:
         return rows
 
 
-def _protocol_output_law(pi: ProtocolTree, x: int, y: int) -> list[float]:
-    outputs = pi.leaf_outputs()
-    from .protocol import transcript_distribution
-
-    law = [0.0] * pi.z_size
-    for u, p in enumerate(transcript_distribution(pi, x, y).weights):
-        law[outputs[u]] += float(p)
-    return law
-
-
 def verify_compression(
     pi: ProtocolTree,
     f: PartialFunction | None,
@@ -655,7 +651,7 @@ def verify_compression(
             w = float(mu.prob(x, y))
             if w == 0:
                 continue
-            orig = _protocol_output_law(pi, x, y)
+            orig = output_distribution(pi, x, y)
             run_out, _ = run_laws[(x, y)]
             for z in range(pi.z_size):
                 p = w * orig[z]

@@ -283,17 +283,22 @@ def rectangle_count(x_size: int, y_size: int) -> int:
     return (2**x_size - 1) * (2**y_size - 1) + 1
 
 
-def enumerate_rectangles(
-    x_size: int, y_size: int, caps: Caps | None = None
-) -> Iterator[Rectangle]:
-    """Yield every rectangle exactly once: all nonempty products, then the
-    canonical empty rectangle."""
-    caps = caps or default_caps()
+def check_rect_side(x_size: int, y_size: int, caps: Caps) -> None:
+    """Raise CapacityError unless both sides are within the rect_side cap;
+    everything that walks all row (or column) subsets checks this first."""
     if x_size > caps.rect_side or y_size > caps.rect_side:
         raise CapacityError(
             f"rectangle enumeration needs x_size, y_size <= {caps.rect_side} "
             f"(got {x_size}x{y_size}); raise the rect_side cap to override"
         )
+
+
+def enumerate_rectangles(
+    x_size: int, y_size: int, caps: Caps | None = None
+) -> Iterator[Rectangle]:
+    """Yield every rectangle exactly once: all nonempty products, then the
+    canonical empty rectangle."""
+    check_rect_side(x_size, y_size, caps or default_caps())
     if x_size <= 0 or y_size <= 0:
         raise ParameterError("sizes must be positive")
     for rows in range(1, 2**x_size):

@@ -25,7 +25,7 @@ import numpy as np
 from .caps import Caps, default_caps
 from .errors import CapacityError, DimensionError, ParameterError, SolverError
 
-__all__ = ["LpProblem", "LpSolution", "lp_solve"]
+__all__ = ["LpProblem", "LpSolution", "lp_solve", "check_lp_caps"]
 
 Relation = Literal["<=", ">=", "="]
 Mode = Literal["float", "rational"]
@@ -98,23 +98,24 @@ class LpSolution:
 
 def lp_solve(problem: LpProblem, mode: Mode = "float", caps: Caps | None = None) -> LpSolution:
     """Solve an LP, returning primal and dual witnesses when optimal."""
-    caps = caps or default_caps()
-    n, m = problem.num_vars, problem.num_rows
+    check_lp_caps(problem.num_vars, problem.num_rows, mode, caps or default_caps())
+    return _solve_float(problem) if mode == "float" else _solve_rational(problem)
+
+
+def check_lp_caps(num_vars: int, num_rows: int, mode: Mode, caps: Caps) -> None:
+    """Raise CapacityError when an LP of this shape exceeds the caps of
+    `mode`, so callers can reject an instance before building its rows."""
     if mode == "float":
-        if n > caps.lp_vars_float or m > caps.lp_rows_float:
-            raise CapacityError(
-                f"instance {n} vars x {m} rows exceeds float caps "
-                f"({caps.lp_vars_float} x {caps.lp_rows_float})"
-            )
-        return _solve_float(problem)
-    if mode == "rational":
-        if n > caps.lp_vars_rational or m > caps.lp_rows_rational:
-            raise CapacityError(
-                f"instance {n} vars x {m} rows exceeds rational caps "
-                f"({caps.lp_vars_rational} x {caps.lp_rows_rational})"
-            )
-        return _solve_rational(problem)
-    raise ParameterError(f"unknown mode {mode!r}")
+        max_vars, max_rows = caps.lp_vars_float, caps.lp_rows_float
+    elif mode == "rational":
+        max_vars, max_rows = caps.lp_vars_rational, caps.lp_rows_rational
+    else:
+        raise ParameterError(f"unknown mode {mode!r}")
+    if num_vars > max_vars or num_rows > max_rows:
+        raise CapacityError(
+            f"instance {num_vars} vars x {num_rows} rows exceeds {mode} caps "
+            f"({max_vars} x {max_rows})"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -186,13 +186,12 @@ def check_bad_set_bound(seed: int = 0, instances: int = 1000) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 _EPS_GRID = (0.0, 0.05, 0.1, 0.25)
-_sweep_cache: list | None = None
+_sweep_cache: dict[Caps, list] = {}
 
 
 def _corpus_sweep(caps: Caps) -> list:
-    global _sweep_cache
-    if _sweep_cache is not None:
-        return _sweep_cache
+    if caps in _sweep_cache:
+        return _sweep_cache[caps]
     rows = []
     for label, f in cps.corpus_functions():
         mu = cps.make_distribution("uniform", f)
@@ -209,7 +208,7 @@ def _corpus_sweep(caps: Caps) -> list:
                     results.append(srecs[z])
                     results.append(bnd.rect_dual(f, eps, z, None, "float", caps))
             rows.append((label, f, eps, results, srecs))
-    _sweep_cache = rows
+    _sweep_cache[caps] = rows
     return rows
 
 

@@ -8,7 +8,11 @@ rounding on the compression equalities, and 3-5 standard errors for Monte
 Carlo comparisons.
 """
 
+import pytest
+
 from commlb import verify
+from commlb.caps import default_caps
+from commlb.errors import CapacityError
 
 
 def _assert(result):
@@ -37,6 +41,14 @@ def test_criterion_04_bound_chain():
     # srec <= bprt <= prt within 1e-6 over the corpus sweep, plus the exact
     # rational pins prt_0(EQ_1) = 4 and bprt_eps(CONST) = 1 - eps.
     _assert(verify.check_chain())
+
+
+def test_corpus_sweep_cache_respects_caps():
+    # A sweep computed under the default caps must not answer for caps
+    # that the corpus LPs exceed.
+    _assert(verify.check_chain())
+    with pytest.raises(CapacityError):
+        verify.check_chain(default_caps().with_overrides(lp_vars_float=10))
 
 
 def test_criterion_05_lp_duality():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from commlb import bounds
 from commlb.bounds import (
     CSV_HEADER,
     LabeledRectangleStrategy,
@@ -20,14 +21,15 @@ from commlb.bounds import (
     srec,
     verify_bound_chain,
 )
+from commlb.caps import Caps
 from commlb.core import (
     InputDistribution,
     PartialFunction,
     Rectangle,
     enumerate_rectangles,
 )
-from commlb.corpus import corpus_functions, make_function
-from commlb.errors import DegenerateInputError, ParameterError
+from commlb.corpus import corpus_functions, make_distribution, make_function
+from commlb.errors import CapacityError, DegenerateInputError, ParameterError
 from commlb.solver import LpProblem, lp_solve
 
 EQ1 = make_function("EQ,1")
@@ -47,6 +49,36 @@ def _random_mu(rng: random.Random, x_size: int, y_size: int) -> InputDistributio
     raw = [[Fraction(rng.randint(1, 12)) for _ in range(y_size)] for _ in range(x_size)]
     total = sum(map(sum, raw))
     return InputDistribution(tuple(tuple(v / total for v in row) for row in raw))
+
+
+def _brute_rectangle_sums(grid) -> list:
+    """The total of `grid` on every rectangle, by explicit row/column masks."""
+    x_size, y_size = len(grid), len(grid[0])
+    return [
+        sum(grid[x][y] for x in range(x_size) for y in range(y_size)
+            if rows >> x & 1 and cols >> y & 1)
+        for rows in range(1 << x_size)
+        for cols in range(1 << y_size)
+    ]
+
+
+def _alpha_beta_bprt(f: PartialFunction, eps, mode: str):
+    """bprt in its dual (alpha, beta) form, the reference for the weight-form
+    LP: maximize (1-eps)*sum(alpha) - sum(beta) with, for every (rectangle,
+    label), alpha over its correctly answered cells minus beta over all its
+    cells at most 1."""
+    one = Fraction(1) if mode == "rational" else 1.0
+    rects = [r for r in enumerate_rectangles(f.x_size, f.y_size) if not r.is_empty]
+    cells = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
+    rows = [
+        [one if r.contains(*c) and f.value(*c) in (None, z) else 0 * one for c in cells]
+        + [-one if r.contains(*c) else 0 * one for c in cells]
+        for r in rects
+        for z in range(f.z_size)
+    ]
+    objective = [one - eps] * len(cells) + [-one] * len(cells)
+    problem = LpProblem.build("max", objective, rows, ["<="] * len(rows), [one] * len(rows))
+    return lp_solve(problem, mode).objective_value
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +137,26 @@ def test_bprt_dominates_sampled_mu():
 def test_bprt_at_least_one_at_zero_error():
     for _, f in corpus_functions():
         assert bprt(f, 0).value >= 1 - 1e-9
+
+
+def test_bprt_matches_alpha_beta_form():
+    for label, f in corpus_functions():
+        if f.x_size == 2:
+            for eps in (Fraction(0), Fraction(1, 10), Fraction(1, 4)):
+                ref = _alpha_beta_bprt(f, eps, "rational")
+                assert bprt(f, eps, mode="rational").value == ref, (label, eps)
+        else:
+            for eps in (0.0, 0.1):
+                ref = _alpha_beta_bprt(f, eps, "float")
+                assert abs(bprt(f, eps).value - ref) < 1e-9, (label, eps)
+
+
+def test_bprt_eq2_rational_pinned():
+    f = make_function("EQ,2")
+    r = bprt(f, Fraction(1, 10), mode="rational")
+    assert r.value == Fraction(11, 2)
+    assert r.dual_value == r.value
+    assert check_witness(r, f) == (True, Fraction(11, 2))
 
 
 def test_bprt_strategy_witness_structure():
@@ -251,14 +303,15 @@ def test_discrepancy_and():
 
 def test_discrepancy_matches_enumeration_oracle():
     # Independent enumeration over explicit row/column subsets.
-    for f in (EQ1, AND1, make_function("GT,1")):
-        mu = UNIFORM_2x2
+    functions = [make_function("GT,1")] + [f for _, f in corpus_functions()]
+    for f in functions:
+        mu = _uniform(f)
         best = Fraction(0)
-        for rows in range(1, 4):
-            for cols in range(1, 4):
+        for rows in range(1, 1 << f.x_size):
+            for cols in range(1, 1 << f.y_size):
                 bal = Fraction(0)
-                for x in range(2):
-                    for y in range(2):
+                for x in range(f.x_size):
+                    for y in range(f.y_size):
                         if rows >> x & 1 and cols >> y & 1:
                             fz = f.value(x, y)
                             if fz == 0:
@@ -267,6 +320,24 @@ def test_discrepancy_matches_enumeration_oracle():
                                 bal -= mu.prob(x, y)
                 best = max(best, abs(bal))
         assert discrepancy(f, mu) == best
+
+
+def test_best_rectangle_matches_brute_force():
+    rng = random.Random(41)
+    for _ in range(60):
+        x_size, y_size = rng.randint(1, 4), rng.randint(1, 4)
+        grid = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(y_size)]
+                for _ in range(x_size)]
+        sums = _brute_rectangle_sums(grid)
+        assert bounds._best_rectangle(grid, Caps()) == (max(sums), min(sums))
+
+
+def test_best_rectangle_enforces_rect_side_cap():
+    grid = [[Fraction(1)] * 3 for _ in range(3)]
+    with pytest.raises(CapacityError):
+        bounds._best_rectangle(grid, Caps(rect_side=2))
+    with pytest.raises(CapacityError):
+        discrepancy(EQ1, UNIFORM_2x2, Caps(rect_side=1))
 
 
 def test_discrepancy_eq1_value():
@@ -320,6 +391,64 @@ def test_check_witness_round_trip():
         feasible, objective = check_witness(result, EQ1 if mu is None else AND1, mu)
         assert feasible, result.bound_name
         assert abs(objective - result.value) < 1e-6
+
+
+def test_check_witness_bprt_mu_requires_mu():
+    r = bprt_mu(AND1, UNIFORM_2x2, 0.05)
+    with pytest.raises(ParameterError):
+        check_witness(r, AND1)
+
+
+def test_lp_bounds_check_caps_before_building(monkeypatch):
+    # EQ,3 is over the float LP caps; each bound must say so before it
+    # builds a single LP row.
+    def no_build(*args, **kwargs):
+        raise AssertionError("LP rows built before the cap check")
+
+    monkeypatch.setattr(LpProblem, "build", no_build)
+    f = make_function("EQ,3")
+    mu = make_distribution("uniform", f)
+    calls = [
+        lambda: bprt(f, 0.0),
+        lambda: bprt_mu(f, mu, 0.0),
+        lambda: prt(f, 0.0),
+        lambda: srec(f, 0.0, 1),
+        lambda: rect_dual(f, 0.0, 1),
+    ]
+    for call in calls:
+        with pytest.raises(CapacityError):
+            call()
+
+
+def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
+    # The early cap check must accept and reject exactly what lp_solve's own
+    # check would, so it has to see the shape of the LP that gets built.
+    checked, solved = [], []
+    real_check, real_solve = bounds.check_lp_caps, bounds.lp_solve
+
+    def check(num_vars, num_rows, mode, caps):
+        checked.append((num_vars, num_rows))
+        real_check(num_vars, num_rows, mode, caps)
+
+    def solve(problem, mode="float", caps=None):
+        solved.append((problem.num_vars, problem.num_rows))
+        return real_solve(problem, mode, caps)
+
+    monkeypatch.setattr(bounds, "check_lp_caps", check)
+    monkeypatch.setattr(bounds, "lp_solve", solve)
+    ghd = make_function("GHD,2,1")
+    # mu charges only the first two columns, so rect_dual drops some rows.
+    sparse = InputDistribution(tuple(
+        (Fraction(1, 8), Fraction(1, 8), Fraction(0), Fraction(0)) for _ in range(4)
+    ))
+    for f, mu in ((EQ1, UNIFORM_2x2), (ghd, _uniform(ghd)), (ghd, sparse)):
+        bprt(f, 0.1)
+        prt(f, 0.1)
+        bprt_mu(f, mu, 0.1)
+        for z in range(f.z_size):
+            srec(f, 0.1, z)
+            rect_dual(f, 0.1, z, mu)
+    assert checked == solved
 
 
 def test_rational_matches_float():
