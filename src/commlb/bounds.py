@@ -18,7 +18,8 @@ the feasibility of a corruption witness and the rect witness check.
 ``bprt``, ``bprt_mu`` and ``prt`` are one weight-form LP over (rectangle,
 label) weights, differing only in their correctness rows and coverage
 relation.  Each LP bound computes its LP shape from the rectangle count
-before it builds a row, so an instance over the caps is rejected at once.
+before it builds a row, so an instance over the caps is rejected at once;
+``bprt`` must also fit as its transposed (alpha, beta) form.
 
 Every LP result carries both a primal and a dual witness and the two
 objective values are required to agree (1e-6 float, exact rational).  The
@@ -215,6 +216,10 @@ def _rect_count(f: PartialFunction, caps: Caps) -> int:
     return rectangle_count(f.x_size, f.y_size) - 1
 
 
+def _cells(f: PartialFunction) -> list[tuple[int, int]]:
+    return [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
+
+
 def _incidence(
     f: PartialFunction, caps: Caps
 ) -> tuple[list[Rectangle], list[tuple[int, int]], list[list[bool]]]:
@@ -222,7 +227,7 @@ def _incidence(
     order, and covers[i][j]: whether rects[j] contains cells[i].  Every LP
     row is read off this incidence."""
     rects = [r for r in enumerate_rectangles(f.x_size, f.y_size, caps) if not r.is_empty]
-    cells = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
+    cells = _cells(f)
     return rects, cells, [[r.contains(x, y) for r in rects] for x, y in cells]
 
 
@@ -274,55 +279,42 @@ def _rects_meeting(f: PartialFunction, cells: set[tuple[int, int]]) -> int:
 
 
 def _weight_form(
-    name: str,
-    f: PartialFunction,
-    eps,
-    mode: str,
-    caps: Caps | None,
-    mu: InputDistribution | None = None,
+    name: str, f: PartialFunction, eps, mode: str, caps: Caps | None, correct, coverage: str
 ) -> BoundResult:
-    """bprt, bprt_mu or prt as one LP over weights w_{R,z} >= 0, minimizing
-    sum(w).  Coverage rows sum w over the rectangles containing a cell (<= 1;
-    = 1 for prt).  Correctness rows sum only the labels that answer the cell
-    correctly (any label off the promise) and must reach 1 - eps: one row
-    per cell for bprt, per promise cell for prt, one mu-weighted row for
-    bprt_mu.  The dual witness alpha / beta holds the multipliers of the
-    correctness / coverage rows (alpha = multiplier * mu for bprt_mu)."""
-    _check_eps(eps)
-    if mu is not None:
-        mu.check_compatible(f)
+    """One LP over weights w_{R,z} >= 0 minimizing sum(w), for bprt, bprt_mu
+    and prt.  `correct` lists the correctness rows, each as (cell, weight)
+    pairs: a row sums, weighted by cell, w over the rectangles containing the
+    cell and the labels that answer it correctly (any label off the promise),
+    and must reach 1 - eps.  One coverage row per cell sums w over the
+    rectangles containing it, with relation `coverage` against 1.  The dual
+    witness alpha[cell] is the weighted sum of the correctness multipliers
+    and beta holds the coverage multipliers, negated on `<=` rows so that it
+    is nonnegative."""
     caps = caps or default_caps()
     eps = _coerce(eps, mode)
     one = _one(mode)
     zero = one * 0
     n_labels = f.z_size
-    n_correct = {"bprt": f.x_size * f.y_size, "prt": len(f.domain()), "bprt_mu": 1}[name]
     check_lp_caps(
-        _rect_count(f, caps) * n_labels, n_correct + f.x_size * f.y_size, mode, caps
+        _rect_count(f, caps) * n_labels, len(correct) + f.x_size * f.y_size, mode, caps
     )
 
     rects, cells, covers = _incidence(f, caps)
     nvars = len(rects) * n_labels  # variable (j, z) sits at j * n_labels + z
-    labels = [f.value(x, y) for x, y in cells]
-    cover = [[one if hit else zero for hit in row for _ in range(n_labels)] for row in covers]
-    correct = [
-        [one if hit and fz in (None, z) else zero for hit in row for z in range(n_labels)]
-        for row, fz in zip(covers, labels)
-    ]
-    if name == "bprt_mu":
-        weights = [_coerce(mu.prob(x, y), mode) for x, y in cells]
-        mixed = [zero] * nvars
-        for w, row in zip(weights, correct):
-            for j, hit in enumerate(row):
+    correct = [[(cell, _coerce(w, mode)) for cell, w in spec] for spec in correct]
+    rows = []
+    for spec in correct:
+        row = [zero] * nvars
+        for (x, y), w in spec:
+            fz = f.value(x, y)
+            for j, hit in enumerate(covers[x * f.y_size + y]):
                 if hit:
-                    mixed[j] += w
-        correct = [mixed]
-    elif name == "prt":
-        correct = [row for row, fz in zip(correct, labels) if fz is not None]
-
-    rows = correct + cover
-    relations = [">="] * len(correct) + ["=" if name == "prt" else "<="] * len(cover)
-    rhs = [one - eps] * len(correct) + [one] * len(cover)
+                    for z in range(n_labels) if fz is None else (fz,):
+                        row[j * n_labels + z] += w
+        rows.append(row)
+    rows += [[one if hit else zero for hit in row for _ in range(n_labels)] for row in covers]
+    relations = [">="] * len(correct) + [coverage] * len(cells)
+    rhs = [one - eps] * len(correct) + [one] * len(cells)
     problem = LpProblem.build("min", [one] * nvars, rows, relations, rhs)
     sol = lp_solve(problem, mode, caps)
     _require_optimal(sol, name)
@@ -333,11 +325,11 @@ def _weight_form(
         f.x_size,
         f.y_size,
     )
-    if name == "bprt_mu":
-        alpha = {cell: sol.dual[0] * w for cell, w in zip(cells, weights)}
-    else:
-        alpha = dict(zip(f.domain() if name == "prt" else cells, sol.dual))
-    sign = 1 if name == "prt" else -1
+    alpha: dict[tuple[int, int], Number] = {}
+    for spec, d in zip(correct, sol.dual):
+        for cell, w in spec:
+            alpha[cell] = alpha.get(cell, zero) + d * w
+    sign = -1 if coverage == "<=" else 1
     beta = {cell: sign * d for cell, d in zip(cells, sol.dual[len(correct):])}
     dual_value = sum(d * b for d, b in zip(sol.dual, rhs))
     _check_gap(value, dual_value, mode, name)
@@ -359,7 +351,10 @@ def bprt_mu(
     average correctness >= 1 - eps (inputs outside the promise count as
     correct under any label) and per-input coverage <= 1.
     """
-    return _weight_form("bprt_mu", f, eps, mode, caps, mu)
+    _check_eps(eps)
+    mu.check_compatible(f)
+    correct = [[(cell, mu.prob(*cell)) for cell in _cells(f)]]
+    return _weight_form("bprt_mu", f, eps, mode, caps, correct, "<=")
 
 
 def bprt(
@@ -368,7 +363,15 @@ def bprt(
     """Distribution-free relaxed partition bound (the max over mu of
     bprt_mu): per-input correctness >= 1 - eps (any label off the promise)
     and per-input coverage <= 1."""
-    return _weight_form("bprt", f, eps, mode, caps)
+    _check_eps(eps)
+    caps = caps or default_caps()
+    cells = _cells(f)
+    # Accept only what fits the caps as the transposed (alpha, beta) form of
+    # this LP, 2|cells| vars x R|Z| rows: in float that is tighter, and the
+    # float simplex fails on the larger weight-form LPs (4x8 grids) that the
+    # caps alone would let through.
+    check_lp_caps(2 * len(cells), _rect_count(f, caps) * f.z_size, mode, caps)
+    return _weight_form("bprt", f, eps, mode, caps, [[(cell, 1)] for cell in cells], "<=")
 
 
 def prt(
@@ -377,7 +380,8 @@ def prt(
     """Partition bound: per-input correctness >= 1 - eps on the promise and
     per-input total coverage exactly 1.  Always feasible via singleton
     rectangles."""
-    return _weight_form("prt", f, eps, mode, caps)
+    _check_eps(eps)
+    return _weight_form("prt", f, eps, mode, caps, [[(cell, 1)] for cell in f.domain()], "=")
 
 
 # ---------------------------------------------------------------------------

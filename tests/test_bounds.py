@@ -408,8 +408,15 @@ def test_lp_bounds_check_caps_before_building(monkeypatch):
     monkeypatch.setattr(LpProblem, "build", no_build)
     f = make_function("EQ,3")
     mu = make_distribution("uniform", f)
+    # bprt on 4x8 fits the float caps as a weight-form LP (7,650 vars x 64
+    # rows) but not as its (alpha, beta) form (64 vars x 7,650 rows), which
+    # decides its acceptance.
+    wide = PartialFunction.from_rows(
+        [[int(x == y % 4) for y in range(8)] for x in range(4)], 2
+    )
     calls = [
         lambda: bprt(f, 0.0),
+        lambda: bprt(wide, 0.1),
         lambda: bprt_mu(f, mu, 0.0),
         lambda: prt(f, 0.0),
         lambda: srec(f, 0.0, 1),
@@ -423,6 +430,8 @@ def test_lp_bounds_check_caps_before_building(monkeypatch):
 def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
     # The early cap check must accept and reject exactly what lp_solve's own
     # check would, so it has to see the shape of the LP that gets built.
+    # bprt alone checks one more shape first: the transpose, its (alpha,
+    # beta) form.
     checked, solved = [], []
     real_check, real_solve = bounds.check_lp_caps, bounds.lp_solve
 
@@ -443,6 +452,7 @@ def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
     ))
     for f, mu in ((EQ1, UNIFORM_2x2), (ghd, _uniform(ghd)), (ghd, sparse)):
         bprt(f, 0.1)
+        assert checked.pop(-2) == solved[-1][::-1]
         prt(f, 0.1)
         bprt_mu(f, mu, 0.1)
         for z in range(f.z_size):
