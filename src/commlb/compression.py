@@ -8,8 +8,9 @@ The pipeline:
 * the full *zero-communication run*: T independent experiments, then a shared
   random hash h : [T] -> {0,1}^k and target r pick a common accepted
   experiment; each party outputs the transcript's value or aborts;
-* an exact dynamic program over the T trials giving the full output law, and
-  a vectorized Monte Carlo engine for cross-checking it;
+* the exact output law, from the T-th power of one trial's transition matrix
+  over the (Alice, Bob) state chain taken by squaring in O(log T) products,
+  and a vectorized Monte Carlo engine for cross-checking it;
 * the conversion of runs into a labeled-rectangle strategy.
 
 Experiment category probabilities are closed-form: with S = 2**delta_exp,
@@ -326,11 +327,6 @@ def run_zero_comm(
 # Exact output-distribution DP
 # ---------------------------------------------------------------------------
 
-_A_PENDING = -2
-_A_ABORT = -1
-_B_SEARCHING = -2
-
-
 @dataclass(frozen=True)
 class ExactLaw:
     """Exact law of one zero-communication run on fixed inputs."""
@@ -356,11 +352,12 @@ def exact_output_distribution(
     params: CompressionParameters,
     caps: Caps | None = None,
 ) -> ExactLaw:
-    """Exact joint law of (Alice output, Bob output) via a trial-by-trial DP.
+    """Exact joint law of (Alice output, Bob output).
 
     Uses the independence of trials and the fact that the per-trial hash-match
     indicators are i.i.d. Bernoulli(2**-hash_bits) and independent of the
-    experiment outcomes.
+    experiment outcomes, so the run is a time-homogeneous chain on
+    (|Z|+2)(|Z|+1) states whose T-step law costs O(log T) matrix products.
     """
     caps = caps or default_caps()
     if params.trials > caps.dp_trials:
@@ -389,74 +386,93 @@ def exact_output_distribution(
 
 def _dp_law(both_z, aonly_z, bonly_z, params: CompressionParameters, nz: int) -> ExactLaw:
     rho = math.ldexp(1.0, -params.hash_bits)
-    trials = params.trials
     alice_any = sum(both_z) + sum(aonly_z)       # Pr[Alice accepts a trial]
     bob_any_z = [b + o for b, o in zip(both_z, bonly_z)]
     bob_any = sum(bob_any_z)
 
-    # State: (a, b); a in {-2 pending, -1 aborted, z}; b in {-2 searching, z}.
-    state = {(_A_PENDING, _B_SEARCHING): 1.0}
-    for _ in range(trials):
-        nxt: dict[tuple[int, int], float] = {}
+    # State (a, b) with a in {pending, aborted, z} and b in {searching, z},
+    # flattened to a * (nz + 1) + b: a = 0 pending, 1 aborted, 2 + z; b = 0
+    # searching, 1 + z.  One trial maps the law through I + gen.  Every entry
+    # of gen is built directly, never as 1 - small, since rho can be 2^-43.
+    width = nz + 1
+    gen = np.zeros(((nz + 2) * width,) * 2)
+    start = 0
+    for z in range(nz):
+        gen[start, (2 + z) * width + 1 + z] = both_z[z] * rho
+        gen[start, (2 + z) * width] = aonly_z[z] * rho
+        gen[start, 1 + z] = bonly_z[z] * rho
+    gen[start, width] = alice_any * (1.0 - rho)
+    gen[start, start] = -(alice_any + sum(bonly_z) * rho)
+    for b in range(1, width):  # Bob already found b, Alice pending
+        for z in range(nz):
+            gen[b, (2 + z) * width + b] = (both_z[z] + aonly_z[z]) * rho
+        gen[b, width + b] = alice_any * (1.0 - rho)
+        gen[b, b] = -alice_any
+    for a in range(1, nz + 2):  # Alice decided, Bob still searching
+        s = a * width
+        for z in range(nz):
+            gen[s, s + 1 + z] = bob_any_z[z] * rho
+        gen[s, s] = -bob_any * rho
 
-        def add(key, p):
-            if p:
-                nxt[key] = nxt.get(key, 0.0) + p
+    # (I + gen)^T = I + acc by squaring, carried on the gen part alone:
+    # (I + P)^2 = I + (2P + P P) and (I + R)(I + P) = I + (R + P + R P), so
+    # rounding does not grow with T.
+    acc = np.zeros_like(gen)
+    power = gen
+    t = params.trials
+    while True:
+        if t & 1:
+            acc = acc + power + acc @ power
+        t >>= 1
+        if not t:
+            break
+        power = 2.0 * power + power @ power
+    law = acc[start].reshape(nz + 2, width)
+    law[0, 0] += 1.0
 
-        for (a, b), p in state.items():
-            if a != _A_PENDING and b != _B_SEARCHING:
-                add((a, b), p)
-                continue
-            if a == _A_PENDING and b == _B_SEARCHING:
-                for z in range(nz):
-                    add((z, z), p * both_z[z] * rho)
-                    add((z, _B_SEARCHING), p * aonly_z[z] * rho)
-                    add((_A_PENDING, z), p * bonly_z[z] * rho)
-                add((_A_ABORT, _B_SEARCHING), p * alice_any * (1.0 - rho))
-                stay_p = 1.0 - alice_any - bob_any + sum(both_z)  # neither
-                stay_p += sum(bonly_z) * (1.0 - rho)              # bob miss
-                add((_A_PENDING, _B_SEARCHING), p * stay_p)
-            elif a == _A_PENDING:  # Bob already found b
-                for z in range(nz):
-                    add((z, b), p * (both_z[z] + aonly_z[z]) * rho)
-                add((_A_ABORT, b), p * alice_any * (1.0 - rho))
-                add((_A_PENDING, b), p * (1.0 - alice_any))
-            else:  # Alice decided, Bob still searching
-                for z in range(nz):
-                    add((a, z), p * bob_any_z[z] * rho)
-                add((a, _B_SEARCHING), p * (1.0 - bob_any * rho))
-        state = nxt
-
-    output = [0.0] * nz
-    alice_law = [0.0] * (nz + 1)
-    bob_law = [0.0] * (nz + 1)
-    not_abort = 0.0
-    for (a, b), p in state.items():
-        a_out = BOT if a in (_A_PENDING, _A_ABORT) else a
-        b_out = BOT if b == _B_SEARCHING else b
-        alice_law[a_out if a_out != BOT else nz] += p
-        bob_law[b_out if b_out != BOT else nz] += p
-        if a_out != BOT and a_out == b_out:
-            output[a_out] += p
-            not_abort += p
-
+    output = [float(law[2 + z, 1 + z]) for z in range(nz)]
+    not_abort = sum(output)
+    alice_law = [float(law[2 + z].sum()) for z in range(nz)] + [float(law[:2].sum())]
+    bob_law = [float(law[:, 1 + z].sum()) for z in range(nz)] + [float(law[:, 0].sum())]
     union = alice_any + bob_any - sum(both_z)
-    q = union * rho
-    collision = 1.0 - (1.0 - q) ** trials - trials * q * (1.0 - q) ** (trials - 1)
-    collision = max(collision, 0.0)
     return ExactLaw(
         tuple(output),
         1.0 - not_abort,
         not_abort,
-        collision,
+        _collision(union * rho, params.trials),
         tuple(alice_law),
         tuple(bob_law),
     )
 
 
+def _collision(q: float, trials: int) -> float:
+    """Pr[Binomial(trials, q) >= 2]: two trials accepted by someone match the
+    hash target."""
+    if trials * q >= 1:
+        return max(1.0 - (1.0 - q) ** trials - trials * q * (1.0 - q) ** (trials - 1), 0.0)
+    # The direct form cancels when T q << 1; sum the tail from k = 2 instead.
+    term = trials * (trials - 1) / 2 * q * q * math.exp((trials - 2) * math.log1p(-q))
+    total = 0.0
+    k = 2
+    while term > total * 1e-17:
+        total += term
+        term *= (trials - k) / (k + 1) * q / (1.0 - q)
+        k += 1
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo engine (vectorized, chunked, reproducible)
 # ---------------------------------------------------------------------------
+
+
+_CHUNK_ELEMENTS = 2_000_000  # runs x trials drawn per block by MC and extraction
+
+
+def _chunk_rows(rows: int, trials: int) -> int:
+    """Runs per block, so that each (runs, trials) array holds at most
+    _CHUNK_ELEMENTS draws whatever T is."""
+    return max(1, min(rows, _CHUNK_ELEMENTS // trials))
 
 
 @dataclass(frozen=True)
@@ -484,7 +500,6 @@ def mc_output_distribution(
     params: CompressionParameters,
     samples: int,
     seed: int,
-    chunk: int = 100_000,
 ) -> McLaw:
     """Empirical output law over many runs, sampled from the raw experiment
     coins (u, alpha, beta) plus the per-trial hash-match indicator."""
@@ -502,6 +517,7 @@ def mc_output_distribution(
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     counts = np.zeros(nz + 1, dtype=np.int64)
+    chunk = _chunk_rows(samples, trials)
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
@@ -747,7 +763,7 @@ def extract_strategy(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     a_maps = np.full((seed_count, nx), BOT, dtype=np.int64)
     b_maps = np.full((seed_count, ny), BOT, dtype=np.int64)
-    chunk = max(1, min(seed_count, 2_000_000 // max(trials, 1)))
+    chunk = _chunk_rows(seed_count, trials)
     done = 0
     while done < seed_count:
         n = min(chunk, seed_count - done)

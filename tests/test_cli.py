@@ -1,6 +1,7 @@
 """CLI contract: CSV output, determinism, exit codes, atomic writes."""
 
 import math
+import time
 
 import pytest
 
@@ -149,6 +150,17 @@ def test_compress_paper_exact_trivial(capsys):
     assert lines[0].startswith("# engine=dp mode=paper-exact")
     assert lines[-1].startswith("eq4,") and lines[-1].endswith("True")
     assert lines[-2].startswith("aggregate,") and lines[-2].endswith("True")
+
+
+def test_compress_paper_exact_dp_small_delta(capsys):
+    # The DP cap is raised to T = 47,632,711,550; the DP's work grows with
+    # log T, so this still finishes at once.
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, "compress", "--prot", "corpus:noisy_bit,0.25",
+                        "--delta", "0.5", "--paper-exact", "--mode", "dp")
+    assert time.perf_counter() - start < 5.0
+    assert code == EXIT_OK
+    assert " trials=47632711550 " in out.split("\n")[0]
 
 
 def test_compress_override_mc_deterministic(capsys):

@@ -3,14 +3,19 @@
 import itertools
 import math
 import random
+import time
+import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from commlb.bounds import LabeledRectangleStrategy
+from commlb.caps import default_caps
 from commlb.compression import (
     BOT,
+    _dp_law,
     CompressionParameters,
     ExperimentInputs,
     compression_parameters,
@@ -36,7 +41,7 @@ from commlb.errors import (
     DimensionError,
     ParameterError,
 )
-from commlb.protocol import factorization
+from commlb.protocol import factorization, information_cost
 
 UNIFORM_2x2 = InputDistribution(
     ((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4)))
@@ -244,6 +249,146 @@ def test_dp_caps_enforced():
         exact_output_distribution(pi, UNIFORM_2x2, 0, 0, params)
 
 
+def _linear_dp_law(both_z, aonly_z, bonly_z, trials, hash_bits, nz):
+    """Reference: step the (Alice, Bob) state law through the T trials one at
+    a time.  Returns (output, abort, alice law, bob law), BOT last."""
+    pending, aborted, searching = -2, -1, -2
+    rho = math.ldexp(1.0, -hash_bits)
+    alice_any = sum(both_z) + sum(aonly_z)
+    bob_any_z = [b + o for b, o in zip(both_z, bonly_z)]
+    bob_any = sum(bob_any_z)
+    state = {(pending, searching): 1.0}
+    for _ in range(trials):
+        nxt = {}
+
+        def add(key, p):
+            if p:
+                nxt[key] = nxt.get(key, 0.0) + p
+
+        for (a, b), p in state.items():
+            if a != pending and b != searching:
+                add((a, b), p)
+                continue
+            if a == pending and b == searching:
+                for z in range(nz):
+                    add((z, z), p * both_z[z] * rho)
+                    add((z, searching), p * aonly_z[z] * rho)
+                    add((pending, z), p * bonly_z[z] * rho)
+                add((aborted, searching), p * alice_any * (1.0 - rho))
+                stay_p = 1.0 - alice_any - bob_any + sum(both_z)
+                stay_p += sum(bonly_z) * (1.0 - rho)
+                add((pending, searching), p * stay_p)
+            elif a == pending:
+                for z in range(nz):
+                    add((z, b), p * (both_z[z] + aonly_z[z]) * rho)
+                add((aborted, b), p * alice_any * (1.0 - rho))
+                add((pending, b), p * (1.0 - alice_any))
+            else:
+                for z in range(nz):
+                    add((a, z), p * bob_any_z[z] * rho)
+                add((a, searching), p * (1.0 - bob_any * rho))
+        state = nxt
+    output = [0.0] * nz
+    alice_law = [0.0] * (nz + 1)
+    bob_law = [0.0] * (nz + 1)
+    for (a, b), p in state.items():
+        alice_law[a if a >= 0 else nz] += p
+        bob_law[b if b >= 0 else nz] += p
+        if a >= 0 and a == b:
+            output[a] += p
+    return output, 1.0 - sum(output), alice_law, bob_law
+
+
+@pytest.mark.parametrize("nz", [1, 2, 3])
+@pytest.mark.parametrize("hash_bits", [0, 1, 3])
+def test_dp_matches_linear_reference(nz, hash_bits):
+    rng = random.Random(100 * nz + hash_bits)
+    for trials in (1, 2, 7, 64, rng.randint(100, 500), 500):
+        # Category mass from nearly nothing to nearly everything.
+        mass = rng.choice((1e-6, 0.01, rng.random(), 0.999))
+        raw = [rng.random() for _ in range(3 * nz)]
+        scaled = [mass * r / sum(raw) for r in raw]
+        both, aonly, bonly = scaled[:nz], scaled[nz:2 * nz], scaled[2 * nz:]
+        params = compression_parameters(0.5, 1.0, 1, overrides=(1, trials, hash_bits))
+        law = _dp_law(both, aonly, bonly, params, nz)
+        out, abort, alice, bob = _linear_dp_law(both, aonly, bonly, trials, hash_bits, nz)
+        # Output probabilities agree relatively; BOT and abort are
+        # complements of masses near 1, so they agree to 1e-12 absolutely.
+        assert law.output == pytest.approx(tuple(out), rel=1e-12, abs=0)
+        assert law.alice_output[:nz] == pytest.approx(tuple(alice[:nz]), rel=1e-12, abs=0)
+        assert law.bob_output[:nz] == pytest.approx(tuple(bob[:nz]), rel=1e-12, abs=0)
+        assert law.abort == pytest.approx(abort, rel=0, abs=1e-12)
+        assert law.alice_output[nz] == pytest.approx(alice[nz], rel=0, abs=1e-12)
+        assert law.bob_output[nz] == pytest.approx(bob[nz], rel=0, abs=1e-12)
+
+
+def _paper_exact(delta, flip=0.25):
+    pi = make_protocol("noisy_bit", flip=flip)
+    ic = information_cost(pi, UNIFORM_2x2)
+    params = compression_parameters(delta, ic, pi.universe_size)
+    return pi, params, default_caps().with_overrides(dp_trials=params.trials)
+
+
+@pytest.mark.parametrize("delta", [0.9, 0.7, 0.5])
+def test_dp_marginals_closed_form_paper_exact(delta):
+    # Alice outputs the first trial she accepts when its hash matches; Bob
+    # outputs the first trial he accepts whose hash matches.  With a = Pr[Alice
+    # accepts a trial] and b = Pr[Bob does]:
+    #   Pr[A=z] = (a_z/a) rho (1 - (1-a)^T),  Pr[B=z] = (b_z/b) (1 - (1-b rho)^T).
+    pi, params, caps = _paper_exact(delta)
+    rho = math.ldexp(1.0, -params.hash_bits)
+    trials = params.trials
+    for x, y in ((0, 0), (0, 1), (1, 0)):
+        both, aonly, bonly = _categories(pi, UNIFORM_2x2, x, y, params)
+        a_z = [p + q for p, q in zip(both, aonly)]
+        b_z = [p + q for p, q in zip(both, bonly)]
+        a, b = sum(a_z), sum(b_z)
+        alice_hit = -math.expm1(trials * math.log1p(-a))
+        bob_hit = -math.expm1(trials * math.log1p(-b * rho))
+        law = exact_output_distribution(pi, UNIFORM_2x2, x, y, params, caps)
+        for z in range(2):
+            assert law.alice_output[z] == pytest.approx(a_z[z] / a * rho * alice_hit, rel=1e-12, abs=0)
+            assert law.bob_output[z] == pytest.approx(b_z[z] / b * bob_hit, rel=1e-12, abs=0)
+
+
+def _decimal_collision(q: float, trials: int) -> float:
+    """Pr[Binomial(trials, q) >= 2] by the direct form at 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dq = Decimal(q)
+        miss = 1 - dq
+        value = 1 - miss**trials - trials * dq * miss ** (trials - 1)
+        return float(value)
+
+
+@pytest.mark.parametrize("delta", [0.9, 0.7, 0.5, None])
+def test_collision_matches_decimal_reference(delta):
+    if delta is None:  # T q >= 1: the direct form
+        pi = make_protocol("noisy_bit", flip=0.25)
+        params = compression_parameters(0.5, 1.0, 2, overrides=(2, 400, 0))
+        caps = None
+    else:  # T q << 1: the binomial tail
+        pi, params, caps = _paper_exact(delta)
+    both, aonly, bonly = _categories(pi, UNIFORM_2x2, 0, 1, params)
+    q = (sum(both) + sum(aonly) + sum(bonly)) * math.ldexp(1.0, -params.hash_bits)
+    expected = _decimal_collision(q, params.trials)
+    assert expected > 0
+    law = exact_output_distribution(pi, UNIFORM_2x2, 0, 1, params, caps)
+    assert law.collision == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("delta", [0.7, 0.5])
+def test_verify_compression_paper_exact_small_delta(delta):
+    # T = 2,554,454 at delta 0.7 and 47,632,711,550 at delta 0.5.
+    pi, params, caps = _paper_exact(delta)
+    f = make_function("EQ,1")
+    start = time.perf_counter()
+    report = verify_compression(pi, f, UNIFORM_2x2, delta, params, caps=caps)
+    assert time.perf_counter() - start < 1.0
+    assert report.all_pass
+    assert report.collision_bound_pass is True
+
+
 # ---------------------------------------------------------------------------
 # Scalar runs and the Monte Carlo engine
 # ---------------------------------------------------------------------------
@@ -284,6 +429,21 @@ def test_mc_matches_dp():
         se = math.sqrt(max(p * (1 - p), 1e-12) / mc.samples)
         assert abs(got - p) < 5 * se + 1e-9
     assert mc.max_standard_error() > 0
+
+
+def test_mc_memory_bounded_by_trials():
+    # Blocks hold at most a fixed number of draws, so paper-exact T does not
+    # scale the arrays by the sample count.
+    pi, params, _ = _paper_exact(0.9)
+    assert params.trials == 17_898
+    tracemalloc.start()
+    try:
+        mc = mc_output_distribution(pi, UNIFORM_2x2, 0, 1, params, samples=500, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(mc.counts) == 500
+    assert peak < 160 * 2**20
 
 
 # ---------------------------------------------------------------------------
