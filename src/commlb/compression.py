@@ -466,13 +466,9 @@ def _collision(q: float, trials: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-_CHUNK_ELEMENTS = 2_000_000  # runs x trials drawn per block by MC and extraction
-
-
-def _chunk_rows(rows: int, trials: int) -> int:
-    """Runs per block, so that each (runs, trials) array holds at most
-    _CHUNK_ELEMENTS draws whatever T is."""
-    return max(1, min(rows, _CHUNK_ELEMENTS // trials))
+# Draws per (runs, trials) block in MC and extraction, so memory stays flat
+# whatever T is.
+_CHUNK_ELEMENTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -517,7 +513,7 @@ def mc_output_distribution(
 
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     counts = np.zeros(nz + 1, dtype=np.int64)
-    chunk = _chunk_rows(samples, trials)
+    chunk = max(1, min(samples, _CHUNK_ELEMENTS // trials))
     done = 0
     while done < samples:
         n = min(chunk, samples - done)
@@ -763,7 +759,7 @@ def extract_strategy(
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     a_maps = np.full((seed_count, nx), BOT, dtype=np.int64)
     b_maps = np.full((seed_count, ny), BOT, dtype=np.int64)
-    chunk = _chunk_rows(seed_count, trials)
+    chunk = max(1, min(seed_count, _CHUNK_ELEMENTS // trials))
     done = 0
     while done < seed_count:
         n = min(chunk, seed_count - done)
