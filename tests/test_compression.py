@@ -346,9 +346,10 @@ def test_dp_marginals_closed_form_paper_exact(delta):
         alice_hit = -math.expm1(trials * math.log1p(-a))
         bob_hit = -math.expm1(trials * math.log1p(-b * rho))
         law = exact_output_distribution(pi, UNIFORM_2x2, x, y, params, caps)
-        for z in range(2):
-            assert law.alice_output[z] == pytest.approx(a_z[z] / a * rho * alice_hit, rel=1e-12, abs=0)
-            assert law.bob_output[z] == pytest.approx(b_z[z] / b * bob_hit, rel=1e-12, abs=0)
+        alice = [az / a * rho * alice_hit for az in a_z]
+        bob = [bz / b * bob_hit for bz in b_z]
+        assert law.alice_output[:2] == pytest.approx(tuple(alice), rel=1e-12, abs=0)
+        assert law.bob_output[:2] == pytest.approx(tuple(bob), rel=1e-12, abs=0)
 
 
 def _decimal_collision(q: float, trials: int) -> float:
