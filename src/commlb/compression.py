@@ -25,7 +25,7 @@ exact in rational mode (Fraction inputs, integer delta_exp).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -356,8 +356,9 @@ def exact_output_distribution(
 
     Uses the independence of trials and the fact that the per-trial hash-match
     indicators are i.i.d. Bernoulli(2**-hash_bits) and independent of the
-    experiment outcomes, so the run is a time-homogeneous chain on
-    (|Z|+2)(|Z|+1) states whose T-step law costs O(log T) matrix products.
+    experiment outcomes, so the run is a time-homogeneous chain on (k+2)(k+1)
+    states, k <= |U| the number of distinct leaf outputs, whose T-step law
+    costs O(log T) matrix products.
     """
     caps = caps or default_caps()
     if params.trials > caps.dp_trials:
@@ -372,19 +373,36 @@ def exact_output_distribution(
     inp = _experiment_setup(pi, mu, x, y, params)
     table = experiment_probabilities(inp)
     outputs = pi.leaf_outputs()
-    nz = pi.z_size
-    # Aggregate categories by the transcript's output value.
-    both_z = [0.0] * nz
-    aonly_z = [0.0] * nz
-    bonly_z = [0.0] * nz
+    # Aggregate categories by the transcript's output value.  The chain runs
+    # over the values some leaf outputs (at most |U| of them), not over all
+    # of Z, so its size does not grow with the declared z_size.
+    values = sorted(set(outputs))
+    index = {z: i for i, z in enumerate(values)}
+    both_z = [0.0] * len(values)
+    aonly_z = [0.0] * len(values)
+    bonly_z = [0.0] * len(values)
     for u, z in enumerate(outputs):
-        both_z[z] += float(table.both[u])
-        aonly_z[z] += float(table.alice_only[u])
-        bonly_z[z] += float(table.bob_only[u])
-    return _dp_law(both_z, aonly_z, bonly_z, params, nz)
+        both_z[index[z]] += float(table.both[u])
+        aonly_z[index[z]] += float(table.alice_only[u])
+        bonly_z[index[z]] += float(table.bob_only[u])
+    law = _dp_law(both_z, aonly_z, bonly_z, params)
+
+    def spread(probs: tuple[float, ...]) -> tuple[float, ...]:
+        full = [0.0] * pi.z_size
+        for z, p in zip(values, probs):
+            full[z] = p
+        return tuple(full) + probs[len(values):]
+
+    return replace(
+        law,
+        output=spread(law.output),
+        alice_output=spread(law.alice_output),
+        bob_output=spread(law.bob_output),
+    )
 
 
-def _dp_law(both_z, aonly_z, bonly_z, params: CompressionParameters, nz: int) -> ExactLaw:
+def _dp_law(both_z, aonly_z, bonly_z, params: CompressionParameters) -> ExactLaw:
+    nz = len(both_z)
     rho = math.ldexp(1.0, -params.hash_bits)
     alice_any = sum(both_z) + sum(aonly_z)       # Pr[Alice accepts a trial]
     bob_any_z = [b + o for b, o in zip(both_z, bonly_z)]

@@ -41,7 +41,7 @@ from commlb.errors import (
     DimensionError,
     ParameterError,
 )
-from commlb.protocol import factorization, information_cost
+from commlb.protocol import Leaf, Node, ProtocolTree, factorization, information_cost
 
 UNIFORM_2x2 = InputDistribution(
     ((Fraction(1, 4), Fraction(1, 4)), (Fraction(1, 4), Fraction(1, 4)))
@@ -310,7 +310,7 @@ def test_dp_matches_linear_reference(nz, hash_bits):
         scaled = [mass * r / sum(raw) for r in raw]
         both, aonly, bonly = scaled[:nz], scaled[nz:2 * nz], scaled[2 * nz:]
         params = compression_parameters(0.5, 1.0, 1, overrides=(1, trials, hash_bits))
-        law = _dp_law(both, aonly, bonly, params, nz)
+        law = _dp_law(both, aonly, bonly, params)
         out, abort, alice, bob = _linear_dp_law(both, aonly, bonly, trials, hash_bits, nz)
         # Output probabilities agree relatively; BOT and abort are
         # complements of masses near 1, so they agree to 1e-12 absolutely.
@@ -320,6 +320,31 @@ def test_dp_matches_linear_reference(nz, hash_bits):
         assert law.abort == pytest.approx(abort, rel=0, abs=1e-12)
         assert law.alice_output[nz] == pytest.approx(alice[nz], rel=0, abs=1e-12)
         assert law.bob_output[nz] == pytest.approx(bob[nz], rel=0, abs=1e-12)
+
+
+def test_dp_size_follows_leaf_outputs_not_z_size():
+    # Two leaves under a declared z_size of 200: the chain runs over the two
+    # values the leaves output, and the law is scattered back onto Z.
+    pi = ProtocolTree(Node("A", (0.25, 0.75), Leaf(17), Leaf(150)), 2, 2, 200)
+    params = compression_parameters(0.5, 1.0, 2, overrides=(2, 64, 2))
+    both, aonly, bonly = _categories(pi, UNIFORM_2x2, 0, 1, params)
+    out, abort, alice, bob = _linear_dp_law(both, aonly, bonly, 64, 2, 200)
+    law = exact_output_distribution(pi, UNIFORM_2x2, 0, 1, params)
+    assert (len(law.output), len(law.alice_output), len(law.bob_output)) == (200, 201, 201)
+    assert law.output == pytest.approx(tuple(out), rel=1e-12, abs=0)
+    assert law.alice_output[:200] == pytest.approx(tuple(alice[:200]), rel=1e-12, abs=0)
+    assert law.bob_output[:200] == pytest.approx(tuple(bob[:200]), rel=1e-12, abs=0)
+    assert law.abort == pytest.approx(abort, rel=0, abs=1e-12)
+    assert law.alice_output[200] == pytest.approx(alice[200], rel=0, abs=1e-12)
+    assert law.bob_output[200] == pytest.approx(bob[200], rel=0, abs=1e-12)
+
+    big = compression_parameters(0.5, 1.0, 2, overrides=(2, 10**10, 2))
+    caps = default_caps().with_overrides(dp_trials=big.trials)
+    start = time.perf_counter()
+    law = exact_output_distribution(pi, UNIFORM_2x2, 0, 1, big, caps)
+    assert time.perf_counter() - start < 1.0
+    assert sum(law.alice_output) == pytest.approx(1.0, abs=1e-12)
+    assert sum(law.bob_output) == pytest.approx(1.0, abs=1e-12)
 
 
 def _paper_exact(delta, flip=0.25):
