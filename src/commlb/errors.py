@@ -30,4 +30,5 @@ class ConditioningError(CommlbError):
 
 
 class SolverError(CommlbError):
-    """The LP engine failed (stalled pivoting, cap exceeded)."""
+    """A numerical engine failed: the LP simplex stalled, or the two
+    information-cost paths disagree."""

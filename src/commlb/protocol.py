@@ -27,6 +27,7 @@ from .errors import (
     DimensionError,
     FormatError,
     ParameterError,
+    SolverError,
 )
 
 __all__ = [
@@ -45,6 +46,9 @@ __all__ = [
 ]
 
 _IC_PATH_TOL = 1e-9
+# Deepest COMMPROT tree accepted: the tree walks recurse once per level and
+# must stay within Python's default recursion limit of 1000 frames.
+_MAX_DEPTH = 500
 
 
 @dataclass(frozen=True)
@@ -170,73 +174,103 @@ class ProtocolTree:
             raise FormatError("bad size line in COMMPROT file") from exc
         body = " ".join(stripped[2:])
         tokens = re.findall(r"\(|\)|[^\s()]+", body)
-        node, rest = _parse_sexpr(tokens)
-        if rest:
-            raise FormatError("trailing tokens after protocol tree")
+        node = _parse_sexpr(tokens)
         try:
             return cls(node, x_size, y_size, z_size)
         except (ParameterError, DimensionError) as exc:
             raise FormatError(str(exc)) from exc
 
 
-def _parse_sexpr(tokens: list[str]):
-    if not tokens or tokens[0] != "(":
-        raise FormatError("expected '('")
-    tokens = tokens[1:]
-    if not tokens:
-        raise FormatError("unterminated expression")
-    kind = tokens[0]
-    tokens = tokens[1:]
-    if kind == "leaf":
-        if not tokens or not tokens[0].startswith("z="):
-            raise FormatError("leaf needs z=<int>")
-        try:
-            z = int(tokens[0][2:])
-        except ValueError as exc:
-            raise FormatError("bad leaf output") from exc
-        tokens = tokens[1:]
-        if not tokens or tokens[0] != ")":
-            raise FormatError("expected ')' after leaf")
-        return Leaf(z), tokens[1:]
-    if kind != "node":
-        raise FormatError(f"unknown element {kind!r}")
-    if not tokens or not tokens[0].startswith("owner="):
-        raise FormatError("node needs owner=A|B|P")
-    owner = tokens[0][len("owner="):]
-    tokens = tokens[1:]
-    if not tokens or tokens[0] != "p1=(":
-        # p1=( may tokenize as 'p1=(' only if regex kept it together; handle split form
-        if tokens and tokens[0] == "p1=":
-            tokens = tokens[1:]
-        elif tokens and tokens[0].startswith("p1="):
-            raise FormatError("malformed p1 list")
+def _parse_sexpr(tokens: list[str]) -> Union[Node, Leaf]:
+    """Parse one tree from `tokens`, which it must use up.
+
+    Walks the tokens with an index and keeps the nodes still waiting for a
+    subtree on an explicit stack, so the parse itself never recurses.  The
+    tree walks (validation, factors, rendering) do recurse, one frame per
+    level, so a tree deeper than _MAX_DEPTH is rejected here.
+    """
+    pos = 0
+
+    def peek() -> str | None:
+        return tokens[pos] if pos < len(tokens) else None
+
+    def subtree_marker(name: str) -> None:
+        # 'zero=' / 'one=' introduce a subtree, which must open with '('.
+        nonlocal pos
+        token = peek()
+        if token is None or not token.startswith(name):
+            raise FormatError(f"node needs {name}<subtree>")
+        if token != name:
+            raise FormatError("expected '('")
+        pos += 1
+
+    stack: list[list] = []  # [owner, probs, zero subtree or None] per open node
+    while True:
+        if peek() != "(":
+            raise FormatError("expected '('")
+        pos += 1
+        kind = peek()
+        if kind is None:
+            raise FormatError("unterminated expression")
+        pos += 1
+        if kind == "leaf":
+            token = peek()
+            if token is None or not token.startswith("z="):
+                raise FormatError("leaf needs z=<int>")
+            try:
+                z = int(token[2:])
+            except ValueError as exc:
+                raise FormatError("bad leaf output") from exc
+            pos += 1
+            if peek() != ")":
+                raise FormatError("expected ')' after leaf")
+            pos += 1
+            done: Union[Node, Leaf] = Leaf(z)
+        elif kind == "node":
+            token = peek()
+            if token is None or not token.startswith("owner="):
+                raise FormatError("node needs owner=A|B|P")
+            owner = token[len("owner="):]
+            pos += 1
+            token = peek()
+            if token != "p1=":
+                if token is not None and token.startswith("p1="):
+                    raise FormatError("malformed p1 list")
+                raise FormatError("node needs p1=(...)")
+            pos += 1
+            if peek() == "(":
+                pos += 1
+            probs: list[float] = []
+            while peek() not in (")", None):
+                try:
+                    probs.append(float(tokens[pos]))
+                except ValueError as exc:
+                    raise FormatError(f"bad probability {tokens[pos]!r}") from exc
+                pos += 1
+            if peek() is None:
+                raise FormatError("unterminated p1 list")
+            pos += 1  # closing ')' of p1
+            subtree_marker("zero=")
+            if len(stack) >= _MAX_DEPTH:
+                raise FormatError(f"protocol tree deeper than {_MAX_DEPTH} levels")
+            stack.append([owner, tuple(probs), None])
+            continue
         else:
-            raise FormatError("node needs p1=(...)")
-    if tokens and tokens[0] == "(":
-        tokens = tokens[1:]
-    probs: list[float] = []
-    while tokens and tokens[0] != ")":
-        try:
-            probs.append(float(tokens[0]))
-        except ValueError as exc:
-            raise FormatError(f"bad probability {tokens[0]!r}") from exc
-        tokens = tokens[1:]
-    if not tokens:
-        raise FormatError("unterminated p1 list")
-    tokens = tokens[1:]  # closing ')' of p1
-    if not tokens or not tokens[0].startswith("zero="):
-        raise FormatError("node needs zero=<subtree>")
-    remainder = tokens[0][len("zero="):]
-    tokens = ([remainder] if remainder else []) + tokens[1:]
-    zero, tokens = _parse_sexpr(tokens)
-    if not tokens or not tokens[0].startswith("one="):
-        raise FormatError("node needs one=<subtree>")
-    remainder = tokens[0][len("one="):]
-    tokens = ([remainder] if remainder else []) + tokens[1:]
-    one, tokens = _parse_sexpr(tokens)
-    if not tokens or tokens[0] != ")":
-        raise FormatError("expected ')' after node")
-    return Node(owner, tuple(probs), zero, one), tokens[1:]
+            raise FormatError(f"unknown element {kind!r}")
+        # `done` is a complete subtree: hang it under the open nodes, closing
+        # every node whose 'one' branch it completes.
+        while stack and stack[-1][2] is not None:
+            owner, probs, zero = stack.pop()
+            if peek() != ")":
+                raise FormatError("expected ')' after node")
+            pos += 1
+            done = Node(owner, probs, zero, done)
+        if not stack:
+            if pos != len(tokens):
+                raise FormatError("trailing tokens after protocol tree")
+            return done
+        stack[-1][2] = done
+        subtree_marker("one=")
 
 
 # ---------------------------------------------------------------------------
@@ -438,11 +472,11 @@ def information_cost(pi: ProtocolTree, mu: InputDistribution) -> float:
     """IC over mu: I(X; transcript | Y) + I(Y; transcript | X), in bits.
 
     Computed two independent ways and cross-checked to 1e-9; see
-    information_cost_paths.
+    information_cost_paths.  Raises SolverError when the two disagree.
     """
     path_a, path_b = information_cost_paths(pi, mu)
     if abs(path_a - path_b) > _IC_PATH_TOL:
-        raise AssertionError(
+        raise SolverError(
             f"information-cost paths disagree: {path_a} vs {path_b}"
         )
     return max(path_a, 0.0)

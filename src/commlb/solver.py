@@ -1,12 +1,19 @@
 """Self-contained dense LP engine.
 
-Two-phase primal simplex over a full tableau, in two arithmetic modes:
+One two-phase primal simplex over a numpy float64 tableau, with Dantzig
+pricing and an automatic switch to Bland's least-index rule when the
+objective stalls (the bound LPs are highly degenerate).  Two modes use it:
 
-* ``float``: numpy float64 tableau, Dantzig pricing with an automatic switch
-  to Bland's least-index rule when the objective stalls (the bound LPs are
-  highly degenerate);
-* ``rational``: pure ``fractions.Fraction`` tableau with Bland's rule
-  throughout, so termination and exactness are guaranteed.
+* ``float`` returns its solution as it is;
+* ``rational`` solves its final basis exactly in ``fractions.Fraction``
+  against the problem's own rows and returns that solution only when it is
+  exactly primal and dual feasible, hence optimal (the method of
+  Applegate-Cook-Dash-Espinoza, "Exact solutions to linear programming
+  problems", ORL 2007).  When the float simplex fails, reports infeasible or
+  unbounded, or ends at a basis that does not pass, a pure ``Fraction``
+  tableau with Bland's rule throughout solves the problem from scratch, so
+  termination and exactness are guaranteed either way.  ``RATIONAL_SOLVES``
+  counts how many rational solves took each path.
 
 Dual multipliers are recovered from the final basis and reported in the
 standard sign convention: for a minimization problem, ``>=`` rows get
@@ -16,7 +23,8 @@ maximization), and the optimal value always equals ``dual . rhs``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -25,7 +33,7 @@ import numpy as np
 from .caps import Caps, default_caps
 from .errors import CapacityError, DimensionError, ParameterError, SolverError
 
-__all__ = ["LpProblem", "LpSolution", "lp_solve", "check_lp_caps"]
+__all__ = ["LpProblem", "LpSolution", "lp_solve", "check_lp_caps", "RATIONAL_SOLVES"]
 
 Relation = Literal["<=", ">=", "="]
 Mode = Literal["float", "rational"]
@@ -33,6 +41,10 @@ Mode = Literal["float", "rational"]
 _FEAS_TOL = 1e-9
 _STALL_LIMIT = 200
 _PIVOT_LIMIT_FACTOR = 60
+
+# Rational solves by path since import: "certified" (the float basis passed
+# the exact check) and "fallback" (the Fraction tableau ran).
+RATIONAL_SOLVES: Counter = Counter()
 
 
 @dataclass(frozen=True)
@@ -99,7 +111,7 @@ class LpSolution:
 def lp_solve(problem: LpProblem, mode: Mode = "float", caps: Caps | None = None) -> LpSolution:
     """Solve an LP, returning primal and dual witnesses when optimal."""
     check_lp_caps(problem.num_vars, problem.num_rows, mode, caps or default_caps())
-    return _solve_float(problem) if mode == "float" else _solve_rational(problem)
+    return _solve_float(problem)[0] if mode == "float" else _solve_rational(problem)
 
 
 def check_lp_caps(num_vars: int, num_rows: int, mode: Mode, caps: Caps) -> None:
@@ -164,7 +176,10 @@ def _finalize_duals(problem: LpProblem, y_norm, flips, sign):
 # ---------------------------------------------------------------------------
 
 
-def _solve_float(problem: LpProblem) -> LpSolution:
+def _solve_float(problem: LpProblem) -> tuple[LpSolution, list[int]]:
+    """The float simplex and its final basis, one column per row: column j < n
+    is structural, the slacks of the non-'=' rows follow in row order, and
+    the artificial of row i is column n + (number of slacks) + i."""
     c, rows, rels, rhs, flips, sign = _standardize(problem, exact=False)
     n, m = len(c), len(rows)
 
@@ -240,7 +255,7 @@ def _solve_float(problem: LpProblem) -> LpSolution:
         raise SolverError("phase 1 reported unbounded")
     phase1_obj = float(cost1[basis] @ T[:, total])
     if phase1_obj > 1e-7:
-        return LpSolution("infeasible", None, None, None)
+        return LpSolution("infeasible", None, None, None), basis
     _drive_out_artificials_float(T, basis, artificial, n + n_slack)
 
     # Phase 2
@@ -248,7 +263,7 @@ def _solve_float(problem: LpProblem) -> LpSolution:
     cost2[:n] = c
     status = run_phase(cost2)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, None)
+        return LpSolution("unbounded", None, None, None), basis
 
     x = np.zeros(total)
     for i, bi in enumerate(basis):
@@ -261,7 +276,7 @@ def _solve_float(problem: LpProblem) -> LpSolution:
     y_norm = [float(cb @ T[:, art_col[i]]) for i in range(m)]
     duals = _finalize_duals(problem, y_norm, flips, sign)
     primal = tuple(max(v, 0.0) for v in x[:n])
-    return LpSolution("optimal", obj, primal, duals)
+    return LpSolution("optimal", obj, primal, duals), basis
 
 
 def _pivot_float(T: np.ndarray, basis: list[int], i: int, j: int) -> None:
@@ -288,11 +303,147 @@ def _drive_out_artificials_float(T, basis, artificial, n_real) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Rational path (Fraction tableau, Bland's rule)
+# Rational path: exact certification of the float basis
 # ---------------------------------------------------------------------------
 
 
 def _solve_rational(problem: LpProblem) -> LpSolution:
+    # Infeasible and unbounded are never taken from float: only an optimal
+    # basis comes with a certificate that can be checked exactly.  Data too
+    # large for float64 raises OverflowError before the simplex starts.
+    try:
+        sol, basis = _solve_float(problem)
+    except (SolverError, OverflowError):
+        sol = None
+    if sol is not None and sol.status == "optimal":
+        certified = _certify_basis(problem, basis)
+        if certified is not None:
+            RATIONAL_SOLVES["certified"] += 1
+            return certified
+    RATIONAL_SOLVES["fallback"] += 1
+    return _solve_bland(problem)
+
+
+def _certify_basis(problem: LpProblem, basis: list[int]) -> LpSolution | None:
+    """The exact solution of `basis` (laid out as `_solve_float` returns
+    it) against the problem's own rows, or None unless it is optimal.
+
+    A basic slack or artificial is a unit column: it covers one row, takes up
+    that row's residual and fixes its dual at 0.  The basic structural
+    columns and the uncovered rows then form a square block, solved for the
+    primal and for the duals.  The basis is optimal when the primal is
+    nonnegative, every basic artificial is exactly 0, every dual has the sign
+    of its row and every structural column has a nonnegative reduced cost;
+    complementary slackness then gives c.x == dual.rhs by construction.
+    """
+    n, m = problem.num_vars, problem.num_rows
+    slack_rows = [i for i, rel in enumerate(problem.relations) if rel != "="]
+    structural: list[int] = []
+    covered: dict[int, bool] = {}  # row -> covered by its slack (else its artificial)
+    for col in basis:
+        if col < n:
+            structural.append(col)
+            continue
+        is_slack = col < n + len(slack_rows)
+        row = slack_rows[col - n] if is_slack else col - n - len(slack_rows)
+        if row in covered:
+            return None
+        covered[row] = is_slack
+    free = [i for i in range(m) if i not in covered]
+    if len(free) != len(structural):
+        return None
+
+    sign = 1 if problem.sense == "min" else -1  # minimize sign * c.x
+    zero = Fraction(0)
+    cost = [_exact(v) * sign for v in problem.objective]
+    rhs = [_exact(b) for b in problem.rhs]
+    free_rows = [[_exact(v) for v in problem.rows[i]] for i in free]
+    block = [[row[j] for j in structural] for row in free_rows]
+    x_basic = _solve_exact(block, [rhs[i] for i in free])
+    if x_basic is None or any(v < 0 for v in x_basic):
+        return None
+    y_free = _solve_exact([list(col) for col in zip(*block)], [cost[j] for j in structural])
+    if y_free is None:
+        return None
+
+    for row, is_slack in covered.items():
+        residual = rhs[row] - sum(
+            (_exact(problem.rows[row][j]) * v for j, v in zip(structural, x_basic)), zero
+        )
+        rel = problem.relations[row]
+        if is_slack and (residual < 0 if rel == "<=" else residual > 0):
+            return None  # the slack, +-residual, would be negative
+        if not is_slack and residual != 0:
+            return None  # a basic artificial away from 0
+    y = [zero] * m
+    for i, v in zip(free, y_free):
+        rel = problem.relations[i]
+        if (rel == ">=" and v < 0) or (rel == "<=" and v > 0):
+            return None  # a nonbasic slack with a negative reduced cost
+        y[i] = v
+    reduced = list(cost)
+    for v, row in zip(y_free, free_rows):
+        if v:
+            for j, a in enumerate(row):
+                if a:
+                    reduced[j] -= v * a
+    if any(d < 0 for d in reduced):
+        return None
+
+    x = [zero] * n
+    for j, v in zip(structural, x_basic):
+        x[j] = v
+    value = sum((c * v for c, v in zip(cost, x)), zero) * sign
+    return LpSolution("optimal", value, tuple(x), tuple(v * sign for v in y))
+
+
+def _exact(v) -> int | Fraction:
+    """`v` as an exact number: ints and Fractions as they are (the bound LPs
+    are mostly 0/1 incidence rows), anything else through Fraction."""
+    return v if type(v) in (int, Fraction) else Fraction(v)
+
+
+def _solve_exact(matrix: list[list], rhs: list) -> list[Fraction] | None:
+    """Solve the square system matrix z = rhs exactly, or None when it is
+    singular.  Gaussian elimination over sparse rows, taking as each pivot
+    the candidate row with the fewest nonzeros."""
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix]
+    rhs = [Fraction(v) for v in rhs]
+    remaining = set(range(len(rows)))
+    pivots = []
+    for col in range(len(rows)):
+        candidates = [r for r in remaining if col in rows[r]]
+        if not candidates:
+            return None
+        p = min(candidates, key=lambda r: (len(rows[r]), r))
+        remaining.remove(p)
+        pivot_row = rows[p]
+        for r in candidates:
+            if r == p:
+                continue
+            row = rows[r]
+            factor = row[col] / pivot_row[col]
+            for j, v in pivot_row.items():
+                w = row.get(j, 0) - factor * v
+                if w:
+                    row[j] = w
+                else:
+                    row.pop(j, None)
+            rhs[r] -= factor * rhs[p]
+        pivots.append((p, col))
+    z = [Fraction(0)] * len(rows)
+    for p, col in reversed(pivots):
+        row = rows[p]
+        z[col] = (rhs[p] - sum(v * z[j] for j, v in row.items() if j != col)) / row[col]
+    return z
+
+
+# ---------------------------------------------------------------------------
+# Rational fallback (Fraction tableau, Bland's rule)
+# ---------------------------------------------------------------------------
+
+
+def _solve_bland(problem: LpProblem) -> LpSolution:
     c, rows, rels, rhs, flips, sign = _standardize(problem, exact=True)
     n, m = len(c), len(rows)
     zero, one = Fraction(0), Fraction(1)

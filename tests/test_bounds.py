@@ -1,11 +1,12 @@
 """Lower-bound LPs: pinned values, orderings, witnesses, and CSV output."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from commlb import bounds
+from commlb import bounds, solver
 from commlb.bounds import (
     CSV_HEADER,
     LabeledRectangleStrategy,
@@ -29,8 +30,8 @@ from commlb.core import (
     enumerate_rectangles,
 )
 from commlb.corpus import corpus_functions, make_distribution, make_function
-from commlb.errors import CapacityError, DegenerateInputError, ParameterError
-from commlb.solver import LpProblem, lp_solve
+from commlb.errors import CapacityError, DegenerateInputError, ParameterError, SolverError
+from commlb.solver import RATIONAL_SOLVES, LpProblem, lp_solve
 
 EQ1 = make_function("EQ,1")
 AND1 = make_function("AND,1")
@@ -153,7 +154,9 @@ def test_bprt_matches_alpha_beta_form():
 
 def test_bprt_eq2_rational_pinned():
     f = make_function("EQ,2")
+    start = time.perf_counter()
     r = bprt(f, Fraction(1, 10), mode="rational")
+    assert time.perf_counter() - start < 1.0
     assert r.value == Fraction(11, 2)
     assert r.dual_value == r.value
     assert check_witness(r, f) == (True, Fraction(11, 2))
@@ -467,6 +470,65 @@ def test_rational_matches_float():
             fv = fn(f, 0.1).value
             rv = fn(f, Fraction(1, 10), mode="rational").value
             assert abs(fv - float(rv)) < 1e-6
+
+
+def _exact_bound_calls():
+    """(f, mu, call) for the rational LPs of the bounds-exact benchmark
+    workload: all five bounds on the 2x2 functions, and ten 4x4 LPs."""
+    calls = []
+    for label in ("CONST,1", "AND,1", "EQ,1"):
+        f = make_function(label)
+        mu = _uniform(f)
+        labels = [z for z in range(f.z_size) if f.preimage(z)]
+        for eps in (Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)):
+            calls += [
+                (f, mu, lambda f=f, eps=eps: bprt(f, eps, mode="rational")),
+                (f, mu, lambda f=f, eps=eps: prt(f, eps, mode="rational")),
+                (f, mu, lambda f=f, mu=mu, eps=eps: bprt_mu(f, mu, eps, mode="rational")),
+            ]
+            calls += [(f, mu, lambda f=f, eps=eps, z=z: srec(f, eps, z, mode="rational"))
+                      for z in labels]
+            calls += [(f, mu, lambda f=f, eps=eps, z=z: rect_dual(f, eps, z, None, "rational"))
+                      for z in labels]
+    for label, eps, z in (("GT,2", 0, 0), ("DISJ,2", 0, 1), ("IP,2", 0, 1), ("EQ,2", 0, 1),
+                          ("GT,2", Fraction(1, 10), 1), ("GHD,2,1", Fraction(1, 10), 0),
+                          ("GHD,2,1", 0, 0)):
+        f = make_function(label)
+        calls.append((f, None, lambda f=f, eps=Fraction(eps), z=z: srec(f, eps, z, mode="rational")))
+    ghd = make_function("GHD,2,1")
+    calls.append((ghd, None, lambda: rect_dual(ghd, Fraction(0), 0, None, "rational")))
+    for label in ("GT,2", "DISJ,2"):
+        f = make_function(label)
+        mu = _uniform(f)
+        calls.append((f, mu, lambda f=f, mu=mu: bprt_mu(f, mu, Fraction(0), mode="rational")))
+    return calls
+
+
+def test_exact_bound_lps_certify_without_fallback(monkeypatch):
+    calls = _exact_bound_calls()
+    before = RATIONAL_SOLVES.copy()
+    results = [call() for _, _, call in calls]
+    assert RATIONAL_SOLVES["fallback"] == before["fallback"]
+    assert RATIONAL_SOLVES["certified"] == before["certified"] + len(calls)
+    for (f, mu, _), r in zip(calls, results):
+        assert isinstance(r.value, Fraction) and r.dual_value == r.value
+        assert check_witness(r, f, mu) == (True, r.value)
+
+    def float_fails(problem):
+        raise SolverError("forced")
+
+    # The Fraction tableau alone reaches the same values.
+    monkeypatch.setattr(solver, "_solve_float", float_fails)
+    assert [call().value for _, _, call in calls] == [r.value for r in results]
+
+
+def test_rect_dual_eq2_rational_pinned():
+    f = make_function("EQ,2")
+    start = time.perf_counter()
+    r = rect_dual(f, Fraction(1, 10), 0, None, "rational")
+    assert time.perf_counter() - start < 1.0
+    assert r.value == Fraction(5, 2)
+    assert check_witness(r, f) == (True, Fraction(5, 2))
 
 
 def test_eps_validation():

@@ -5,14 +5,18 @@ import time
 
 import pytest
 
+from commlb import protocol
 from commlb.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAPACITY,
     EXIT_OK,
+    EXIT_SOLVER,
     EXIT_VERIFY,
     main,
 )
 from commlb.core import PartialFunction
+from commlb.corpus import make_distribution, make_protocol
+from commlb.errors import SolverError
 
 
 def _run(capsys, *argv):
@@ -137,9 +141,30 @@ def test_ic_noisy_bit(capsys):
     assert float(_ic_table(out)["information_cost"]) == pytest.approx(1 - h, abs=1e-9)
 
 
+def test_ic_paths_disagree_is_a_solver_error(capsys, monkeypatch):
+    monkeypatch.setattr(protocol, "information_cost_paths", lambda pi, mu: (0.5, 0.75))
+    pi = make_protocol("noisy_bit", flip=0.25)
+    with pytest.raises(SolverError, match="paths disagree"):
+        protocol.information_cost(pi, make_distribution("uniform", pi))
+    code, out, err = _run(capsys, "ic", "--prot", "corpus:noisy_bit,0.25")
+    assert code == EXIT_SOLVER
+    assert out == "" and err.startswith("solver error: information-cost paths disagree")
+
+
 # ---------------------------------------------------------------------------
 # compress
 # ---------------------------------------------------------------------------
+
+
+def test_compress_too_deep_protocol_is_bad_input(capsys, tmp_path):
+    depth = 3000
+    body = "(node owner=A p1=(0.5 0.5) zero=(leaf z=0) one=" * depth + "(leaf z=1)" + ")" * depth
+    path = tmp_path / "deep.commprot"
+    path.write_text(f"COMMPROT 1\n2 2 2\n{body}\n")
+    code, out, err = _run(capsys, "compress", "--prot", str(path), "--delta", "0.9")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: protocol tree deeper than")
+    assert "Traceback" not in err
 
 
 def test_compress_paper_exact_trivial(capsys):

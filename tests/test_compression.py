@@ -312,14 +312,27 @@ def test_dp_matches_linear_reference(nz, hash_bits):
         params = compression_parameters(0.5, 1.0, 1, overrides=(1, trials, hash_bits))
         law = _dp_law(both, aonly, bonly, params)
         out, abort, alice, bob = _linear_dp_law(both, aonly, bonly, trials, hash_bits, nz)
-        # Output probabilities agree relatively; BOT and abort are
-        # complements of masses near 1, so they agree to 1e-12 absolutely.
+        # Output probabilities and both laws, BOT included, agree relatively;
+        # abort is a complement of a mass near 1, so it agrees to 1e-12
+        # absolutely.
         assert law.output == pytest.approx(tuple(out), rel=1e-12, abs=0)
-        assert law.alice_output[:nz] == pytest.approx(tuple(alice[:nz]), rel=1e-12, abs=0)
-        assert law.bob_output[:nz] == pytest.approx(tuple(bob[:nz]), rel=1e-12, abs=0)
+        assert law.alice_output == pytest.approx(tuple(alice), rel=1e-12, abs=0)
+        assert law.bob_output == pytest.approx(tuple(bob), rel=1e-12, abs=0)
         assert law.abort == pytest.approx(abort, rel=0, abs=1e-12)
-        assert law.alice_output[nz] == pytest.approx(alice[nz], rel=0, abs=1e-12)
-        assert law.bob_output[nz] == pytest.approx(bob[nz], rel=0, abs=1e-12)
+
+
+def test_dp_tiny_bot_entries():
+    # With hash_bits = 0 and T = 406 both parties almost surely output a
+    # value: BOT has probability about 1e-60, which a complement of a mass
+    # near 1 reads as 0.
+    nz, trials = 3, 406
+    both, aonly, bonly = ([0.43 / 9] * nz for _ in range(3))
+    params = compression_parameters(0.5, 1.0, 1, overrides=(1, trials, 0))
+    law = _dp_law(both, aonly, bonly, params)
+    _, _, alice, bob = _linear_dp_law(both, aonly, bonly, trials, 0, nz)
+    assert 0 < alice[nz] < 1e-50 and 0 < bob[nz] < 1e-50
+    assert law.alice_output[nz] == pytest.approx(alice[nz], rel=1e-12, abs=0)
+    assert law.bob_output[nz] == pytest.approx(bob[nz], rel=1e-12, abs=0)
 
 
 def test_dp_size_follows_leaf_outputs_not_z_size():
@@ -335,8 +348,8 @@ def test_dp_size_follows_leaf_outputs_not_z_size():
     assert law.alice_output[:200] == pytest.approx(tuple(alice[:200]), rel=1e-12, abs=0)
     assert law.bob_output[:200] == pytest.approx(tuple(bob[:200]), rel=1e-12, abs=0)
     assert law.abort == pytest.approx(abort, rel=0, abs=1e-12)
-    assert law.alice_output[200] == pytest.approx(alice[200], rel=0, abs=1e-12)
-    assert law.bob_output[200] == pytest.approx(bob[200], rel=0, abs=1e-12)
+    assert law.alice_output[200] == pytest.approx(alice[200], rel=1e-12, abs=0)
+    assert law.bob_output[200] == pytest.approx(bob[200], rel=1e-12, abs=0)
 
     big = compression_parameters(0.5, 1.0, 2, overrides=(2, 10**10, 2))
     caps = default_caps().with_overrides(dp_trials=big.trials)

@@ -174,6 +174,22 @@ def test_commprot_round_trip():
             )
 
 
+def _chain(depth: int) -> ProtocolTree:
+    """A protocol whose one-branches nest `depth` nodes deep."""
+    root = Leaf(1)
+    for level in range(depth):
+        root = Node("AB"[level % 2], (0.5, 0.25), Leaf(0), root)
+    return ProtocolTree(root, 2, 2, 2)
+
+
+def test_commprot_deep_tree_round_trip():
+    pi = _chain(200)
+    text = pi.to_text()
+    again = ProtocolTree.from_text(text)
+    assert again == pi and again.depth == 200
+    assert again.to_text() == text
+
+
 def test_commprot_rejects_garbage():
     with pytest.raises(FormatError):
         ProtocolTree.from_text("COMMPROT 1\n2 2 2\n(node owner=A)\n")

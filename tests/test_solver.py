@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from commlb import solver
 from commlb.caps import Caps
-from commlb.errors import CapacityError, ParameterError
-from commlb.solver import LpProblem, lp_solve
+from commlb.errors import CapacityError, ParameterError, SolverError
+from commlb.solver import RATIONAL_SOLVES, LpProblem, LpSolution, lp_solve
 
 
 def _solve(sense, c, rows, rels, rhs, mode="float"):
@@ -134,3 +135,161 @@ def test_build_validation():
         LpProblem.build("min", [1], [[1]], ["=>"], [1])
     with pytest.raises(ParameterError):
         LpProblem.build("min", [1], [[float("nan")]], [">="], [1])
+
+
+# ---------------------------------------------------------------------------
+# Rational mode: certified float basis, Bland fallback
+# ---------------------------------------------------------------------------
+
+
+def _random_lp(rng: random.Random) -> LpProblem:
+    """A small LP with mixed relations; some rows have rhs 0 (degenerate
+    vertices) and some repeat a multiple of an earlier row (redundant)."""
+    n, m = rng.randint(1, 5), rng.randint(1, 5)
+    rows, rels, rhs = [], [], []
+    for _ in range(m):
+        if rows and rng.random() < 0.2:
+            k = rng.randrange(len(rows))
+            scale = rng.choice((1, 2, Fraction(1, 3)))
+            rows.append([scale * v for v in rows[k]])
+            rels.append(rels[k])
+            rhs.append(scale * rhs[k])
+            continue
+        rows.append([Fraction(rng.randint(-3, 4), rng.choice((1, 1, 2, 3))) for _ in range(n)])
+        rels.append(rng.choice(("<=", ">=", "=")))
+        rhs.append(rng.choice((0, 0, rng.randint(-4, 6))))
+    c = [Fraction(rng.randint(-3, 5)) for _ in range(n)]
+    return LpProblem.build(rng.choice(("min", "max")), c, rows, rels, rhs)
+
+
+def _assert_exact_certificate(problem: LpProblem, sol: LpSolution) -> None:
+    """Primal feasibility, dual sign feasibility and c.x == y.b, exactly."""
+    sign = 1 if problem.sense == "min" else -1
+    x, y = sol.primal, sol.dual
+    assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+    for row, rel, b in zip(problem.rows, problem.relations, problem.rhs):
+        lhs = sum(a * v for a, v in zip(row, x))
+        assert {"<=": lhs <= b, ">=": lhs >= b, "=": lhs == b}[rel]
+    for yi, rel in zip(y, problem.relations):
+        assert isinstance(yi, Fraction)
+        if rel != "=":
+            assert sign * yi * (1 if rel == ">=" else -1) >= 0
+    for j, cj in enumerate(problem.objective):
+        column = sum(row[j] * yi for row, yi in zip(problem.rows, y))
+        assert sign * (cj - column) >= 0  # reduced cost of column j
+    primal_value = sum(cj * v for cj, v in zip(problem.objective, x))
+    assert primal_value == sum(yi * b for yi, b in zip(y, problem.rhs))
+    assert primal_value == sol.objective_value
+
+
+def _highs(problem: LpProblem):
+    """(status, value) from scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    sign = 1 if problem.sense == "min" else -1
+    ub, b_ub, eq, b_eq = [], [], [], []
+    for row, rel, b in zip(problem.rows, problem.relations, problem.rhs):
+        row = [float(v) for v in row]
+        if rel == "<=":
+            ub.append(row), b_ub.append(float(b))
+        elif rel == ">=":
+            ub.append([-v for v in row]), b_ub.append(-float(b))
+        else:
+            eq.append(row), b_eq.append(float(b))
+    res = linprog(
+        [sign * float(v) for v in problem.objective],
+        A_ub=ub or None, b_ub=b_ub or None, A_eq=eq or None, b_eq=b_eq or None,
+        bounds=(0, None), method="highs",
+    )
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (sign * res.fun if status == "optimal" else None)
+
+
+def test_rational_property_random_lps():
+    rng = random.Random(2024)
+    statuses = []
+    for _ in range(300):
+        problem = _random_lp(rng)
+        before = RATIONAL_SOLVES.copy()
+        sol = lp_solve(problem, "rational")
+        statuses.append(sol.status)
+        bland = solver._solve_bland(problem)
+        assert sol.status == bland.status
+        if sol.status == "optimal":
+            _assert_exact_certificate(problem, sol)
+            _assert_exact_certificate(problem, bland)
+            assert sol.objective_value == bland.objective_value
+        else:
+            # Infeasible and unbounded are only ever reported by the Fraction
+            # tableau.
+            assert RATIONAL_SOLVES["fallback"] == before["fallback"] + 1
+            assert sol.primal is None and sol.dual is None
+    for status in ("optimal", "infeasible", "unbounded"):
+        assert statuses.count(status) >= 20, statuses.count(status)
+
+
+def test_rational_property_matches_highs():
+    pytest.importorskip("scipy")
+    rng = random.Random(2024)
+    for _ in range(300):
+        problem = _random_lp(rng)
+        sol = lp_solve(problem, "rational")
+        status, value = _highs(problem)
+        assert sol.status == status
+        if status == "optimal":
+            assert float(sol.objective_value) == pytest.approx(value, rel=1e-9, abs=1e-9)
+
+
+def test_degenerate_and_redundant_rows_certified():
+    # Three copies of one equality (two scaled) and a degenerate vertex at
+    # the origin: the float basis keeps an artificial at 0 and still certifies.
+    problem = LpProblem.build(
+        "min", [1, 1, 0],
+        [[1, 1, 1], [2, 2, 2], [Fraction(1, 3)] * 3, [1, -1, 0]],
+        ["=", "=", "=", "<="], [3, 6, 1, 0],
+    )
+    before = RATIONAL_SOLVES.copy()
+    sol = lp_solve(problem, "rational")
+    assert RATIONAL_SOLVES["certified"] == before["certified"] + 1
+    assert sol.objective_value == 0
+    _assert_exact_certificate(problem, sol)
+
+
+MAX_LP = LpProblem.build("max", [3, 2], [[1, 1], [1, 0]], ["<=", "<="], [4, 2])
+
+
+def test_forced_fallback_on_float_failure(monkeypatch):
+    def fail(problem):
+        raise SolverError("simplex stalled (pivot limit reached); try rational mode")
+
+    monkeypatch.setattr(solver, "_solve_float", fail)
+    before = RATIONAL_SOLVES.copy()
+    sol = lp_solve(MAX_LP, "rational")
+    assert RATIONAL_SOLVES["fallback"] == before["fallback"] + 1
+    assert sol.objective_value == 10
+    _assert_exact_certificate(MAX_LP, sol)
+
+
+def test_forced_fallback_on_non_optimal_basis(monkeypatch):
+    # The all-slack basis is feasible (x = 0) but not optimal.
+    def slack_basis(problem):
+        return LpSolution("optimal", 0.0, (0.0, 0.0), (0.0, 0.0)), [2, 3]
+
+    monkeypatch.setattr(solver, "_solve_float", slack_basis)
+    before = RATIONAL_SOLVES.copy()
+    sol = lp_solve(MAX_LP, "rational")
+    assert RATIONAL_SOLVES["fallback"] == before["fallback"] + 1
+    assert sol.objective_value == 10
+    _assert_exact_certificate(MAX_LP, sol)
+
+
+def test_rational_data_beyond_float_range():
+    # float64 cannot hold the coefficients, so only the Fraction tableau can
+    # solve this.
+    huge = Fraction(10**400)
+    problem = LpProblem.build("min", [huge, 1], [[huge, 1]], [">="], [huge])
+    before = RATIONAL_SOLVES.copy()
+    sol = lp_solve(problem, "rational")
+    assert RATIONAL_SOLVES["fallback"] == before["fallback"] + 1
+    assert sol.objective_value == huge
+    _assert_exact_certificate(problem, sol)
