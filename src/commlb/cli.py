@@ -4,7 +4,7 @@ Subcommands: ``bounds`` (the five lower-bound quantities as CSV), ``ic``
 (information cost and protocol error), ``compress`` (zero-communication
 compression verification report), and ``verify`` (the full acceptance
 battery).  Exit codes: 0 success, 1 verification failure, 2 bad input,
-3 capacity exceeded, 4 solver failure.
+3 capacity exceeded, 4 numerical-engine failure.
 
 Output is deterministic for a fixed seed; reports are written to a temporary
 file and renamed into place so a failed run never leaves a partial file.

@@ -453,11 +453,10 @@ def _dp_law(both_z, aonly_z, bonly_z, params: CompressionParameters) -> ExactLaw
     # The BOT entries in closed form: read off the chain they are complements
     # of masses near 1, which loses them when they are tiny.  Alice outputs
     # BOT unless she accepts a trial and its hash matches; Bob outputs BOT
-    # unless some trial he accepts has a matching hash.  The acceptance
-    # masses are float sums and may exceed 1 by an ulp.
+    # unless some trial he accepts has a matching hash.
     trials = params.trials
-    alice_bot = (1.0 - rho) + rho * math.exp(trials * math.log1p(-min(alice_any, 1.0)))
-    bob_bot = math.exp(trials * math.log1p(-min(bob_any * rho, 1.0)))
+    alice_bot = (1.0 - rho) + rho * math.exp(trials * math.log1p(-alice_any))
+    bob_bot = math.exp(trials * math.log1p(-bob_any * rho))
     alice_law = [float(law[2 + z].sum()) for z in range(nz)] + [alice_bot]
     bob_law = [float(law[:, 1 + z].sum()) for z in range(nz)] + [bob_bot]
     union = alice_any + bob_any - sum(both_z)

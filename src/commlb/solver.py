@@ -349,9 +349,7 @@ def _certify_basis(problem: LpProblem, basis: list[int]) -> LpSolution | None:
         if row in covered:
             return None
         covered[row] = is_slack
-    free = [i for i in range(m) if i not in covered]
-    if len(free) != len(structural):
-        return None
+    free = [i for i in range(m) if i not in covered]  # as many as `structural`
 
     sign = 1 if problem.sense == "min" else -1  # minimize sign * c.x
     zero = Fraction(0)
@@ -398,8 +396,8 @@ def _certify_basis(problem: LpProblem, basis: list[int]) -> LpSolution | None:
 
 
 def _exact(v) -> int | Fraction:
-    """`v` as an exact number: ints and Fractions as they are (the bound LPs
-    are mostly 0/1 incidence rows), anything else through Fraction."""
+    """`v` as an exact number: ints and Fractions as they are, without a
+    copy, and anything else (floats, numpy scalars) through Fraction."""
     return v if type(v) in (int, Fraction) else Fraction(v)
 
 

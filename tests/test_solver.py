@@ -189,13 +189,10 @@ def _highs(problem: LpProblem):
     sign = 1 if problem.sense == "min" else -1
     ub, b_ub, eq, b_eq = [], [], [], []
     for row, rel, b in zip(problem.rows, problem.relations, problem.rhs):
-        row = [float(v) for v in row]
-        if rel == "<=":
-            ub.append(row), b_ub.append(float(b))
-        elif rel == ">=":
-            ub.append([-v for v in row]), b_ub.append(-float(b))
-        else:
-            eq.append(row), b_eq.append(float(b))
+        flip = -1.0 if rel == ">=" else 1.0
+        rows, rhs = (eq, b_eq) if rel == "=" else (ub, b_ub)
+        rows.append([flip * float(v) for v in row])
+        rhs.append(flip * float(b))
     res = linprog(
         [sign * float(v) for v in problem.objective],
         A_ub=ub or None, b_ub=b_ub or None, A_eq=eq or None, b_eq=b_eq or None,
@@ -241,8 +238,8 @@ def test_rational_property_matches_highs():
 
 
 def test_degenerate_and_redundant_rows_certified():
-    # Three copies of one equality (two scaled) and a degenerate vertex at
-    # the origin: the float basis keeps an artificial at 0 and still certifies.
+    # Three copies of one equality (two scaled) leave two artificials basic
+    # at 0, and x1 is basic at 0 (a degenerate vertex): the basis certifies.
     problem = LpProblem.build(
         "min", [1, 1, 0],
         [[1, 1, 1], [2, 2, 2], [Fraction(1, 3)] * 3, [1, -1, 0]],
@@ -252,6 +249,40 @@ def test_degenerate_and_redundant_rows_certified():
     sol = lp_solve(problem, "rational")
     assert RATIONAL_SOLVES["certified"] == before["certified"] + 1
     assert sol.objective_value == 0
+    _assert_exact_certificate(problem, sol)
+
+
+# (problem, basis failing exactly one check, optimal basis, optimum).  Basis
+# columns: structural first, then one slack per non-'=' row, then one
+# artificial per row.
+_CERTIFY_CASES = {
+    # x = 0 with the artificial of x = 2 basic at 2.
+    "artificial_nonzero": (LpProblem.build("min", [1], [[1]], ["="], [2]), [1], [0], 2),
+    # x - y = 1 solved with y basic gives y = -1.
+    "negative_primal": (
+        LpProblem.build("min", [1, 1], [[1, -1]], ["="], [1]), [1], [0], 1),
+    # x >= 1 tight with x >= 2 covered by its slack: that slack is -1.
+    "negative_slack": (
+        LpProblem.build("min", [1], [[1], [1]], [">=", ">="], [1, 2]), [0, 2], [0, 1], 2),
+    # x <= 3 tight while minimizing x: the dual of a '<=' row is positive.
+    "dual_sign": (
+        LpProblem.build("min", [1], [[1], [1]], [">=", "<="], [1, 3]), [0, 1], [0, 2], 1),
+    # x + y >= 1 tight with x basic, although y is cheaper.
+    "reduced_cost": (
+        LpProblem.build("min", [2, 1], [[1, 1]], [">="], [1]), [0], [1], 1),
+    # Two proportional rows cannot both pin x and y.
+    "singular_block": (
+        LpProblem.build("min", [1, 1], [[1, 1], [2, 2]], [">=", ">="], [1, 2]),
+        [0, 1], [0, 3], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFY_CASES))
+def test_certify_rejects_each_failed_check(case):
+    problem, bad, good, optimum = _CERTIFY_CASES[case]
+    assert solver._certify_basis(problem, bad) is None
+    sol = solver._certify_basis(problem, good)
+    assert sol.objective_value == optimum
     _assert_exact_certificate(problem, sol)
 
 
