@@ -4,13 +4,16 @@ Every enumeration-heavy routine checks a cap before it starts, so a typo in
 an instance size fails fast instead of allocating 2^40 rectangles.  Defaults
 can be raised through the ``CCLB_CAPS`` environment variable
 (``CCLB_CAPS="rect_side=10,dp_trials=20000"``) or per call; raised caps are
-unsupported territory and may be slow.
+unsupported territory and may be slow.  An unknown key, or a value that is
+not a positive integer, raises ``ParameterError``.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
+
+from .errors import ParameterError
 
 __all__ = ["Caps", "default_caps"]
 
@@ -39,10 +42,12 @@ def _from_env(base: Caps) -> Caps:
         item = item.strip()
         if not item:
             continue
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key in Caps.__dataclass_fields__:
-            overrides[key] = int(value)
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key not in Caps.__dataclass_fields__:
+            raise ParameterError(f"CCLB_CAPS: unknown cap {key!r}")
+        if not value.isdecimal() or int(value) <= 0:
+            raise ParameterError(f"CCLB_CAPS: {key} must be a positive integer, got {value!r}")
+        overrides[key] = int(value)
     return base.with_overrides(**overrides)
 
 

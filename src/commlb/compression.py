@@ -268,13 +268,96 @@ def compression_parameters(
 
 
 # ---------------------------------------------------------------------------
-# Zero-communication run (scalar, reproducible)
+# Sampling kernel (vectorized, chunked, reproducible)
 # ---------------------------------------------------------------------------
+
+
+# Trials per block of runs in the kernel, so memory stays flat whatever the
+# number of runs is.
+_CHUNK_ELEMENTS = 2_000_000
 
 
 def _experiment_setup(pi: ProtocolTree, mu: InputDistribution, x: int, y: int, params):
     fac = factorization(pi, mu, x, y)
     return ExperimentInputs.from_factorization(fac, params.delta_exp)
+
+
+def _seeded_rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def _thresholds(probs) -> np.ndarray:
+    """uint32 t = min(floor(p * 2**32), 2**32 - 1): a uniform uint32 coin is
+    <= t with probability within 2**-32 of p, and always when p = 1."""
+    scaled = np.floor(np.ldexp(np.asarray(probs, dtype=float), 32))
+    return np.minimum(scaled, 2**32 - 1).astype(np.uint32)
+
+
+def _party_rows(pi: ProtocolTree, mu: InputDistribution, xs, ys, params):
+    """Thresholds, shape (rows, 2, |U|), of Alice's rows for ``xs`` and Bob's
+    for ``ys``.  With alpha, beta ~ U[0, S], S = 2**delta_exp, Alice accepts
+    u when alpha/S <= p_a(u)/S and beta/S <= q_a(u); Bob when alpha/S <=
+    q_b(u) and beta/S <= p_b(u)/S."""
+    alice = [_experiment_setup(pi, mu, x, ys[0], params) for x in xs]
+    bob = [alice[0]] + [_experiment_setup(pi, mu, xs[0], y, params) for y in ys[1:]]
+
+    def scaled(vals):
+        return [math.ldexp(float(v), -params.delta_exp) for v in vals]
+
+    return (_thresholds([(scaled(i.p_a), i.q_a) for i in alice]),
+            _thresholds([(i.q_b, scaled(i.p_b)) for i in bob]))
+
+
+def _hash_match(bitgen, count: int, hash_bits: int) -> np.ndarray:
+    """``count`` hash matches h(i) == r of probability 2**-hash_bits: the low
+    hash_bits bits of a word are zero.  Words are uint8 views of raw draws
+    up to 8 bits, uint32 views up to 32, whole draws (64 bits each) beyond."""
+    match = np.ones(count, dtype=bool)
+    for done in range(0, hash_bits, 64):
+        bits = min(hash_bits - done, 64)
+        dtype = np.uint8 if bits <= 8 else np.uint32 if bits <= 32 else np.uint64
+        words = bitgen.random_raw(-(-count * np.dtype(dtype).itemsize // 8)).view(dtype)[:count]
+        match &= (words & dtype((1 << bits) - 1)) == 0
+    return match
+
+
+def _party_maps(rng, n, params, a_rows, b_rows, outputs):
+    """Yield (a_maps, b_maps), shapes (block, rows), for blocks of ``n`` runs.
+
+    a_maps[r, i] is the output of Alice's first accepted trial of run r under
+    row i if its hash matches, else BOT; b_maps[r, j] is the output of Bob's
+    first accepted trial whose hash matches, else BOT.  A block draws u, then
+    one raw word per trial (alpha the first half of their uint32 view, beta
+    the second), then the hash matches; the coins do not depend on the rows.
+    ``outputs`` holds the output of each u.
+    """
+    trials, bitgen, outputs = params.trials, rng.bit_generator, np.asarray(outputs)
+    size = len(outputs)
+    u_dtype = np.min_scalar_type(size - 1)
+    chunk = max(1, min(n, _CHUNK_ELEMENTS // trials))
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        u = rng.integers(0, size, size=(m, trials), dtype=u_dtype).astype(np.intp)
+        alpha, beta = bitgen.random_raw(m * trials).view(np.uint32).reshape(2, m, trials)
+        match = _hash_match(bitgen, m * trials, params.hash_bits).reshape(m, trials)
+        runs = np.arange(m)
+        a_maps = np.empty((m, len(a_rows)), dtype=np.int64)
+        b_maps = np.empty((m, len(b_rows)), dtype=np.int64)
+        for i, (t_alpha, t_beta) in enumerate(a_rows):
+            accept = (alpha <= np.take(t_alpha, u)) & (beta <= np.take(t_beta, u))
+            first = accept.argmax(axis=1)
+            ok = accept[runs, first] & match[runs, first]
+            a_maps[:, i] = np.where(ok, outputs[u[runs, first]], BOT)
+        for j, (t_alpha, t_beta) in enumerate(b_rows):
+            hit = (alpha <= np.take(t_alpha, u)) & (beta <= np.take(t_beta, u)) & match
+            first = hit.argmax(axis=1)
+            b_maps[:, j] = np.where(hit[runs, first], outputs[u[runs, first]], BOT)
+        yield a_maps, b_maps
+
+
+# ---------------------------------------------------------------------------
+# Zero-communication run (one run of the kernel)
+# ---------------------------------------------------------------------------
 
 
 def run_zero_comm(
@@ -287,40 +370,13 @@ def run_zero_comm(
 ) -> int:
     """One full zero-communication run; returns an output value or BOT.
 
-    Fully deterministic given (seed, params, x, y): experiment i draws from a
-    stream derived from (seed, i) and the hash draws come from a separate
-    shared stream, so experiments could be replayed independently.
+    Fully deterministic given (seed, params, x, y): the single-run case of
+    the sampling kernel on a Philox stream seeded by ``seed``.
     """
-    inp = _experiment_setup(pi, mu, x, y, params)
-    root = np.random.SeedSequence(seed)
-    shared_ss, exp_root = root.spawn(2)
-    outputs = pi.leaf_outputs()
-    trials = params.trials
-    alice_accepts: list[tuple[int, int]] = []  # (index, u)
-    bob_accepts: list[tuple[int, int]] = []
-    for i, child in enumerate(exp_root.spawn(trials)):
-        outcome = run_experiment(inp, np.random.Generator(np.random.Philox(child)))
-        if outcome.kind in ("both", "alice_only"):
-            alice_accepts.append((i, outcome.u))
-        if outcome.kind in ("both", "bob_only"):
-            bob_accepts.append((i, outcome.u))
-    shared = np.random.Generator(np.random.Philox(shared_ss))
-    space = 2**params.hash_bits
-    hashes = shared.integers(0, space, size=trials)
-    r = int(shared.integers(0, space))
-    alice_out = BOT
-    if alice_accepts:
-        i, u = alice_accepts[0]
-        if hashes[i] == r:
-            alice_out = outputs[u]
-    bob_out = BOT
-    for j, u in bob_accepts:
-        if hashes[j] == r:
-            bob_out = outputs[u]
-            break
-    if alice_out != BOT and alice_out == bob_out:
-        return alice_out
-    return BOT
+    a_rows, b_rows = _party_rows(pi, mu, [x], [y], params)
+    ((a_map, b_map),) = _party_maps(_seeded_rng(seed), 1, params, a_rows, b_rows, pi.leaf_outputs())
+    alice_out, bob_out = int(a_map[0, 0]), int(b_map[0, 0])
+    return alice_out if alice_out != BOT and alice_out == bob_out else BOT
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +543,8 @@ def _collision(q: float, trials: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo engine (vectorized, chunked, reproducible)
+# Monte Carlo output laws
 # ---------------------------------------------------------------------------
-
-
-# Draws per (runs, trials) block in MC and extraction, so memory stays flat
-# whatever T is.
-_CHUNK_ELEMENTS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -513,6 +564,25 @@ class McLaw:
         )
 
 
+def _mc_laws(pi, mu, params, xs, ys, samples, seed) -> dict[tuple[int, int], McLaw]:
+    """MC output laws of every cell of xs x ys, read off one coin block."""
+    a_rows, b_rows = _party_rows(pi, mu, xs, ys, params)
+    nz = pi.z_size
+    counts = np.zeros((len(xs), len(ys), nz + 1), dtype=np.int64)
+    blocks = _party_maps(_seeded_rng(seed), samples, params, a_rows, b_rows, pi.leaf_outputs())
+    for a_maps, b_maps in blocks:
+        for i in range(len(xs)):
+            a = a_maps[:, i]
+            for j in range(len(ys)):
+                agreed = (a != BOT) & (a == b_maps[:, j])
+                counts[i, j] += np.bincount(np.where(agreed, a, nz), minlength=nz + 1)
+    return {
+        (x, y): McLaw(tuple(int(c) for c in counts[i, j]), samples)
+        for i, x in enumerate(xs)
+        for j, y in enumerate(ys)
+    }
+
+
 def mc_output_distribution(
     pi: ProtocolTree,
     mu: InputDistribution,
@@ -524,47 +594,7 @@ def mc_output_distribution(
 ) -> McLaw:
     """Empirical output law over many runs, sampled from the raw experiment
     coins (u, alpha, beta) plus the per-trial hash-match indicator."""
-    inp = _experiment_setup(pi, mu, x, y, params)
-    outputs = np.array(pi.leaf_outputs())
-    size = inp.universe_size
-    scale = float(_pow2(params.delta_exp))
-    pa = np.array([float(v) for v in inp.p_a])
-    qa = np.array([float(v) for v in inp.q_a])
-    pb = np.array([float(v) for v in inp.p_b])
-    qb = np.array([float(v) for v in inp.q_b])
-    rho = math.ldexp(1.0, -params.hash_bits)
-    trials = params.trials
-    nz = pi.z_size
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    counts = np.zeros(nz + 1, dtype=np.int64)
-    chunk = max(1, min(samples, _CHUNK_ELEMENTS // trials))
-    done = 0
-    while done < samples:
-        n = min(chunk, samples - done)
-        u = rng.integers(0, size, size=(n, trials))
-        alpha = rng.random((n, trials)) * scale
-        beta = rng.random((n, trials)) * scale
-        match = rng.random((n, trials)) < rho
-        acc_a = (alpha <= pa[u]) & (beta <= scale * qa[u])
-        acc_b = (alpha <= scale * qb[u]) & (beta <= pb[u])
-
-        rows = np.arange(n)
-        has_a = acc_a.any(axis=1)
-        first_a = acc_a.argmax(axis=1)
-        a_ok = has_a & match[rows, first_a]
-        a_out = np.where(a_ok, outputs[u[rows, first_a]], BOT)
-
-        b_hits = acc_b & match
-        has_b = b_hits.any(axis=1)
-        first_b = b_hits.argmax(axis=1)
-        b_out = np.where(has_b, outputs[u[rows, first_b]], BOT)
-
-        agreed = (a_out != BOT) & (a_out == b_out)
-        out = np.where(agreed, a_out, nz)  # nz slot counts aborts
-        counts += np.bincount(out, minlength=nz + 1)
-        done += n
-    return McLaw(tuple(int(c) for c in counts), samples)
+    return _mc_laws(pi, mu, params, [x], [y], samples, seed)[(x, y)]
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +671,8 @@ def verify_compression(
     Pr[not abort] >= (1-delta)*lambda, and the statistical distance between
     (X, Y, original output) and (X, Y, run output | not abort) is at most
     delta.  In paper-exact mode a failure is a defect; under overrides the
-    report is informational.
+    report is informational.  In MC mode the cells' laws share one coin
+    block; each per-input check is still valid on its own.
     """
     if not (0 < delta < 1):
         raise ParameterError("delta must lie in (0, 1)")
@@ -649,12 +680,11 @@ def verify_compression(
     lam = params.lambda_
     tol = 1e-9 * lam  # float-rounding allowance on exact quantities
 
-    cells = [
-        (x, y)
-        for x in range(pi.x_size)
-        for y in range(pi.y_size)
-        if mu.x_marginal(x) > 0 and mu.y_marginal(y) > 0
-    ]
+    xs = [x for x in range(pi.x_size) if mu.x_marginal(x) > 0]
+    ys = [y for y in range(pi.y_size) if mu.y_marginal(y) > 0]
+    cells = [(x, y) for x in xs for y in ys]
+    if engine == "mc":
+        mc_laws = _mc_laws(pi, mu, params, xs, ys, mc_samples, seed)
     reports = []
     run_laws: dict[tuple[int, int], tuple[list[float], float]] = {}
     collision_ok: bool | None = True if params.mode == "paper-exact" else None
@@ -664,7 +694,7 @@ def verify_compression(
             out, not_abort, collision = list(law.output), law.not_abort, law.collision
             se = None
         else:
-            mc = mc_output_distribution(pi, mu, x, y, params, mc_samples, seed + 7919 * (x * pi.y_size + y))
+            mc = mc_laws[(x, y)]
             out = [c / mc.samples for c in mc.counts[:-1]]
             not_abort = sum(out)
             collision = float("nan")
@@ -757,6 +787,8 @@ def extract_strategy(
     caps = caps or default_caps()
     if pi.x_size * pi.y_size > caps.grid_cells:
         raise CapacityError(f"input grid exceeds {caps.grid_cells} cells")
+    if pi.x_size + pi.y_size > 63:
+        raise CapacityError("extraction needs x_size + y_size <= 63 (int64 rectangle keys)")
     if seed_count < 1:
         raise ParameterError("seed_count must be positive")
     if not (0 < delta < 1):
@@ -764,59 +796,23 @@ def extract_strategy(
     mu.check_compatible(f)
 
     nx, ny, nz = pi.x_size, pi.y_size, pi.z_size
-    size = pi.universe_size
-    scale = float(_pow2(params.delta_exp))
-    trials = params.trials
-    rho = math.ldexp(1.0, -params.hash_bits)
-    outputs = np.array(pi.leaf_outputs())
+    a_rows, b_rows = _party_rows(pi, mu, range(nx), range(ny), params)
+    blocks = _party_maps(_seeded_rng(seed), seed_count, params, a_rows, b_rows, pi.leaf_outputs())
+    a_maps, b_maps = (np.concatenate(maps) for maps in zip(*blocks))
 
-    pa = np.array([[float(v) for v in pi.alice_factors(x)] for x in range(nx)])
-    pb = np.array([[float(v) for v in pi.bob_factors(y)] for y in range(ny)])
-    qa = np.zeros((nx, size))
-    qb = np.zeros((ny, size))
-    for x in range(nx):
-        fac = factorization(pi, mu, x, 0)
-        qa[x] = [float(v) for v in fac.q_a]
-    for y in range(ny):
-        fac = factorization(pi, mu, 0, y)
-        qb[y] = [float(v) for v in fac.q_b]
-
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    a_maps = np.full((seed_count, nx), BOT, dtype=np.int64)
-    b_maps = np.full((seed_count, ny), BOT, dtype=np.int64)
-    chunk = max(1, min(seed_count, _CHUNK_ELEMENTS // trials))
-    done = 0
-    while done < seed_count:
-        n = min(chunk, seed_count - done)
-        u = rng.integers(0, size, size=(n, trials))
-        alpha = rng.random((n, trials)) * scale
-        beta = rng.random((n, trials)) * scale
-        match = rng.random((n, trials)) < rho
-        rows = np.arange(n)
-        for x in range(nx):
-            acc = (alpha <= pa[x][u]) & (beta <= scale * qa[x][u])
-            has = acc.any(axis=1)
-            first = acc.argmax(axis=1)
-            ok = has & match[rows, first]
-            a_maps[done:done + n, x] = np.where(ok, outputs[u[rows, first]], BOT)
-        for y in range(ny):
-            hits = (alpha <= scale * qb[y][u]) & (beta <= pb[y][u]) & match
-            has = hits.any(axis=1)
-            first = hits.argmax(axis=1)
-            b_maps[done:done + n, y] = np.where(has, outputs[u[rows, first]], BOT)
-        done += n
-
-    # Accumulate rectangle weights: label z gets a^{-1}(z) x b^{-1}(z).
-    xbits = 1 << np.arange(nx)
-    ybits = 1 << np.arange(ny)
-    weights: dict[tuple[Rectangle, int], int] = {}
+    # Label z gets a^{-1}(z) x b^{-1}(z): tally each label's rectangles by the
+    # key (row_mask << ny) | col_mask, every empty rectangle on key 0.
+    xbits = 1 << np.arange(nx, dtype=np.int64)
+    ybits = 1 << np.arange(ny, dtype=np.int64)
     denom = seed_count * nz
+    entries = []
     for z in range(nz):
-        row_masks = ((a_maps == z) * xbits).sum(axis=1)
-        col_masks = ((b_maps == z) * ybits).sum(axis=1)
-        for rm, cm in zip(row_masks.tolist(), col_masks.tolist()):
-            key = (Rectangle(rm, cm), z)
-            weights[key] = weights.get(key, 0) + 1
+        row_masks = (a_maps == z) @ xbits
+        col_masks = (b_maps == z) @ ybits
+        keys = np.where((row_masks == 0) | (col_masks == 0), 0, (row_masks << ny) | col_masks)
+        for key, count in zip(*(arr.tolist() for arr in np.unique(keys, return_counts=True))):
+            rect = Rectangle(key >> ny, key & ((1 << ny) - 1))
+            entries.append((rect, z, Fraction(count, denom)))
 
     eps = protocol_error(pi, f, mu)
     eta = (1 + delta) * params.lambda_ / nz
@@ -843,11 +839,6 @@ def extract_strategy(
     p_hat = max_cov * nz  # underlying per-seed indicator mean
     cov_se = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / seed_count) / nz
 
-    entries = [
-        (rect, z, Fraction(count, denom)) for (rect, z), count in sorted(
-            weights.items(), key=lambda kv: (kv[0][1], kv[0][0].row_mask, kv[0][0].col_mask)
-        )
-    ]
     efficiency = max(max_cov, eta) or eta
     strategy = LabeledRectangleStrategy.build(entries, efficiency, nx, ny)
     report = StrategyReport(

@@ -164,8 +164,8 @@ class InputDistribution:
         if any(len(row) != width for row in self.mass):
             raise DimensionError("ragged mass matrix")
         total = sum(v for row in self.mass for v in row)
-        if any(v < 0 for row in self.mass for v in row):
-            raise ParameterError("negative probability mass")
+        if any(not v >= 0 for row in self.mass for v in row):
+            raise ParameterError("negative or NaN probability mass")
         if abs(total - 1) > _NORMALIZE_TOL:
             raise ParameterError(f"mass sums to {total}, not 1")
         if total != 1:

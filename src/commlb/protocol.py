@@ -66,7 +66,7 @@ class Node:
     def __post_init__(self) -> None:
         if self.owner not in ("A", "B", "P"):
             raise ParameterError(f"unknown owner {self.owner!r}")
-        if any(p < 0 or p > 1 for p in self.p1):
+        if any(not 0 <= p <= 1 for p in self.p1):
             raise ParameterError("send probabilities must lie in [0, 1]")
         if self.owner == "P" and len(self.p1) != 1:
             raise ParameterError("public node takes a single probability")
@@ -82,6 +82,8 @@ class ProtocolTree:
     z_size: int
 
     def __post_init__(self) -> None:
+        if self.x_size <= 0 or self.y_size <= 0 or self.z_size <= 0:
+            raise ParameterError("x_size, y_size, z_size must be positive")
         leaves: list[tuple[str, Leaf]] = []
         self._validate(self.root, "", leaves)
         object.__setattr__(self, "_leaves", tuple(leaves))

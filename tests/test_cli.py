@@ -94,6 +94,14 @@ def test_bounds_capacity_exceeded(capsys, tmp_path):
     assert code == EXIT_CAPACITY
 
 
+@pytest.mark.parametrize("raw", ["rect_side=-1", "no_such_cap=3"])
+def test_bounds_bad_caps_env_is_bad_input(capsys, monkeypatch, raw):
+    monkeypatch.setenv("CCLB_CAPS", raw)
+    code, out, err = _run(capsys, "bounds", "--fn", "corpus:EQ,1", "--bound", "prt")
+    assert code == EXIT_BAD_INPUT
+    assert "CCLB_CAPS" in err and not out
+
+
 def test_bounds_out_file_and_determinism(capsys, tmp_path):
     target = tmp_path / "rows.csv"
     argv = ("bounds", "--fn", "corpus:AND,1", "--eps", "0.05",

@@ -5,6 +5,7 @@ import math
 import random
 import time
 import tracemalloc
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -13,9 +14,16 @@ import pytest
 
 from commlb.bounds import LabeledRectangleStrategy
 from commlb.caps import default_caps
+from commlb import compression
 from commlb.compression import (
     BOT,
     _dp_law,
+    _hash_match,
+    _mc_laws,
+    _party_maps,
+    _party_rows,
+    _seeded_rng,
+    _thresholds,
     CompressionParameters,
     ExperimentInputs,
     compression_parameters,
@@ -32,6 +40,7 @@ from commlb.core import (
     EMPTY_RECTANGLE,
     FiniteDistribution,
     InputDistribution,
+    PartialFunction,
     Rectangle,
 )
 from commlb.corpus import make_function, make_protocol
@@ -486,6 +495,158 @@ def test_mc_memory_bounded_by_trials():
 
 
 # ---------------------------------------------------------------------------
+# The sampling kernel
+# ---------------------------------------------------------------------------
+
+
+def _coin_threshold(p: float) -> int:
+    return min(math.floor(Fraction(p) * 2**32), 2**32 - 1)
+
+
+def _reference_maps(seed, n, trials, size, hash_bits, a_probs, b_probs, outputs):
+    """The party maps by a plain loop over the coins, drawn in the kernel's
+    documented order: u, one raw word per trial (alpha the first half of
+    their uint32 view, beta the second), then the hash-match words."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    u = rng.integers(0, size, size=(n, trials), dtype=np.min_scalar_type(size - 1)).tolist()
+    alpha, beta = (h.tolist() for h in
+                   rng.bit_generator.random_raw(n * trials).view(np.uint32).reshape(2, n, trials))
+    count = n * trials
+    if hash_bits == 0:
+        flat = [True] * count
+    else:
+        dtype = np.uint8 if hash_bits <= 8 else np.uint32
+        per_draw = 8 // np.dtype(dtype).itemsize
+        words = rng.bit_generator.random_raw(-(-count // per_draw)).view(dtype)[:count]
+        flat = [w % 2**hash_bits == 0 for w in words.tolist()]
+    match = [flat[r * trials:(r + 1) * trials] for r in range(n)]
+    a_maps = [[BOT] * len(a_probs) for _ in range(n)]
+    b_maps = [[BOT] * len(b_probs) for _ in range(n)]
+    for r in range(n):
+        for i, (p_alpha, p_beta) in enumerate(a_probs):
+            for t in range(trials):
+                v = u[r][t]
+                if (alpha[r][t] <= _coin_threshold(p_alpha[v])
+                        and beta[r][t] <= _coin_threshold(p_beta[v])):
+                    if match[r][t]:
+                        a_maps[r][i] = outputs[v]
+                    break
+        for j, (p_alpha, p_beta) in enumerate(b_probs):
+            for t in range(trials):
+                v = u[r][t]
+                if (alpha[r][t] <= _coin_threshold(p_alpha[v])
+                        and beta[r][t] <= _coin_threshold(p_beta[v]) and match[r][t]):
+                    b_maps[r][j] = outputs[v]
+                    break
+    return a_maps, b_maps, max(max(row) for row in u)
+
+
+def test_thresholds_edge_cases():
+    got = _thresholds([0.0, 2.0**-40, 0.5, 1 - 2.0**-40, 1.0])
+    assert got.dtype == np.uint32
+    assert got.tolist() == [0, 0, 2**31, 2**32 - 1, 2**32 - 1]
+    rng = random.Random(3)
+    probs = [rng.random() for _ in range(1000)]
+    for p, t in zip(probs, _thresholds(probs).tolist()):
+        # Pr[coin <= t] = (t + 1) / 2**32 lies in [p, p + 2**-32].
+        assert 0 <= Fraction(t + 1, 2**32) - Fraction(p) <= Fraction(1, 2**32)
+
+
+def test_kernel_threshold_extremes():
+    # p = 1 on every u: each party accepts its first trial.  p = 0: a party
+    # accepts only when both its coins are 0, Pr 2**-64 per trial.
+    rows = _thresholds([[[1.0] * 3, [1.0] * 3], [[0.0] * 3, [0.0] * 3]])
+    n, trials = 2000, 5
+    params = compression_parameters(0.5, 0.0, 3, overrides=(1, trials, 0))
+    ((a_maps, b_maps),) = _party_maps(_seeded_rng(8), n, params, rows, rows, (2, 0, 1))
+    u = _seeded_rng(8).integers(0, 3, size=(n, trials), dtype=np.uint8)
+    first = np.array((2, 0, 1))[u[:, 0]]
+    assert (a_maps[:, 0] == first).all() and (b_maps[:, 0] == first).all()
+    assert (a_maps[:, 1] == BOT).all() and (b_maps[:, 1] == BOT).all()
+
+
+@pytest.mark.parametrize(
+    "size, hash_bits, trials, n",
+    [(3, 0, 6, 600), (4, 3, 8, 600), (300, 1, 4, 600), (5, 9, 10, 4000)],
+)
+def test_kernel_matches_loop_reference(size, hash_bits, trials, n):
+    rng = random.Random(size * 100 + hash_bits)
+
+    def row():
+        return [[rng.choice((0.0, 1.0, rng.random(), rng.random() / 8)) for _ in range(size)]
+                for _ in range(2)]
+
+    a_probs = [row() for _ in range(3)]
+    b_probs = [row() for _ in range(2)]
+    outputs = [rng.randrange(4) for _ in range(size)]
+    params = compression_parameters(0.5, 0.0, size, overrides=(1, trials, hash_bits))
+    ((a_maps, b_maps),) = _party_maps(
+        _seeded_rng(17), n, params, _thresholds(a_probs), _thresholds(b_probs), outputs)
+    ref_a, ref_b, max_u = _reference_maps(17, n, trials, size, hash_bits, a_probs, b_probs, outputs)
+    assert a_maps.tolist() == ref_a
+    assert b_maps.tolist() == ref_b
+    assert (a_maps != BOT).any() and (b_maps != BOT).any()
+    if size > 256:
+        assert max_u > 255  # the uint16 u dtype reaches past a byte
+
+
+class _Words:
+    """A stand-in bit generator that hands out fixed raw uint64 words."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random_raw(self, count):
+        words = np.asarray(self.draws.pop(0), dtype=np.uint64)
+        assert len(words) == count
+        return words
+
+
+def test_hash_match_word_layout():
+    assert _hash_match(_Words(), 4, 0).tolist() == [True] * 4
+    # <= 8 bits: one byte per trial, 8 trials per raw word.
+    data = np.array([8, 1, 0, 7, 16, 255, 24, 4, 0, 3] + [0] * 6, dtype=np.uint8)
+    got = _hash_match(_Words(data.view(np.uint64)), 10, 3)
+    assert got.tolist() == [True, False, True, False, True, False, True, False, True, False]
+    # <= 32 bits: one uint32 half per trial.
+    data = np.array([4096, 4095, 0, 7], dtype=np.uint32)
+    assert _hash_match(_Words(data.view(np.uint64)), 3, 12).tolist() == [True, False, True]
+    # Up to 64 bits: one raw word per trial.
+    assert _hash_match(_Words([2**40, 2**40 - 1]), 2, 40).tolist() == [True, False]
+    # Beyond 64: a whole zero word, then the remaining bits of a further draw.
+    tail = np.array([64, 1] + [0] * 6, dtype=np.uint8).view(np.uint64)
+    assert _hash_match(_Words([0, 0], tail), 2, 70).tolist() == [True, False]
+    assert _hash_match(_Words([0, 5], tail), 2, 70).tolist() == [True, False]
+
+
+def test_mc_cell_counts_equal_all_cells_block(monkeypatch):
+    # A small block size makes the runs span many blocks.
+    monkeypatch.setattr(compression, "_CHUNK_ELEMENTS", 1000)
+    pi = make_protocol("and_protocol")  # both parties' rows differ by input
+    params = compression_parameters(0.5, 1.0, pi.universe_size, overrides=(2, 15, 1))
+    block = _mc_laws(pi, UNIFORM_2x2, params, [0, 1], [0, 1], 20_000, seed=11)
+    report = verify_compression(pi, None, UNIFORM_2x2, 0.5, params, engine="mc",
+                                mc_samples=20_000, seed=11)
+    for rep in report.inputs:
+        one = mc_output_distribution(pi, UNIFORM_2x2, rep.x, rep.y, params, 20_000, seed=11)
+        assert one.counts == block[(rep.x, rep.y)].counts
+        assert rep.not_abort == sum(c / 20_000 for c in one.counts[:-1])
+    assert len(report.inputs) == 4
+
+
+def test_run_zero_comm_is_one_run_of_the_kernel():
+    pi = make_protocol("noisy_bit", flip=0.25)
+    params = compression_parameters(0.5, 1.0, 2, overrides=(2, 12, 1))
+    outs = set()
+    for s in range(40):
+        out = run_zero_comm(pi, UNIFORM_2x2, 1, 0, params, seed=s)
+        mc = mc_output_distribution(pi, UNIFORM_2x2, 1, 0, params, samples=1, seed=s)
+        assert mc.counts[pi.z_size if out == BOT else out] == 1
+        outs.add(out)
+    assert len(outs) > 1
+
+
+# ---------------------------------------------------------------------------
 # Compression verification
 # ---------------------------------------------------------------------------
 
@@ -551,6 +712,39 @@ def test_extract_strategy_trivial_protocol():
     assert weight.get((full, 1), 0) >= Fraction(49, 100)
     assert weight.get((EMPTY_RECTANGLE, 0), 0) >= Fraction(49, 100)
     assert report.eps == 0.0
+
+
+def test_extract_strategy_tally_matches_counter():
+    f = make_function("EQ,2")
+    mu = InputDistribution(tuple(tuple(Fraction(1, 16) for _ in range(4)) for _ in range(4)))
+    pi = make_protocol("exchange_all", f=f)
+    params = compression_parameters(0.5, 1.0, pi.universe_size, overrides=(1, 40, 1))
+    seeds = 300
+    strategy, report = extract_strategy(pi, f, mu, 0.5, params, seeds, seed=4)
+    assert report.weight_total == 1
+    assert sum(w for *_, w in strategy.entries) == 1
+    a_rows, b_rows = _party_rows(pi, mu, range(4), range(4), params)
+    ((a_maps, b_maps),) = _party_maps(_seeded_rng(4), seeds, params, a_rows, b_rows,
+                                      pi.leaf_outputs())
+    tally = Counter()
+    for a, b in zip(a_maps.tolist(), b_maps.tolist()):
+        for z in range(pi.z_size):
+            rows = sum(1 << x for x, v in enumerate(a) if v == z)
+            cols = sum(1 << y for y, v in enumerate(b) if v == z)
+            tally[(Rectangle(rows, cols), z)] += 1
+    assert len(tally) > 4
+    assert strategy.weight_map() == {k: Fraction(c, seeds * pi.z_size) for k, c in tally.items()}
+    keys = [(z, rect.row_mask, rect.col_mask) for rect, z, _ in strategy.entries]
+    assert keys == sorted(set(keys))
+
+
+def test_extract_strategy_rejects_grids_past_the_key_width():
+    f = PartialFunction.from_rows([[0, 0]] * 62, z_size=1)
+    mu = InputDistribution(tuple((Fraction(1, 124),) * 2 for _ in range(62)))
+    pi = ProtocolTree(Leaf(0), 62, 2, 1)
+    params = compression_parameters(0.9, 0.0, 1, overrides=(1, 5, 0))
+    with pytest.raises(CapacityError):
+        extract_strategy(pi, f, mu, 0.9, params, 10)
 
 
 def test_extract_strategy_validation():

@@ -238,6 +238,17 @@ def test_caps_env_override(monkeypatch):
     assert caps.dp_universe == Caps().dp_universe
 
 
+@pytest.mark.parametrize(
+    "raw",
+    ["rect_sides=10", "rect_side=-1", "rect_side=0", "grid_cells=0,rect_side=9",
+     "rect_side=ten", "rect_side", "dp_trials=1.5"],
+)
+def test_caps_env_rejects_bad_entries(monkeypatch, raw):
+    monkeypatch.setenv("CCLB_CAPS", raw)
+    with pytest.raises(ParameterError):
+        default_caps()
+
+
 def test_caps_with_overrides():
     caps = Caps().with_overrides(grid_cells=512)
     assert caps.grid_cells == 512
