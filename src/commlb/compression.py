@@ -25,7 +25,7 @@ exact in rational mode (Fraction inputs, integer delta_exp).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal, Sequence
 
