@@ -43,7 +43,7 @@ from .core import (
     rectangle_count,
 )
 from .errors import DegenerateInputError, ParameterError, SolverError
-from .solver import LpProblem, LpSolution, check_lp_caps, lp_solve
+from .solver import LpProblem, LpSolution, _exact, check_lp_caps, lp_solve
 
 __all__ = [
     "LabeledRectangleStrategy",
@@ -169,9 +169,14 @@ def _one(mode: str) -> Number:
 
 
 def _coerce(v, mode: str) -> Number:
-    if mode == "rational":
-        return v if isinstance(v, (Fraction, int)) else Fraction(v)
-    return float(v)
+    return _exact(v) if mode == "rational" else float(v)
+
+
+def _tolerance(values, eps=0, inexact=_WITNESS_TOL) -> Number:
+    """0 when `eps` and every one of `values` are exact numbers, else
+    `inexact`."""
+    exact = all(isinstance(v, (Fraction, int)) for v in (eps, *values))
+    return 0 if exact else inexact
 
 
 def _strategy_from_weights(weights, x_size, y_size) -> LabeledRectangleStrategy:
@@ -517,8 +522,7 @@ def corruption_witness(
         m = mu.prob(x, y)
         alpha[(x, y)] = m / beta if f.value(x, y) == z else m / (delta_c * beta)
 
-    exact = all(isinstance(v, (Fraction, int)) for v in alpha.values())
-    slack = 0 if exact else 1e-12
+    slack = _tolerance(alpha.values(), inexact=1e-12)
     worst, _ = _best_rectangle(_signed_grid(f, lambda x, y: alpha[(x, y)], z), caps)
     feasible = worst <= 1 + slack
     on_side = sum(alpha[cell] for cell in f.preimage(z))
@@ -594,8 +598,7 @@ def check_witness(
 
     if name in ("bprt", "bprt_mu", "prt"):
         strategy: LabeledRectangleStrategy = result.primal_witness
-        exact = all(isinstance(w, (Fraction, int)) for _, _, w in strategy.entries)
-        tol = 0 if exact and isinstance(eps, (Fraction, int)) else _WITNESS_TOL
+        tol = _tolerance([w for _, _, w in strategy.entries], eps)
         scale = 1 / strategy.efficiency  # back to raw LP weights w = p * scale
         objective = scale * sum((w for _, _, w in strategy.entries), Fraction(0))
         feasible = True
@@ -627,8 +630,7 @@ def check_witness(
 
     if name == "srec":
         weights: dict[Rectangle, Number] = result.primal_witness
-        exact = all(isinstance(w, (Fraction, int)) for w in weights.values())
-        tol = 0 if exact and isinstance(eps, (Fraction, int)) else _WITNESS_TOL
+        tol = _tolerance(weights.values(), eps)
         # The label is implicit in the constraints; accept if any label fits.
         feasible = any(
             f.preimage(z) and _srec_matches(weights, f, z, eps, tol)
@@ -638,8 +640,7 @@ def check_witness(
 
     if name == "rect":
         alpha: dict[tuple[int, int], Number] = result.primal_witness
-        exact = all(isinstance(v, (Fraction, int)) for v in alpha.values())
-        tol = 0 if exact and isinstance(eps, (Fraction, int)) else _WITNESS_TOL
+        tol = _tolerance(alpha.values(), eps)
         if any(v < -tol for v in alpha.values()):
             return False, 0
         best = None

@@ -1,19 +1,25 @@
 """Self-contained dense LP engine.
 
-One two-phase primal simplex over a numpy float64 tableau, with Dantzig
-pricing and an automatic switch to Bland's least-index rule when the
-objective stalls (the bound LPs are highly degenerate).  Two modes use it:
+One two-phase primal tableau simplex, run in one of two arithmetics: a
+numpy float64 tableau, or an object-dtype tableau of ``fractions.Fraction``
+with every tolerance exactly 0.  Both price by Dantzig's rule and switch to
+Bland's least-index rule after ``_STALL_LIMIT`` pivots that do not lower
+the objective (the bound LPs are highly degenerate).  The objective never
+rises, so a cycle can only run through pivots that leave it unchanged, and
+under Bland's rule those cannot cycle: the exact simplex terminates without
+a pivot limit.  Two modes use the engine:
 
-* ``float`` returns its solution as it is;
-* ``rational`` solves its final basis exactly in ``fractions.Fraction``
-  against the problem's own rows and returns that solution only when it is
-  exactly primal and dual feasible, hence optimal (the method of
+* ``float`` returns the float simplex's solution as it is;
+* ``rational`` solves the float simplex's final basis exactly against the
+  problem's own rows and returns that solution only when it is exactly
+  primal and dual feasible, hence optimal (the method of
   Applegate-Cook-Dash-Espinoza, "Exact solutions to linear programming
   problems", ORL 2007).  When the float simplex fails, reports infeasible or
-  unbounded, or ends at a basis that does not pass, a pure ``Fraction``
-  tableau with Bland's rule throughout solves the problem from scratch, so
-  termination and exactness are guaranteed either way.  ``RATIONAL_SOLVES``
-  counts how many rational solves took each path.
+  unbounded, or ends at a basis that does not pass, the exact simplex solves
+  the problem from scratch, so exactness is guaranteed either way.
+
+``LpSolution.path`` says which way a solution came: ``"float"``,
+``"certified"`` (an exactly checked float basis) or ``"exact"``.
 
 Dual multipliers are recovered from the final basis and reported in the
 standard sign convention: for a minimization problem, ``>=`` rows get
@@ -23,7 +29,8 @@ maximization), and the optimal value always equals ``dual . rhs``.
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -33,7 +40,7 @@ import numpy as np
 from .caps import Caps, default_caps
 from .errors import CapacityError, DimensionError, ParameterError, SolverError
 
-__all__ = ["LpProblem", "LpSolution", "lp_solve", "check_lp_caps", "RATIONAL_SOLVES"]
+__all__ = ["LpProblem", "LpSolution", "lp_solve", "check_lp_caps"]
 
 Relation = Literal["<=", ">=", "="]
 Mode = Literal["float", "rational"]
@@ -41,10 +48,6 @@ Mode = Literal["float", "rational"]
 _FEAS_TOL = 1e-9
 _STALL_LIMIT = 200
 _PIVOT_LIMIT_FACTOR = 60
-
-# Rational solves by path since import: "certified" (the float basis passed
-# the exact check) and "fallback" (the Fraction tableau ran).
-RATIONAL_SOLVES: Counter = Counter()
 
 
 @dataclass(frozen=True)
@@ -75,10 +78,9 @@ class LpProblem:
             raise DimensionError("rows, relations, rhs lengths differ")
         if any(rel not in ("<=", ">=", "=") for rel in relations):
             raise ParameterError("relations must be one of <=, >=, =")
-        for row in rows:
-            for v in row:
-                if isinstance(v, float) and not np.isfinite(v):
-                    raise ParameterError("non-finite coefficient")
+        for v in itertools.chain(objective, rhs, *rows):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ParameterError("non-finite coefficient")
         return cls(
             sense,
             tuple(objective),
@@ -102,6 +104,7 @@ class LpSolution:
     objective_value: object | None
     primal: tuple | None
     dual: tuple | None
+    path: Literal["float", "certified", "exact"]
 
     def primal_value(self, j: int):
         assert self.primal is not None
@@ -111,7 +114,7 @@ class LpSolution:
 def lp_solve(problem: LpProblem, mode: Mode = "float", caps: Caps | None = None) -> LpSolution:
     """Solve an LP, returning primal and dual witnesses when optimal."""
     check_lp_caps(problem.num_vars, problem.num_rows, mode, caps or default_caps())
-    return _solve_float(problem)[0] if mode == "float" else _solve_rational(problem)
+    return _simplex(problem, exact=False)[0] if mode == "float" else _solve_rational(problem)
 
 
 def check_lp_caps(num_vars: int, num_rows: int, mode: Mode, caps: Caps) -> None:
@@ -172,54 +175,60 @@ def _finalize_duals(problem: LpProblem, y_norm, flips, sign):
 
 
 # ---------------------------------------------------------------------------
-# Float path (numpy tableau)
+# The simplex: one tableau routine, float64 or exact Fraction arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _solve_float(problem: LpProblem) -> tuple[LpSolution, list[int]]:
-    """The float simplex and its final basis, one column per row: column j < n
-    is structural, the slacks of the non-'=' rows follow in row order, and
-    the artificial of row i is column n + (number of slacks) + i."""
-    c, rows, rels, rhs, flips, sign = _standardize(problem, exact=False)
-    n, m = len(c), len(rows)
+def _simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[int]]:
+    """The two-phase tableau simplex and its final basis, one column per row:
+    column j < n is structural, the slacks of the non-'=' rows follow in row
+    order, and the artificial of row i is column n + (number of slacks) + i.
 
+    With `exact` the tableau holds `Fraction`s (numpy object dtype), every
+    tolerance is 0 and there is no pivot limit; otherwise it is float64 and
+    the primal is clamped at 0.
+    """
+    c, rows, rels, rhs, flips, sign = _standardize(problem, exact)
+    n, m = len(c), len(rows)
     n_slack = sum(1 for r in rels if r != "=")
-    total = n + n_slack + m  # artificials for every row keep unit columns handy
-    T = np.zeros((m, total + 1))
-    slack_col = {}
-    art_col = {}
-    basis = [0] * m
+    art = n + n_slack  # the artificial of row i is column art + i
+    total = art + m  # artificials for every row keep unit columns handy
+    if exact:
+        num, zero, one, path = Fraction, Fraction(0), Fraction(1), "exact"
+        feas_tol = zero_tol = gain_tol = 0
+        pivots = itertools.count()
+    else:
+        num, zero, one, path = float, 0.0, 1.0, "float"
+        feas_tol, zero_tol, gain_tol = _FEAS_TOL, 1e-7, 1e-12
+        pivots = range(_PIVOT_LIMIT_FACTOR * (m + total))
+
+    T = np.full((m, total + 1), zero, dtype=object if exact else float)
+    basis = []
     col = n
     for i, rel in enumerate(rels):
         T[i, :n] = rows[i]
         T[i, total] = rhs[i]
-        if rel != "=":
-            T[i, col] = 1.0 if rel == "<=" else -1.0
-            slack_col[i] = col
+        T[i, art + i] = one
+        if rel == "=":
+            basis.append(art + i)
+        else:  # '<=' rows start with their slack basic
+            T[i, col] = one if rel == "<=" else -one
+            basis.append(col if rel == "<=" else art + i)
             col += 1
-    for i in range(m):
-        T[i, n + n_slack + i] = 1.0
-        art_col[i] = n + n_slack + i
-        if rels[i] == "<=":
-            basis[i] = slack_col[i]
-        else:
-            basis[i] = art_col[i]
-    # '<=' rows start with the slack basic; zero out their unused artificials.
-    artificial = np.zeros(total, dtype=bool)
-    for i in range(m):
-        artificial[art_col[i]] = True
-
-    pivot_limit = _PIVOT_LIMIT_FACTOR * (m + total)
+    artificial = np.arange(total) >= art
 
     def run_phase(cost: np.ndarray) -> str:
+        # Dantzig pricing, then Bland's least-index rule once the objective
+        # has not fallen for _STALL_LIMIT pivots.  The objective never rises,
+        # so only pivots that leave it unchanged can cycle, and under Bland's
+        # rule those cannot: exact mode terminates without a pivot limit.
         stall = 0
         last_obj = np.inf
-        for _ in range(pivot_limit):
-            cb = cost[basis]
-            # reduced costs d_j = c_j - cb . T[:, j]
-            d = cost[: total] - cb @ T[:, :total]
-            d[artificial & (cost[:total] == 0)] = 0.0  # block artificials in phase 2
-            candidates = np.flatnonzero(d < -_FEAS_TOL)
+        blocked = artificial & (cost[:total] == 0)  # artificials in phase 2
+        for _ in pivots:
+            d = _reduced_costs(T, cost, basis, total, exact)
+            d[blocked] = zero
+            candidates = np.flatnonzero(d < -feas_tol)
             if candidates.size == 0:
                 return "optimal"
             if stall > _STALL_LIMIT:
@@ -227,17 +236,16 @@ def _solve_float(problem: LpProblem) -> tuple[LpSolution, list[int]]:
             else:
                 j = int(candidates[np.argmin(d[candidates])])  # Dantzig
             colj = T[:, j]
-            positive = colj > _FEAS_TOL
-            if not positive.any():
+            positive = np.flatnonzero(colj > feas_tol)
+            if positive.size == 0:
                 return "unbounded"
-            ratios = np.full(m, np.inf)
-            ratios[positive] = T[positive, total] / colj[positive]
+            ratios = T[positive, total] / colj[positive]
             best = ratios.min()
-            ties = np.flatnonzero(ratios <= best + _FEAS_TOL * (1 + abs(best)))
+            ties = positive[ratios <= best + feas_tol * (1 + abs(best))]
             i = int(min(ties, key=lambda t: basis[t]))  # least-index tie-break
-            _pivot_float(T, basis, i, j)
-            obj = float(cost[basis] @ T[:, total])
-            if obj < last_obj - 1e-12 * (1 + abs(last_obj)):
+            _pivot(T, basis, i, j, exact)
+            obj = num(cost[basis] @ T[:, total])
+            if obj < last_obj - gain_tol * (1 + abs(last_obj)):
                 stall = 0
             else:
                 stall += 1
@@ -247,59 +255,75 @@ def _solve_float(problem: LpProblem) -> tuple[LpSolution, list[int]]:
         )
 
     # Phase 1
-    cost1 = np.zeros(total)
-    cost1[artificial] = 1.0
-    # Price out artificials that start basic.
+    cost1 = np.full(total, zero, dtype=T.dtype)
+    cost1[artificial] = one
     status = run_phase(cost1)
     if status == "unbounded":  # cannot happen in phase 1
         raise SolverError("phase 1 reported unbounded")
-    phase1_obj = float(cost1[basis] @ T[:, total])
-    if phase1_obj > 1e-7:
-        return LpSolution("infeasible", None, None, None), basis
-    _drive_out_artificials_float(T, basis, artificial, n + n_slack)
+    if cost1[basis] @ T[:, total] > zero_tol:
+        return LpSolution("infeasible", None, None, None, path), basis
+    # Pivot each artificial still basic (at 0) out on any usable real
+    # column; an all-zero row is a redundant constraint and keeps it.
+    for i in range(m):
+        if artificial[basis[i]]:
+            for j in range(art):
+                if abs(T[i, j]) > zero_tol:
+                    _pivot(T, basis, i, j, exact)
+                    break
 
     # Phase 2
-    cost2 = np.zeros(total)
+    cost2 = np.full(total, zero, dtype=T.dtype)
     cost2[:n] = c
     status = run_phase(cost2)
     if status == "unbounded":
-        return LpSolution("unbounded", None, None, None), basis
+        return LpSolution("unbounded", None, None, None, path), basis
 
-    x = np.zeros(total)
+    x = np.full(total, zero, dtype=T.dtype)
     for i, bi in enumerate(basis):
         x[bi] = T[i, total]
-    obj = float(cost2[:n] @ x[:n]) * sign
+    obj = num(cost2[:n] @ x[:n]) * sign
 
     # Duals: y_i = cb . (B^{-1} e_i), and B^{-1} e_i is the final artificial
     # column of row i.
     cb = cost2[basis]
-    y_norm = [float(cb @ T[:, art_col[i]]) for i in range(m)]
+    y_norm = [num(cb @ T[:, art + i]) for i in range(m)]
     duals = _finalize_duals(problem, y_norm, flips, sign)
-    primal = tuple(max(v, 0.0) for v in x[:n])
-    return LpSolution("optimal", obj, primal, duals), basis
+    primal = tuple(max(v, zero) for v in x[:n])
+    return LpSolution("optimal", obj, primal, duals, path), basis
 
 
-def _pivot_float(T: np.ndarray, basis: list[int], i: int, j: int) -> None:
-    T[i] /= T[i, j]
-    colj = T[:, j].copy()
-    colj[i] = 0.0
-    T -= np.outer(colj, T[i])
-    T[:, j] = 0.0
-    T[i, j] = 1.0
+def _reduced_costs(T: np.ndarray, cost: np.ndarray, basis: list[int], total: int, exact: bool):
+    """d_j = c_j - cb . T[:, j] over the first `total` columns.  In exact mode
+    only the nonzero entries of the rows with a nonzero basic cost are
+    multiplied: Fraction products are slow and the tableau is mostly 0."""
+    cb = cost[basis]
+    if not exact:
+        return cost[:total] - cb @ T[:, :total]
+    d = cost[:total].copy()
+    for i in np.flatnonzero(cb):
+        cols = np.flatnonzero(T[i, :total])
+        d[cols] -= cb[i] * T[i, cols]
+    return d
+
+
+def _pivot(T: np.ndarray, basis: list[int], i: int, j: int, exact: bool) -> None:
+    """Pivot on T[i, j].  Exact mode updates only the nonzero columns of row
+    i and the rows with a nonzero entry in column j, which leaves column j a
+    unit column exactly; float mode updates the whole tableau in numpy."""
+    if exact:
+        cols = np.flatnonzero(T[i])
+        T[i, cols] /= T[i, j]
+        rows = np.flatnonzero(T[:, j])
+        rows = rows[rows != i]
+        T[np.ix_(rows, cols)] -= np.outer(T[rows, j], T[i, cols])
+    else:
+        T[i] /= T[i, j]
+        colj = T[:, j].copy()
+        colj[i] = 0.0
+        T -= np.outer(colj, T[i])
+        T[:, j] = 0.0
+        T[i, j] = 1.0
     basis[i] = j
-
-
-def _drive_out_artificials_float(T, basis, artificial, n_real) -> None:
-    m = T.shape[0]
-    for i in range(m):
-        if not artificial[basis[i]]:
-            continue
-        # Basic artificial at value ~0: pivot any usable real column in.
-        for j in range(n_real):
-            if abs(T[i, j]) > 1e-7:
-                _pivot_float(T, basis, i, j)
-                break
-        # If the row is all zeros the constraint was redundant; harmless.
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +336,18 @@ def _solve_rational(problem: LpProblem) -> LpSolution:
     # basis comes with a certificate that can be checked exactly.  Data too
     # large for float64 raises OverflowError before the simplex starts.
     try:
-        sol, basis = _solve_float(problem)
+        sol, basis = _simplex(problem, exact=False)
     except (SolverError, OverflowError):
         sol = None
     if sol is not None and sol.status == "optimal":
         certified = _certify_basis(problem, basis)
         if certified is not None:
-            RATIONAL_SOLVES["certified"] += 1
             return certified
-    RATIONAL_SOLVES["fallback"] += 1
-    return _solve_bland(problem)
+    return _simplex(problem, exact=True)[0]
 
 
 def _certify_basis(problem: LpProblem, basis: list[int]) -> LpSolution | None:
-    """The exact solution of `basis` (laid out as `_solve_float` returns
+    """The exact solution of `basis` (laid out as `_simplex` returns
     it) against the problem's own rows, or None unless it is optimal.
 
     A basic slack or artificial is a unit column: it covers one row, takes up
@@ -383,7 +405,9 @@ def _certify_basis(problem: LpProblem, basis: list[int]) -> LpSolution | None:
     for v, row in zip(y_free, free_rows):
         if v:
             for j, a in enumerate(row):
-                if a:
+                if a == 1:
+                    reduced[j] -= v
+                elif a:
                     reduced[j] -= v * a
     if any(d < 0 for d in reduced):
         return None
@@ -392,7 +416,7 @@ def _certify_basis(problem: LpProblem, basis: list[int]) -> LpSolution | None:
     for j, v in zip(structural, x_basic):
         x[j] = v
     value = sum((c * v for c, v in zip(cost, x)), zero) * sign
-    return LpSolution("optimal", value, tuple(x), tuple(v * sign for v in y))
+    return LpSolution("optimal", value, tuple(x), tuple(v * sign for v in y), "certified")
 
 
 def _exact(v) -> int | Fraction:
@@ -434,103 +458,3 @@ def _solve_exact(matrix: list[list], rhs: list) -> list[Fraction] | None:
         row = rows[p]
         z[col] = (rhs[p] - sum(v * z[j] for j, v in row.items() if j != col)) / row[col]
     return z
-
-
-# ---------------------------------------------------------------------------
-# Rational fallback (Fraction tableau, Bland's rule)
-# ---------------------------------------------------------------------------
-
-
-def _solve_bland(problem: LpProblem) -> LpSolution:
-    c, rows, rels, rhs, flips, sign = _standardize(problem, exact=True)
-    n, m = len(c), len(rows)
-    zero, one = Fraction(0), Fraction(1)
-
-    n_slack = sum(1 for r in rels if r != "=")
-    total = n + n_slack + m
-    T = [[zero] * (total + 1) for _ in range(m)]
-    slack_col = {}
-    art_col = {}
-    basis = [0] * m
-    col = n
-    for i, rel in enumerate(rels):
-        for j, v in enumerate(rows[i]):
-            T[i][j] = v
-        T[i][total] = rhs[i]
-        if rel != "=":
-            T[i][col] = one if rel == "<=" else -one
-            slack_col[i] = col
-            col += 1
-    for i in range(m):
-        T[i][n + n_slack + i] = one
-        art_col[i] = n + n_slack + i
-        basis[i] = slack_col[i] if rels[i] == "<=" else art_col[i]
-    artificial = [False] * total
-    for i in range(m):
-        artificial[art_col[i]] = True
-
-    def run_phase(cost: list[Fraction]) -> str:
-        while True:
-            cb = [cost[b] for b in basis]
-            entering = -1
-            for j in range(total):  # Bland: first improving column
-                if artificial[j] and cost[j] == 0:
-                    continue
-                d = cost[j] - sum(cb[i] * T[i][j] for i in range(m) if T[i][j])
-                if d < 0:
-                    entering = j
-                    break
-            if entering < 0:
-                return "optimal"
-            leave = -1
-            best = None
-            for i in range(m):
-                if T[i][entering] > 0:
-                    ratio = T[i][total] / T[i][entering]
-                    if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded"
-            _pivot_rational(T, basis, leave, entering, total)
-
-    cost1 = [one if artificial[j] else zero for j in range(total)]
-    run_phase(cost1)
-    if sum(T[i][total] for i in range(m) if artificial[basis[i]]) > 0:
-        return LpSolution("infeasible", None, None, None)
-    for i in range(m):
-        if artificial[basis[i]]:
-            for j in range(n + n_slack):
-                if T[i][j] != 0:
-                    _pivot_rational(T, basis, i, j, total)
-                    break
-
-    cost2 = [zero] * total
-    for j in range(n):
-        cost2[j] = c[j]
-    if run_phase(cost2) == "unbounded":
-        return LpSolution("unbounded", None, None, None)
-
-    x = [zero] * total
-    for i, bi in enumerate(basis):
-        x[bi] = T[i][total]
-    obj = sum(cost2[j] * x[j] for j in range(n)) * sign
-    cb = [cost2[b] for b in basis]
-    y_norm = [
-        sum(cb[r] * T[r][art_col[i]] for r in range(m) if T[r][art_col[i]])
-        for i in range(m)
-    ]
-    duals = _finalize_duals(problem, y_norm, flips, sign)
-    return LpSolution("optimal", obj, tuple(x[:n]), duals)
-
-
-def _pivot_rational(T, basis, i, j, total) -> None:
-    piv = T[i][j]
-    T[i] = [v / piv for v in T[i]]
-    for r in range(len(T)):
-        if r != i and T[r][j] != 0:
-            factor = T[r][j]
-            T[r] = [a - factor * b for a, b in zip(T[r], T[i])]
-    basis[i] = j

@@ -1,0 +1,20 @@
+"""Shared fixtures."""
+
+import pytest
+
+from commlb import solver
+from commlb.errors import SolverError
+
+
+@pytest.fixture
+def fail_float_simplex(monkeypatch):
+    """A function that, once called, makes the float simplex raise
+    SolverError, so rational mode runs the exact simplex from scratch."""
+    simplex = solver._simplex
+
+    def float_fails(problem, exact):
+        if not exact:
+            raise SolverError("simplex stalled (pivot limit reached); try rational mode")
+        return simplex(problem, exact)
+
+    return lambda: monkeypatch.setattr(solver, "_simplex", float_fails)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from commlb import bounds, solver
+from commlb import bounds
 from commlb.bounds import (
     CSV_HEADER,
     LabeledRectangleStrategy,
@@ -30,8 +30,8 @@ from commlb.core import (
     enumerate_rectangles,
 )
 from commlb.corpus import corpus_functions, make_distribution, make_function
-from commlb.errors import CapacityError, DegenerateInputError, ParameterError, SolverError
-from commlb.solver import RATIONAL_SOLVES, LpProblem, lp_solve
+from commlb.errors import CapacityError, DegenerateInputError, ParameterError
+from commlb.solver import LpProblem, lp_solve
 
 EQ1 = make_function("EQ,1")
 AND1 = make_function("AND,1")
@@ -504,22 +504,27 @@ def _exact_bound_calls():
     return calls
 
 
-def test_exact_bound_lps_certify_without_fallback(monkeypatch):
+def test_exact_bound_lps_certify_without_fallback(monkeypatch, fail_float_simplex):
+    solutions = []
+
+    def recording_lp_solve(problem, mode="float", caps=None):
+        solutions.append(lp_solve(problem, mode, caps))
+        return solutions[-1]
+
+    monkeypatch.setattr(bounds, "lp_solve", recording_lp_solve)
     calls = _exact_bound_calls()
-    before = RATIONAL_SOLVES.copy()
     results = [call() for _, _, call in calls]
-    assert RATIONAL_SOLVES["fallback"] == before["fallback"]
-    assert RATIONAL_SOLVES["certified"] == before["certified"] + len(calls)
+    assert len(calls) == 86
+    assert [s.path for s in solutions] == ["certified"] * len(calls)
     for (f, mu, _), r in zip(calls, results):
         assert isinstance(r.value, Fraction) and r.dual_value == r.value
         assert check_witness(r, f, mu) == (True, r.value)
 
-    def float_fails(problem):
-        raise SolverError("forced")
-
-    # The Fraction tableau alone reaches the same values.
-    monkeypatch.setattr(solver, "_solve_float", float_fails)
+    # The exact simplex alone reaches the same values.
+    solutions.clear()
+    fail_float_simplex()
     assert [call().value for _, _, call in calls] == [r.value for r in results]
+    assert [s.path for s in solutions] == ["exact"] * len(calls)
 
 
 def test_rect_dual_eq2_rational_pinned():

@@ -7,8 +7,8 @@ import pytest
 
 from commlb import solver
 from commlb.caps import Caps
-from commlb.errors import CapacityError, ParameterError, SolverError
-from commlb.solver import RATIONAL_SOLVES, LpProblem, LpSolution, lp_solve
+from commlb.errors import CapacityError, ParameterError
+from commlb.solver import LpProblem, LpSolution, lp_solve
 
 
 def _solve(sense, c, rows, rels, rhs, mode="float"):
@@ -99,13 +99,15 @@ def test_rational_matches_float_on_random_lps():
         problem = LpProblem.build("min", c, rows, rels, rhs)
         fsol = lp_solve(problem, "float")
         rsol = lp_solve(problem, "rational")
+        assert fsol.path == "float"
         assert fsol.status == rsol.status
         if fsol.status == "optimal":
             assert abs(fsol.objective_value - float(rsol.objective_value)) < 1e-7
 
 
-def test_degenerate_lp_terminates():
-    # Classic cycling-prone instance; Bland fallback must terminate.
+def test_degenerate_lp_terminates(fail_float_simplex):
+    # Beale's cycling example: Dantzig pricing cycles on it, and the switch
+    # to Bland's rule must end it, in float and in exact arithmetic.
     sol = _solve(
         "min",
         [-0.75, 150, -0.02, 6],
@@ -120,6 +122,23 @@ def test_degenerate_lp_terminates():
     assert sol.status == "optimal"
     assert abs(sol.objective_value - (-0.05)) < 1e-9
 
+    fail_float_simplex()
+    problem = LpProblem.build(
+        "min",
+        [Fraction(-3, 4), 150, Fraction(-1, 50), 6],
+        [
+            [Fraction(1, 4), -60, Fraction(-1, 25), 9],
+            [Fraction(1, 2), -90, Fraction(-1, 50), 3],
+            [0, 0, 1, 0],
+        ],
+        ["<=", "<=", "<="],
+        [0, 0, 1],
+    )
+    sol = lp_solve(problem, "rational")
+    assert sol.path == "exact"
+    assert sol.objective_value == Fraction(-1, 20)
+    _assert_exact_certificate(problem, sol)
+
 
 def test_caps_enforced():
     caps = Caps(lp_vars_float=2, lp_rows_float=2)
@@ -133,12 +152,17 @@ def test_build_validation():
         LpProblem.build("argmin", [1], [[1]], [">="], [1])
     with pytest.raises(ParameterError):
         LpProblem.build("min", [1], [[1]], ["=>"], [1])
-    with pytest.raises(ParameterError):
-        LpProblem.build("min", [1], [[float("nan")]], [">="], [1])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ParameterError):
+            LpProblem.build("min", [1], [[bad]], [">="], [1])
+        with pytest.raises(ParameterError):
+            LpProblem.build("min", [bad], [[1]], [">="], [1])
+        with pytest.raises(ParameterError):
+            LpProblem.build("min", [1], [[1]], [">="], [bad])
 
 
 # ---------------------------------------------------------------------------
-# Rational mode: certified float basis, Bland fallback
+# Rational mode: certified float basis, exact simplex fallback
 # ---------------------------------------------------------------------------
 
 
@@ -202,24 +226,119 @@ def _highs(problem: LpProblem):
     return status, (sign * res.fun if status == "optimal" else None)
 
 
+def _bland_reference(problem: LpProblem) -> LpSolution:
+    """A plain two-phase Fraction tableau with Bland's rule throughout, kept
+    as the reference the exact simplex is compared against."""
+    c, rows, rels, rhs, flips, sign = solver._standardize(problem, exact=True)
+    n, m = len(c), len(rows)
+    zero, one = Fraction(0), Fraction(1)
+
+    n_slack = sum(1 for r in rels if r != "=")
+    total = n + n_slack + m
+    T = [[zero] * (total + 1) for _ in range(m)]
+    slack_col = {}
+    art_col = {}
+    basis = [0] * m
+    col = n
+    for i, rel in enumerate(rels):
+        for j, v in enumerate(rows[i]):
+            T[i][j] = v
+        T[i][total] = rhs[i]
+        if rel != "=":
+            T[i][col] = one if rel == "<=" else -one
+            slack_col[i] = col
+            col += 1
+    for i in range(m):
+        T[i][n + n_slack + i] = one
+        art_col[i] = n + n_slack + i
+        basis[i] = slack_col[i] if rels[i] == "<=" else art_col[i]
+    artificial = [False] * total
+    for i in range(m):
+        artificial[art_col[i]] = True
+
+    def pivot(i, j):
+        piv = T[i][j]
+        T[i] = [v / piv for v in T[i]]
+        for r in range(m):
+            if r != i and T[r][j] != 0:
+                factor = T[r][j]
+                T[r] = [a - factor * b for a, b in zip(T[r], T[i])]
+        basis[i] = j
+
+    def run_phase(cost: list[Fraction]) -> str:
+        while True:
+            cb = [cost[b] for b in basis]
+            entering = -1
+            for j in range(total):  # Bland: first improving column
+                if artificial[j] and cost[j] == 0:
+                    continue
+                d = cost[j] - sum(cb[i] * T[i][j] for i in range(m) if T[i][j])
+                if d < 0:
+                    entering = j
+                    break
+            if entering < 0:
+                return "optimal"
+            leave = -1
+            best = None
+            for i in range(m):
+                if T[i][entering] > 0:
+                    ratio = T[i][total] / T[i][entering]
+                    if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            pivot(leave, entering)
+
+    cost1 = [one if artificial[j] else zero for j in range(total)]
+    run_phase(cost1)
+    if sum(T[i][total] for i in range(m) if artificial[basis[i]]) > 0:
+        return LpSolution("infeasible", None, None, None, "exact")
+    for i in range(m):
+        if artificial[basis[i]]:
+            for j in range(n + n_slack):
+                if T[i][j] != 0:
+                    pivot(i, j)
+                    break
+
+    cost2 = [zero] * total
+    for j in range(n):
+        cost2[j] = c[j]
+    if run_phase(cost2) == "unbounded":
+        return LpSolution("unbounded", None, None, None, "exact")
+
+    x = [zero] * total
+    for i, bi in enumerate(basis):
+        x[bi] = T[i][total]
+    obj = sum(cost2[j] * x[j] for j in range(n)) * sign
+    cb = [cost2[b] for b in basis]
+    y_norm = [
+        sum(cb[r] * T[r][art_col[i]] for r in range(m) if T[r][art_col[i]])
+        for i in range(m)
+    ]
+    duals = solver._finalize_duals(problem, y_norm, flips, sign)
+    return LpSolution("optimal", obj, tuple(x[:n]), duals, "exact")
+
+
 def test_rational_property_random_lps():
     rng = random.Random(2024)
     statuses = []
     for _ in range(300):
         problem = _random_lp(rng)
-        before = RATIONAL_SOLVES.copy()
         sol = lp_solve(problem, "rational")
         statuses.append(sol.status)
-        bland = solver._solve_bland(problem)
+        bland = _bland_reference(problem)
         assert sol.status == bland.status
         if sol.status == "optimal":
             _assert_exact_certificate(problem, sol)
             _assert_exact_certificate(problem, bland)
             assert sol.objective_value == bland.objective_value
         else:
-            # Infeasible and unbounded are only ever reported by the Fraction
-            # tableau.
-            assert RATIONAL_SOLVES["fallback"] == before["fallback"] + 1
+            # Infeasible and unbounded are only ever reported by the exact
+            # simplex.
+            assert sol.path == "exact"
             assert sol.primal is None and sol.dual is None
     for status in ("optimal", "infeasible", "unbounded"):
         assert statuses.count(status) >= 20, statuses.count(status)
@@ -245,9 +364,8 @@ def test_degenerate_and_redundant_rows_certified():
         [[1, 1, 1], [2, 2, 2], [Fraction(1, 3)] * 3, [1, -1, 0]],
         ["=", "=", "=", "<="], [3, 6, 1, 0],
     )
-    before = RATIONAL_SOLVES.copy()
     sol = lp_solve(problem, "rational")
-    assert RATIONAL_SOLVES["certified"] == before["certified"] + 1
+    assert sol.path == "certified"
     assert sol.objective_value == 0
     _assert_exact_certificate(problem, sol)
 
@@ -282,6 +400,7 @@ def test_certify_rejects_each_failed_check(case):
     problem, bad, good, optimum = _CERTIFY_CASES[case]
     assert solver._certify_basis(problem, bad) is None
     sol = solver._certify_basis(problem, good)
+    assert sol.path == "certified"
     assert sol.objective_value == optimum
     _assert_exact_certificate(problem, sol)
 
@@ -289,38 +408,36 @@ def test_certify_rejects_each_failed_check(case):
 MAX_LP = LpProblem.build("max", [3, 2], [[1, 1], [1, 0]], ["<=", "<="], [4, 2])
 
 
-def test_forced_fallback_on_float_failure(monkeypatch):
-    def fail(problem):
-        raise SolverError("simplex stalled (pivot limit reached); try rational mode")
-
-    monkeypatch.setattr(solver, "_solve_float", fail)
-    before = RATIONAL_SOLVES.copy()
+def test_forced_fallback_on_float_failure(fail_float_simplex):
+    fail_float_simplex()
     sol = lp_solve(MAX_LP, "rational")
-    assert RATIONAL_SOLVES["fallback"] == before["fallback"] + 1
+    assert sol.path == "exact"
     assert sol.objective_value == 10
     _assert_exact_certificate(MAX_LP, sol)
 
 
 def test_forced_fallback_on_non_optimal_basis(monkeypatch):
     # The all-slack basis is feasible (x = 0) but not optimal.
-    def slack_basis(problem):
-        return LpSolution("optimal", 0.0, (0.0, 0.0), (0.0, 0.0)), [2, 3]
+    simplex = solver._simplex
 
-    monkeypatch.setattr(solver, "_solve_float", slack_basis)
-    before = RATIONAL_SOLVES.copy()
+    def slack_basis(problem, exact):
+        if exact:
+            return simplex(problem, exact)
+        return LpSolution("optimal", 0.0, (0.0, 0.0), (0.0, 0.0), "float"), [2, 3]
+
+    monkeypatch.setattr(solver, "_simplex", slack_basis)
     sol = lp_solve(MAX_LP, "rational")
-    assert RATIONAL_SOLVES["fallback"] == before["fallback"] + 1
+    assert sol.path == "exact"
     assert sol.objective_value == 10
     _assert_exact_certificate(MAX_LP, sol)
 
 
 def test_rational_data_beyond_float_range():
-    # float64 cannot hold the coefficients, so only the Fraction tableau can
+    # float64 cannot hold the coefficients, so only the exact simplex can
     # solve this.
     huge = Fraction(10**400)
     problem = LpProblem.build("min", [huge, 1], [[huge, 1]], [">="], [huge])
-    before = RATIONAL_SOLVES.copy()
     sol = lp_solve(problem, "rational")
-    assert RATIONAL_SOLVES["fallback"] == before["fallback"] + 1
+    assert sol.path == "exact"
     assert sol.objective_value == huge
     _assert_exact_certificate(problem, sol)
