@@ -58,7 +58,6 @@ from .compression import (
     CompressionParameters,
     CompressionReport,
     ExperimentInputs,
-    ExperimentOutcome,
     ExperimentTable,
     compression_parameters,
     conditional_distance_check,
@@ -66,7 +65,6 @@ from .compression import (
     experiment_probabilities,
     extract_strategy,
     mc_output_distribution,
-    run_experiment,
     run_zero_comm,
     verify_compression,
 )

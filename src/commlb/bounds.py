@@ -6,8 +6,8 @@ Five quantities over a partial function f on an x_size * y_size grid:
   distribution-free (``bprt``);
 * partition bound (``prt``);
 * smooth rectangle bound per output label (``srec``);
-* rectangle/corruption bound in dual form (``rect_dual``), plus the explicit
-  corruption witness construction (``corruption_witness``);
+* rectangle/corruption bound (``rect_dual``), plus the explicit corruption
+  witness construction (``corruption_witness``);
 * discrepancy (``discrepancy``).
 
 All of them stand on one rectangle layer.  ``_incidence`` lists the
@@ -15,11 +15,17 @@ nonempty rectangles and which cells each contains, and every LP row is read
 off it.  ``_best_rectangle`` finds the largest and smallest total weight
 over all rectangles by enumerating row sets only; it decides discrepancy,
 the feasibility of a corruption witness and the rect witness check.
-``bprt``, ``bprt_mu`` and ``prt`` are one weight-form LP over (rectangle,
-label) weights, differing only in their correctness rows and coverage
-relation.  Each LP bound computes its LP shape from the rectangle count
-before it builds a row, so an instance over the caps is rejected at once;
-``bprt`` must also fit as its transposed (alpha, beta) form.
+
+The five LP bounds are one weight-form LP, built by ``_weight_form``:
+minimize the total weight on (rectangle, label) pairs subject to per-cell
+rows over the rectangles containing each cell.  ``bprt``, ``bprt_mu`` and
+``prt`` weigh every label and differ in their correctness rows and coverage
+relation; ``srec`` weighs one label with coverage rows in [1 - eps, 1] on
+its side and at most eps off it; ``rect_dual`` is the LP dual of its alpha
+form, over the rectangles meeting alpha's support, and reads alpha off the
+row duals.  The builder computes the LP's shape before it builds a row, so
+an instance over the caps is rejected at once; ``bprt`` and ``rect_dual``
+must also fit as their transposed (alpha, beta) and alpha forms.
 
 Every LP result carries both a primal and a dual witness and the two
 objective values are required to agree (1e-6 float, exact rational).  The
@@ -38,6 +44,7 @@ from .core import (
     Number,
     PartialFunction,
     Rectangle,
+    _is_exact,
     check_rect_side,
     enumerate_rectangles,
     rectangle_count,
@@ -164,6 +171,12 @@ def _check_eps(eps) -> None:
         raise ParameterError(f"eps must lie in [0, 1), got {eps}")
 
 
+def _eps(eps, mode: str) -> Number:
+    """eps, checked to lie in [0, 1), in the arithmetic of `mode`."""
+    _check_eps(eps)
+    return _coerce(eps, mode)
+
+
 def _one(mode: str) -> Number:
     return Fraction(1) if mode == "rational" else 1.0
 
@@ -175,8 +188,7 @@ def _coerce(v, mode: str) -> Number:
 def _tolerance(values, eps=0, inexact=_WITNESS_TOL) -> Number:
     """0 when `eps` and every one of `values` are exact numbers, else
     `inexact`."""
-    exact = all(isinstance(v, (Fraction, int)) for v in (eps, *values))
-    return 0 if exact else inexact
+    return 0 if _is_exact((eps, *values)) else inexact
 
 
 def _strategy_from_weights(weights, x_size, y_size) -> LabeledRectangleStrategy:
@@ -196,29 +208,9 @@ def _strategy_from_weights(weights, x_size, y_size) -> LabeledRectangleStrategy:
     return LabeledRectangleStrategy.build(entries, efficiency, x_size, y_size)
 
 
-def _require_optimal(sol: LpSolution, what: str) -> None:
-    if sol.status != "optimal":
-        raise SolverError(f"{what} LP terminated {sol.status}")
-
-
-def _check_gap(primal_value, dual_value, mode: str, what: str) -> None:
-    gap = abs(primal_value - dual_value)
-    limit = 0 if mode == "rational" else _GAP_TOL
-    if gap > limit:
-        raise SolverError(f"{what}: primal/dual gap {float(gap)} exceeds {limit}")
-
-
 # ---------------------------------------------------------------------------
 # The rectangle layer
 # ---------------------------------------------------------------------------
-
-
-def _rect_count(f: PartialFunction, caps: Caps) -> int:
-    """Number of nonempty rectangles of f's grid, after the rect_side check.
-    Every LP shape follows from it, so caps are checked before any row is
-    built."""
-    check_rect_side(f.x_size, f.y_size, caps)
-    return rectangle_count(f.x_size, f.y_size) - 1
 
 
 def _cells(f: PartialFunction) -> list[tuple[int, int]]:
@@ -226,14 +218,17 @@ def _cells(f: PartialFunction) -> list[tuple[int, int]]:
 
 
 def _incidence(
-    f: PartialFunction, caps: Caps
-) -> tuple[list[Rectangle], list[tuple[int, int]], list[list[bool]]]:
-    """The nonempty rectangles in enumeration order, the cells in row-major
-    order, and covers[i][j]: whether rects[j] contains cells[i].  Every LP
-    row is read off this incidence."""
-    rects = [r for r in enumerate_rectangles(f.x_size, f.y_size, caps) if not r.is_empty]
-    cells = _cells(f)
-    return rects, cells, [[r.contains(x, y) for r in rects] for x, y in cells]
+    f: PartialFunction, meet, caps: Caps
+) -> tuple[list[Rectangle], dict[tuple[int, int], list[int]]]:
+    """The nonempty rectangles in enumeration order (only those containing
+    one of the cells `meet`, unless it is None), and for every cell the
+    indices of the rectangles containing it.  Every LP row is read off this
+    incidence."""
+    rects = [
+        r for r in enumerate_rectangles(f.x_size, f.y_size, caps)
+        if not r.is_empty and (meet is None or any(r.contains(*c) for c in meet))
+    ]
+    return rects, {c: [j for j, r in enumerate(rects) if r.contains(*c)] for c in _cells(f)}
 
 
 def _column_sums(grid):
@@ -271,75 +266,95 @@ def _signed_grid(f: PartialFunction, weight, z: int) -> list[list]:
     return [[entry(x, y) for y in range(f.y_size)] for x in range(f.x_size)]
 
 
-def _rects_meeting(f: PartialFunction, cells: set[tuple[int, int]]) -> int:
-    """Number of nonempty rectangles containing at least one of `cells`: over
-    a row set A, every column set except those avoiding the columns A meets."""
+def _rects_meeting(f: PartialFunction, cells, caps: Caps) -> int:
+    """Number of nonempty rectangles containing at least one of `cells` (all
+    of them when `cells` is None), after the rect_side check.  Every LP
+    shape follows from it, so caps are checked before any row is built.
+    Over a row set A, every column set meets `cells` except those avoiding
+    the columns A meets."""
+    check_rect_side(f.x_size, f.y_size, caps)
+    if cells is None:
+        return rectangle_count(f.x_size, f.y_size) - 1
+    cells = set(cells)
     hits = [[int((x, y) in cells) for y in range(f.y_size)] for x in range(f.x_size)]
     return sum((1 << f.y_size) - (1 << sums.count(0)) for sums in _column_sums(hits))
 
 
 # ---------------------------------------------------------------------------
-# Weight-form LP: relaxed partition bounds and partition bound
+# The weight-form LP of all five bounds
 # ---------------------------------------------------------------------------
 
 
 def _weight_form(
+    name: str, f: PartialFunction, mode: str, caps: Caps | None, rows, n_labels=1, meet=None
+) -> tuple[LpSolution, list[tuple[Rectangle, int]], Number]:
+    """The one LP of all five bounds: minimize sum(w) over weights
+    w_{R,z} >= 0, one per nonempty rectangle R (only those meeting the cells
+    `meet`, unless it is None) in enumeration order and label z < n_labels.
+    Each of `rows` is (terms, correct, relation, rhs).  A (cell, c) term
+    adds c times the weights of the rectangles containing the cell, under
+    the labels its row counts: those answering the cell correctly (any label
+    off the promise) in a `correct` row, every label otherwise.
+
+    Returns the optimal solution, the (rectangle, label) key of each column,
+    and the dual objective dual . rhs, checked against the value."""
+    caps = caps or default_caps()
+    check_lp_caps(_rects_meeting(f, meet, caps) * n_labels, len(rows), mode, caps)
+    one = _one(mode)
+    rects, hits = _incidence(f, meet, caps)
+    nvars = len(rects) * n_labels  # variable (j, z) sits at j * n_labels + z
+    lp_rows = []
+    for terms, correct, _, _ in rows:
+        row = [_coerce(0, mode)] * nvars
+        for (x, y), c in terms:
+            c = _coerce(c, mode)
+            fz = f.value(x, y)
+            labels = range(n_labels) if fz is None or not correct else (fz,)
+            for j in hits[(x, y)]:
+                for z in labels:
+                    row[j * n_labels + z] += c
+        lp_rows.append(row)
+    rhs = [one * b for _, _, _, b in rows]
+    relations = [rel for _, _, rel, _ in rows]
+    sol = lp_solve(LpProblem.build("min", [one] * nvars, lp_rows, relations, rhs), mode, caps)
+    if sol.status != "optimal":
+        raise SolverError(f"{name} LP terminated {sol.status}")
+    dual_value = sum(d * b for d, b in zip(sol.dual, rhs))
+    gap = abs(sol.objective_value - dual_value)
+    limit = 0 if mode == "rational" else _GAP_TOL
+    if gap > limit:
+        raise SolverError(f"{name}: primal/dual gap {float(gap)} exceeds {limit}")
+    return sol, [(r, z) for r in rects for z in range(n_labels)], dual_value
+
+
+def _partition_form(
     name: str, f: PartialFunction, eps, mode: str, caps: Caps | None, correct, coverage: str
 ) -> BoundResult:
-    """One LP over weights w_{R,z} >= 0 minimizing sum(w), for bprt, bprt_mu
-    and prt.  `correct` lists the correctness rows, each as (cell, weight)
-    pairs: a row sums, weighted by cell, w over the rectangles containing the
-    cell and the labels that answer it correctly (any label off the promise),
-    and must reach 1 - eps.  One coverage row per cell sums w over the
-    rectangles containing it, with relation `coverage` against 1.  The dual
-    witness alpha[cell] is the weighted sum of the correctness multipliers
-    and beta holds the coverage multipliers, negated on `<=` rows so that it
-    is nonnegative."""
-    caps = caps or default_caps()
-    eps = _coerce(eps, mode)
-    one = _one(mode)
-    zero = one * 0
-    n_labels = f.z_size
-    check_lp_caps(
-        _rect_count(f, caps) * n_labels, len(correct) + f.x_size * f.y_size, mode, caps
-    )
-
-    rects, cells, covers = _incidence(f, caps)
-    nvars = len(rects) * n_labels  # variable (j, z) sits at j * n_labels + z
-    correct = [[(cell, _coerce(w, mode)) for cell, w in spec] for spec in correct]
-    rows = []
-    for spec in correct:
-        row = [zero] * nvars
-        for (x, y), w in spec:
-            fz = f.value(x, y)
-            for j, hit in enumerate(covers[x * f.y_size + y]):
-                if hit:
-                    for z in range(n_labels) if fz is None else (fz,):
-                        row[j * n_labels + z] += w
-        rows.append(row)
-    rows += [[one if hit else zero for hit in row for _ in range(n_labels)] for row in covers]
-    relations = [">="] * len(correct) + [coverage] * len(cells)
-    rhs = [one - eps] * len(correct) + [one] * len(cells)
-    problem = LpProblem.build("min", [one] * nvars, rows, relations, rhs)
-    sol = lp_solve(problem, mode, caps)
-    _require_optimal(sol, name)
-    value = sol.objective_value
+    """bprt, bprt_mu and prt: the weight form over (rectangle, label)
+    weights.  `correct` lists the correctness rows, each as (cell, weight)
+    terms, that must reach 1 - eps; one coverage row per cell sums w over
+    the rectangles containing it, with relation `coverage` against 1.  The
+    dual witness alpha[cell] is the weighted sum of the correctness
+    multipliers and beta holds the coverage multipliers, negated on `<=`
+    rows so that it is nonnegative."""
+    correct = [[(cell, _coerce(w, mode)) for cell, w in terms] for terms in correct]
+    cells = _cells(f)
+    rows = [(terms, True, ">=", 1 - eps) for terms in correct]
+    rows += [([(cell, 1)], False, coverage, 1) for cell in cells]
+    sol, keys, dual_value = _weight_form(name, f, mode, caps, rows, f.z_size)
 
     strategy = _strategy_from_weights(
-        [(rects[j // n_labels], j % n_labels, w) for j, w in enumerate(sol.primal) if w > 0],
-        f.x_size,
-        f.y_size,
+        [(r, z, w) for (r, z), w in zip(keys, sol.primal) if w > 0], f.x_size, f.y_size
     )
     alpha: dict[tuple[int, int], Number] = {}
-    for spec, d in zip(correct, sol.dual):
-        for cell, w in spec:
-            alpha[cell] = alpha.get(cell, zero) + d * w
+    for terms, d in zip(correct, sol.dual):
+        for cell, w in terms:
+            alpha[cell] = alpha.get(cell, _coerce(0, mode)) + d * w
     sign = -1 if coverage == "<=" else 1
     beta = {cell: sign * d for cell, d in zip(cells, sol.dual[len(correct):])}
-    dual_value = sum(d * b for d, b in zip(sol.dual, rhs))
-    _check_gap(value, dual_value, mode, name)
     return BoundResult(
-        name, value, eps, strategy, {"alpha": alpha, "beta": beta}, sol.status, dual_value
+        name, sol.objective_value, eps, strategy, {"alpha": alpha, "beta": beta}, sol.status,
+        dual_value,
     )
 
 
@@ -356,10 +371,10 @@ def bprt_mu(
     average correctness >= 1 - eps (inputs outside the promise count as
     correct under any label) and per-input coverage <= 1.
     """
-    _check_eps(eps)
+    eps = _eps(eps, mode)
     mu.check_compatible(f)
     correct = [[(cell, mu.prob(*cell)) for cell in _cells(f)]]
-    return _weight_form("bprt_mu", f, eps, mode, caps, correct, "<=")
+    return _partition_form("bprt_mu", f, eps, mode, caps, correct, "<=")
 
 
 def bprt(
@@ -368,15 +383,15 @@ def bprt(
     """Distribution-free relaxed partition bound (the max over mu of
     bprt_mu): per-input correctness >= 1 - eps (any label off the promise)
     and per-input coverage <= 1."""
-    _check_eps(eps)
+    eps = _eps(eps, mode)
     caps = caps or default_caps()
     cells = _cells(f)
     # Accept only what fits the caps as the transposed (alpha, beta) form of
     # this LP, 2|cells| vars x R|Z| rows: in float that is tighter, and the
     # float simplex fails on the larger weight-form LPs (4x8 grids) that the
     # caps alone would let through.
-    check_lp_caps(2 * len(cells), _rect_count(f, caps) * f.z_size, mode, caps)
-    return _weight_form("bprt", f, eps, mode, caps, [[(cell, 1)] for cell in cells], "<=")
+    check_lp_caps(2 * len(cells), _rects_meeting(f, None, caps) * f.z_size, mode, caps)
+    return _partition_form("bprt", f, eps, mode, caps, [[(cell, 1)] for cell in cells], "<=")
 
 
 def prt(
@@ -385,13 +400,8 @@ def prt(
     """Partition bound: per-input correctness >= 1 - eps on the promise and
     per-input total coverage exactly 1.  Always feasible via singleton
     rectangles."""
-    _check_eps(eps)
-    return _weight_form("prt", f, eps, mode, caps, [[(cell, 1)] for cell in f.domain()], "=")
-
-
-# ---------------------------------------------------------------------------
-# Smooth rectangle bound
-# ---------------------------------------------------------------------------
+    eps = _eps(eps, mode)
+    return _partition_form("prt", f, eps, mode, caps, [[(c, 1)] for c in f.domain()], "=")
 
 
 def srec(
@@ -400,46 +410,20 @@ def srec(
     """Smooth rectangle bound for output label z0: unlabeled weights w'_R
     with coverage in [1 - eps, 1] on f^{-1}(z0) and at most eps on the rest
     of the promise."""
-    _check_eps(eps)
+    eps = _eps(eps, mode)
     if not (0 <= z0 < f.z_size):
         raise ParameterError(f"z0 must lie in [0, {f.z_size})")
     side = f.preimage(z0)
     if not side:
         raise DegenerateInputError(f"f^(-1)({z0}) is empty")
-    caps = caps or default_caps()
-    eps = _coerce(eps, mode)
-    one = _one(mode)
     other = [cell for cell in f.domain() if f.value(*cell) != z0]
-    check_lp_caps(_rect_count(f, caps), 2 * len(side) + len(other), mode, caps)
-
-    rects, cells, covers = _incidence(f, caps)
-    cover = {cell: [one if hit else one * 0 for hit in row] for cell, row in zip(cells, covers)}
-    blocks = (("lower", side, ">=", one - eps), ("upper", side, "<=", one),
+    blocks = (("lower", side, ">=", 1 - eps), ("upper", side, "<=", 1),
               ("wrong", other, "<=", eps))
-    rows, relations, rhs, dual_keys = [], [], [], []
-    for kind, members, rel, bound in blocks:
-        for x, y in members:
-            rows.append(cover[(x, y)])
-            relations.append(rel)
-            rhs.append(bound)
-            dual_keys.append((kind, x, y))
-
-    problem = LpProblem.build("min", [one] * len(rects), rows, relations, rhs)
-    sol = lp_solve(problem, mode, caps)
-    _require_optimal(sol, "srec")
-    value = sol.objective_value
-    witness = {
-        rects[j]: sol.primal[j] for j in range(len(rects)) if sol.primal[j] > 0
-    }
-    duals = dict(zip(dual_keys, sol.dual))
-    dual_value = sum(d * b for d, b in zip(sol.dual, rhs))
-    _check_gap(value, dual_value, mode, "srec")
-    return BoundResult("srec", value, eps, witness, duals, sol.status, dual_value)
-
-
-# ---------------------------------------------------------------------------
-# Rectangle / corruption bound
-# ---------------------------------------------------------------------------
+    rows = [([(cell, 1)], False, rel, b) for _, cells, rel, b in blocks for cell in cells]
+    sol, keys, dual_value = _weight_form("srec", f, mode, caps, rows)
+    witness = {r: w for (r, _), w in zip(keys, sol.primal) if w > 0}
+    duals = dict(zip([(kind, *cell) for kind, cells, _, _ in blocks for cell in cells], sol.dual))
+    return BoundResult("srec", sol.objective_value, eps, witness, duals, sol.status, dual_value)
 
 
 def rect_dual(
@@ -450,50 +434,34 @@ def rect_dual(
     mode: str = "float",
     caps: Caps | None = None,
 ) -> BoundResult:
-    """Rectangle bound for label z in dual form: maximize
-    (1-eps)*alpha(f^{-1}(z)) - eps*alpha(rest of promise) over alpha >= 0
-    with alpha(R on the z side) - alpha(R off it) <= 1 for every rectangle.
+    """Rectangle bound for label z: maximize (1-eps)*alpha(f^{-1}(z)) -
+    eps*alpha(rest of promise) over alpha >= 0 with alpha(R on the z side) -
+    alpha(R off it) <= 1 for every rectangle.  Solved as its LP dual, the
+    weight form over the rectangles meeting the cells of alpha: coverage at
+    least 1 - eps on the z side and at most eps on the rest; alpha is read
+    off the row duals and the weights are the dual witness.
 
     A supplied mu restricts the support of alpha to the cells mu charges.
     """
-    _check_eps(eps)
+    eps = _eps(eps, mode)
     if not (0 <= z < f.z_size):
         raise ParameterError(f"z must lie in [0, {f.z_size})")
     if mu is not None:
         mu.check_compatible(f)
     caps = caps or default_caps()
-    eps = _coerce(eps, mode)
-    one = _one(mode)
-    cells = [
-        cell for cell in f.domain() if mu is None or mu.prob(*cell) > 0
-    ]
-    if not cells:
-        zero = one * 0
-        return BoundResult("rect", zero, eps, {}, {}, "optimal", zero)
-    check_rect_side(f.x_size, f.y_size, caps)
-    check_lp_caps(len(cells), _rects_meeting(f, set(cells)), mode, caps)
-
-    rects, _, covers = _incidence(f, caps)
-    signs = [one if f.value(x, y) == z else -one for x, y in cells]
-    hits = [covers[x * f.y_size + y] for x, y in cells]
-    objective = [(one - eps) if s > 0 else -eps for s in signs]
+    cells = [cell for cell in f.domain() if mu is None or mu.prob(*cell) > 0]
+    # Accept only what fits the caps as the transpose, the alpha form (|cells|
+    # vars x one row per rectangle meeting them), as bprt does: in float that
+    # keeps 5x8 and larger grids out.
+    check_lp_caps(len(cells), _rects_meeting(f, cells, caps), mode, caps)
     rows = [
-        [s if hit[j] else one * 0 for s, hit in zip(signs, hits)]
-        for j in range(len(rects))
-        if any(hit[j] for hit in hits)
+        ([(cell, 1)], False, ">=", 1 - eps) if f.value(*cell) == z
+        else ([(cell, -1)], False, ">=", -eps)
+        for cell in cells
     ]
-
-    problem = LpProblem.build("max", objective, rows, ["<="] * len(rows), [one] * len(rows))
-    sol = lp_solve(problem, mode, caps)
-    _require_optimal(sol, "rect_dual")
-    value = sol.objective_value
-    alpha = dict(zip(cells, sol.primal))
-    dual_value = sum(sol.dual)
-    _check_gap(value, dual_value, mode, "rect_dual")
-    if value < 0:
-        # alpha = 0 is always feasible; clamp the tiny negative float residue.
-        value = one * 0
-    return BoundResult("rect", value, eps, alpha, tuple(sol.dual), sol.status, dual_value)
+    sol, _, dual_value = _weight_form("rect_dual", f, mode, caps, rows, meet=cells)
+    alpha = dict(zip(cells, sol.dual))
+    return BoundResult("rect", sol.objective_value, eps, alpha, sol.primal, sol.status, dual_value)
 
 
 def corruption_witness(
@@ -553,6 +521,21 @@ def discrepancy(
 # ---------------------------------------------------------------------------
 
 
+def _chain_failures(eps, bprt_value, prt_value, srec_values, tol) -> list[str]:
+    """The broken links of 1 - eps <= bprt <= prt and srec_z <= bprt, given
+    srec as (z, value) pairs, each as a message."""
+    failures = []
+    if bprt_value < (1 - eps) - tol:
+        failures.append(f"bprt {float(bprt_value)} < 1 - eps")
+    if bprt_value > prt_value + tol:
+        failures.append(f"bprt {float(bprt_value)} > prt {float(prt_value)}")
+    return failures + [
+        f"srec_{z} {float(s)} > bprt {float(bprt_value)}"
+        for z, s in srec_values
+        if s > bprt_value + tol
+    ]
+
+
 def verify_bound_chain(
     f: PartialFunction, eps, mode: str = "float", caps: Caps | None = None
 ) -> ChainReport:
@@ -562,23 +545,12 @@ def verify_bound_chain(
     tol = 0 if mode == "rational" else _GAP_TOL
     b = bprt(f, eps, mode, caps)
     p = prt(f, eps, mode, caps)
-    srec_vals = []
-    failures = []
-    eps_c = _coerce(eps, mode)
-    if b.value < (1 - eps_c) - tol:
-        failures.append(f"bprt {float(b.value)} < 1 - eps")
-    if b.value > p.value + tol:
-        failures.append(f"bprt {float(b.value)} > prt {float(p.value)}")
-    for z in range(f.z_size):
-        if not f.preimage(z):
-            continue
-        s = srec(f, eps, z, mode, caps)
-        srec_vals.append((z, s.value))
-        if s.value > b.value + tol:
-            failures.append(f"srec_{z} {float(s.value)} > bprt {float(b.value)}")
-    return ChainReport(
-        eps_c, b.value, p.value, tuple(srec_vals), tol, not failures, tuple(failures)
+    srec_vals = tuple(
+        (z, srec(f, eps, z, mode, caps).value) for z in range(f.z_size) if f.preimage(z)
     )
+    eps_c = _coerce(eps, mode)
+    failures = _chain_failures(eps_c, b.value, p.value, srec_vals, tol)
+    return ChainReport(eps_c, b.value, p.value, srec_vals, tol, not failures, tuple(failures))
 
 
 def check_witness(

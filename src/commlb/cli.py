@@ -13,7 +13,6 @@ file and renamed into place so a failed run never leaves a partial file.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import tempfile
@@ -123,12 +122,8 @@ def cmd_bounds(args) -> int:
                 res = bnd.rect_dual(f, eps, z, None, mode, caps)
                 rows.append(bnd.csv_row(res, f"{args.fn}:z={z}", f))
         elif name == "disc":
-            value = float(bnd.discrepancy(f, mu, caps))
-            log2_value = repr(math.log2(value)) if value > 0 else "-inf"
-            rows.append(
-                f"disc,{bnd.csv_label(args.fn)},{f.x_size},{f.y_size},{f.z_size},"
-                f"{float(eps)!r},{value!r},{log2_value},exact"
-            )
+            res = bnd.BoundResult("disc", bnd.discrepancy(f, mu, caps), eps, None, None, "exact")
+            rows.append(bnd.csv_row(res, args.fn, f))
         else:
             raise CommlbError(f"unknown bound {name!r}")
     _write_output(rows, args.out)

@@ -32,7 +32,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .caps import Caps, default_caps
-from .core import FiniteDistribution, InputDistribution, Number, PartialFunction, Rectangle
+from .core import FiniteDistribution, InputDistribution, Number, PartialFunction, Rectangle, _pow2
 from .errors import (
     CapacityError,
     ConditioningError,
@@ -49,12 +49,10 @@ from .protocol import (
 
 __all__ = [
     "ExperimentInputs",
-    "ExperimentOutcome",
     "ExperimentTable",
     "CompressionParameters",
     "CompressionReport",
     "experiment_probabilities",
-    "run_experiment",
     "compression_parameters",
     "run_zero_comm",
     "exact_output_distribution",
@@ -68,14 +66,6 @@ __all__ = [
 BOT = -1  # abort marker in output alphabets
 
 _SUM_TOL = 1e-9
-
-
-def _pow2(delta_exp) -> Number:
-    if isinstance(delta_exp, int) or (
-        isinstance(delta_exp, Fraction) and delta_exp.denominator == 1
-    ):
-        return Fraction(2) ** int(delta_exp)
-    return 2.0 ** float(delta_exp)
 
 
 @dataclass(frozen=True)
@@ -124,16 +114,6 @@ class ExperimentInputs:
 
 
 @dataclass(frozen=True)
-class ExperimentOutcome:
-    kind: Literal["both", "alice_only", "bob_only", "neither"]
-    u: int | None
-
-    def __post_init__(self) -> None:
-        if (self.kind == "neither") != (self.u is None):
-            raise ParameterError("u must be present exactly when someone accepted")
-
-
-@dataclass(frozen=True)
 class ExperimentTable:
     """Exact per-u category probabilities of one experiment."""
 
@@ -172,24 +152,6 @@ def experiment_probabilities(inp: ExperimentInputs) -> ExperimentTable:
         bob_only.append(p_bob - p_both)
     covered = sum(both) + sum(alice_only) + sum(bob_only)
     return ExperimentTable(tuple(both), tuple(alice_only), tuple(bob_only), 1 - covered)
-
-
-def run_experiment(inp: ExperimentInputs, rng: np.random.Generator) -> ExperimentOutcome:
-    """Sample one experiment from an externally seeded stream."""
-    size = inp.universe_size
-    scale = float(_pow2(inp.delta_exp))
-    u = int(rng.integers(size))
-    alpha = rng.random() * scale
-    beta = rng.random() * scale
-    alice = alpha <= float(inp.p_a[u]) and beta <= scale * float(inp.q_a[u])
-    bob = alpha <= scale * float(inp.q_b[u]) and beta <= float(inp.p_b[u])
-    if alice and bob:
-        return ExperimentOutcome("both", u)
-    if alice:
-        return ExperimentOutcome("alice_only", u)
-    if bob:
-        return ExperimentOutcome("bob_only", u)
-    return ExperimentOutcome("neither", None)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +314,9 @@ def _party_maps(rng, n, params, a_rows, b_rows, outputs):
             hit = (alpha <= np.take(t_alpha, u)) & (beta <= np.take(t_beta, u)) & match
             first = hit.argmax(axis=1)
             b_maps[:, j] = np.where(hit[runs, first], outputs[u[runs, first]], BOT)
+        # Free this block's coins before the caller runs and the next block
+        # draws, so that two blocks are never resident at once.
+        del u, alpha, beta, match
         yield a_maps, b_maps
 
 

@@ -43,6 +43,15 @@ def _is_exact(values: Iterable) -> bool:
     return all(isinstance(v, (Fraction, int)) for v in values)
 
 
+def _pow2(delta_exp) -> Number:
+    """2**delta_exp: exact for an integral int or Fraction, else a float."""
+    if isinstance(delta_exp, int) or (
+        isinstance(delta_exp, Fraction) and delta_exp.denominator == 1
+    ):
+        return Fraction(2) ** int(delta_exp)
+    return 2.0 ** float(delta_exp)
+
+
 # ---------------------------------------------------------------------------
 # Partial functions and input distributions
 # ---------------------------------------------------------------------------
@@ -407,12 +416,7 @@ def bad_set(
     _check_same_universe(tau, nu)
     if delta_exp <= 0:
         raise ParameterError("delta_exp must be positive")
-    if isinstance(delta_exp, int) or (
-        isinstance(delta_exp, Fraction) and delta_exp.denominator == 1
-    ):
-        scale: Number = Fraction(2) ** int(delta_exp)
-    else:
-        scale = 2.0**delta_exp
+    scale = _pow2(delta_exp)
     members = 0
     for u, (t, n) in enumerate(zip(tau.weights, nu.weights)):
         if scale * n < t:

@@ -200,7 +200,7 @@ def _simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[int]]:
     else:
         num, zero, one, path = float, 0.0, 1.0, "float"
         feas_tol, zero_tol, gain_tol = _FEAS_TOL, 1e-7, 1e-12
-        pivots = range(_PIVOT_LIMIT_FACTOR * (m + total))
+        pivots = range(_PIVOT_LIMIT_FACTOR * (m + total) + 1)  # the last pass only prices
 
     T = np.full((m, total + 1), zero, dtype=object if exact else float)
     basis = []

@@ -219,17 +219,12 @@ def check_chain(caps: Caps | None = None, perturb: bool = False) -> CheckResult:
     tol = 1e-6
     shift = 1e-3 if perturb else 0.0  # self-test hook: breaks the ordering
     for label, f, eps, results, srecs in _corpus_sweep(caps):
-        b, p = results[0], results[1]
-        bval = float(b.value) + shift
-        if bval < (1 - eps) - tol:
-            return CheckResult(4, "bound-chain", False, f"{label} eps={eps}: bprt < 1-eps")
-        if bval > float(p.value) + tol:
-            return CheckResult(4, "bound-chain", False,
-                               f"{label} eps={eps}: bprt {bval} > prt {float(p.value)}")
-        for z, s in srecs.items():
-            if float(s.value) > bval + tol:
-                return CheckResult(4, "bound-chain", False,
-                                   f"{label} eps={eps}: srec_{z} > bprt")
+        failures = bnd._chain_failures(
+            eps, float(results[0].value) + shift, float(results[1].value),
+            [(z, float(s.value)) for z, s in srecs.items()], tol,
+        )
+        if failures:
+            return CheckResult(4, "bound-chain", False, f"{label} eps={eps}: {failures[0]}")
     eq1 = cps.make_function("corpus:EQ,1")
     if bnd.prt(eq1, Fraction(0), "rational", caps).value != 4:
         return CheckResult(4, "bound-chain", False, "prt_0(EQ_1) != 4 exactly")

@@ -82,6 +82,25 @@ def _alpha_beta_bprt(f: PartialFunction, eps, mode: str):
     return lp_solve(problem, mode).objective_value
 
 
+def _alpha_rect(f: PartialFunction, eps, z: int, mu, mode: str):
+    """rect in its alpha form, the reference for the weight-form LP:
+    maximize (1-eps)*alpha(f^{-1}(z)) - eps*alpha(rest of promise) over alpha
+    on the promise cells mu charges, with alpha(R on the z side) - alpha(R
+    off it) at most 1 for every rectangle meeting them."""
+    one = Fraction(1) if mode == "rational" else 1.0
+    cells = [c for c in f.domain() if mu is None or mu.prob(*c) > 0]
+    signs = [one if f.value(*c) == z else -one for c in cells]
+    rects = [r for r in enumerate_rectangles(f.x_size, f.y_size) if not r.is_empty]
+    rows = [
+        [s if r.contains(*c) else 0 * one for s, c in zip(signs, cells)]
+        for r in rects
+        if any(r.contains(*c) for c in cells)
+    ]
+    objective = [one - eps if s > 0 else -eps for s in signs]
+    problem = LpProblem.build("max", objective, rows, ["<="] * len(rows), [one] * len(rows))
+    return lp_solve(problem, mode).objective_value
+
+
 # ---------------------------------------------------------------------------
 # bprt_mu
 # ---------------------------------------------------------------------------
@@ -242,6 +261,42 @@ def test_rect_dual_constant_function():
 def test_rect_dual_empty_preimage_is_zero():
     f = PartialFunction.from_rows([[0, 0], [0, 0]], z_size=2)
     assert abs(rect_dual(f, 0.1, 1).value) < 1e-9
+
+
+def test_rect_dual_without_cells_is_zero():
+    # mu charges only cells off the promise: an LP with no rows and no
+    # rectangles, whose optimum is 0.
+    f = PartialFunction.from_rows([[0, None], [None, 1]], z_size=2)
+    mu = InputDistribution(((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0))))
+    for mode in ("float", "rational"):
+        r = rect_dual(f, 0, 0, mu, mode)
+        assert r.value == 0 and r.primal_witness == {} and r.dual_witness == ()
+    assert check_witness(r, f) == (True, 0)
+
+
+def test_rect_matches_dual_form():
+    ghd = make_function("GHD,2,1")
+    # Charges only the first two columns, so alpha's support shrinks.
+    sparse = InputDistribution(tuple(
+        (Fraction(1, 8), Fraction(1, 8), Fraction(0), Fraction(0)) for _ in range(4)
+    ))
+    for label, f in corpus_functions():
+        for z in range(f.z_size):
+            if f.x_size == 2:
+                for eps in (Fraction(0), Fraction(1, 10), Fraction(1, 4)):
+                    ref = _alpha_rect(f, eps, z, None, "rational")
+                    r = rect_dual(f, eps, z, None, "rational")
+                    assert r.value == ref, (label, eps, z)
+                    assert check_witness(r, f) == (True, ref), (label, eps, z)
+                continue
+            mus = (None, sparse) if f == ghd else (None,)
+            for mu in mus:
+                for eps in (0.0, 0.1):
+                    ref = _alpha_rect(f, eps, z, mu, "float")
+                    r = rect_dual(f, eps, z, mu)
+                    assert abs(r.value - ref) < 1e-9, (label, eps, z, mu)
+                    feasible, objective = check_witness(r, f)
+                    assert feasible and abs(objective - ref) < 1e-9, (label, eps, z, mu)
 
 
 def test_rect_dual_below_srec_on_corpus():
@@ -417,9 +472,15 @@ def test_lp_bounds_check_caps_before_building(monkeypatch):
     wide = PartialFunction.from_rows(
         [[int(x == y % 4) for y in range(8)] for x in range(4)], 2
     )
+    # rect_dual on 5x8 fits as a weight-form LP (7,905 vars x 40 rows) but
+    # not as its alpha form (40 vars x 7,905 rows).
+    wider = PartialFunction.from_rows(
+        [[int(x == y % 5) for y in range(8)] for x in range(5)], 2
+    )
     calls = [
         lambda: bprt(f, 0.0),
         lambda: bprt(wide, 0.1),
+        lambda: rect_dual(wider, 0.1, 1),
         lambda: bprt_mu(f, mu, 0.0),
         lambda: prt(f, 0.0),
         lambda: srec(f, 0.0, 1),
@@ -433,8 +494,8 @@ def test_lp_bounds_check_caps_before_building(monkeypatch):
 def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
     # The early cap check must accept and reject exactly what lp_solve's own
     # check would, so it has to see the shape of the LP that gets built.
-    # bprt alone checks one more shape first: the transpose, its (alpha,
-    # beta) form.
+    # bprt and rect_dual check one more shape first: the transpose, their
+    # (alpha, beta) and alpha forms.
     checked, solved = [], []
     real_check, real_solve = bounds.check_lp_caps, bounds.lp_solve
 
@@ -461,6 +522,7 @@ def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
         for z in range(f.z_size):
             srec(f, 0.1, z)
             rect_dual(f, 0.1, z, mu)
+            assert checked.pop(-2) == solved[-1][::-1]
     assert checked == solved
 
 

@@ -59,8 +59,7 @@ def test_bounds_disc_eq1(capsys):
                         "--bound", "disc")
     assert code == EXIT_OK
     row = out.strip().split("\n")[1]
-    assert row.startswith('disc,"corpus:EQ,1",')
-    assert _csv_value(row) == pytest.approx(0.25, abs=1e-12)
+    assert row == 'disc,"corpus:EQ,1",2,2,2,0.0,0.25,-2.0,exact'
 
 
 def test_bounds_multiple_and_rational(capsys):

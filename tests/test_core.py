@@ -1,11 +1,14 @@
 """Primitives: partial functions, distributions, rectangles, divergences."""
 
+import importlib
 import math
+import pkgutil
 import random
 from fractions import Fraction
 
 import pytest
 
+import commlb
 from commlb.caps import Caps, default_caps
 from commlb.core import (
     BadSet,
@@ -26,6 +29,13 @@ from commlb.errors import (
     FormatError,
     ParameterError,
 )
+
+
+def test_every_exported_name_resolves():
+    for info in pkgutil.iter_modules(commlb.__path__):
+        module = importlib.import_module(f"commlb.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (info.name, name)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,14 @@ def test_equality_rows():
     assert abs(sol.primal[0] - 3) < 1e-9
 
 
+def test_empty_lp():
+    # No variables and no rows: the optimum is 0 at the empty point.
+    for mode in ("float", "rational"):
+        sol = _solve("min", [], [], [], [], mode)
+        assert sol.status == "optimal" and sol.objective_value == 0
+        assert sol.primal == () and sol.dual == ()
+
+
 def test_infeasible():
     sol = _solve("min", [1], [[1], [1]], ["<=", ">="], [1, 2])
     assert sol.status == "infeasible"
