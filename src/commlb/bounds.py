@@ -10,9 +10,10 @@ Five quantities over a partial function f on an x_size * y_size grid:
   witness construction (``corruption_witness``);
 * discrepancy (``discrepancy``).
 
-All of them stand on one rectangle layer.  ``_incidence`` lists the
-nonempty rectangles and which cells each contains, and every LP row is read
-off it.  ``_best_rectangle`` finds the largest and smallest total weight
+All of them stand on one rectangle layer.  ``_rect_incidence`` builds the
+cell x rectangle incidence of the nonempty rectangles as one boolean numpy
+matrix from their row and column bit masks, and every LP column is read off
+it.  ``_best_rectangle`` finds the largest and smallest total weight
 over all rectangles by enumerating row sets only; it decides discrepancy,
 the feasibility of a corruption witness and the rect witness check.
 
@@ -23,9 +24,8 @@ rows over the rectangles containing each cell.  ``bprt``, ``bprt_mu`` and
 relation; ``srec`` weighs one label with coverage rows in [1 - eps, 1] on
 its side and at most eps off it; ``rect_dual`` is the LP dual of its alpha
 form, over the rectangles meeting alpha's support, and reads alpha off the
-row duals.  The builder computes the LP's shape before it builds a row, so
-an instance over the caps is rejected at once; ``bprt`` and ``rect_dual``
-must also fit as their transposed (alpha, beta) and alpha forms.
+row duals.  The builder computes the LP's shape before it builds the
+incidence, so an instance over the caps is rejected at once.
 
 Every LP result carries both a primal and a dual witness and the two
 objective values are required to agree (1e-6 float, exact rational).  The
@@ -38,6 +38,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .caps import Caps, default_caps
 from .core import (
     InputDistribution,
@@ -46,7 +48,6 @@ from .core import (
     Rectangle,
     _is_exact,
     check_rect_side,
-    enumerate_rectangles,
     rectangle_count,
 )
 from .errors import DegenerateInputError, ParameterError, SolverError
@@ -177,10 +178,6 @@ def _eps(eps, mode: str) -> Number:
     return _coerce(eps, mode)
 
 
-def _one(mode: str) -> Number:
-    return Fraction(1) if mode == "rational" else 1.0
-
-
 def _coerce(v, mode: str) -> Number:
     return _exact(v) if mode == "rational" else float(v)
 
@@ -217,18 +214,20 @@ def _cells(f: PartialFunction) -> list[tuple[int, int]]:
     return [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
 
 
-def _incidence(
-    f: PartialFunction, meet, caps: Caps
-) -> tuple[list[Rectangle], dict[tuple[int, int], list[int]]]:
-    """The nonempty rectangles in enumeration order (only those containing
-    one of the cells `meet`, unless it is None), and for every cell the
-    indices of the rectangles containing it.  Every LP row is read off this
-    incidence."""
-    rects = [
-        r for r in enumerate_rectangles(f.x_size, f.y_size, caps)
-        if not r.is_empty and (meet is None or any(r.contains(*c) for c in meet))
-    ]
-    return rects, {c: [j for j, r in enumerate(rects) if r.contains(*c)] for c in _cells(f)}
+def _rect_incidence(f: PartialFunction, meet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row and column masks of the nonempty rectangles in enumeration
+    order (only those containing one of the cells `meet`, unless it is
+    None), and the cell x rectangle incidence: entry (x * y_size + y, k)
+    says whether rectangle k contains (x, y).  Every LP column is read off
+    it."""
+    row_masks = np.repeat(np.arange(1, 1 << f.x_size), (1 << f.y_size) - 1)
+    col_masks = np.tile(np.arange(1, 1 << f.y_size), (1 << f.x_size) - 1)
+    xs, ys = np.divmod(np.arange(f.x_size * f.y_size), f.y_size)
+    incidence = ((row_masks >> xs[:, None]) & (col_masks >> ys[:, None]) & 1).astype(bool)
+    if meet is not None:
+        keep = incidence[[x * f.y_size + y for x, y in meet]].any(axis=0)
+        row_masks, col_masks, incidence = row_masks[keep], col_masks[keep], incidence[:, keep]
+    return row_masks, col_masks, incidence
 
 
 def _column_sums(grid):
@@ -287,7 +286,7 @@ def _rects_meeting(f: PartialFunction, cells, caps: Caps) -> int:
 
 def _weight_form(
     name: str, f: PartialFunction, mode: str, caps: Caps | None, rows, n_labels=1, meet=None
-) -> tuple[LpSolution, list[tuple[Rectangle, int]], Number]:
+) -> tuple[LpSolution, list[tuple[Rectangle, int, Number]], Number]:
     """The one LP of all five bounds: minimize sum(w) over weights
     w_{R,z} >= 0, one per nonempty rectangle R (only those meeting the cells
     `meet`, unless it is None) in enumeration order and label z < n_labels.
@@ -296,27 +295,27 @@ def _weight_form(
     the labels its row counts: those answering the cell correctly (any label
     off the promise) in a `correct` row, every label otherwise.
 
-    Returns the optimal solution, the (rectangle, label) key of each column,
-    and the dual objective dual . rhs, checked against the value."""
+    Returns the optimal solution, the (rectangle, label, weight) triples of
+    its positive weights, and the dual objective dual . rhs, checked against
+    the value."""
     caps = caps or default_caps()
     check_lp_caps(_rects_meeting(f, meet, caps) * n_labels, len(rows), mode, caps)
-    one = _one(mode)
-    rects, hits = _incidence(f, meet, caps)
-    nvars = len(rects) * n_labels  # variable (j, z) sits at j * n_labels + z
-    lp_rows = []
-    for terms, correct, _, _ in rows:
-        row = [_coerce(0, mode)] * nvars
+    row_masks, col_masks, incidence = _rect_incidence(f, meet)
+    dtype = float if mode == "float" else object
+    # Column (k, z) sits at k * n_labels + z.
+    matrix = np.zeros((len(rows), len(row_masks), n_labels), dtype)
+    for i, (terms, correct, _, _) in enumerate(rows):
         for (x, y), c in terms:
-            c = _coerce(c, mode)
             fz = f.value(x, y)
-            labels = range(n_labels) if fz is None or not correct else (fz,)
-            for j in hits[(x, y)]:
-                for z in labels:
-                    row[j * n_labels + z] += c
-        lp_rows.append(row)
-    rhs = [one * b for _, _, _, b in rows]
-    relations = [rel for _, _, rel, _ in rows]
-    sol = lp_solve(LpProblem.build("min", [one] * nvars, lp_rows, relations, rhs), mode, caps)
+            labels = slice(None) if fz is None or not correct else fz
+            matrix[i, incidence[x * f.y_size + y], labels] += _coerce(c, mode)
+    nvars = len(row_masks) * n_labels
+    rhs = np.array([b for _, _, _, b in rows], dtype)
+    problem = LpProblem(
+        "min", np.ones(nvars, dtype), matrix.reshape(len(rows), nvars),
+        tuple(rel for _, _, rel, _ in rows), rhs,
+    )
+    sol = lp_solve(problem, mode, caps)
     if sol.status != "optimal":
         raise SolverError(f"{name} LP terminated {sol.status}")
     dual_value = sum(d * b for d, b in zip(sol.dual, rhs))
@@ -324,7 +323,12 @@ def _weight_form(
     limit = 0 if mode == "rational" else _GAP_TOL
     if gap > limit:
         raise SolverError(f"{name}: primal/dual gap {float(gap)} exceeds {limit}")
-    return sol, [(r, z) for r in rects for z in range(n_labels)], dual_value
+    support = [
+        (Rectangle(int(row_masks[j // n_labels]), int(col_masks[j // n_labels])), j % n_labels, w)
+        for j, w in enumerate(sol.primal)
+        if w > 0
+    ]
+    return sol, support, dual_value
 
 
 def _partition_form(
@@ -341,11 +345,9 @@ def _partition_form(
     cells = _cells(f)
     rows = [(terms, True, ">=", 1 - eps) for terms in correct]
     rows += [([(cell, 1)], False, coverage, 1) for cell in cells]
-    sol, keys, dual_value = _weight_form(name, f, mode, caps, rows, f.z_size)
+    sol, support, dual_value = _weight_form(name, f, mode, caps, rows, f.z_size)
 
-    strategy = _strategy_from_weights(
-        [(r, z, w) for (r, z), w in zip(keys, sol.primal) if w > 0], f.x_size, f.y_size
-    )
+    strategy = _strategy_from_weights(support, f.x_size, f.y_size)
     alpha: dict[tuple[int, int], Number] = {}
     for terms, d in zip(correct, sol.dual):
         for cell, w in terms:
@@ -384,14 +386,8 @@ def bprt(
     bprt_mu): per-input correctness >= 1 - eps (any label off the promise)
     and per-input coverage <= 1."""
     eps = _eps(eps, mode)
-    caps = caps or default_caps()
-    cells = _cells(f)
-    # Accept only what fits the caps as the transposed (alpha, beta) form of
-    # this LP, 2|cells| vars x R|Z| rows: in float that is tighter, and the
-    # float simplex fails on the larger weight-form LPs (4x8 grids) that the
-    # caps alone would let through.
-    check_lp_caps(2 * len(cells), _rects_meeting(f, None, caps) * f.z_size, mode, caps)
-    return _partition_form("bprt", f, eps, mode, caps, [[(cell, 1)] for cell in cells], "<=")
+    correct = [[(cell, 1)] for cell in _cells(f)]
+    return _partition_form("bprt", f, eps, mode, caps, correct, "<=")
 
 
 def prt(
@@ -420,8 +416,8 @@ def srec(
     blocks = (("lower", side, ">=", 1 - eps), ("upper", side, "<=", 1),
               ("wrong", other, "<=", eps))
     rows = [([(cell, 1)], False, rel, b) for _, cells, rel, b in blocks for cell in cells]
-    sol, keys, dual_value = _weight_form("srec", f, mode, caps, rows)
-    witness = {r: w for (r, _), w in zip(keys, sol.primal) if w > 0}
+    sol, support, dual_value = _weight_form("srec", f, mode, caps, rows)
+    witness = {r: w for r, _, w in support}
     duals = dict(zip([(kind, *cell) for kind, cells, _, _ in blocks for cell in cells], sol.dual))
     return BoundResult("srec", sol.objective_value, eps, witness, duals, sol.status, dual_value)
 
@@ -448,12 +444,7 @@ def rect_dual(
         raise ParameterError(f"z must lie in [0, {f.z_size})")
     if mu is not None:
         mu.check_compatible(f)
-    caps = caps or default_caps()
     cells = [cell for cell in f.domain() if mu is None or mu.prob(*cell) > 0]
-    # Accept only what fits the caps as the transpose, the alpha form (|cells|
-    # vars x one row per rectangle meeting them), as bprt does: in float that
-    # keeps 5x8 and larger grids out.
-    check_lp_caps(len(cells), _rects_meeting(f, cells, caps), mode, caps)
     rows = [
         ([(cell, 1)], False, ">=", 1 - eps) if f.value(*cell) == z
         else ([(cell, -1)], False, ">=", -eps)

@@ -1,17 +1,24 @@
-"""Self-contained dense LP engine.
+"""Self-contained LP engine over a dense constraint matrix.
 
-One two-phase primal tableau simplex, run in one of two arithmetics: a
-numpy float64 tableau, or an object-dtype tableau of ``fractions.Fraction``
-with every tolerance exactly 0.  Both price by Dantzig's rule and switch to
-Bland's least-index rule after ``_STALL_LIMIT`` pivots that do not lower
-the objective (the bound LPs are highly degenerate).  The objective never
-rises, so a cycle can only run through pivots that leave it unchanged, and
-under Bland's rule those cannot cycle: the exact simplex terminates without
-a pivot limit.  Two modes use the engine:
+``LpProblem`` holds min/max c.x subject to A x (relations) b, x >= 0, with
+A an m x n numpy array holding one column per variable: float64, or an
+object array of exact numbers (ints and ``fractions.Fraction``).  One
+two-phase revised primal simplex solves it in either arithmetic.  It keeps
+an explicit m x m basis inverse B^-1, with the basic solution B^-1 b beside
+it, and updates both by one eta step per pivot (Chvatal, "Linear
+Programming", 1983, ch. 7-8).  It prices d = c - (c_B B^-1) A by Dantzig's
+rule, breaking ratio-test ties by the largest pivot element, and switches to
+Bland's least-index rule after ``_STALL_LIMIT`` pivots that do not lower the
+objective (the bound LPs are highly degenerate).  The objective never rises,
+so a cycle can only run through pivots that leave it unchanged, and under
+Bland's rule those cannot cycle: the exact simplex terminates without a
+pivot limit.  In float64 the rounding of the eta steps accumulates, so B^-1
+is refactorized from A's basic columns every ``_REFACTOR_EVERY`` pivots;
+exact arithmetic needs no refactorization.  Two modes use the engine:
 
 * ``float`` returns the float simplex's solution as it is;
 * ``rational`` solves the float simplex's final basis exactly against the
-  problem's own rows and returns that solution only when it is exactly
+  problem's own columns and returns that solution only when it is exactly
   primal and dual feasible, hence optimal (the method of
   Applegate-Cook-Dash-Espinoza, "Exact solutions to linear programming
   problems", ORL 2007).  When the float simplex fails, reports infeasible or
@@ -19,7 +26,8 @@ a pivot limit.  Two modes use the engine:
   the problem from scratch, so exactness is guaranteed either way.
 
 ``LpSolution.path`` says which way a solution came: ``"float"``,
-``"certified"`` (an exactly checked float basis) or ``"exact"``.
+``"certified"`` (an exactly checked float basis) or ``"exact"``, and
+``pivots`` and ``refactorizations`` count the simplex's work.
 
 Dual multipliers are recovered from the final basis and reported in the
 standard sign convention: for a minimization problem, ``>=`` rows get
@@ -29,6 +37,7 @@ maximization), and the optimal value always equals ``dual . rhs``.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -48,17 +57,33 @@ Mode = Literal["float", "rational"]
 _FEAS_TOL = 1e-9
 _STALL_LIMIT = 200
 _PIVOT_LIMIT_FACTOR = 60
+_REFACTOR_EVERY = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpProblem:
-    """min/max c.x subject to rows, with all variables nonnegative."""
+    """min/max c.x subject to A x (relations) rhs, with all variables
+    nonnegative.  `matrix` is A, m x n, and `objective` and `rhs` are
+    vectors: all float64, or object arrays of ints and Fractions.  `build`
+    makes one from Python sequences."""
 
     sense: Literal["min", "max"]
-    objective: tuple
-    rows: tuple
+    objective: np.ndarray
+    matrix: np.ndarray
     relations: tuple
-    rhs: tuple
+    rhs: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.sense not in ("min", "max"):
+            raise ParameterError(f"unknown sense {self.sense!r}")
+        if any(rel not in ("<=", ">=", "=") for rel in self.relations):
+            raise ParameterError("relations must be one of <=, >=, =")
+        m, n = len(self.relations), len(self.objective)
+        if self.matrix.shape != (m, n) or len(self.rhs) != m:
+            raise DimensionError("matrix, objective, relations and rhs shapes differ")
+        for values in (self.objective, self.matrix, self.rhs):
+            if values.dtype != object and not np.isfinite(values).all():
+                raise ParameterError("non-finite coefficient")
 
     @classmethod
     def build(
@@ -69,33 +94,30 @@ class LpProblem:
         relations: Sequence[str],
         rhs: Sequence,
     ) -> "LpProblem":
-        if sense not in ("min", "max"):
-            raise ParameterError(f"unknown sense {sense!r}")
-        n = len(objective)
+        """An LpProblem from rows given as sequences of numbers: float64
+        when every number is a float, else exact (floats through Fraction)."""
+        n, m = len(objective), len(rows)
         if not all(len(row) == n for row in rows):
             raise DimensionError("row length must equal variable count")
-        if not (len(rows) == len(relations) == len(rhs)):
+        if not (m == len(relations) == len(rhs)):
             raise DimensionError("rows, relations, rhs lengths differ")
-        if any(rel not in ("<=", ">=", "=") for rel in relations):
-            raise ParameterError("relations must be one of <=, >=, =")
-        for v in itertools.chain(objective, rhs, *rows):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ParameterError("non-finite coefficient")
-        return cls(
-            sense,
-            tuple(objective),
-            tuple(tuple(row) for row in rows),
-            tuple(relations),
-            tuple(rhs),
-        )
+        values = [*objective, *rhs, *itertools.chain.from_iterable(rows)]
+        floats = [v for v in values if isinstance(v, float)]
+        if not np.isfinite(floats).all():
+            raise ParameterError("non-finite coefficient")
+        if len(floats) == len(values):
+            data = np.array(values, dtype=float)
+        else:
+            data = np.array([_exact(v) for v in values], dtype=object)
+        return cls(sense, data[:n], data[n + m:].reshape(m, n), tuple(relations), data[n:n + m])
 
     @property
     def num_vars(self) -> int:
-        return len(self.objective)
+        return self.matrix.shape[1]
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -105,6 +127,8 @@ class LpSolution:
     primal: tuple | None
     dual: tuple | None
     path: Literal["float", "certified", "exact"]
+    pivots: tuple[int, int] = (0, 0)  # simplex pivots in phase 1 and phase 2
+    refactorizations: int = 0
 
     def primal_value(self, j: int):
         assert self.primal is not None
@@ -114,7 +138,9 @@ class LpSolution:
 def lp_solve(problem: LpProblem, mode: Mode = "float", caps: Caps | None = None) -> LpSolution:
     """Solve an LP, returning primal and dual witnesses when optimal."""
     check_lp_caps(problem.num_vars, problem.num_rows, mode, caps or default_caps())
-    return _simplex(problem, exact=False)[0] if mode == "float" else _solve_rational(problem)
+    if mode == "float":
+        return _revised_simplex(problem, exact=False)[0]
+    return _solve_rational(problem)
 
 
 def check_lp_caps(num_vars: int, num_rows: int, mode: Mode, caps: Caps) -> None:
@@ -134,196 +160,170 @@ def check_lp_caps(num_vars: int, num_rows: int, mode: Mode, caps: Caps) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Shared standard-form setup
+# The simplex: one revised routine, float64 or exact Fraction arithmetic
 # ---------------------------------------------------------------------------
 
 
-def _standardize(problem: LpProblem, exact: bool):
-    """Return (c, rows, rhs, flips, minimize-sign).
+def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[int]]:
+    """The two-phase revised simplex and its final basis, one column per
+    row: column j < n is structural, the slacks of the non-'=' rows follow
+    in row order, and the artificial of row i is column n + (number of
+    slacks) + i.  Rows are negated where needed so that every rhs is
+    nonnegative; the duals are mapped back.
 
-    Rows are normalized so every right-hand side is nonnegative; ``flips``
-    records rows whose sign (and relation) was reversed.  The objective is
-    negated for max problems so the core always minimizes.
+    With `exact` every number is an int or a Fraction (numpy object arrays),
+    every tolerance is 0 and there is no pivot limit; otherwise the arrays
+    are float64 and the primal is clamped at 0.
     """
-    conv = Fraction if exact else float
-    sign = 1 if problem.sense == "min" else -1
-    c = [conv(v) * sign for v in problem.objective]
-    rows, rels, rhs, flips = [], [], [], []
-    for row, rel, b in zip(problem.rows, problem.relations, problem.rhs):
-        row = [conv(v) for v in row]
-        b = conv(b)
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            flips.append(True)
-        else:
-            flips.append(False)
-        rows.append(row)
-        rels.append(rel)
-        rhs.append(b)
-    return c, rows, rels, rhs, flips, sign
-
-
-def _finalize_duals(problem: LpProblem, y_norm, flips, sign):
-    """Map duals of the normalized minimization back to the original problem."""
-    duals = []
-    for yi, flipped in zip(y_norm, flips):
-        v = -yi if flipped else yi
-        duals.append(v * sign)
-    return tuple(duals)
-
-
-# ---------------------------------------------------------------------------
-# The simplex: one tableau routine, float64 or exact Fraction arithmetic
-# ---------------------------------------------------------------------------
-
-
-def _simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[int]]:
-    """The two-phase tableau simplex and its final basis, one column per row:
-    column j < n is structural, the slacks of the non-'=' rows follow in row
-    order, and the artificial of row i is column n + (number of slacks) + i.
-
-    With `exact` the tableau holds `Fraction`s (numpy object dtype), every
-    tolerance is 0 and there is no pivot limit; otherwise it is float64 and
-    the primal is clamped at 0.
-    """
-    c, rows, rels, rhs, flips, sign = _standardize(problem, exact)
-    n, m = len(c), len(rows)
-    n_slack = sum(1 for r in rels if r != "=")
-    art = n + n_slack  # the artificial of row i is column art + i
-    total = art + m  # artificials for every row keep unit columns handy
+    m, n = problem.matrix.shape
+    sign = 1 if problem.sense == "min" else -1  # minimize sign * c.x
     if exact:
+        A, b, c = (_exact_array(v) for v in (problem.matrix, problem.rhs, problem.objective))
         num, zero, one, path = Fraction, Fraction(0), Fraction(1), "exact"
         feas_tol = zero_tol = gain_tol = 0
-        pivots = itertools.count()
     else:
+        A, b, c = (v.astype(float) for v in (problem.matrix, problem.rhs, problem.objective))
         num, zero, one, path = float, 0.0, 1.0, "float"
         feas_tol, zero_tol, gain_tol = _FEAS_TOL, 1e-7, 1e-12
-        pivots = range(_PIVOT_LIMIT_FACTOR * (m + total) + 1)  # the last pass only prices
+    flip = b < 0
+    A, b = np.where(flip[:, None], -A, A), np.where(flip, -b, b)
+    rels = [{"<=": ">=", ">=": "<="}.get(r, r) if f else r for r, f in zip(problem.relations, flip)]
 
-    T = np.full((m, total + 1), zero, dtype=object if exact else float)
-    basis = []
-    col = n
-    for i, rel in enumerate(rels):
-        T[i, :n] = rows[i]
-        T[i, total] = rhs[i]
-        T[i, art + i] = one
-        if rel == "=":
-            basis.append(art + i)
-        else:  # '<=' rows start with their slack basic
-            T[i, col] = one if rel == "<=" else -one
-            basis.append(col if rel == "<=" else art + i)
-            col += 1
-    artificial = np.arange(total) >= art
+    slack_rows = [i for i, rel in enumerate(rels) if rel != "="]
+    art = n + len(slack_rows)  # the artificial of row i is column art + i
+    total = art + m  # artificials for every row keep the first basis the identity
+    ext = np.full((m, total), zero, dtype=A.dtype)
+    ext[:, :n] = A
+    ext[slack_rows, range(n, art)] = [one if rels[i] == "<=" else -one for i in slack_rows]
+    ext[range(m), range(art, total)] = one
+    basis = np.arange(art, total)  # '<=' rows start with their slack basic
+    for k, i in enumerate(slack_rows):
+        if rels[i] == "<=":
+            basis[i] = n + k
+    # M = [B^-1 | B^-1 b]: the basis inverse and the basic solution.
+    start = np.full((m, m + 1), zero, dtype=A.dtype)
+    start[range(m), range(m)] = one
+    start[:, m] = b * one
+    M = start.copy()
+    pivots, refactors, since = [0, 0], 0, 0
 
-    def run_phase(cost: np.ndarray) -> str:
-        # Dantzig pricing, then Bland's least-index rule once the objective
-        # has not fallen for _STALL_LIMIT pivots.  The objective never rises,
-        # so only pivots that leave it unchanged can cycle, and under Bland's
-        # rule those cannot: exact mode terminates without a pivot limit.
-        stall = 0
-        last_obj = np.inf
-        blocked = artificial & (cost[:total] == 0)  # artificials in phase 2
-        for _ in pivots:
-            d = _reduced_costs(T, cost, basis, total, exact)
-            d[blocked] = zero
-            candidates = np.flatnonzero(d < -feas_tol)
+    if exact:
+        # Fraction products are slow and A is mostly 0: touch nonzeros only.
+        row_nz = [row.nonzero()[0] for row in ext]
+
+        def duals(cb):  # c_B B^-1
+            nz = cb.nonzero()[0]
+            return zero + cb[nz] @ M[nz, :m]
+
+        def price(cost, y):  # c - y A
+            d = cost.copy()
+            for i in y.nonzero()[0]:
+                d[row_nz[i]] -= y[i] * ext[i, row_nz[i]]
+            return d
+
+        def solve(a):  # B^-1 a
+            nz = a.nonzero()[0]
+            return M[:, nz] @ a[nz]
+    else:
+        def duals(cb):
+            return cb @ M[:, :m]
+
+        def price(cost, y):
+            return cost - y @ ext
+
+        def solve(a):
+            return M[:, :m] @ a
+
+    def refactor() -> None:
+        nonlocal refactors, since
+        try:
+            M[:] = np.linalg.solve(ext[:, basis], start)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular basis at refactorization: {exc}") from exc
+        refactors, since = refactors + 1, 0
+
+    def pivot(r: int, j: int, alpha, phase: int) -> None:
+        # One eta step.  Exact mode updates only the nonzero columns of row r
+        # and the rows with a nonzero entry in alpha; float updates all of M.
+        nonlocal since
+        if exact:
+            cols = M[r].nonzero()[0]
+            M[r, cols] /= alpha[r]
+            rows = alpha.nonzero()[0]
+            rows = rows[rows != r]
+            M[np.ix_(rows, cols)] -= alpha[rows, None] * M[r, cols]
+        else:
+            M[r] /= alpha[r]
+            alpha[r] = 0.0
+            np.subtract(M, alpha[:, None] * M[r], out=M)
+        basis[r] = j
+        pivots[phase] += 1
+        since += 1
+        if not exact and since >= _REFACTOR_EVERY:
+            refactor()
+
+    def run_phase(cost, width: int, phase: int) -> str:
+        # Columns from `width` on (the artificials, in phase 2) never enter.
+        stall, obj = 0, cost[basis] @ M[:, m]
+        limit = itertools.count() if exact else range(_PIVOT_LIMIT_FACTOR * (m + total) + 1)
+        for _ in limit:  # in float the last pass only prices
+            d = price(cost, duals(cost[basis]))[:width]
+            candidates = (d < -feas_tol).nonzero()[0]
             if candidates.size == 0:
                 return "optimal"
             if stall > _STALL_LIMIT:
                 j = int(candidates[0])  # Bland
             else:
                 j = int(candidates[np.argmin(d[candidates])])  # Dantzig
-            colj = T[:, j]
-            positive = np.flatnonzero(colj > feas_tol)
+            alpha = solve(ext[:, j])
+            positive = (alpha > feas_tol).nonzero()[0]
             if positive.size == 0:
                 return "unbounded"
-            ratios = T[positive, total] / colj[positive]
+            ratios = M[positive, m] / alpha[positive]
             best = ratios.min()
             ties = positive[ratios <= best + feas_tol * (1 + abs(best))]
-            i = int(min(ties, key=lambda t: basis[t]))  # least-index tie-break
-            _pivot(T, basis, i, j, exact)
-            obj = num(cost[basis] @ T[:, total])
-            if obj < last_obj - gain_tol * (1 + abs(last_obj)):
-                stall = 0
+            if stall > _STALL_LIMIT:
+                r = int(min(ties, key=basis.__getitem__))  # Bland: least index
             else:
-                stall += 1
-            last_obj = obj
-        raise SolverError(
-            "simplex stalled (pivot limit reached); try rational mode"
-        )
+                r = int(ties[np.argmax(abs(alpha[ties]))])  # the largest pivot
+            pivot(r, j, alpha, phase)
+            gain = -d[j] * best
+            stall = 0 if gain > gain_tol * (1 + abs(obj)) else stall + 1
+            obj -= gain
+        raise SolverError("simplex stalled (pivot limit reached); try rational mode")
 
     # Phase 1
-    cost1 = np.full(total, zero, dtype=T.dtype)
-    cost1[artificial] = one
-    status = run_phase(cost1)
-    if status == "unbounded":  # cannot happen in phase 1
+    cost1 = np.full(total, zero, dtype=A.dtype)
+    cost1[art:] = one
+    if run_phase(cost1, total, 0) == "unbounded":  # cannot happen in phase 1
         raise SolverError("phase 1 reported unbounded")
-    if cost1[basis] @ T[:, total] > zero_tol:
-        return LpSolution("infeasible", None, None, None, path), basis
+    if cost1[basis] @ M[:, m] > zero_tol:
+        return LpSolution("infeasible", None, None, None, path, tuple(pivots), refactors), []
     # Pivot each artificial still basic (at 0) out on any usable real
     # column; an all-zero row is a redundant constraint and keeps it.
     for i in range(m):
-        if artificial[basis[i]]:
-            for j in range(art):
-                if abs(T[i, j]) > zero_tol:
-                    _pivot(T, basis, i, j, exact)
-                    break
+        if basis[i] >= art:
+            nz = M[i, :m].nonzero()[0]
+            usable = (abs(M[i, nz] @ ext[nz, :art]) > zero_tol).nonzero()[0]
+            if usable.size:
+                pivot(i, int(usable[0]), solve(ext[:, usable[0]]), 0)
 
     # Phase 2
-    cost2 = np.full(total, zero, dtype=T.dtype)
-    cost2[:n] = c
-    status = run_phase(cost2)
-    if status == "unbounded":
-        return LpSolution("unbounded", None, None, None, path), basis
+    cost2 = np.full(total, zero, dtype=A.dtype)
+    cost2[:n] = c * sign
+    if run_phase(cost2, art, 1) == "unbounded":
+        return LpSolution("unbounded", None, None, None, path, tuple(pivots), refactors), []
 
-    x = np.full(total, zero, dtype=T.dtype)
-    for i, bi in enumerate(basis):
-        x[bi] = T[i, total]
+    x = np.full(total, zero, dtype=A.dtype)
+    x[basis] = M[:, m]
     obj = num(cost2[:n] @ x[:n]) * sign
-
-    # Duals: y_i = cb . (B^{-1} e_i), and B^{-1} e_i is the final artificial
-    # column of row i.
-    cb = cost2[basis]
-    y_norm = [num(cb @ T[:, art + i]) for i in range(m)]
-    duals = _finalize_duals(problem, y_norm, flips, sign)
-    primal = tuple(max(v, zero) for v in x[:n])
-    return LpSolution("optimal", obj, primal, duals, path), basis
-
-
-def _reduced_costs(T: np.ndarray, cost: np.ndarray, basis: list[int], total: int, exact: bool):
-    """d_j = c_j - cb . T[:, j] over the first `total` columns.  In exact mode
-    only the nonzero entries of the rows with a nonzero basic cost are
-    multiplied: Fraction products are slow and the tableau is mostly 0."""
-    cb = cost[basis]
-    if not exact:
-        return cost[:total] - cb @ T[:, :total]
-    d = cost[:total].copy()
-    for i in np.flatnonzero(cb):
-        cols = np.flatnonzero(T[i, :total])
-        d[cols] -= cb[i] * T[i, cols]
-    return d
-
-
-def _pivot(T: np.ndarray, basis: list[int], i: int, j: int, exact: bool) -> None:
-    """Pivot on T[i, j].  Exact mode updates only the nonzero columns of row
-    i and the rows with a nonzero entry in column j, which leaves column j a
-    unit column exactly; float mode updates the whole tableau in numpy."""
-    if exact:
-        cols = np.flatnonzero(T[i])
-        T[i, cols] /= T[i, j]
-        rows = np.flatnonzero(T[:, j])
-        rows = rows[rows != i]
-        T[np.ix_(rows, cols)] -= np.outer(T[rows, j], T[i, cols])
-    else:
-        T[i] /= T[i, j]
-        colj = T[:, j].copy()
-        colj[i] = 0.0
-        T -= np.outer(colj, T[i])
-        T[:, j] = 0.0
-        T[i, j] = 1.0
-    basis[i] = j
+    y = duals(cost2[basis])
+    dual = np.where(flip, -y, y) * sign
+    primal = x[:n] if exact else np.maximum(x[:n], 0.0)
+    return LpSolution(
+        "optimal", obj, tuple(primal.tolist()), tuple(dual.tolist()), path, tuple(pivots),
+        refactors,
+    ), basis.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +336,21 @@ def _solve_rational(problem: LpProblem) -> LpSolution:
     # basis comes with a certificate that can be checked exactly.  Data too
     # large for float64 raises OverflowError before the simplex starts.
     try:
-        sol, basis = _simplex(problem, exact=False)
+        sol, basis = _revised_simplex(problem, exact=False)
     except (SolverError, OverflowError):
         sol = None
     if sol is not None and sol.status == "optimal":
         certified = _certify_basis(problem, basis)
         if certified is not None:
-            return certified
-    return _simplex(problem, exact=True)[0]
+            return dataclasses.replace(
+                certified, pivots=sol.pivots, refactorizations=sol.refactorizations
+            )
+    return _revised_simplex(problem, exact=True)[0]
 
 
-def _certify_basis(problem: LpProblem, basis: list[int]) -> LpSolution | None:
-    """The exact solution of `basis` (laid out as `_simplex` returns
-    it) against the problem's own rows, or None unless it is optimal.
+def _certify_basis(problem: LpProblem, basis: Sequence[int]) -> LpSolution | None:
+    """The exact solution of `basis` (laid out as `_revised_simplex` returns
+    it) against the problem's own columns, or None unless it is optimal.
 
     A basic slack or artificial is a unit column: it covers one row, takes up
     that row's residual and fixes its dual at 0.  The basic structural
@@ -358,7 +360,7 @@ def _certify_basis(problem: LpProblem, basis: list[int]) -> LpSolution | None:
     of its row and every structural column has a nonnegative reduced cost;
     complementary slackness then gives c.x == dual.rhs by construction.
     """
-    n, m = problem.num_vars, problem.num_rows
+    m, n = problem.matrix.shape
     slack_rows = [i for i, rel in enumerate(problem.relations) if rel != "="]
     structural: list[int] = []
     covered: dict[int, bool] = {}  # row -> covered by its slack (else its artificial)
@@ -375,47 +377,41 @@ def _certify_basis(problem: LpProblem, basis: list[int]) -> LpSolution | None:
 
     sign = 1 if problem.sense == "min" else -1  # minimize sign * c.x
     zero = Fraction(0)
-    cost = [_exact(v) * sign for v in problem.objective]
-    rhs = [_exact(b) for b in problem.rhs]
-    free_rows = [[_exact(v) for v in problem.rows[i]] for i in free]
-    block = [[row[j] for j in structural] for row in free_rows]
-    x_basic = _solve_exact(block, [rhs[i] for i in free])
+    A, rhs, c = (_exact_array(v) for v in (problem.matrix, problem.rhs, problem.objective))
+    cost = c * sign
+    block = A[np.ix_(free, structural)]
+    x_basic = _solve_exact(block.tolist(), rhs[free].tolist())
     if x_basic is None or any(v < 0 for v in x_basic):
         return None
-    y_free = _solve_exact([list(col) for col in zip(*block)], [cost[j] for j in structural])
+    y_free = _solve_exact(block.T.tolist(), cost[structural].tolist())
     if y_free is None:
         return None
 
     for row, is_slack in covered.items():
-        residual = rhs[row] - sum(
-            (_exact(problem.rows[row][j]) * v for j, v in zip(structural, x_basic)), zero
-        )
+        residual = rhs[row] - sum(A[row, structural] * x_basic)
         rel = problem.relations[row]
         if is_slack and (residual < 0 if rel == "<=" else residual > 0):
             return None  # the slack, +-residual, would be negative
         if not is_slack and residual != 0:
             return None  # a basic artificial away from 0
-    y = [zero] * m
+    y = np.full(m, zero, dtype=object)
     for i, v in zip(free, y_free):
         rel = problem.relations[i]
         if (rel == ">=" and v < 0) or (rel == "<=" and v > 0):
             return None  # a nonbasic slack with a negative reduced cost
         y[i] = v
-    reduced = list(cost)
-    for v, row in zip(y_free, free_rows):
-        if v:
-            for j, a in enumerate(row):
-                if a == 1:
-                    reduced[j] -= v
-                elif a:
-                    reduced[j] -= v * a
-    if any(d < 0 for d in reduced):
+    # Reduced costs c - y A, scaled by the duals' common denominator so that
+    # each column is priced with integer products wherever A is integral.
+    scale = math.lcm(*(v.denominator for v in y_free))
+    nz = y.nonzero()[0]
+    scaled = np.array([int(v * scale) for v in y[nz]], dtype=object)
+    if (cost * scale - scaled @ A[nz] < 0).any():
         return None
 
     x = [zero] * n
     for j, v in zip(structural, x_basic):
         x[j] = v
-    value = sum((c * v for c, v in zip(cost, x)), zero) * sign
+    value = sum((cost[j] * v for j, v in zip(structural, x_basic)), zero) * sign
     return LpSolution("optimal", value, tuple(x), tuple(v * sign for v in y), "certified")
 
 
@@ -423,6 +419,14 @@ def _exact(v) -> int | Fraction:
     """`v` as an exact number: ints and Fractions as they are, without a
     copy, and anything else (floats, numpy scalars) through Fraction."""
     return v if type(v) in (int, Fraction) else Fraction(v)
+
+
+def _exact_array(values: np.ndarray) -> np.ndarray:
+    """`values` as an object array of exact numbers: an object array is
+    taken to hold them already, a float64 array is converted entrywise."""
+    if values.dtype == object:
+        return values
+    return np.array([Fraction(v) for v in values.flat], dtype=object).reshape(values.shape)
 
 
 def _solve_exact(matrix: list[list], rhs: list) -> list[Fraction] | None:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from commlb import bounds
+from commlb import bounds, solver
 from commlb.bounds import (
     CSV_HEADER,
     LabeledRectangleStrategy,
@@ -459,28 +459,15 @@ def test_check_witness_bprt_mu_requires_mu():
 
 def test_lp_bounds_check_caps_before_building(monkeypatch):
     # EQ,3 is over the float LP caps; each bound must say so before it
-    # builds a single LP row.
+    # assembles the rectangle incidence its LP columns are read off.
     def no_build(*args, **kwargs):
-        raise AssertionError("LP rows built before the cap check")
+        raise AssertionError("rectangle incidence built before the cap check")
 
-    monkeypatch.setattr(LpProblem, "build", no_build)
+    monkeypatch.setattr(bounds, "_rect_incidence", no_build)
     f = make_function("EQ,3")
     mu = make_distribution("uniform", f)
-    # bprt on 4x8 fits the float caps as a weight-form LP (7,650 vars x 64
-    # rows) but not as its (alpha, beta) form (64 vars x 7,650 rows), which
-    # decides its acceptance.
-    wide = PartialFunction.from_rows(
-        [[int(x == y % 4) for y in range(8)] for x in range(4)], 2
-    )
-    # rect_dual on 5x8 fits as a weight-form LP (7,905 vars x 40 rows) but
-    # not as its alpha form (40 vars x 7,905 rows).
-    wider = PartialFunction.from_rows(
-        [[int(x == y % 5) for y in range(8)] for x in range(5)], 2
-    )
     calls = [
         lambda: bprt(f, 0.0),
-        lambda: bprt(wide, 0.1),
-        lambda: rect_dual(wider, 0.1, 1),
         lambda: bprt_mu(f, mu, 0.0),
         lambda: prt(f, 0.0),
         lambda: srec(f, 0.0, 1),
@@ -491,11 +478,73 @@ def test_lp_bounds_check_caps_before_building(monkeypatch):
             call()
 
 
+def _highs_weight_form(f: PartialFunction, n_labels: int, rows) -> float:
+    """min sum(w) over weights w_{R,z} >= 0, one per nonempty rectangle R and
+    label z < n_labels, subject to `rows`: (cell, labels, lower, upper) bounds
+    the total weight of the pairs (R, z) with R containing the cell and z in
+    `labels`.  Built from the definitions and solved by scipy's HiGHS."""
+    from scipy.optimize import linprog
+
+    rects = [r for r in enumerate_rectangles(f.x_size, f.y_size) if not r.is_empty]
+    a_ub, b_ub = [], []
+    for (x, y), labels, lower, upper in rows:
+        row = [float(r.contains(x, y) and z in labels) for r in rects for z in range(n_labels)]
+        if lower is not None:
+            a_ub.append([-v for v in row])
+            b_ub.append(-lower)
+        if upper is not None:
+            a_ub.append(row)
+            b_ub.append(upper)
+    res = linprog([1.0] * (len(rects) * n_labels), A_ub=a_ub, b_ub=b_ub, bounds=(0, None),
+                  method="highs")
+    assert res.status == 0
+    return res.fun
+
+
+def test_wide_grid_lps_solve(monkeypatch):
+    # The weight-form LPs of 4x8 and 5x8 grids fit the float caps, and the
+    # revised simplex finishes them, refactorizing its basis inverse on the
+    # way.
+    solutions = []
+
+    def recording_lp_solve(problem, mode="float", caps=None):
+        solutions.append(lp_solve(problem, mode, caps))
+        return solutions[-1]
+
+    monkeypatch.setattr(bounds, "lp_solve", recording_lp_solve)
+    wide = PartialFunction.from_rows([[int(x == y % 4) for y in range(8)] for x in range(4)], 2)
+    wider = PartialFunction.from_rows([[int(x == y % 5) for y in range(8)] for x in range(5)], 2)
+    p, b = prt(wide, 0.1), bprt(wide, 0.1)
+    for r in (p, b):
+        assert abs(r.value - 5.5) < 1e-9
+        feasible, objective = check_witness(r, wide)
+        assert feasible and abs(objective - r.value) < 1e-6
+    for sol in solutions:
+        assert sum(sol.pivots) > solver._REFACTOR_EVERY
+        assert sol.refactorizations == sum(sol.pivots) // solver._REFACTOR_EVERY
+    exact = prt(wide, Fraction(1, 10), "rational", Caps().with_overrides(lp_vars_rational=8000))
+    assert exact.value == Fraction(11, 2) and solutions[-1].path == "certified"
+    assert check_witness(exact, wide) == (True, Fraction(11, 2))
+    r = rect_dual(wider, 0.1, 1)
+    assert check_witness(r, wider) == (True, pytest.approx(r.value, abs=1e-6))
+
+    pytest.importorskip("scipy")
+    cells = [(x, y) for x in range(4) for y in range(8)]
+    every = range(2)
+    prt_rows = [(c, {wide.value(*c)}, 0.9, None) for c in cells]
+    prt_rows += [(c, every, 1, 1) for c in cells]
+    bprt_rows = [(c, {wide.value(*c)}, 0.9, None) for c in cells]
+    bprt_rows += [(c, every, None, 1) for c in cells]
+    rect_rows = [(c, every, 0.9, None) if wider.value(*c) == 1 else (c, every, None, 0.1)
+                 for c in wider.domain()]
+    assert p.value == pytest.approx(_highs_weight_form(wide, 2, prt_rows), abs=1e-6)
+    assert b.value == pytest.approx(_highs_weight_form(wide, 2, bprt_rows), abs=1e-6)
+    assert r.value == pytest.approx(_highs_weight_form(wider, 1, rect_rows), abs=1e-6)
+
+
 def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
     # The early cap check must accept and reject exactly what lp_solve's own
     # check would, so it has to see the shape of the LP that gets built.
-    # bprt and rect_dual check one more shape first: the transpose, their
-    # (alpha, beta) and alpha forms.
     checked, solved = [], []
     real_check, real_solve = bounds.check_lp_caps, bounds.lp_solve
 
@@ -516,13 +565,11 @@ def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
     ))
     for f, mu in ((EQ1, UNIFORM_2x2), (ghd, _uniform(ghd)), (ghd, sparse)):
         bprt(f, 0.1)
-        assert checked.pop(-2) == solved[-1][::-1]
         prt(f, 0.1)
         bprt_mu(f, mu, 0.1)
         for z in range(f.z_size):
             srec(f, 0.1, z)
             rect_dual(f, 0.1, z, mu)
-            assert checked.pop(-2) == solved[-1][::-1]
     assert checked == solved
 
 

@@ -3,11 +3,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from commlb import solver
 from commlb.caps import Caps
-from commlb.errors import CapacityError, ParameterError
+from commlb.errors import CapacityError, DimensionError, ParameterError
 from commlb.solver import LpProblem, LpSolution, lp_solve
 
 
@@ -114,8 +115,8 @@ def test_rational_matches_float_on_random_lps():
 
 
 def test_degenerate_lp_terminates(fail_float_simplex):
-    # Beale's cycling example: Dantzig pricing cycles on it, and the switch
-    # to Bland's rule must end it, in float and in exact arithmetic.
+    # Beale's cycling example: Dantzig pricing cycles on it when ratio ties
+    # go to the least index; taking the largest pivot among them does not.
     sol = _solve(
         "min",
         [-0.75, 150, -0.02, 6],
@@ -129,6 +130,8 @@ def test_degenerate_lp_terminates(fail_float_simplex):
     )
     assert sol.status == "optimal"
     assert abs(sol.objective_value - (-0.05)) < 1e-9
+    # Every row starts with its slack basic, so phase 1 pivots nothing.
+    assert sol.pivots[0] == 0 < sol.pivots[1]
 
     fail_float_simplex()
     problem = LpProblem.build(
@@ -145,6 +148,36 @@ def test_degenerate_lp_terminates(fail_float_simplex):
     sol = lp_solve(problem, "rational")
     assert sol.path == "exact"
     assert sol.objective_value == Fraction(-1, 20)
+    assert sol.pivots[0] == 0 < sol.pivots[1]
+    _assert_exact_certificate(problem, sol)
+
+
+def test_dantzig_cycle_ends_under_bland(fail_float_simplex):
+    # Hall and McKinnon's example ("The simplest examples where the simplex
+    # method cycles", Math. Programming 2004, with a bounding row added)
+    # cycles under Dantzig's rule whatever the ratio tie-break: the stall
+    # limit hands over to Bland's rule, which ends it, in float and exact.
+    problem = LpProblem.build(
+        "max",
+        [Fraction(23, 10), Fraction(43, 20), Fraction(-271, 20), Fraction(-2, 5)],
+        [
+            [Fraction(2, 5), Fraction(1, 5), Fraction(-7, 5), Fraction(-1, 5)],
+            [Fraction(-39, 5), Fraction(-7, 5), Fraction(39, 5), Fraction(2, 5)],
+            [1, 1, 1, 1],
+        ],
+        ["<=", "<=", "<="],
+        [0, 0, 1],
+    )
+    sol = lp_solve(problem)
+    assert abs(sol.objective_value - 0.875) < 1e-9
+    assert sol.pivots[0] == 0 and sol.pivots[1] > solver._STALL_LIMIT
+    assert sol.refactorizations == sol.pivots[1] // solver._REFACTOR_EVERY
+    fail_float_simplex()
+    sol = lp_solve(problem, "rational")
+    assert sol.path == "exact"
+    assert sol.objective_value == Fraction(7, 8)
+    assert sol.pivots[0] == 0 and sol.pivots[1] > solver._STALL_LIMIT
+    assert sol.refactorizations == 0
     _assert_exact_certificate(problem, sol)
 
 
@@ -167,6 +200,24 @@ def test_build_validation():
             LpProblem.build("min", [bad], [[1]], [">="], [1])
         with pytest.raises(ParameterError):
             LpProblem.build("min", [1], [[1]], [">="], [bad])
+        with pytest.raises(ParameterError):
+            LpProblem("min", np.ones(1), np.full((1, 1), bad), (">=",), np.ones(1))
+    with pytest.raises(DimensionError):
+        LpProblem("min", np.ones(2), np.ones((1, 1)), (">=",), np.ones(1))
+
+
+def test_float64_problem_solved_exactly(fail_float_simplex):
+    # A float64 problem in rational mode is read exactly (0.1 is not 1/10).
+    problem = LpProblem("min", np.array([1.0, 20.0]), np.array([[0.1, 1.0]]), (">=",),
+                        np.array([0.5]))
+    assert problem.matrix.dtype == float
+    certified = lp_solve(problem, "rational")
+    assert certified.path == "certified"
+    assert certified.objective_value == Fraction(0.5) / Fraction(0.1)
+    fail_float_simplex()
+    exact = lp_solve(problem, "rational")
+    assert exact.path == "exact"
+    assert exact.objective_value == certified.objective_value
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +250,7 @@ def _assert_exact_certificate(problem: LpProblem, sol: LpSolution) -> None:
     sign = 1 if problem.sense == "min" else -1
     x, y = sol.primal, sol.dual
     assert all(isinstance(v, Fraction) and v >= 0 for v in x)
-    for row, rel, b in zip(problem.rows, problem.relations, problem.rhs):
+    for row, rel, b in zip(problem.matrix, problem.relations, problem.rhs):
         lhs = sum(a * v for a, v in zip(row, x))
         assert {"<=": lhs <= b, ">=": lhs >= b, "=": lhs == b}[rel]
     for yi, rel in zip(y, problem.relations):
@@ -207,7 +258,7 @@ def _assert_exact_certificate(problem: LpProblem, sol: LpSolution) -> None:
         if rel != "=":
             assert sign * yi * (1 if rel == ">=" else -1) >= 0
     for j, cj in enumerate(problem.objective):
-        column = sum(row[j] * yi for row, yi in zip(problem.rows, y))
+        column = sum(row[j] * yi for row, yi in zip(problem.matrix, y))
         assert sign * (cj - column) >= 0  # reduced cost of column j
     primal_value = sum(cj * v for cj, v in zip(problem.objective, x))
     assert primal_value == sum(yi * b for yi, b in zip(y, problem.rhs))
@@ -220,7 +271,7 @@ def _highs(problem: LpProblem):
 
     sign = 1 if problem.sense == "min" else -1
     ub, b_ub, eq, b_eq = [], [], [], []
-    for row, rel, b in zip(problem.rows, problem.relations, problem.rhs):
+    for row, rel, b in zip(problem.matrix, problem.relations, problem.rhs):
         flip = -1.0 if rel == ">=" else 1.0
         rows, rhs = (eq, b_eq) if rel == "=" else (ub, b_ub)
         rows.append([flip * float(v) for v in row])
@@ -237,9 +288,15 @@ def _highs(problem: LpProblem):
 def _bland_reference(problem: LpProblem) -> LpSolution:
     """A plain two-phase Fraction tableau with Bland's rule throughout, kept
     as the reference the exact simplex is compared against."""
-    c, rows, rels, rhs, flips, sign = solver._standardize(problem, exact=True)
-    n, m = len(c), len(rows)
     zero, one = Fraction(0), Fraction(1)
+    sign = 1 if problem.sense == "min" else -1
+    c = [Fraction(v) * sign for v in problem.objective]
+    flips = [b < 0 for b in problem.rhs]
+    rows = [[Fraction(-v if f else v) for v in row] for row, f in zip(problem.matrix, flips)]
+    rhs = [Fraction(abs(b)) for b in problem.rhs]
+    swap = {"<=": ">=", ">=": "<=", "=": "="}
+    rels = [swap[rel] if f else rel for rel, f in zip(problem.relations, flips)]
+    n, m = len(c), len(rows)
 
     n_slack = sum(1 for r in rels if r != "=")
     total = n + n_slack + m
@@ -326,7 +383,7 @@ def _bland_reference(problem: LpProblem) -> LpSolution:
         sum(cb[r] * T[r][art_col[i]] for r in range(m) if T[r][art_col[i]])
         for i in range(m)
     ]
-    duals = solver._finalize_duals(problem, y_norm, flips, sign)
+    duals = tuple((-v if f else v) * sign for v, f in zip(y_norm, flips))
     return LpSolution("optimal", obj, tuple(x[:n]), duals, "exact")
 
 
@@ -426,14 +483,14 @@ def test_forced_fallback_on_float_failure(fail_float_simplex):
 
 def test_forced_fallback_on_non_optimal_basis(monkeypatch):
     # The all-slack basis is feasible (x = 0) but not optimal.
-    simplex = solver._simplex
+    simplex = solver._revised_simplex
 
     def slack_basis(problem, exact):
         if exact:
             return simplex(problem, exact)
         return LpSolution("optimal", 0.0, (0.0, 0.0), (0.0, 0.0), "float"), [2, 3]
 
-    monkeypatch.setattr(solver, "_simplex", slack_basis)
+    monkeypatch.setattr(solver, "_revised_simplex", slack_basis)
     sol = lp_solve(MAX_LP, "rational")
     assert sol.path == "exact"
     assert sol.objective_value == 10
