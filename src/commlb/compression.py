@@ -10,7 +10,9 @@ The pipeline:
   experiment; each party outputs the transcript's value or aborts;
 * the exact output law, from the T-th power of one trial's transition matrix
   over the (Alice, Bob) state chain taken by squaring in O(log T) products,
-  and a vectorized Monte Carlo engine for cross-checking it;
+  and a vectorized Monte Carlo engine for cross-checking it, which draws u
+  and the hash only at the trials whose (alpha, beta) some party could
+  accept (at most a 2**(1 - delta_exp) share);
 * the conversion of runs into a labeled-rectangle strategy.
 
 Experiment category probabilities are closed-form: with S = 2**delta_exp,
@@ -24,6 +26,7 @@ exact in rational mode (Fraction inputs, integer delta_exp).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -239,9 +242,35 @@ def compression_parameters(
 _CHUNK_ELEMENTS = 2_000_000
 
 
+class _Same:
+    """Memo key that compares its objects by identity.  By value 0.25 ==
+    Fraction(1, 4), so a value key would hand a float input the factors
+    computed for an exact one; the key holds its objects, so their ids stay
+    unique while it is cached."""
+
+    __slots__ = ("objects",)
+
+    def __init__(self, *objects) -> None:
+        self.objects = objects
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(id, self.objects)))
+
+    def __eq__(self, other) -> bool:
+        return all(a is b for a, b in zip(self.objects, other.objects))
+
+
+@functools.lru_cache(maxsize=256)
+def _experiment_inputs(same: _Same, x: int, y: int, delta_exp) -> ExperimentInputs:
+    pi, mu = same.objects
+    return ExperimentInputs.from_factorization(factorization(pi, mu, x, y), delta_exp)
+
+
 def _experiment_setup(pi: ProtocolTree, mu: InputDistribution, x: int, y: int, params):
-    fac = factorization(pi, mu, x, y)
-    return ExperimentInputs.from_factorization(fac, params.delta_exp)
+    """The experiment's factor functions, memoized per (pi, mu, x, y,
+    delta_exp): a scalar run would otherwise spend most of its time
+    rebuilding the factorization."""
+    return _experiment_inputs(_Same(pi, mu), x, y, params.delta_exp)
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
@@ -283,41 +312,60 @@ def _hash_match(bitgen, count: int, hash_bits: int) -> np.ndarray:
     return match
 
 
+def _first_per_run(hit, run):
+    """The runs in which ``hit`` holds somewhere, and the candidate position
+    of its first True in each; ``run`` is the candidates' sorted run index."""
+    pos = hit.nonzero()[0]
+    runs = run[pos]
+    first = np.empty(len(runs), dtype=bool)
+    first[:1] = True
+    np.not_equal(runs[1:], runs[:-1], out=first[1:])
+    return runs[first], pos[first]
+
+
 def _party_maps(rng, n, params, a_rows, b_rows, outputs):
-    """Yield (a_maps, b_maps), shapes (block, rows), for blocks of ``n`` runs.
+    """Yield (a_maps, b_maps, candidates) for blocks of ``n`` runs; the maps
+    have shape (block, rows).
 
     a_maps[r, i] is the output of Alice's first accepted trial of run r under
     row i if its hash matches, else BOT; b_maps[r, j] is the output of Bob's
-    first accepted trial whose hash matches, else BOT.  A block draws u, then
-    one raw word per trial (alpha the first half of their uint32 view, beta
-    the second), then the hash matches; the coins do not depend on the rows.
-    ``outputs`` holds the output of each u.
+    first accepted trial whose hash matches, else BOT.  ``outputs`` holds the
+    output of each u.  A block draws one raw word per trial: alpha is the
+    first half of their uint32 view, beta the second.  A trial is a
+    candidate when alpha is at most the largest alpha threshold of any
+    Alice row or beta at most the largest beta threshold of any Bob row;
+    no other trial is accepted by anyone, whatever its u.  The block then
+    draws u and then the hash matches at the candidates only, in trial
+    order; ``candidates`` counts them.  Every coin is still an independent
+    uniform draw compared with the same thresholds, so the law of a run is
+    the same as when u and the hash are drawn at every trial.  ``a_rows``
+    and ``b_rows`` are uint32 thresholds of shape (rows, 2, |U|).
     """
     trials, bitgen, outputs = params.trials, rng.bit_generator, np.asarray(outputs)
     size = len(outputs)
     u_dtype = np.min_scalar_type(size - 1)
+    alpha_cut, beta_cut = a_rows[:, 0].max(), b_rows[:, 1].max()
     chunk = max(1, min(n, _CHUNK_ELEMENTS // trials))
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
-        u = rng.integers(0, size, size=(m, trials), dtype=u_dtype).astype(np.intp)
-        alpha, beta = bitgen.random_raw(m * trials).view(np.uint32).reshape(2, m, trials)
-        match = _hash_match(bitgen, m * trials, params.hash_bits).reshape(m, trials)
-        runs = np.arange(m)
-        a_maps = np.empty((m, len(a_rows)), dtype=np.int64)
-        b_maps = np.empty((m, len(b_rows)), dtype=np.int64)
+        alpha, beta = bitgen.random_raw(m * trials).view(np.uint32).reshape(2, -1)
+        cand = ((alpha <= alpha_cut) | (beta <= beta_cut)).nonzero()[0]
+        count = len(cand)
+        u = rng.integers(0, size, size=count, dtype=u_dtype)
+        match = _hash_match(bitgen, count, params.hash_bits)
+        alpha, beta, run, u = alpha[cand], beta[cand], cand // trials, u.astype(np.intp)
+        a_maps = np.full((m, len(a_rows)), BOT, dtype=np.int64)
+        b_maps = np.full((m, len(b_rows)), BOT, dtype=np.int64)
         for i, (t_alpha, t_beta) in enumerate(a_rows):
-            accept = (alpha <= np.take(t_alpha, u)) & (beta <= np.take(t_beta, u))
-            first = accept.argmax(axis=1)
-            ok = accept[runs, first] & match[runs, first]
-            a_maps[:, i] = np.where(ok, outputs[u[runs, first]], BOT)
+            runs, pos = _first_per_run((alpha <= t_alpha[u]) & (beta <= t_beta[u]), run)
+            a_maps[runs, i] = np.where(match[pos], outputs[u[pos]], BOT)
         for j, (t_alpha, t_beta) in enumerate(b_rows):
-            hit = (alpha <= np.take(t_alpha, u)) & (beta <= np.take(t_beta, u)) & match
-            first = hit.argmax(axis=1)
-            b_maps[:, j] = np.where(hit[runs, first], outputs[u[runs, first]], BOT)
+            runs, pos = _first_per_run((alpha <= t_alpha[u]) & (beta <= t_beta[u]) & match, run)
+            b_maps[runs, j] = outputs[u[pos]]
         # Free this block's coins before the caller runs and the next block
         # draws, so that two blocks are never resident at once.
-        del u, alpha, beta, match
-        yield a_maps, b_maps
+        del alpha, beta, cand, u, match, run
+        yield a_maps, b_maps, count
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +387,8 @@ def run_zero_comm(
     the sampling kernel on a Philox stream seeded by ``seed``.
     """
     a_rows, b_rows = _party_rows(pi, mu, [x], [y], params)
-    ((a_map, b_map),) = _party_maps(_seeded_rng(seed), 1, params, a_rows, b_rows, pi.leaf_outputs())
+    ((a_map, b_map, _),) = _party_maps(_seeded_rng(seed), 1, params, a_rows, b_rows,
+                                       pi.leaf_outputs())
     alice_out, bob_out = int(a_map[0, 0]), int(b_map[0, 0])
     return alice_out if alice_out != BOT and alice_out == bob_out else BOT
 
@@ -518,6 +567,7 @@ class McLaw:
 
     counts: tuple[int, ...]   # per z, then BOT last
     samples: int
+    candidates: int           # trials whose u and hash were drawn
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -534,15 +584,17 @@ def _mc_laws(pi, mu, params, xs, ys, samples, seed) -> dict[tuple[int, int], McL
     a_rows, b_rows = _party_rows(pi, mu, xs, ys, params)
     nz = pi.z_size
     counts = np.zeros((len(xs), len(ys), nz + 1), dtype=np.int64)
+    candidates = 0
     blocks = _party_maps(_seeded_rng(seed), samples, params, a_rows, b_rows, pi.leaf_outputs())
-    for a_maps, b_maps in blocks:
+    for a_maps, b_maps, count in blocks:
+        candidates += count
         for i in range(len(xs)):
             a = a_maps[:, i]
             for j in range(len(ys)):
                 agreed = (a != BOT) & (a == b_maps[:, j])
                 counts[i, j] += np.bincount(np.where(agreed, a, nz), minlength=nz + 1)
     return {
-        (x, y): McLaw(tuple(int(c) for c in counts[i, j]), samples)
+        (x, y): McLaw(tuple(int(c) for c in counts[i, j]), samples, candidates)
         for i, x in enumerate(xs)
         for j, y in enumerate(ys)
     }
@@ -763,7 +815,8 @@ def extract_strategy(
     nx, ny, nz = pi.x_size, pi.y_size, pi.z_size
     a_rows, b_rows = _party_rows(pi, mu, range(nx), range(ny), params)
     blocks = _party_maps(_seeded_rng(seed), seed_count, params, a_rows, b_rows, pi.leaf_outputs())
-    a_maps, b_maps = (np.concatenate(maps) for maps in zip(*blocks))
+    a_blocks, b_blocks, _ = zip(*blocks)
+    a_maps, b_maps = np.concatenate(a_blocks), np.concatenate(b_blocks)
 
     # Label z gets a^{-1}(z) x b^{-1}(z): tally each label's rectangles by the
     # key (row_mask << ny) | col_mask, every empty rectangle on key 0.

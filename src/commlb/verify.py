@@ -285,8 +285,11 @@ def check_dp_vs_mc(
         worst_ratio = max(worst_ratio, tv / limit)
         if tv > limit:
             return CheckResult(6, "dp-vs-mc", False, f"input ({x},{y}): TV {tv} > {limit}")
+    # The cells share one coin block, so every law counts the same candidates.
+    share = mc.candidates / (samples * params.trials)
     return CheckResult(6, "dp-vs-mc", True,
-                       f"{samples} samples/input, worst TV/limit {worst_ratio:.2f}")
+                       f"{samples} samples/input, worst TV/limit {worst_ratio:.2f}, "
+                       f"candidate trials {share:.1%}")
 
 
 def check_compression_guarantee(caps: Caps | None = None) -> CheckResult:

@@ -58,7 +58,11 @@ def test_criterion_05_lp_duality():
 
 def test_criterion_06_dp_versus_monte_carlo():
     # Exact DP law vs 10^7-sample empirical law, per input, TV below 5 SE.
-    _assert(verify.check_dp_vs_mc(samples=10_000_000, seed=0))
+    result = verify.check_dp_vs_mc(samples=10_000_000, seed=0)
+    _assert(result)
+    # Alice's alpha cut is 0.75/8 and Bob's beta cut 1/8 at delta_exp 3, so
+    # 1 - (1 - 0.75/8)(1 - 1/8) = 20.7 % of the trials are candidates.
+    assert "candidate trials 20.7%" in result.detail
 
 
 def test_criterion_07_compression_guarantees():

@@ -466,6 +466,26 @@ def test_run_zero_comm_deterministic():
     assert set(outs) <= {BOT, 0, 1}
 
 
+def test_run_zero_comm_memoizes_the_factorization(monkeypatch):
+    calls = []
+    monkeypatch.setattr(compression, "factorization",
+                        lambda *args: calls.append(args) or factorization(*args))
+    pi = make_protocol("noisy_bit", flip=Fraction(1, 4))
+    params = compression_parameters(0.5, 1.0, 2, overrides=(2, 20, 1))
+    outs = [run_zero_comm(pi, UNIFORM_2x2, 0, 1, params, seed=s) for s in range(5)]
+    assert len(calls) == 1 and len(set(outs)) > 1
+    exact = compression._experiment_setup(pi, UNIFORM_2x2, 0, 1, params)
+    assert exact == ExperimentInputs.from_factorization(factorization(pi, UNIFORM_2x2, 0, 1), 2)
+    # Equal in value but not in number type: the float input gets its own
+    # factors, not the exact ones.
+    float_mu = InputDistribution(((0.25, 0.25), (0.25, 0.25)))
+    assert float_mu == UNIFORM_2x2
+    rounded = compression._experiment_setup(pi, float_mu, 0, 1, params)
+    assert len(calls) == 2
+    assert all(isinstance(v, Fraction) for v in exact.q_a)
+    assert all(isinstance(v, float) for v in rounded.q_a)
+
+
 def test_run_zero_comm_frequencies_match_dp():
     pi = make_protocol("noisy_bit", flip=0.25)
     params = compression_parameters(0.5, 1.0, 2, overrides=(2, 12, 1))
@@ -495,6 +515,20 @@ def test_mc_matches_dp():
     assert mc.max_standard_error() > 0
 
 
+def test_mc_matches_dp_sparse_regime():
+    # At delta_exp 6 about 2.7 % of the trials are candidates, so a cut that
+    # dropped accepting trials would show in the law here.
+    pi = make_protocol("noisy_bit", flip=0.25)
+    params = compression_parameters(0.5, 1.0, 2, overrides=(6, 200, 2))
+    laws = _mc_laws(pi, UNIFORM_2x2, params, [0, 1], [0, 1], 100_000, seed=6)
+    for (x, y), mc in laws.items():
+        law = exact_output_distribution(pi, UNIFORM_2x2, x, y, params)
+        for got, p in zip(mc.frequencies, list(law.output) + [law.abort]):
+            se = math.sqrt(max(p * (1 - p), 1e-12) / mc.samples)
+            assert abs(got - p) < 5 * se
+        assert 0 < mc.candidates < 0.05 * mc.samples * params.trials
+
+
 def test_mc_memory_bounded_by_trials():
     # Blocks hold at most a fixed number of draws, so paper-exact T does not
     # scale the arrays by the sample count.
@@ -519,42 +553,70 @@ def _coin_threshold(p: float) -> int:
     return min(math.floor(Fraction(p) * 2**32), 2**32 - 1)
 
 
-def _reference_maps(seed, n, trials, size, hash_bits, a_probs, b_probs, outputs):
+def _reference_maps(seed, n, trials, size, hash_bits, a_rows, b_rows, outputs):
     """The party maps by a plain loop over the coins, drawn in the kernel's
-    documented order: u, one raw word per trial (alpha the first half of
-    their uint32 view, beta the second), then the hash-match words."""
+    documented order: one raw word per trial (alpha the first half of their
+    uint32 view, beta the second); then, at the candidate trials only, u and
+    then the hash-match words.  A trial is a candidate when alpha is at most
+    the largest alpha threshold of any Alice row or beta at most the largest
+    beta threshold of any Bob row.  Rows are [alpha thresholds, beta
+    thresholds] over u, as integers."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    u = rng.integers(0, size, size=(n, trials), dtype=np.min_scalar_type(size - 1)).tolist()
-    alpha, beta = (h.tolist() for h in
-                   rng.bit_generator.random_raw(n * trials).view(np.uint32).reshape(2, n, trials))
     count = n * trials
-    if hash_bits == 0:
-        flat = [True] * count
-    else:
-        dtype = np.uint8 if hash_bits <= 8 else np.uint32
+    words = rng.bit_generator.random_raw(count).view(np.uint32).tolist()
+    alpha, beta = words[:count], words[count:]
+    alpha_cut = max(max(t_alpha) for t_alpha, _ in a_rows)
+    beta_cut = max(max(t_beta) for _, t_beta in b_rows)
+    cand = [k for k in range(count) if alpha[k] <= alpha_cut or beta[k] <= beta_cut]
+    u = rng.integers(0, size, size=len(cand), dtype=np.min_scalar_type(size - 1)).tolist()
+    match = [True] * len(cand)
+    for done in range(0, hash_bits, 64):
+        bits = min(hash_bits - done, 64)
+        dtype = np.uint8 if bits <= 8 else np.uint32 if bits <= 32 else np.uint64
         per_draw = 8 // np.dtype(dtype).itemsize
-        words = rng.bit_generator.random_raw(-(-count // per_draw)).view(dtype)[:count]
-        flat = [w % 2**hash_bits == 0 for w in words.tolist()]
-    match = [flat[r * trials:(r + 1) * trials] for r in range(n)]
-    a_maps = [[BOT] * len(a_probs) for _ in range(n)]
-    b_maps = [[BOT] * len(b_probs) for _ in range(n)]
+        words = rng.bit_generator.random_raw(-(-len(cand) // per_draw)).view(dtype)
+        match = [m and w % 2**bits == 0 for m, w in zip(match, words[:len(cand)].tolist())]
+    coins = {k: (u[i], match[i]) for i, k in enumerate(cand)}
+
+    def accepts(row, k):
+        # A trial that is no candidate has no u: no row may accept it.
+        if k not in coins:
+            assert all(alpha[k] > t for t in row[0]) or all(beta[k] > t for t in row[1])
+            return False
+        v = coins[k][0]
+        return alpha[k] <= row[0][v] and beta[k] <= row[1][v]
+
+    a_maps = [[BOT] * len(a_rows) for _ in range(n)]
+    b_maps = [[BOT] * len(b_rows) for _ in range(n)]
     for r in range(n):
-        for i, (p_alpha, p_beta) in enumerate(a_probs):
-            for t in range(trials):
-                v = u[r][t]
-                if (alpha[r][t] <= _coin_threshold(p_alpha[v])
-                        and beta[r][t] <= _coin_threshold(p_beta[v])):
-                    if match[r][t]:
+        for i, row in enumerate(a_rows):
+            for k in range(r * trials, (r + 1) * trials):
+                if accepts(row, k):
+                    v, hit = coins[k]
+                    if hit:
                         a_maps[r][i] = outputs[v]
                     break
-        for j, (p_alpha, p_beta) in enumerate(b_probs):
-            for t in range(trials):
-                v = u[r][t]
-                if (alpha[r][t] <= _coin_threshold(p_alpha[v])
-                        and beta[r][t] <= _coin_threshold(p_beta[v]) and match[r][t]):
-                    b_maps[r][j] = outputs[v]
+        for j, row in enumerate(b_rows):
+            for k in range(r * trials, (r + 1) * trials):
+                if accepts(row, k) and coins[k][1]:
+                    b_maps[r][j] = outputs[coins[k][0]]
                     break
-    return a_maps, b_maps, max(max(row) for row in u)
+    return a_maps, b_maps, len(cand), max(u, default=0)
+
+
+def _check_kernel(seed, n, trials, size, hash_bits, a_rows, b_rows, outputs):
+    """Run the kernel on one block and assert it equals the loop reference;
+    returns the maps, the candidate count and the reference's largest u."""
+    a_rows, b_rows = (np.array(rows, dtype=np.uint32) for rows in (a_rows, b_rows))
+    params = compression_parameters(0.5, 0.0, size, overrides=(1, trials, hash_bits))
+    ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(seed), n, params, a_rows, b_rows,
+                                             outputs)
+    ref_a, ref_b, ref_count, max_u = _reference_maps(
+        seed, n, trials, size, hash_bits, a_rows.tolist(), b_rows.tolist(), outputs)
+    assert a_maps.tolist() == ref_a
+    assert b_maps.tolist() == ref_b
+    assert count == ref_count
+    return a_maps, b_maps, count, max_u
 
 
 def test_thresholds_edge_cases():
@@ -569,41 +631,106 @@ def test_thresholds_edge_cases():
 
 
 def test_kernel_threshold_extremes():
-    # p = 1 on every u: each party accepts its first trial.  p = 0: a party
-    # accepts only when both its coins are 0, Pr 2**-64 per trial.
+    # Dense: p = 1 on every u makes every trial a candidate, and each party
+    # accepts its first trial.  p = 0: a party accepts only when both its
+    # coins are 0, Pr 2**-64 per trial.
     rows = _thresholds([[[1.0] * 3, [1.0] * 3], [[0.0] * 3, [0.0] * 3]])
     n, trials = 2000, 5
     params = compression_parameters(0.5, 0.0, 3, overrides=(1, trials, 0))
-    ((a_maps, b_maps),) = _party_maps(_seeded_rng(8), n, params, rows, rows, (2, 0, 1))
-    u = _seeded_rng(8).integers(0, 3, size=(n, trials), dtype=np.uint8)
+    ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(8), n, params, rows, rows, (2, 0, 1))
+    assert count == n * trials
+    rng = _seeded_rng(8)
+    rng.bit_generator.random_raw(n * trials)
+    u = rng.integers(0, 3, size=(n, trials), dtype=np.uint8)
     first = np.array((2, 0, 1))[u[:, 0]]
     assert (a_maps[:, 0] == first).all() and (b_maps[:, 0] == first).all()
     assert (a_maps[:, 1] == BOT).all() and (b_maps[:, 1] == BOT).all()
+    # p = 0 on every row: no candidate, so no u or hash is drawn at all.
+    rows = _thresholds([[[0.0] * 3, [1.0] * 3]])
+    ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(8), n, params, rows, rows[:, ::-1],
+                                             (2, 0, 1))
+    assert count == 0
+    assert (a_maps == BOT).all() and (b_maps == BOT).all()
+
+
+def test_kernel_cut_is_max_over_rows():
+    # Sparse rows that differ: Alice's largest alpha threshold sits in her
+    # middle row at one u, Bob's largest beta threshold in his last row.  A
+    # cut taken from any one row, or from the other coin, draws u at other
+    # trials and so gives other maps.
+    small, size = _coin_threshold(1 / 64), 3
+    a_rows = [[[small] * size, [2**32 - 1] * size],
+              [[small, 4 * small, small], [2**32 - 1] * size],
+              [[small // 2] * size, [2**31] * size]]
+    b_rows = [[[2**31] * size, [small] * size],
+              [[2**32 - 1] * size, [small, small, 8 * small]]]
+    a_maps, b_maps, count, _ = _check_kernel(21, 3000, 6, size, 1, a_rows, b_rows, (0, 1, 2))
+    assert 0.1 < count / (3000 * 6) < 0.2  # about 1/16 + 1/8 - 1/128
+    # Every row outputs a value in some run.
+    assert (a_maps != BOT).any(axis=0).all() and (b_maps != BOT).any(axis=0).all()
 
 
 @pytest.mark.parametrize(
     "size, hash_bits, trials, n",
-    [(3, 0, 6, 600), (4, 3, 8, 600), (300, 1, 4, 600), (5, 9, 10, 4000)],
+    [(3, 0, 6, 600), (4, 3, 8, 600), (300, 1, 4, 600), (5, 9, 10, 4000), (4, 2, 30, 1000),
+     (300, 2, 12, 300)],
 )
 def test_kernel_matches_loop_reference(size, hash_bits, trials, n):
+    # Alice's alpha and Bob's beta thresholds are scaled by 1/8, like p/S at
+    # delta_exp 3, so that most trials are no candidates.
     rng = random.Random(size * 100 + hash_bits)
 
-    def row():
-        return [[rng.choice((0.0, 1.0, rng.random(), rng.random() / 8)) for _ in range(size)]
-                for _ in range(2)]
+    def row(scaled):
+        probs = [[rng.choice((0.0, 1.0, rng.random(), rng.random() / 8)) for _ in range(size)]
+                 for _ in range(2)]
+        probs[scaled] = [p / 8 for p in probs[scaled]]
+        return [[_coin_threshold(p) for p in coin] for coin in probs]
 
-    a_probs = [row() for _ in range(3)]
-    b_probs = [row() for _ in range(2)]
+    a_rows = [row(0) for _ in range(3)]
+    b_rows = [row(1) for _ in range(2)]
     outputs = [rng.randrange(4) for _ in range(size)]
-    params = compression_parameters(0.5, 0.0, size, overrides=(1, trials, hash_bits))
-    ((a_maps, b_maps),) = _party_maps(
-        _seeded_rng(17), n, params, _thresholds(a_probs), _thresholds(b_probs), outputs)
-    ref_a, ref_b, max_u = _reference_maps(17, n, trials, size, hash_bits, a_probs, b_probs, outputs)
-    assert a_maps.tolist() == ref_a
-    assert b_maps.tolist() == ref_b
+    a_maps, b_maps, count, max_u = _check_kernel(17, n, trials, size, hash_bits, a_rows, b_rows,
+                                                 outputs)
     assert (a_maps != BOT).any() and (b_maps != BOT).any()
+    assert 0 < count < n * trials / 4
     if size > 256:
         assert max_u > 255  # the uint16 u dtype reaches past a byte
+
+
+def _random_kernel_case(rng):
+    """Kernel arguments with |U| up to 300 and thresholds that mix 0,
+    2**32 - 1, sparse values below 2**32 >> d and any uint32."""
+    size = rng.choice((1, 2, 3, rng.randrange(1, 301)))
+    sparse = rng.randrange(9)
+
+    def threshold():
+        return rng.choice((0, 2**32 - 1, rng.randrange(2**32 >> sparse), rng.randrange(2**32)))
+
+    def rows():
+        return [[[threshold() for _ in range(size)] for _ in range(2)]
+                for _ in range(rng.randrange(1, 4))]
+
+    return (rng.randrange(2**32), rng.randrange(1, 40), rng.randrange(1, 13), size,
+            rng.choice((0, 3, 9, 40, 70)), rows(), rows(),
+            [rng.randrange(5) for _ in range(size)])
+
+
+def test_seeded_kernel_property():
+    rng = random.Random(20120406)
+    counts = [_check_kernel(*_random_kernel_case(rng))[2] for _ in range(60)]
+    assert min(counts) == 0 and max(counts) > 0
+
+
+def test_hypothesis_kernel_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False))
+    def check(rng):
+        _check_kernel(*_random_kernel_case(rng))
+
+    check()
 
 
 class _Words:
@@ -740,8 +867,8 @@ def test_extract_strategy_tally_matches_counter():
     assert report.weight_total == 1
     assert sum(w for *_, w in strategy.entries) == 1
     a_rows, b_rows = _party_rows(pi, mu, range(4), range(4), params)
-    ((a_maps, b_maps),) = _party_maps(_seeded_rng(4), seeds, params, a_rows, b_rows,
-                                      pi.leaf_outputs())
+    ((a_maps, b_maps, _),) = _party_maps(_seeded_rng(4), seeds, params, a_rows, b_rows,
+                                         pi.leaf_outputs())
     tally = Counter()
     for a, b in zip(a_maps.tolist(), b_maps.tolist()):
         for z in range(pi.z_size):
