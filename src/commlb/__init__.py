@@ -31,7 +31,6 @@ from .protocol import (
     Leaf,
     Node,
     ProtocolTree,
-    TranscriptDistribution,
     factorization,
     information_cost,
     information_cost_paths,

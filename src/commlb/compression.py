@@ -9,10 +9,12 @@ The pipeline:
   random hash h : [T] -> {0,1}^k and target r pick a common accepted
   experiment; each party outputs the transcript's value or aborts;
 * the exact output law, from the T-th power of one trial's transition matrix
-  over the (Alice, Bob) state chain taken by squaring in O(log T) products,
-  and a vectorized Monte Carlo engine for cross-checking it, which draws u
-  and the hash only at the trials whose (alpha, beta) some party could
-  accept (at most a 2**(1 - delta_exp) share);
+  on a four-state chain per output value (nobody decided, only Bob, only
+  Alice, both have it) taken by squaring in O(log T) products, with each
+  party's own law in closed form, and a vectorized Monte Carlo engine for
+  cross-checking it, which draws u and the hash only at the trials whose
+  (alpha, beta) some party could accept (at most a 2**(1 - delta_exp)
+  share);
 * the conversion of runs into a labeled-rectangle strategy.
 
 Experiment category probabilities are closed-form: with S = 2**delta_exp,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -408,11 +411,6 @@ class ExactLaw:
     alice_output: tuple[float, ...]  # law of Alice's own output, BOT last
     bob_output: tuple[float, ...]
 
-    def conditional_output(self) -> tuple[float, ...]:
-        if self.not_abort == 0:
-            raise ConditioningError("protocol always aborts")
-        return tuple(p / self.not_abort for p in self.output)
-
 
 def exact_output_distribution(
     pi: ProtocolTree,
@@ -422,14 +420,22 @@ def exact_output_distribution(
     params: CompressionParameters,
     caps: Caps | None = None,
 ) -> ExactLaw:
-    """Exact joint law of (Alice output, Bob output).
+    """Exact law of the run output and of each party's own output.
 
     Uses the independence of trials and the fact that the per-trial hash-match
     indicators are i.i.d. Bernoulli(2**-hash_bits) and independent of the
-    experiment outcomes, so the run is a time-homogeneous chain on (k+2)(k+1)
-    states, k <= |U| the number of distinct leaf outputs, whose T-step law
-    costs O(log T) matrix products.
+    experiment outcomes.  The run outputs z exactly when both parties reach
+    z, which is a time-homogeneous chain on four states per output value z
+    (k <= |U| chains, one per distinct leaf output), so the T-step law costs
+    O(log T) products of k 4x4 matrices.  Each party's own law is in closed
+    form.  The law is computed in float64, so a lambda below 2**-1022 (whose
+    masses would be subnormal) or a T of 2**1024 or more is refused.
     """
+    if params.lambda_exponent > 1022 or params.trials > int(sys.float_info.max):
+        raise CapacityError(
+            "the exact law needs lambda >= 2^-1022 and T < 2^1024 in float64; got "
+            f"lambda = 2^-{params.lambda_exponent} and a T of {params.trials.bit_length()} bits"
+        )
     caps = caps or default_caps()
     if params.trials > caps.dp_trials:
         raise CapacityError(
@@ -472,42 +478,33 @@ def exact_output_distribution(
 
 
 def _dp_law(both_z, aonly_z, bonly_z, params: CompressionParameters) -> ExactLaw:
-    nz = len(both_z)
     rho = math.ldexp(1.0, -params.hash_bits)
-    alice_any = sum(both_z) + sum(aonly_z)       # Pr[Alice accepts a trial]
-    bob_any_z = [b + o for b, o in zip(both_z, bonly_z)]
-    bob_any = sum(bob_any_z)
+    trials = params.trials
+    alice_z = [b + o for b, o in zip(both_z, aonly_z)]
+    bob_z = [b + o for b, o in zip(both_z, bonly_z)]
+    alice_any, bob_any = sum(alice_z), sum(bob_z)  # Pr[a party accepts a trial]
 
-    # State (a, b) with a in {pending, aborted, z} and b in {searching, z},
-    # flattened to a * (nz + 1) + b: a = 0 pending, 1 aborted, 2 + z; b = 0
-    # searching, 1 + z.  One trial maps the law through I + gen.  Every entry
-    # of gen is built directly, never as 1 - small, since rho can be 2^-43.
-    width = nz + 1
-    gen = np.zeros(((nz + 2) * width,) * 2)
-    start = 0
-    for z in range(nz):
-        gen[start, (2 + z) * width + 1 + z] = both_z[z] * rho
-        gen[start, (2 + z) * width] = aonly_z[z] * rho
-        gen[start, 1 + z] = bonly_z[z] * rho
-    gen[start, width] = alice_any * (1.0 - rho)
-    gen[start, start] = -(alice_any + sum(bonly_z) * rho)
-    for b in range(1, width):  # Bob already found b, Alice pending
-        for z in range(nz):
-            gen[b, (2 + z) * width + b] = (both_z[z] + aonly_z[z]) * rho
-        gen[b, width + b] = alice_any * (1.0 - rho)
-        gen[b, b] = -alice_any
-    for a in range(1, nz + 2):  # Alice decided, Bob still searching
-        s = a * width
-        for z in range(nz):
-            gen[s, s + 1 + z] = bob_any_z[z] * rho
-        gen[s, s] = -bob_any * rho
+    # One chain per output value z, over the states 0 nobody decided, 1 Bob
+    # has z and Alice is pending, 2 Alice has z and Bob is searching, 3 both
+    # have z; mass that moves toward any other outcome leaves the chain.  One
+    # trial maps the law through I + gen.  Every entry of gen is built
+    # directly, never as 1 - small, since rho can be 2^-43.
+    gen = np.zeros((len(both_z), 4, 4))
+    gen[:, 0, 3] = np.multiply(both_z, rho)
+    gen[:, 0, 2] = np.multiply(aonly_z, rho)
+    gen[:, 0, 1] = np.multiply(bonly_z, rho)
+    gen[:, 0, 0] = -(alice_any + sum(bonly_z) * rho)
+    gen[:, 1, 3] = np.multiply(alice_z, rho)
+    gen[:, 1, 1] = -alice_any
+    gen[:, 2, 3] = np.multiply(bob_z, rho)
+    gen[:, 2, 2] = -bob_any * rho
 
     # (I + gen)^T = I + acc by squaring, carried on the gen part alone:
     # (I + P)^2 = I + (2P + P P) and (I + R)(I + P) = I + (R + P + R P), so
     # rounding does not grow with T.
     acc = np.zeros_like(gen)
     power = gen
-    t = params.trials
+    t = trials
     while True:
         if t & 1:
             acc = acc + power + acc @ power
@@ -515,28 +512,25 @@ def _dp_law(both_z, aonly_z, bonly_z, params: CompressionParameters) -> ExactLaw
         if not t:
             break
         power = 2.0 * power + power @ power
-    law = acc[start].reshape(nz + 2, width)
-    law[0, 0] += 1.0
-
-    output = [float(law[2 + z, 1 + z]) for z in range(nz)]
+    output = acc[:, 0, 3].tolist()
     not_abort = sum(output)
-    # The BOT entries in closed form: read off the chain they are complements
-    # of masses near 1, which loses them when they are tiny.  Alice outputs
-    # BOT unless she accepts a trial and its hash matches; Bob outputs BOT
-    # unless some trial he accepts has a matching hash.
-    trials = params.trials
-    alice_bot = (1.0 - rho) + rho * math.exp(trials * math.log1p(-alice_any))
-    bob_bot = math.exp(trials * math.log1p(-bob_any * rho))
-    alice_law = [float(law[2 + z].sum()) for z in range(nz)] + [alice_bot]
-    bob_law = [float(law[:, 1 + z].sum()) for z in range(nz)] + [bob_bot]
+    # Each party's own law in closed form.  Alice outputs z when the first
+    # trial she accepts is a z trial and its hash matches; Bob outputs z when
+    # the first trial he accepts with a matching hash is a z trial.  BOT is
+    # taken directly too: as a complement of a mass near 1 it would be lost
+    # when it is tiny.
+    alice_miss = trials * math.log1p(-alice_any)  # log Pr[Alice accepts no trial]
+    bob_miss = trials * math.log1p(-bob_any * rho)
+    alice_law = [a * rho * -math.expm1(alice_miss) / alice_any for a in alice_z]
+    bob_law = [b * -math.expm1(bob_miss) / bob_any for b in bob_z]
     union = alice_any + bob_any - sum(both_z)
     return ExactLaw(
         tuple(output),
         1.0 - not_abort,
         not_abort,
-        _collision(union * rho, params.trials),
-        tuple(alice_law),
-        tuple(bob_law),
+        _collision(union * rho, trials),
+        tuple(alice_law) + ((1.0 - rho) + rho * math.exp(alice_miss),),
+        tuple(bob_law) + (math.exp(bob_miss),),
     )
 
 
@@ -546,7 +540,9 @@ def _collision(q: float, trials: int) -> float:
     if trials * q >= 1:
         return max(1.0 - (1.0 - q) ** trials - trials * q * (1.0 - q) ** (trials - 1), 0.0)
     # The direct form cancels when T q << 1; sum the tail from k = 2 instead.
-    term = trials * (trials - 1) / 2 * q * q * math.exp((trials - 2) * math.log1p(-q))
+    # Its first term C(T, 2) q^2 (1-q)^(T-2) takes C(T, 2) q^2 as (T q)((T-1) q)
+    # / 2, two factors below 1: T^2 / 2 alone can pass the float range.
+    term = trials * q * ((trials - 1) * q) / 2 * math.exp((trials - 2) * math.log1p(-q))
     total = 0.0
     k = 2
     while term > total * 1e-17:

@@ -330,20 +330,18 @@ class FiniteDistribution:
     """
 
     weights: tuple[Number, ...]
-    normalized: bool = True
 
     def __post_init__(self) -> None:
         if not self.weights:
             raise DimensionError("empty universe")
         if any(w < 0 for w in self.weights):
             raise ParameterError("negative weight")
-        if self.normalized:
-            total = sum(self.weights)
-            if self.is_exact:
-                if total != 1:
-                    raise ParameterError(f"weights sum to {total}, not 1")
-            elif abs(total - 1) > _NORMALIZED_TOL:
+        total = sum(self.weights)
+        if self.is_exact:
+            if total != 1:
                 raise ParameterError(f"weights sum to {total}, not 1")
+        elif abs(total - 1) > _NORMALIZED_TOL:
+            raise ParameterError(f"weights sum to {total}, not 1")
 
     @property
     def size(self) -> int:

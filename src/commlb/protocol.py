@@ -34,7 +34,6 @@ __all__ = [
     "Leaf",
     "Node",
     "ProtocolTree",
-    "TranscriptDistribution",
     "Factorization",
     "transcript_distribution",
     "marginal_x",
@@ -87,6 +86,7 @@ class ProtocolTree:
         leaves: list[tuple[str, Leaf]] = []
         self._validate(self.root, "", leaves)
         object.__setattr__(self, "_leaves", tuple(leaves))
+        object.__setattr__(self, "_factor_memo", {})
 
     def _validate(self, node, path: str, acc: list) -> None:
         if isinstance(node, Leaf):
@@ -122,21 +122,24 @@ class ProtocolTree:
 
     # -- per-party path factors --------------------------------------------
 
-    def alice_factors(self, x: int) -> tuple[Number, ...]:
-        """Product of Alice-owned and public branch probabilities per leaf."""
-        return self._factors(lambda n: n.owner in ("A", "P"), x)
-
-    def bob_factors(self, y: int) -> tuple[Number, ...]:
-        return self._factors(lambda n: n.owner == "B", y)
-
-    def _factors(self, owned, idx: int) -> tuple[Number, ...]:
+    def factors(self, party: Literal["A", "B"], idx: int) -> tuple[Number, ...]:
+        """Per-leaf product of the branch probabilities that ``party`` owns,
+        on its input ``idx``; public nodes count as Alice's.  Memoized per
+        (party, idx)."""
+        memo = self._factor_memo  # type: ignore[attr-defined]
+        if (party, idx) in memo:
+            return memo[(party, idx)]
+        name, size = ("x", self.x_size) if party == "A" else ("y", self.y_size)
+        if not 0 <= idx < size:
+            raise ParameterError(f"{name}={idx} outside [0, {size})")
+        owners = ("A", "P") if party == "A" else ("B",)
         out: list[Number] = []
 
         def walk(node, acc) -> None:
             if isinstance(node, Leaf):
                 out.append(acc)
                 return
-            if owned(node):
+            if node.owner in owners:
                 p = node.p1[0] if node.owner == "P" else node.p1[idx]
                 walk(node.zero, acc * (1 - p))
                 walk(node.one, acc * p)
@@ -145,7 +148,8 @@ class ProtocolTree:
                 walk(node.one, acc)
 
         walk(self.root, 1)
-        return tuple(out)
+        memo[(party, idx)] = tuple(out)
+        return memo[(party, idx)]
 
     # -- COMMPROT text format ----------------------------------------------
 
@@ -280,72 +284,48 @@ def _parse_sexpr(tokens: list[str]) -> Union[Node, Leaf]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TranscriptDistribution:
-    dist: FiniteDistribution
-    provenance: Literal["joint", "marginal_x", "marginal_y"]
-
-    @property
-    def weights(self) -> tuple[Number, ...]:
-        return self.dist.weights
-
-
-def _check_input(pi: ProtocolTree, x: int | None = None, y: int | None = None) -> None:
-    if x is not None and not (0 <= x < pi.x_size):
-        raise ParameterError(f"x={x} outside [0, {pi.x_size})")
-    if y is not None and not (0 <= y < pi.y_size):
-        raise ParameterError(f"y={y} outside [0, {pi.y_size})")
-
-
-def transcript_distribution(pi: ProtocolTree, x: int, y: int) -> TranscriptDistribution:
+def transcript_distribution(pi: ProtocolTree, x: int, y: int) -> FiniteDistribution:
     """Exact leaf distribution of the protocol on fixed inputs (x, y)."""
-    _check_input(pi, x, y)
-    pa = pi.alice_factors(x)
-    pb = pi.bob_factors(y)
-    return TranscriptDistribution(
-        FiniteDistribution(tuple(a * b for a, b in zip(pa, pb))), "joint"
+    pa, pb = pi.factors("A", x), pi.factors("B", y)
+    return FiniteDistribution(tuple(a * b for a, b in zip(pa, pb)))
+
+
+def _estimate(pi: ProtocolTree, mu: InputDistribution, party: str, idx: int) -> tuple[Number, ...]:
+    """The other party's per-leaf factors averaged under mu given that
+    ``party``'s input is ``idx``, pinned to 0 on the leaves where ``party``'s
+    own factor is 0."""
+    own = pi.factors(party, idx)
+    if party == "A":
+        name, other, total = "x", "B", mu.x_marginal(idx)
+        cond = [mu.prob(idx, y) for y in range(mu.y_size)]
+    else:
+        name, other, total = "y", "A", mu.y_marginal(idx)
+        cond = [mu.prob(x, idx) for x in range(mu.x_size)]
+    if total == 0:
+        raise ConditioningError(f"{name}={idx} has zero marginal probability")
+    acc = [0 * own[0]] * pi.universe_size
+    for j, p in enumerate(cond):
+        w = p / total
+        if w == 0:
+            continue
+        acc = [q + w * v for q, v in zip(acc, pi.factors(other, j))]
+    # The average equals marginal/own wherever own > 0; pin the 0/0 leaves to
+    # 0 so it literally is that quotient.
+    return tuple(0 * q if p == 0 else q for p, q in zip(own, acc))
+
+
+def marginal_x(pi: ProtocolTree, mu: InputDistribution, x: int) -> FiniteDistribution:
+    """Transcript distribution conditioned on X = x (averaged over y ~ mu(.|x))."""
+    return FiniteDistribution(
+        tuple(p * q for p, q in zip(pi.factors("A", x), _estimate(pi, mu, "A", x)))
     )
 
 
-def _mu_conditional_rows(mu: InputDistribution, x: int) -> list[Number]:
-    total = mu.x_marginal(x)
-    if total == 0:
-        raise ConditioningError(f"x={x} has zero marginal probability")
-    return [mu.prob(x, y) / total for y in range(mu.y_size)]
-
-
-def _mu_conditional_cols(mu: InputDistribution, y: int) -> list[Number]:
-    total = mu.y_marginal(y)
-    if total == 0:
-        raise ConditioningError(f"y={y} has zero marginal probability")
-    return [mu.prob(x, y) / total for x in range(mu.x_size)]
-
-
-def marginal_x(pi: ProtocolTree, mu: InputDistribution, x: int) -> TranscriptDistribution:
-    """Transcript distribution conditioned on X = x (averaged over y ~ mu(.|x))."""
-    _check_input(pi, x=x)
-    cond = _mu_conditional_rows(mu, x)
-    pa = pi.alice_factors(x)
-    acc = [0 * pa[0]] * pi.universe_size
-    for y, w in enumerate(cond):
-        if w == 0:
-            continue
-        pb = pi.bob_factors(y)
-        acc = [a + w * pav * pbv for a, pav, pbv in zip(acc, pa, pb)]
-    return TranscriptDistribution(FiniteDistribution(tuple(acc)), "marginal_x")
-
-
-def marginal_y(pi: ProtocolTree, mu: InputDistribution, y: int) -> TranscriptDistribution:
-    _check_input(pi, y=y)
-    cond = _mu_conditional_cols(mu, y)
-    pb = pi.bob_factors(y)
-    acc = [0 * pb[0]] * pi.universe_size
-    for x, w in enumerate(cond):
-        if w == 0:
-            continue
-        pa = pi.alice_factors(x)
-        acc = [a + w * pav * pbv for a, pav, pbv in zip(acc, pa, pb)]
-    return TranscriptDistribution(FiniteDistribution(tuple(acc)), "marginal_y")
+def marginal_y(pi: ProtocolTree, mu: InputDistribution, y: int) -> FiniteDistribution:
+    """Transcript distribution conditioned on Y = y (averaged over x ~ mu(.|y))."""
+    return FiniteDistribution(
+        tuple(p * q for p, q in zip(pi.factors("B", y), _estimate(pi, mu, "B", y)))
+    )
 
 
 @dataclass(frozen=True)
@@ -367,28 +347,9 @@ def factorization(pi: ProtocolTree, mu: InputDistribution, x: int, y: int) -> Fa
     in [0,1] and p_a*q_a reproduces the x-marginal identically (and
     symmetrically for q_b).
     """
-    _check_input(pi, x, y)
-    rows = _mu_conditional_rows(mu, x)
-    cols = _mu_conditional_cols(mu, y)
-    p_a = pi.alice_factors(x)
-    p_b = pi.bob_factors(y)
-    q_a = [0 * p_a[0]] * pi.universe_size
-    for yy, w in enumerate(rows):
-        if w == 0:
-            continue
-        pb = pi.bob_factors(yy)
-        q_a = [q + w * v for q, v in zip(q_a, pb)]
-    q_b = [0 * p_b[0]] * pi.universe_size
-    for xx, w in enumerate(cols):
-        if w == 0:
-            continue
-        pa = pi.alice_factors(xx)
-        q_b = [q + w * v for q, v in zip(q_b, pa)]
-    # The conditional averages equal marginal/p wherever p > 0; pin the 0/0
-    # leaves to 0 so q literally is that quotient.
-    q_a = [0 * q if p == 0 else q for p, q in zip(p_a, q_a)]
-    q_b = [0 * q if p == 0 else q for p, q in zip(p_b, q_b)]
-    return Factorization(p_a, tuple(q_a), p_b, tuple(q_b))
+    return Factorization(
+        pi.factors("A", x), _estimate(pi, mu, "A", x), pi.factors("B", y), _estimate(pi, mu, "B", y)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -130,10 +130,6 @@ class LpSolution:
     pivots: tuple[int, int] = (0, 0)  # simplex pivots in phase 1 and phase 2
     refactorizations: int = 0
 
-    def primal_value(self, j: int):
-        assert self.primal is not None
-        return self.primal[j]
-
 
 def lp_solve(problem: LpProblem, mode: Mode = "float", caps: Caps | None = None) -> LpSolution:
     """Solve an LP, returning primal and dual witnesses when optimal."""

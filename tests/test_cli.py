@@ -195,6 +195,28 @@ def test_compress_paper_exact_dp_small_delta(capsys):
     assert " trials=47632711550 " in out.split("\n")[0]
 
 
+@pytest.mark.parametrize("argv,expected", [
+    # lambda = 2^-1050 at delta 0.5 and 2^-2884 at 0.3: the masses would be
+    # subnormal or 0.
+    (("--prot", "corpus:exchange_all,2", "--delta", "0.5", "--paper-exact"), EXIT_CAPACITY),
+    (("--prot", "corpus:exchange_all,2", "--delta", "0.3", "--paper-exact"), EXIT_CAPACITY),
+    # T = 10^400 is past the float range.
+    (("--prot", "corpus:noisy_bit,0.25", "--fn", "corpus:EQ,1", "--delta", "0.5",
+      "--override", f"1,{10**400},0"), EXIT_CAPACITY),
+    # T^2 / 2 is past the float range, but lambda = 2^-701 is a normal float.
+    (("--prot", "corpus:noisy_bit,0.25", "--fn", "corpus:EQ,1", "--delta", "0.5",
+      "--override", f"1,{10**200},700"), EXIT_OK),
+], ids=["lambda-delta0.5", "lambda-delta0.3", "trials", "t-squared"])
+def test_compress_dp_at_the_float_range(capsys, argv, expected):
+    code, out, err = _run(capsys, "compress", *argv, "--mode", "dp")
+    assert code == expected
+    assert "Traceback" not in err
+    if expected == EXIT_CAPACITY:
+        assert out == "" and err.startswith("capacity error:")
+    else:
+        assert out.strip().split("\n")[-2].startswith("aggregate,")
+
+
 def test_compress_override_mc_deterministic(capsys):
     argv = ("compress", "--prot", "corpus:noisy_bit,0.25", "--delta", "0.5",
             "--override", "2,10,1", "--mode", "mc", "--samples", "20000",

@@ -324,7 +324,7 @@ def _linear_dp_law(both_z, aonly_z, bonly_z, trials, hash_bits, nz):
     return output, 1.0 - sum(output), alice_law, bob_law
 
 
-@pytest.mark.parametrize("nz", [1, 2, 3])
+@pytest.mark.parametrize("nz", [1, 2, 3, 16])
 @pytest.mark.parametrize("hash_bits", [0, 1, 3])
 def test_dp_matches_linear_reference(nz, hash_bits):
     rng = random.Random(100 * nz + hash_bits)
@@ -439,6 +439,33 @@ def test_collision_matches_decimal_reference(delta):
     assert expected > 0
     law = exact_output_distribution(pi, UNIFORM_2x2, 0, 1, params, caps)
     assert law.collision == pytest.approx(expected, rel=1e-9, abs=0)
+
+
+def test_collision_past_the_float_range_of_t_squared():
+    # At T = 10^200, T^2 / 2 is past the float range, but lambda = 2^-701 and
+    # the collision probability, about (T q)^2 / 2, are normal floats.
+    pi = make_protocol("noisy_bit", flip=0.25)
+    params = compression_parameters(0.5, 1.0, 2, overrides=(1, 10**200, 700))
+    caps = default_caps().with_overrides(dp_trials=params.trials)
+    both, aonly, bonly = _categories(pi, UNIFORM_2x2, 0, 1, params)
+    q = (sum(both) + sum(aonly) + sum(bonly)) * math.ldexp(1.0, -params.hash_bits)
+    law = exact_output_distribution(pi, UNIFORM_2x2, 0, 1, params, caps)
+    assert math.isfinite(law.collision) and law.collision > 0
+    assert law.collision == pytest.approx((params.trials * q) ** 2 / 2, rel=1e-9, abs=0)
+    assert compression._collision(0.0, params.trials) == 0.0
+
+
+@pytest.mark.parametrize("delta_exp,trials,hash_bits", [
+    (1, 10, 1022),        # lambda = 2^-1023: subnormal masses
+    (1, 2**1024, 0),      # T past the float range
+    (1, 2**1024 - 2**970, 0),  # rounds to 2^1024 as a float
+], ids=["lambda", "trials", "trials-rounding"])
+def test_dp_refuses_what_float64_cannot_hold(delta_exp, trials, hash_bits):
+    pi = make_protocol("noisy_bit", flip=0.25)
+    params = compression_parameters(0.5, 1.0, 2, overrides=(delta_exp, trials, hash_bits))
+    caps = default_caps().with_overrides(dp_trials=trials)
+    with pytest.raises(CapacityError, match="float64"):
+        exact_output_distribution(pi, UNIFORM_2x2, 0, 1, params, caps)
 
 
 @pytest.mark.parametrize("delta", [0.7, 0.5])

@@ -99,6 +99,18 @@ def test_marginal_zero_conditioning():
         marginal_x(noisy_tree(), mu, 1)
 
 
+def test_inputs_outside_the_alphabets_rejected():
+    # noisy_tree has no Bob node, so only the range check rejects y.
+    pi = noisy_tree()
+    assert pi.factors("A", 1) is pi.factors("A", 1)
+    with pytest.raises(ParameterError):
+        transcript_distribution(pi, 2, 0)
+    with pytest.raises(ParameterError):
+        transcript_distribution(pi, 0, -1)
+    with pytest.raises(ParameterError):
+        marginal_y(pi, UNIFORM_2x2, 2)
+
+
 def test_factorization_send_x_example():
     fac = factorization(send_x_tree(), UNIFORM_2x2, 0, 0)
     assert fac.p_a == (1, 0)
