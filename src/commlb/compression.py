@@ -12,9 +12,10 @@ The pipeline:
   on a four-state chain per output value (nobody decided, only Bob, only
   Alice, both have it) taken by squaring in O(log T) products, with each
   party's own law in closed form, and a vectorized Monte Carlo engine for
-  cross-checking it, which draws u and the hash only at the trials whose
-  (alpha, beta) some party could accept (at most a 2**(1 - delta_exp)
-  share);
+  cross-checking it, which draws the coins' top bytes at every trial, their
+  low bits only where a top byte admits some party, and u and the hash only
+  at the trials whose (alpha, beta) some party could accept (at most a
+  2**(1 - delta_exp) share);
 * the conversion of runs into a labeled-rectangle strategy.
 
 Experiment category probabilities are closed-form: with S = 2**delta_exp,
@@ -244,6 +245,9 @@ def compression_parameters(
 # number of runs is.
 _CHUNK_ELEMENTS = 2_000_000
 
+# Index of a uint32's most significant byte in its native-order uint8 view.
+_TOP_BYTE = 3 if sys.byteorder == "little" else 0
+
 
 class _Same:
     """Memo key that compares its objects by identity.  By value 0.25 ==
@@ -264,16 +268,26 @@ class _Same:
 
 
 @functools.lru_cache(maxsize=256)
-def _experiment_inputs(same: _Same, x: int, y: int, delta_exp) -> ExperimentInputs:
+def _experiment_cell(same: _Same, x: int, y: int, delta_exp):
+    """The cell's factor functions and its read-only uint32 party rows,
+    shape (2, 2, |U|): Alice's row, then Bob's (see ``_party_rows``)."""
     pi, mu = same.objects
-    return ExperimentInputs.from_factorization(factorization(pi, mu, x, y), delta_exp)
+    inp = ExperimentInputs.from_factorization(factorization(pi, mu, x, y), delta_exp)
+
+    def scaled(vals):
+        return [math.ldexp(float(v), -delta_exp) for v in vals]
+
+    rows = _thresholds([(scaled(inp.p_a), inp.q_a), (inp.q_b, scaled(inp.p_b))])
+    rows.flags.writeable = False
+    return inp, rows
 
 
 def _experiment_setup(pi: ProtocolTree, mu: InputDistribution, x: int, y: int, params):
     """The experiment's factor functions, memoized per (pi, mu, x, y,
-    delta_exp): a scalar run would otherwise spend most of its time
-    rebuilding the factorization."""
-    return _experiment_inputs(_Same(pi, mu), x, y, params.delta_exp)
+    delta_exp) together with the cell's party rows: a scalar run would
+    otherwise spend most of its time rebuilding the factorization and
+    converting it to thresholds."""
+    return _experiment_cell(_Same(pi, mu), x, y, params.delta_exp)[0]
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
@@ -288,18 +302,15 @@ def _thresholds(probs) -> np.ndarray:
 
 
 def _party_rows(pi: ProtocolTree, mu: InputDistribution, xs, ys, params):
-    """Thresholds, shape (rows, 2, |U|), of Alice's rows for ``xs`` and Bob's
-    for ``ys``.  With alpha, beta ~ U[0, S], S = 2**delta_exp, Alice accepts
-    u when alpha/S <= p_a(u)/S and beta/S <= q_a(u); Bob when alpha/S <=
-    q_b(u) and beta/S <= p_b(u)/S."""
-    alice = [_experiment_setup(pi, mu, x, ys[0], params) for x in xs]
-    bob = [alice[0]] + [_experiment_setup(pi, mu, xs[0], y, params) for y in ys[1:]]
-
-    def scaled(vals):
-        return [math.ldexp(float(v), -params.delta_exp) for v in vals]
-
-    return (_thresholds([(scaled(i.p_a), i.q_a) for i in alice]),
-            _thresholds([(i.q_b, scaled(i.p_b)) for i in bob]))
+    """Lists of thresholds, shape (2, |U|) each, of Alice's rows for ``xs``
+    and Bob's for ``ys``.  With alpha, beta ~ U[0, S], S = 2**delta_exp,
+    Alice accepts u when alpha/S <= p_a(u)/S and beta/S <= q_a(u); Bob when
+    alpha/S <= q_b(u) and beta/S <= p_b(u)/S.  Alice's row depends on x
+    alone and Bob's on y alone, so each is read off one memoized cell."""
+    same = _Same(pi, mu)
+    alice = [_experiment_cell(same, x, ys[0], params.delta_exp)[1][0] for x in xs]
+    bob = [_experiment_cell(same, xs[0], y, params.delta_exp)[1][1] for y in ys]
+    return alice, bob
 
 
 def _hash_match(bitgen, count: int, hash_bits: int) -> np.ndarray:
@@ -326,6 +337,33 @@ def _first_per_run(hit, run):
     return runs[first], pos[first]
 
 
+def _candidate_coins(bitgen, count: int, alpha_cut: int, beta_cut: int):
+    """The coins of a block of ``count`` trials, at its candidate trials only:
+    (alpha, beta, trial index), in trial order.  A trial is a candidate when
+    alpha <= alpha_cut or beta <= beta_cut.
+
+    Each uint32 coin is 2**24 * h + l, with top byte h and low 24 bits l.
+    The block draws the top bytes of every trial, 2 bytes per trial from one
+    uint8 view of raw words: alpha's bytes for all ``count`` trials, then
+    beta's.  Then, at the trials where h_alpha <= alpha_cut >> 24 or h_beta
+    <= beta_cut >> 24 only, it draws one raw word each, whose uint32 view
+    gives l_alpha (first half) and l_beta (second half) as its low 24 bits.
+    A trial whose top bytes are both above their cut's is no candidate,
+    whatever its l, so every coin is still an exact uniform uint32 where it
+    is compared.  The arrays this builds over the whole block are freed on
+    return.
+    """
+    tops = bitgen.random_raw(-(-count // 4)).view(np.uint8)[:2 * count].reshape(2, -1)
+    near = ((tops[0] <= alpha_cut >> 24) | (tops[1] <= beta_cut >> 24)).nonzero()[0]
+    # Overwrite the top byte of each drawn uint32 with the trial's h, which
+    # keeps its low 24 bits as l.
+    coins = bitgen.random_raw(len(near)).view(np.uint32)
+    coins.view(np.uint8)[_TOP_BYTE::4] = tops.take(near, axis=1).ravel()
+    alpha, beta = coins.reshape(2, -1)
+    keep = ((alpha <= alpha_cut) | (beta <= beta_cut)).nonzero()[0]
+    return alpha[keep], beta[keep], near[keep]
+
+
 def _party_maps(rng, n, params, a_rows, b_rows, outputs):
     """Yield (a_maps, b_maps, candidates) for blocks of ``n`` runs; the maps
     have shape (block, rows).
@@ -333,30 +371,40 @@ def _party_maps(rng, n, params, a_rows, b_rows, outputs):
     a_maps[r, i] is the output of Alice's first accepted trial of run r under
     row i if its hash matches, else BOT; b_maps[r, j] is the output of Bob's
     first accepted trial whose hash matches, else BOT.  ``outputs`` holds the
-    output of each u.  A block draws one raw word per trial: alpha is the
-    first half of their uint32 view, beta the second.  A trial is a
-    candidate when alpha is at most the largest alpha threshold of any
-    Alice row or beta at most the largest beta threshold of any Bob row;
-    no other trial is accepted by anyone, whatever its u.  The block then
-    draws u and then the hash matches at the candidates only, in trial
-    order; ``candidates`` counts them.  Every coin is still an independent
-    uniform draw compared with the same thresholds, so the law of a run is
-    the same as when u and the hash are drawn at every trial.  ``a_rows``
-    and ``b_rows`` are uint32 thresholds of shape (rows, 2, |U|).
+    output of each u.  ``a_rows`` and ``b_rows`` are sequences of uint32
+    thresholds of shape (2, |U|), alpha's then beta's.
+
+    A block draws, in this order: the coins' top bytes at every trial, then
+    their low bits where a top byte admits them (``_candidate_coins``, with
+    alpha_cut the largest alpha threshold of any Alice row and beta_cut the
+    largest beta threshold of any Bob row), then u, then the hash matches,
+    these two at the candidate trials only and in trial order.  No trial
+    outside the candidates is accepted by any row, whatever its u.  Every
+    coin is still an independent uniform uint32 compared with the same
+    thresholds, so the law of a run is the same as when every coin, u and
+    hash is drawn at every trial.  ``candidates`` counts the trials whose u
+    and hash were drawn.  A run must fit in one block: a T above
+    ``_CHUNK_ELEMENTS`` raises ``CapacityError`` before any draw.
     """
     trials, bitgen, outputs = params.trials, rng.bit_generator, np.asarray(outputs)
+    if trials > _CHUNK_ELEMENTS:
+        raise CapacityError(
+            f"T={trials} exceeds the {_CHUNK_ELEMENTS} trials of one MC block; "
+            "use the DP for larger T"
+        )
     size = len(outputs)
     u_dtype = np.min_scalar_type(size - 1)
-    alpha_cut, beta_cut = a_rows[:, 0].max(), b_rows[:, 1].max()
-    chunk = max(1, min(n, _CHUNK_ELEMENTS // trials))
+    # Python's max over a list beats a numpy reduction on rows this short.
+    alpha_cut = max(max(t_alpha.tolist()) for t_alpha, _ in a_rows)
+    beta_cut = max(max(t_beta.tolist()) for _, t_beta in b_rows)
+    chunk = min(n, _CHUNK_ELEMENTS // trials)
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
-        alpha, beta = bitgen.random_raw(m * trials).view(np.uint32).reshape(2, -1)
-        cand = ((alpha <= alpha_cut) | (beta <= beta_cut)).nonzero()[0]
+        alpha, beta, cand = _candidate_coins(bitgen, m * trials, alpha_cut, beta_cut)
         count = len(cand)
         u = rng.integers(0, size, size=count, dtype=u_dtype)
         match = _hash_match(bitgen, count, params.hash_bits)
-        alpha, beta, run, u = alpha[cand], beta[cand], cand // trials, u.astype(np.intp)
+        run, u = cand // trials, u.astype(np.intp)
         a_maps = np.full((m, len(a_rows)), BOT, dtype=np.int64)
         b_maps = np.full((m, len(b_rows)), BOT, dtype=np.int64)
         for i, (t_alpha, t_beta) in enumerate(a_rows):
@@ -559,7 +607,13 @@ def _collision(q: float, trials: int) -> float:
 
 @dataclass(frozen=True)
 class McLaw:
-    """Empirical law of the run output over Z plus BOT."""
+    """Empirical law of the run output over Z plus BOT.
+
+    ``candidates`` counts the trials whose u and hash were drawn: alpha at
+    most the largest alpha threshold of any Alice row, or beta at most the
+    largest beta threshold of any Bob row.  The kernel draws the coins' top
+    bytes at every trial, their low 24 bits only where a top byte is at most
+    its cut's top byte, then u and the hash at the candidates only."""
 
     counts: tuple[int, ...]   # per z, then BOT last
     samples: int
@@ -577,6 +631,8 @@ class McLaw:
 
 def _mc_laws(pi, mu, params, xs, ys, samples, seed) -> dict[tuple[int, int], McLaw]:
     """MC output laws of every cell of xs x ys, read off one coin block."""
+    if samples < 1:
+        raise ParameterError(f"MC needs at least one sample, got {samples}")
     a_rows, b_rows = _party_rows(pi, mu, xs, ys, params)
     nz = pi.z_size
     counts = np.zeros((len(xs), len(ys), nz + 1), dtype=np.int64)

@@ -228,6 +228,23 @@ def test_compress_override_mc_deterministic(capsys):
     assert out1.split("\n")[0].startswith("# engine=mc mode=override")
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_compress_mc_needs_a_sample(capsys, samples):
+    code, out, err = _run(capsys, "compress", "--prot", "corpus:noisy_bit,0.25",
+                          "--fn", "corpus:EQ,1", "--override", "2,10,1", "--mode", "mc",
+                          "--samples", samples)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and "at least one sample" in err and "Traceback" not in err
+
+
+def test_compress_mc_refuses_a_run_past_one_block(capsys):
+    # T is about 1.5e158; the DP refuses it too, since lambda = 2^-1050.
+    code, out, err = _run(capsys, "compress", "--prot", "corpus:exchange_all,2",
+                          "--delta", "0.5", "--paper-exact", "--mode", "mc", "--samples", "1")
+    assert code == EXIT_CAPACITY
+    assert out == "" and err.startswith("capacity error:") and "MC block" in err
+
+
 def test_compress_delta_out_of_range(capsys):
     code, _, err = _run(capsys, "compress", "--prot", "corpus:trivial_const",
                         "--delta", "1.5")

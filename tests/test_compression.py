@@ -8,6 +8,7 @@ import tracemalloc
 from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -494,13 +495,22 @@ def test_run_zero_comm_deterministic():
 
 
 def test_run_zero_comm_memoizes_the_factorization(monkeypatch):
-    calls = []
+    calls, conversions = [], []
     monkeypatch.setattr(compression, "factorization",
                         lambda *args: calls.append(args) or factorization(*args))
+    monkeypatch.setattr(compression, "_thresholds",
+                        lambda probs: conversions.append(probs) or _thresholds(probs))
     pi = make_protocol("noisy_bit", flip=Fraction(1, 4))
     params = compression_parameters(0.5, 1.0, 2, overrides=(2, 20, 1))
-    outs = [run_zero_comm(pi, UNIFORM_2x2, 0, 1, params, seed=s) for s in range(5)]
+    # The exact law here is (0.160, 0.058) over z = (0, 1) and 0.781 on BOT,
+    # so 100 runs all give one output with probability below 0.79**100 + 0.17**100
+    # + 0.06**100 < 1e-10.
+    outs = [run_zero_comm(pi, UNIFORM_2x2, 0, 1, params, seed=s) for s in range(100)]
     assert len(calls) == 1 and len(set(outs)) > 1
+    # The cell's threshold rows are converted once, on the first run.
+    assert len(conversions) == 1
+    run_zero_comm(pi, UNIFORM_2x2, 1, 1, params, seed=0)
+    assert len(calls) == len(conversions) == 2
     exact = compression._experiment_setup(pi, UNIFORM_2x2, 0, 1, params)
     assert exact == ExperimentInputs.from_factorization(factorization(pi, UNIFORM_2x2, 0, 1), 2)
     # Equal in value but not in number type: the float input gets its own
@@ -508,7 +518,7 @@ def test_run_zero_comm_memoizes_the_factorization(monkeypatch):
     float_mu = InputDistribution(((0.25, 0.25), (0.25, 0.25)))
     assert float_mu == UNIFORM_2x2
     rounded = compression._experiment_setup(pi, float_mu, 0, 1, params)
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert all(isinstance(v, Fraction) for v in exact.q_a)
     assert all(isinstance(v, float) for v in rounded.q_a)
 
@@ -582,19 +592,31 @@ def _coin_threshold(p: float) -> int:
 
 def _reference_maps(seed, n, trials, size, hash_bits, a_rows, b_rows, outputs):
     """The party maps by a plain loop over the coins, drawn in the kernel's
-    documented order: one raw word per trial (alpha the first half of their
-    uint32 view, beta the second); then, at the candidate trials only, u and
-    then the hash-match words.  A trial is a candidate when alpha is at most
-    the largest alpha threshold of any Alice row or beta at most the largest
-    beta threshold of any Bob row.  Rows are [alpha thresholds, beta
-    thresholds] over u, as integers."""
+    documented order.  First the top bytes of every trial, from a uint8 view
+    of raw words: alpha's bytes for all trials, then beta's.  Then, at the
+    trials where h_alpha <= alpha_cut >> 24 or h_beta <= beta_cut >> 24, one
+    raw word each, whose uint32 view gives the low 24 bits of alpha (first
+    half) and of beta (second half).  Then, at the candidates only (alpha <=
+    alpha_cut or beta <= beta_cut), u and then the hash-match words.
+    alpha_cut is the largest alpha threshold of any Alice row and beta_cut
+    the largest beta threshold of any Bob row.  Rows are [alpha thresholds,
+    beta thresholds] over u, as integers."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     count = n * trials
-    words = rng.bit_generator.random_raw(count).view(np.uint32).tolist()
-    alpha, beta = words[:count], words[count:]
+    tops = rng.bit_generator.random_raw(-(-2 * count // 8)).view(np.uint8).tolist()
+    top_alpha, top_beta = tops[:count], tops[count:2 * count]
     alpha_cut = max(max(t_alpha) for t_alpha, _ in a_rows)
     beta_cut = max(max(t_beta) for _, t_beta in b_rows)
-    cand = [k for k in range(count) if alpha[k] <= alpha_cut or beta[k] <= beta_cut]
+    near = [k for k in range(count)
+            if top_alpha[k] <= alpha_cut // 2**24 or top_beta[k] <= beta_cut // 2**24]
+    lows = rng.bit_generator.random_raw(len(near)).view(np.uint32).tolist()
+    # A trial without low bits gets its smallest possible coins.
+    alpha = [h * 2**24 for h in top_alpha]
+    beta = [h * 2**24 for h in top_beta]
+    for i, k in enumerate(near):
+        alpha[k] += lows[i] % 2**24
+        beta[k] += lows[len(near) + i] % 2**24
+    cand = [k for k in near if alpha[k] <= alpha_cut or beta[k] <= beta_cut]
     u = rng.integers(0, size, size=len(cand), dtype=np.min_scalar_type(size - 1)).tolist()
     match = [True] * len(cand)
     for done in range(0, hash_bits, 64):
@@ -606,7 +628,8 @@ def _reference_maps(seed, n, trials, size, hash_bits, a_rows, b_rows, outputs):
     coins = {k: (u[i], match[i]) for i, k in enumerate(cand)}
 
     def accepts(row, k):
-        # A trial that is no candidate has no u: no row may accept it.
+        # A trial that is no candidate has no u: no row may accept it, even
+        # at the smallest coins its top bytes allow.
         if k not in coins:
             assert all(alpha[k] > t for t in row[0]) or all(beta[k] > t for t in row[1])
             return False
@@ -666,7 +689,9 @@ def test_kernel_threshold_extremes():
     params = compression_parameters(0.5, 0.0, 3, overrides=(1, trials, 0))
     ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(8), n, params, rows, rows, (2, 0, 1))
     assert count == n * trials
+    # Every top byte is at most 255, so every trial gets its low bits before u.
     rng = _seeded_rng(8)
+    rng.bit_generator.random_raw(n * trials // 4)
     rng.bit_generator.random_raw(n * trials)
     u = rng.integers(0, 3, size=(n, trials), dtype=np.uint8)
     first = np.array((2, 0, 1))[u[:, 0]]
@@ -695,6 +720,22 @@ def test_kernel_cut_is_max_over_rows():
     assert 0.1 < count / (3000 * 6) < 0.2  # about 1/16 + 1/8 - 1/128
     # Every row outputs a value in some run.
     assert (a_maps != BOT).any(axis=0).all() and (b_maps != BOT).any(axis=0).all()
+
+
+@pytest.mark.parametrize("k", [1, 9, 128])
+def test_kernel_top_byte_edges(k):
+    # Each party's cut sits on a top-byte edge in turn: k * 2**24 - 1 has top
+    # byte k - 1, k * 2**24 and k * 2**24 + 1 have top byte k, and 2**32 - 1
+    # has 255.  A kernel whose top-byte cut is off by one draws low bits at
+    # other trials, and so gives other maps than the reference.
+    size, full = 2, 2**32 - 1
+    for alpha_cut, beta_cut in [(k * 2**24 - 1, k * 2**24), (k * 2**24, k * 2**24 + 1),
+                                (k * 2**24 + 1, k * 2**24 - 1), (k * 2**24, full)]:
+        a_rows = [[[alpha_cut, alpha_cut // 3], [full, 2**31]]]
+        b_rows = [[[full, 2**31], [beta_cut // 5, beta_cut]],
+                  [[full] * size, [beta_cut // 2] * size]]
+        _, _, count, _ = _check_kernel(k, 400, 5, size, 1, a_rows, b_rows, (0, 1))
+        assert count > 0
 
 
 @pytest.mark.parametrize(
@@ -802,6 +843,38 @@ def test_mc_cell_counts_equal_all_cells_block(monkeypatch):
         assert one.counts == block[(rep.x, rep.y)].counts
         assert rep.not_abort == sum(c / 20_000 for c in one.counts[:-1])
     assert len(report.inputs) == 4
+
+
+def test_mc_needs_a_sample():
+    pi = make_protocol("noisy_bit", flip=0.25)
+    params = compression_parameters(0.5, 1.0, 2, overrides=(2, 10, 1))
+    for samples in (0, -5):
+        with pytest.raises(ParameterError, match="at least one sample"):
+            mc_output_distribution(pi, UNIFORM_2x2, 0, 1, params, samples, seed=0)
+        with pytest.raises(ParameterError, match="at least one sample"):
+            verify_compression(pi, None, UNIFORM_2x2, 0.5, params, engine="mc",
+                               mc_samples=samples)
+
+
+def test_mc_refuses_a_run_past_one_block(monkeypatch):
+    # A run must fit in one block of _CHUNK_ELEMENTS trials; a small block
+    # size tests the rule without drawing a large T.
+    monkeypatch.setattr(compression, "_CHUNK_ELEMENTS", 1000)
+    pi = make_protocol("noisy_bit", flip=0.25)
+    f = make_function("EQ,1")
+    fits = compression_parameters(0.5, 1.0, 2, overrides=(2, 1000, 1))
+    assert sum(mc_output_distribution(pi, UNIFORM_2x2, 0, 1, fits, 3, seed=0).counts) == 3
+    params = compression_parameters(0.5, 1.0, 2, overrides=(2, 1001, 1))
+    rows = _thresholds([[[1.0, 1.0], [1.0, 1.0]]])
+    # _Words holds no draws, so any draw fails with IndexError, not the refusal.
+    blocks = _party_maps(SimpleNamespace(bit_generator=_Words()), 1, params, rows, rows, (0, 1))
+    with pytest.raises(CapacityError, match="MC block"):
+        next(blocks)
+    for call in (lambda: mc_output_distribution(pi, UNIFORM_2x2, 0, 1, params, 3, seed=0),
+                 lambda: run_zero_comm(pi, UNIFORM_2x2, 0, 1, params, seed=0),
+                 lambda: extract_strategy(pi, f, UNIFORM_2x2, 0.5, params, 3)):
+        with pytest.raises(CapacityError, match="MC block"):
+            call()
 
 
 def test_run_zero_comm_is_one_run_of_the_kernel():
