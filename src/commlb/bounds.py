@@ -14,8 +14,10 @@ All of them stand on one rectangle layer.  ``_rect_incidence`` builds the
 cell x rectangle incidence of the nonempty rectangles as one boolean numpy
 matrix from their row and column bit masks, and every LP column is read off
 it.  ``_best_rectangle`` finds the largest and smallest total weight
-over all rectangles by enumerating row sets only; it decides discrepancy,
-the feasibility of a corruption witness and the rect witness check.
+over all rectangles by enumerating row sets only; it decides discrepancy
+and, through ``_alpha_value``, the feasibility of a corruption witness and
+the rect witness check.  On the witness side, every coverage test reads
+the grid of ``_coverage``, one pass over (rectangle, label, weight) entries.
 
 The five LP bounds are one weight-form LP, built by ``_weight_form``:
 minimize the total weight on (rectangle, label) pairs subject to per-cell
@@ -50,7 +52,7 @@ from .core import (
     check_rect_side,
     rectangle_count,
 )
-from .errors import DegenerateInputError, ParameterError, SolverError
+from .errors import DegenerateInputError, DimensionError, ParameterError, SolverError
 from .solver import LpProblem, LpSolution, _exact, check_lp_caps, lp_solve
 
 __all__ = [
@@ -97,6 +99,7 @@ class LabeledRectangleStrategy:
     y_size: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
         if self.efficiency <= 0:
             raise ParameterError("efficiency must be positive")
         if any(w < 0 for _, _, w in self.entries):
@@ -105,28 +108,18 @@ class LabeledRectangleStrategy:
         if abs(total - 1) > _NORM_TOL:
             raise ParameterError(f"strategy weights sum to {float(total)}, not 1")
         slack = self.efficiency * (1 + _NORM_TOL)
-        for x in range(self.x_size):
-            for y in range(self.y_size):
-                if self.coverage(x, y) > slack:
+        for x, row in enumerate(self.coverage()):
+            for y, cov in enumerate(row):
+                if cov > slack:
                     raise ParameterError(
                         f"coverage at ({x},{y}) exceeds efficiency {self.efficiency}"
                     )
 
-    @classmethod
-    def build(cls, entries, efficiency, x_size, y_size) -> "LabeledRectangleStrategy":
-        return cls(tuple(entries), efficiency, x_size, y_size)
-
-    def coverage(self, x: int, y: int) -> Number:
-        return sum(w for rect, _, w in self.entries if rect.contains(x, y))
-
-    def correct_coverage(self, x: int, y: int, z: int | None) -> Number:
-        """Weight on pairs that answer (x, y) correctly; any label counts when
-        z is None (the input is outside the promise)."""
-        return sum(
-            w
-            for rect, label, w in self.entries
-            if rect.contains(x, y) and (z is None or label == z)
-        )
+    def coverage(self, f: PartialFunction | None = None) -> list[list[Number]]:
+        """The x_size x y_size grid of the weight on pairs whose rectangle
+        contains each cell; given f, only on pairs that answer the cell
+        correctly (any label off the promise)."""
+        return _coverage(self.entries, self.x_size, self.y_size, f)
 
     def weight_map(self) -> dict[tuple[Rectangle, int], Number]:
         out: dict[tuple[Rectangle, int], Number] = {}
@@ -188,6 +181,20 @@ def _tolerance(values, eps=0, inexact=_WITNESS_TOL) -> Number:
     return 0 if _is_exact((eps, *values)) else inexact
 
 
+def _coverage(entries, x_size: int, y_size: int, f: PartialFunction | None = None) -> list[list]:
+    """One pass over (rectangle, label, weight) `entries`: the x_size x
+    y_size grid whose cell sums the weights of the entries whose rectangle
+    contains it; given f, only of those whose label answers the cell
+    correctly (any label off the promise).  Each cell adds its weights in
+    entry order, starting from 0."""
+    grid = [[0] * y_size for _ in range(x_size)]
+    for rect, label, w in entries:
+        for x, y in rect.cells(x_size, y_size):
+            if f is None or f.value(x, y) in (None, label):
+                grid[x][y] += w
+    return grid
+
+
 def _strategy_from_weights(weights, x_size, y_size) -> LabeledRectangleStrategy:
     """Scale raw LP weights w into a normalized strategy with efficiency
     1/sum(w) (inflated to the actual max coverage when float noise pushes a
@@ -196,13 +203,9 @@ def _strategy_from_weights(weights, x_size, y_size) -> LabeledRectangleStrategy:
     if total <= 0:
         raise SolverError("cannot normalize an all-zero weight vector")
     entries = [(rect, z, w / total) for rect, z, w in weights if w > 0]
-    efficiency = 1 / total
-    for x in range(x_size):
-        for y in range(y_size):
-            cov = sum(w for rect, _, w in entries if rect.contains(x, y))
-            if cov > efficiency:
-                efficiency = cov
-    return LabeledRectangleStrategy.build(entries, efficiency, x_size, y_size)
+    cover = _coverage(entries, x_size, y_size)
+    efficiency = max([1 / total, *(cov for row in cover for cov in row)])
+    return LabeledRectangleStrategy(entries, efficiency, x_size, y_size)
 
 
 # ---------------------------------------------------------------------------
@@ -475,19 +478,24 @@ def corruption_witness(
         raise ParameterError("beta and delta_c must be positive")
     _check_eps(eps)
     mu.check_compatible(f)
-    caps = caps or default_caps()
     alpha: dict[tuple[int, int], Number] = {}
     for x, y in f.domain():
         m = mu.prob(x, y)
         alpha[(x, y)] = m / beta if f.value(x, y) == z else m / (delta_c * beta)
-
     slack = _tolerance(alpha.values(), inexact=1e-12)
-    worst, _ = _best_rectangle(_signed_grid(f, lambda x, y: alpha[(x, y)], z), caps)
-    feasible = worst <= 1 + slack
-    on_side = sum(alpha[cell] for cell in f.preimage(z))
-    off_side = sum(alpha[cell] for cell in f.domain() if f.value(*cell) != z)
-    objective = (1 - eps) * on_side - eps * off_side
+    feasible, objective = _alpha_value(f, alpha, z, eps, slack, caps or default_caps())
     return alpha, feasible, objective
+
+
+def _alpha_value(f: PartialFunction, alpha, z: int, eps, tol, caps: Caps) -> tuple[bool, Number]:
+    """Whether alpha (0 where it is missing) keeps every rectangle's signed
+    total, alpha on f^{-1}(z) minus alpha on the rest of the promise, at most
+    1 + tol, decided by the best-rectangle oracle; and the rect_dual
+    objective (1 - eps) * alpha(f^{-1}(z)) - eps * alpha(rest) at alpha."""
+    worst, _ = _best_rectangle(_signed_grid(f, lambda x, y: alpha.get((x, y), 0), z), caps)
+    on_side = sum(alpha.get(cell, 0) for cell in f.preimage(z))
+    off_side = sum(alpha.get(cell, 0) for cell in f.domain() if f.value(*cell) != z)
+    return worst <= 1 + tol, (1 - eps) * on_side - eps * off_side
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +561,8 @@ def check_witness(
     """Re-derive feasibility and objective of a primal witness from scratch.
 
     Returns (feasible within 1e-7, recomputed objective).  Exact witnesses
-    are checked with zero tolerance.
+    are checked with zero tolerance.  A partition witness whose grid, or
+    whose mu, differs in shape from f raises DimensionError.
     """
     caps = caps or default_caps()
     eps = result.epsilon
@@ -561,44 +570,42 @@ def check_witness(
 
     if name in ("bprt", "bprt_mu", "prt"):
         strategy: LabeledRectangleStrategy = result.primal_witness
+        if (strategy.x_size, strategy.y_size) != (f.x_size, f.y_size):
+            raise DimensionError(f"strategy is {strategy.x_size}x{strategy.y_size}, "
+                                 f"function is {f.x_size}x{f.y_size}")
         tol = _tolerance([w for _, _, w in strategy.entries], eps)
         scale = 1 / strategy.efficiency  # back to raw LP weights w = p * scale
         objective = scale * sum((w for _, _, w in strategy.entries), Fraction(0))
-        feasible = True
+        cover, correct = strategy.coverage(), strategy.coverage(f)
+        cells = _cells(f)
+        feasible = all(cover[x][y] * scale <= 1 + tol for x, y in cells)
+        if name == "prt":
+            feasible &= all(abs(cover[x][y] * scale - 1) <= tol for x, y in cells)
         if name == "bprt_mu":
             if mu is None:
                 raise ParameterError("checking a bprt_mu witness needs its distribution mu")
-            correct = sum(
-                mu.prob(x, y) * strategy.correct_coverage(x, y, f.value(x, y))
-                for x in range(f.x_size)
-                for y in range(f.y_size)
-            ) * scale
-            if correct < (1 - eps) - tol:
-                feasible = False
-        for x in range(f.x_size):
-            for y in range(f.y_size):
-                cov = strategy.coverage(x, y) * scale
-                if cov > 1 + tol:
-                    feasible = False
-                if name == "prt" and abs(cov - 1) > tol:
-                    feasible = False
-                if name in ("bprt", "prt"):
-                    fz = f.value(x, y)
-                    if name == "prt" and fz is None:
-                        continue
-                    corr = strategy.correct_coverage(x, y, fz) * scale
-                    if corr < (1 - eps) - tol:
-                        feasible = False
+            mu.check_compatible(f)
+            total = sum(mu.prob(x, y) * correct[x][y] for x, y in cells) * scale
+            feasible &= total >= (1 - eps) - tol
+        else:
+            rows = cells if name == "bprt" else f.domain()
+            feasible &= all(correct[x][y] * scale >= (1 - eps) - tol for x, y in rows)
         return feasible, objective
 
     if name == "srec":
         weights: dict[Rectangle, Number] = result.primal_witness
         tol = _tolerance(weights.values(), eps)
+        cover = _coverage([(rect, None, w) for rect, w in weights.items()], f.x_size, f.y_size)
+
+        def fits(z: int) -> bool:
+            return all(
+                (1 - eps) - tol <= cover[x][y] <= 1 + tol if f.value(x, y) == z
+                else cover[x][y] <= eps + tol
+                for x, y in f.domain()
+            )
+
         # The label is implicit in the constraints; accept if any label fits.
-        feasible = any(
-            f.preimage(z) and _srec_matches(weights, f, z, eps, tol)
-            for z in range(f.z_size)
-        )
+        feasible = any(f.preimage(z) and fits(z) for z in range(f.z_size))
         return feasible, sum(weights.values())
 
     if name == "rect":
@@ -606,37 +613,11 @@ def check_witness(
         tol = _tolerance(alpha.values(), eps)
         if any(v < -tol for v in alpha.values()):
             return False, 0
-        best = None
-        for z in range(f.z_size):
-            grid = _signed_grid(f, lambda x, y: alpha.get((x, y), 0), z)
-            if _best_rectangle(grid, caps)[0] > 1 + tol:
-                continue
-            obj = (1 - eps) * sum(
-                alpha.get(cell, 0) for cell in f.preimage(z)
-            ) - eps * sum(
-                alpha.get(cell, 0) for cell in f.domain() if f.value(*cell) != z
-            )
-            if best is None or obj > best:
-                best = obj
-        if best is None:
-            return False, 0
-        return True, best
+        values = [_alpha_value(f, alpha, z, eps, tol, caps) for z in range(f.z_size)]
+        objectives = [objective for fits, objective in values if fits]
+        return (True, max(objectives)) if objectives else (False, 0)
 
     raise ParameterError(f"unknown bound name {name!r}")
-
-
-def _srec_matches(weights, f: PartialFunction, z0: int, eps, tol) -> bool:
-    def cov(x, y):
-        return sum(w for rect, w in weights.items() if rect.contains(x, y))
-
-    for x, y in f.preimage(z0):
-        c = cov(x, y)
-        if c < (1 - eps) - tol or c > 1 + tol:
-            return False
-    for x, y in f.domain():
-        if f.value(x, y) != z0 and cov(x, y) > eps + tol:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

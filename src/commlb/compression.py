@@ -913,7 +913,7 @@ def extract_strategy(
     cov_se = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / seed_count) / nz
 
     efficiency = max(max_cov, eta) or eta
-    strategy = LabeledRectangleStrategy.build(entries, efficiency, nx, ny)
+    strategy = LabeledRectangleStrategy(entries, efficiency, nx, ny)
     report = StrategyReport(
         eps=eps,
         delta=delta,

@@ -354,17 +354,22 @@ def check_ic_lower_bound(caps: Caps | None = None) -> CheckResult:
 
 
 def check_extraction(seed: int = 0, caps: Caps | None = None) -> CheckResult:
-    """Strategy extraction: exact weight normalization and empirical
-    correctness/coverage consistent with the target efficiency."""
+    """Strategy extraction on trivial_const over CONST,1 at delta = 0.3 and
+    overrides (2, 3, 1), where the correctness threshold is positive and
+    about 12 % of runs do not abort: exact weight normalization, correctness
+    and coverage consistent with eta within 3 SE, and coverage within 5 SE
+    of the exact not-abort mass over |Z|."""
     caps = caps or default_caps()
-    delta = 0.9
+    delta = 0.3
     pi = cps.make_protocol("trivial_const", z=1)
     f = cps.make_function("corpus:CONST,1")
     mu = cps.make_distribution("uniform", f)
-    params = cmp.compression_parameters(delta, 0.0, pi.universe_size)
+    params = cmp.compression_parameters(delta, 0.0, pi.universe_size, overrides=(2, 3, 1))
     strategy, rep = cmp.extract_strategy(
         pi, f, mu, delta, params, seed_count=100_000, seed=seed, caps=caps
     )
+    exact = max(cmp.exact_output_distribution(pi, mu, x, y, params, caps).not_abort
+                for x in range(f.x_size) for y in range(f.y_size)) / f.z_size
     if rep.weight_total != 1:
         return CheckResult(9, "extraction", False,
                            f"weights sum to {rep.weight_total}, not 1")
@@ -374,10 +379,13 @@ def check_extraction(seed: int = 0, caps: Caps | None = None) -> CheckResult:
     if rep.max_coverage > rep.eta_target + 3 * rep.coverage_se:
         return CheckResult(9, "extraction", False,
                            f"coverage {rep.max_coverage} above eta {rep.eta_target}")
+    if abs(rep.max_coverage - exact) > 5 * rep.coverage_se:
+        return CheckResult(9, "extraction", False,
+                           f"coverage {rep.max_coverage} not within 5 SE of exact {exact}")
     return CheckResult(
         9, "extraction", True,
-        f"{rep.seeds} seeds, {len(strategy.entries)} entries, "
-        f"coverage {rep.max_coverage:.2e} vs eta {rep.eta_target:.2e}",
+        f"{rep.seeds} seeds, {len(strategy.entries)} entries, coverage {rep.max_coverage:.5f}"
+        f" +- {rep.coverage_se:.5f} vs exact {exact:.5f}, eta {rep.eta_target:.4f}",
     )
 
 

@@ -1,5 +1,7 @@
 """Lower-bound LPs: pinned values, orderings, witnesses, and CSV output."""
 
+import copy
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -30,7 +32,7 @@ from commlb.core import (
     enumerate_rectangles,
 )
 from commlb.corpus import corpus_functions, make_distribution, make_function
-from commlb.errors import CapacityError, DegenerateInputError, ParameterError
+from commlb.errors import CapacityError, DegenerateInputError, DimensionError, ParameterError
 from commlb.solver import LpProblem, lp_solve
 
 EQ1 = make_function("EQ,1")
@@ -451,10 +453,61 @@ def test_check_witness_round_trip():
         assert abs(objective - result.value) < 1e-6
 
 
+def _unchecked(witness, **fields):
+    """A copy of `witness` with `fields` replaced, past its constructor's
+    checks."""
+    out = copy.copy(witness)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_check_witness_rejects_tampered_witnesses(mode):
+    # Each witness checks out, then is broken in one condition.
+    def eps(p, q):
+        return Fraction(p, q) if mode == "rational" else p / q
+
+    eq2 = make_function("EQ,2")
+    b = bprt(EQ1, eps(1, 10), mode)
+    p = prt(EQ1, eps(1, 4), mode)
+    m = bprt_mu(AND1, UNIFORM_2x2, eps(1, 20), mode)
+    s = srec(EQ1, eps(1, 10), 1, mode)
+    r = rect_dual(eq2, eps(1, 10), 1, mode=mode)
+
+    def wrong_labels(strategy):
+        entries = [(rect, 1 - z, w) for rect, z, w in strategy.entries]
+        return LabeledRectangleStrategy(entries, strategy.efficiency, 2, 2)
+
+    raised = dict(s.primal_witness)
+    raised[next(iter(raised))] += 1
+    alpha = dict(r.primal_witness)
+    alpha[(0, 0)] += 2  # the 1x1 rectangle on f^-1(1) now exceeds 1
+    cases = [
+        (b, _unchecked(b.primal_witness, efficiency=b.primal_witness.efficiency / 2), EQ1, None),
+        (b, wrong_labels(b.primal_witness), EQ1, None),
+        (p, _unchecked(p.primal_witness, entries=p.primal_witness.entries[1:]), EQ1, None),
+        (m, wrong_labels(m.primal_witness), AND1, UNIFORM_2x2),
+        (s, raised, EQ1, None),
+        (r, alpha, eq2, None),
+    ]
+    for result, tampered, f, mu in cases:
+        assert check_witness(result, f, mu)[0] is True, result.bound_name
+        tampered_result = dataclasses.replace(result, primal_witness=tampered)
+        assert check_witness(tampered_result, f, mu)[0] is False, result.bound_name
+
+
 def test_check_witness_bprt_mu_requires_mu():
     r = bprt_mu(AND1, UNIFORM_2x2, 0.05)
     with pytest.raises(ParameterError):
         check_witness(r, AND1)
+    # mu, f and the strategy's grid must all have one shape.
+    eq2 = make_function("EQ,2")
+    mu4 = make_distribution("uniform", eq2)
+    r4 = bprt_mu(eq2, mu4, 0.05)
+    for result, f, mu in [(r, AND1, mu4), (r4, eq2, UNIFORM_2x2), (r, eq2, mu4)]:
+        with pytest.raises(DimensionError):
+            check_witness(result, f, mu)
 
 
 def test_lp_bounds_check_caps_before_building(monkeypatch):
@@ -676,8 +729,8 @@ def test_csv_label_quoting():
 def test_strategy_invariants_enforced():
     full = Rectangle((1 << 2) - 1, (1 << 2) - 1)
     with pytest.raises(ParameterError):
-        LabeledRectangleStrategy.build([(full, 1, Fraction(1, 2))], Fraction(1), 2, 2)
+        LabeledRectangleStrategy([(full, 1, Fraction(1, 2))], Fraction(1), 2, 2)
     with pytest.raises(ParameterError):
-        LabeledRectangleStrategy.build(
+        LabeledRectangleStrategy(
             [(full, 1, Fraction(1))], Fraction(1, 2), 2, 2
         )
