@@ -12,9 +12,10 @@ Five quantities over a partial function f on an x_size * y_size grid:
 
 All of them stand on one rectangle layer.  ``_rect_incidence`` builds the
 cell x rectangle incidence of the nonempty rectangles as one boolean numpy
-matrix from their row and column bit masks, and every LP column is read off
-it.  ``_best_rectangle`` finds the largest and smallest total weight
-over all rectangles by enumerating row sets only; it decides discrepancy
+matrix from their row and column bit masks, once per grid shape (memoized,
+read-only), and every LP column is read off it.  ``_best_rectangle`` finds
+the largest and smallest total weight over all rectangles by enumerating
+row sets only; it decides discrepancy
 and, through ``_alpha_value``, the feasibility of a corruption witness and
 the rect witness check.  On the witness side, every coverage test reads
 the grid of ``_coverage``, one pass over (rectangle, label, weight) entries.
@@ -36,6 +37,7 @@ chain 1 - eps <= srec <= bprt <= prt is checked by ``verify_bound_chain``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,6 +140,7 @@ class BoundResult:
     dual_witness: object
     solver_status: str
     dual_value: Number | None = None
+    label: int | None = None  # the output label of a srec or rect bound
 
     def __post_init__(self) -> None:
         if self.value < -1e-9:
@@ -217,19 +220,19 @@ def _cells(f: PartialFunction) -> list[tuple[int, int]]:
     return [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
 
 
-def _rect_incidence(f: PartialFunction, meet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row and column masks of the nonempty rectangles in enumeration
-    order (only those containing one of the cells `meet`, unless it is
-    None), and the cell x rectangle incidence: entry (x * y_size + y, k)
-    says whether rectangle k contains (x, y).  Every LP column is read off
-    it."""
-    row_masks = np.repeat(np.arange(1, 1 << f.x_size), (1 << f.y_size) - 1)
-    col_masks = np.tile(np.arange(1, 1 << f.y_size), (1 << f.x_size) - 1)
-    xs, ys = np.divmod(np.arange(f.x_size * f.y_size), f.y_size)
+@functools.lru_cache(maxsize=8)
+def _rect_incidence(x_size: int, y_size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row and column masks of the nonempty rectangles of an x_size x
+    y_size grid in enumeration order, and the cell x rectangle incidence:
+    entry (x * y_size + y, k) says whether rectangle k contains (x, y).
+    Every LP column is read off it.  Built once per grid shape; the arrays
+    are read-only, since every caller shares them."""
+    row_masks = np.repeat(np.arange(1, 1 << x_size), (1 << y_size) - 1)
+    col_masks = np.tile(np.arange(1, 1 << y_size), (1 << x_size) - 1)
+    xs, ys = np.divmod(np.arange(x_size * y_size), y_size)
     incidence = ((row_masks >> xs[:, None]) & (col_masks >> ys[:, None]) & 1).astype(bool)
-    if meet is not None:
-        keep = incidence[[x * f.y_size + y for x, y in meet]].any(axis=0)
-        row_masks, col_masks, incidence = row_masks[keep], col_masks[keep], incidence[:, keep]
+    for array in (row_masks, col_masks, incidence):
+        array.flags.writeable = False
     return row_masks, col_masks, incidence
 
 
@@ -303,7 +306,10 @@ def _weight_form(
     the value."""
     caps = caps or default_caps()
     check_lp_caps(_rects_meeting(f, meet, caps) * n_labels, len(rows), mode, caps)
-    row_masks, col_masks, incidence = _rect_incidence(f, meet)
+    row_masks, col_masks, incidence = _rect_incidence(f.x_size, f.y_size)
+    if meet is not None:
+        keep = incidence[[x * f.y_size + y for x, y in meet]].any(axis=0)
+        row_masks, col_masks, incidence = row_masks[keep], col_masks[keep], incidence[:, keep]
     dtype = float if mode == "float" else object
     # Column (k, z) sits at k * n_labels + z.
     matrix = np.zeros((len(rows), len(row_masks), n_labels), dtype)
@@ -422,7 +428,9 @@ def srec(
     sol, support, dual_value = _weight_form("srec", f, mode, caps, rows)
     witness = {r: w for r, _, w in support}
     duals = dict(zip([(kind, *cell) for kind, cells, _, _ in blocks for cell in cells], sol.dual))
-    return BoundResult("srec", sol.objective_value, eps, witness, duals, sol.status, dual_value)
+    return BoundResult(
+        "srec", sol.objective_value, eps, witness, duals, sol.status, dual_value, z0
+    )
 
 
 def rect_dual(
@@ -455,7 +463,9 @@ def rect_dual(
     ]
     sol, _, dual_value = _weight_form("rect_dual", f, mode, caps, rows, meet=cells)
     alpha = dict(zip(cells, sol.dual))
-    return BoundResult("rect", sol.objective_value, eps, alpha, sol.primal, sol.status, dual_value)
+    return BoundResult(
+        "rect", sol.objective_value, eps, alpha, sol.primal, sol.status, dual_value, z
+    )
 
 
 def corruption_witness(
@@ -561,8 +571,9 @@ def check_witness(
     """Re-derive feasibility and objective of a primal witness from scratch.
 
     Returns (feasible within 1e-7, recomputed objective).  Exact witnesses
-    are checked with zero tolerance.  A partition witness whose grid, or
-    whose mu, differs in shape from f raises DimensionError.
+    are checked with zero tolerance.  A srec or rect witness is checked for
+    the label it was built for (`result.label`).  A partition witness whose
+    grid, or whose mu, differs in shape from f raises DimensionError.
     """
     caps = caps or default_caps()
     eps = result.epsilon
@@ -592,30 +603,26 @@ def check_witness(
             feasible &= all(correct[x][y] * scale >= (1 - eps) - tol for x, y in rows)
         return feasible, objective
 
+    if name in ("srec", "rect") and result.label is None:
+        raise ParameterError(f"checking a {name} witness needs its label")
+    z = result.label
+
     if name == "srec":
         weights: dict[Rectangle, Number] = result.primal_witness
         tol = _tolerance(weights.values(), eps)
         cover = _coverage([(rect, None, w) for rect, w in weights.items()], f.x_size, f.y_size)
-
-        def fits(z: int) -> bool:
-            return all(
-                (1 - eps) - tol <= cover[x][y] <= 1 + tol if f.value(x, y) == z
-                else cover[x][y] <= eps + tol
-                for x, y in f.domain()
-            )
-
-        # The label is implicit in the constraints; accept if any label fits.
-        feasible = any(f.preimage(z) and fits(z) for z in range(f.z_size))
+        feasible = bool(f.preimage(z)) and all(
+            (1 - eps) - tol <= cover[x][y] <= 1 + tol if f.value(x, y) == z
+            else cover[x][y] <= eps + tol
+            for x, y in f.domain()
+        )
         return feasible, sum(weights.values())
 
     if name == "rect":
         alpha: dict[tuple[int, int], Number] = result.primal_witness
         tol = _tolerance(alpha.values(), eps)
-        if any(v < -tol for v in alpha.values()):
-            return False, 0
-        values = [_alpha_value(f, alpha, z, eps, tol, caps) for z in range(f.z_size)]
-        objectives = [objective for fits, objective in values if fits]
-        return (True, max(objectives)) if objectives else (False, 0)
+        fits, objective = _alpha_value(f, alpha, z, eps, tol, caps)
+        return fits and all(v >= -tol for v in alpha.values()), objective
 
     raise ParameterError(f"unknown bound name {name!r}")
 

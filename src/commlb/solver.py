@@ -7,32 +7,32 @@ two-phase revised primal simplex solves it in either arithmetic.  It keeps
 an explicit m x m basis inverse B^-1, with the basic solution B^-1 b beside
 it, and updates both by one eta step per pivot (Chvatal, "Linear
 Programming", 1983, ch. 7-8).  It prices d = c - (c_B B^-1) A by Dantzig's
-rule, breaking ratio-test ties by the largest pivot element, and switches to
-Bland's least-index rule after ``_STALL_LIMIT`` pivots that do not lower the
-objective (the bound LPs are highly degenerate).  The objective never rises,
-so a cycle can only run through pivots that leave it unchanged, and under
-Bland's rule those cannot cycle: the exact simplex terminates without a
-pivot limit.  In float64 the rounding of the eta steps accumulates, so B^-1
-is refactorized from A's basic columns every ``_REFACTOR_EVERY`` pivots;
-exact arithmetic needs no refactorization.  Two modes use the engine:
+rule (the least reduced cost), breaks ratio-test ties by the largest pivot
+element, and switches to Bland's rule (the first improving column, the
+least basic index among ties) after ``_STALL_LIMIT`` pivots that do not
+lower the objective: the bound LPs are highly degenerate.  The objective
+never rises, and pivots that leave it unchanged cannot cycle under Bland's
+rule, so the exact simplex terminates without a pivot limit.  In float64,
+where the eta steps' rounding accumulates, B^-1 is refactorized from A's
+basic columns every ``_REFACTOR_EVERY`` pivots.  Two modes use the engine:
 
 * ``float`` returns the float simplex's solution as it is;
 * ``rational`` solves the float simplex's final basis exactly against the
-  problem's own columns and returns that solution only when it is exactly
-  primal and dual feasible, hence optimal (the method of
-  Applegate-Cook-Dash-Espinoza, "Exact solutions to linear programming
-  problems", ORL 2007).  When the float simplex fails, reports infeasible or
-  unbounded, or ends at a basis that does not pass, the exact simplex solves
-  the problem from scratch, so exactness is guaranteed either way.
+  problem's own columns, prices its reduced costs in integers, and returns
+  that solution only when it is exactly primal and dual feasible, hence
+  optimal (Applegate-Cook-Dash-Espinoza, "Exact solutions to linear
+  programming problems", ORL 2007).  Otherwise, or when the float simplex
+  fails or finds no optimum, the exact simplex solves the problem from
+  scratch, so exactness is guaranteed either way.
 
 ``LpSolution.path`` says which way a solution came: ``"float"``,
-``"certified"`` (an exactly checked float basis) or ``"exact"``, and
-``pivots`` and ``refactorizations`` count the simplex's work.
+``"certified"`` (an exactly checked float basis) or ``"exact"``; ``pivots``,
+``refactorizations`` and ``bland_pivots`` count the simplex's work.
 
-Dual multipliers are recovered from the final basis and reported in the
-standard sign convention: for a minimization problem, ``>=`` rows get
-nonnegative multipliers and ``<=`` rows nonpositive ones (mirrored for
-maximization), and the optimal value always equals ``dual . rhs``.
+Dual multipliers are reported in the standard sign convention: for a
+minimization problem, ``>=`` rows get nonnegative multipliers and ``<=``
+rows nonpositive ones (mirrored for maximization), and the optimal value
+always equals ``dual . rhs``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .errors import CapacityError, DimensionError, ParameterError, SolverError
 
 __all__ = ["LpProblem", "LpSolution", "lp_solve", "check_lp_caps"]
 
-Relation = Literal["<=", ">=", "="]
 Mode = Literal["float", "rational"]
 
 _FEAS_TOL = 1e-9
@@ -87,11 +86,7 @@ class LpProblem:
 
     @classmethod
     def build(
-        cls,
-        sense: str,
-        objective: Sequence,
-        rows: Sequence[Sequence],
-        relations: Sequence[str],
+        cls, sense: str, objective: Sequence, rows: Sequence[Sequence], relations: Sequence[str],
         rhs: Sequence,
     ) -> "LpProblem":
         """An LpProblem from rows given as sequences of numbers: float64
@@ -129,6 +124,7 @@ class LpSolution:
     path: Literal["float", "certified", "exact"]
     pivots: tuple[int, int] = (0, 0)  # simplex pivots in phase 1 and phase 2
     refactorizations: int = 0
+    bland_pivots: int = 0  # pivots of either phase taken under Bland's rule
 
 
 def lp_solve(problem: LpProblem, mode: Mode = "float", caps: Caps | None = None) -> LpSolution:
@@ -164,8 +160,7 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
     """The two-phase revised simplex and its final basis, one column per
     row: column j < n is structural, the slacks of the non-'=' rows follow
     in row order, and the artificial of row i is column n + (number of
-    slacks) + i.  Rows are negated where needed so that every rhs is
-    nonnegative; the duals are mapped back.
+    slacks) + i.  Rows with a negative rhs are negated (duals mapped back).
 
     With `exact` every number is an int or a Fraction (numpy object arrays),
     every tolerance is 0 and there is no pivot limit; otherwise the arrays
@@ -201,7 +196,8 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
     start[range(m), range(m)] = one
     start[:, m] = b * one
     M = start.copy()
-    pivots, refactors, since = [0, 0], 0, 0
+    x_B = M[:, m]  # a view: every update of M writes in place
+    pivots, bland = [0, 0], 0  # pivots per phase, and those taken under Bland's rule
 
     if exact:
         # Fraction products are slow and A is mostly 0: touch nonzeros only.
@@ -221,27 +217,20 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
             nz = a.nonzero()[0]
             return M[:, nz] @ a[nz]
     else:
+        B_inv = M[:, :m]
+
         def duals(cb):
-            return cb @ M[:, :m]
+            return cb @ B_inv
 
         def price(cost, y):
             return cost - y @ ext
 
         def solve(a):
-            return M[:, :m] @ a
-
-    def refactor() -> None:
-        nonlocal refactors, since
-        try:
-            M[:] = np.linalg.solve(ext[:, basis], start)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"singular basis at refactorization: {exc}") from exc
-        refactors, since = refactors + 1, 0
+            return B_inv @ a
 
     def pivot(r: int, j: int, alpha, phase: int) -> None:
         # One eta step.  Exact mode updates only the nonzero columns of row r
         # and the rows with a nonzero entry in alpha; float updates all of M.
-        nonlocal since
         if exact:
             cols = M[r].nonzero()[0]
             M[r, cols] /= alpha[r]
@@ -254,34 +243,45 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
             np.subtract(M, alpha[:, None] * M[r], out=M)
         basis[r] = j
         pivots[phase] += 1
-        since += 1
-        if not exact and since >= _REFACTOR_EVERY:
-            refactor()
+        if not exact and sum(pivots) % _REFACTOR_EVERY == 0:
+            try:
+                M[:] = np.linalg.solve(ext[:, basis], start)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"singular basis at refactorization: {exc}") from exc
+
+    def solution(status: str, *witness) -> LpSolution:
+        refactors = 0 if exact else sum(pivots) // _REFACTOR_EVERY
+        return LpSolution(status, *witness, path, tuple(pivots), refactors, bland)
+
+    unreached = np.full(m, np.inf, dtype=A.dtype)  # the ratio of a row alpha does not bound
 
     def run_phase(cost, width: int, phase: int) -> str:
         # Columns from `width` on (the artificials, in phase 2) never enter.
-        stall, obj = 0, cost[basis] @ M[:, m]
+        nonlocal bland
+        if not width:
+            return "optimal"
+        stall, obj = 0, cost[basis] @ x_B
         limit = itertools.count() if exact else range(_PIVOT_LIMIT_FACTOR * (m + total) + 1)
         for _ in limit:  # in float the last pass only prices
             d = price(cost, duals(cost[basis]))[:width]
-            candidates = (d < -feas_tol).nonzero()[0]
-            if candidates.size == 0:
+            use_bland = stall > _STALL_LIMIT
+            # Dantzig: the least reduced cost; Bland: the first negative one.
+            j = int((d < -feas_tol).argmax() if use_bland else d.argmin())
+            if not d[j] < -feas_tol:
                 return "optimal"
-            if stall > _STALL_LIMIT:
-                j = int(candidates[0])  # Bland
-            else:
-                j = int(candidates[np.argmin(d[candidates])])  # Dantzig
             alpha = solve(ext[:, j])
-            positive = (alpha > feas_tol).nonzero()[0]
-            if positive.size == 0:
+            positive = alpha > feas_tol
+            if not positive.any():
                 return "unbounded"
-            ratios = M[positive, m] / alpha[positive]
+            ratios = unreached.copy()
+            np.divide(x_B, alpha, out=ratios, where=positive)
             best = ratios.min()
-            ties = positive[ratios <= best + feas_tol * (1 + abs(best))]
-            if stall > _STALL_LIMIT:
-                r = int(min(ties, key=basis.__getitem__))  # Bland: least index
+            ties = ratios <= best + feas_tol * (1 + abs(best))
+            if use_bland:
+                r = int(min(ties.nonzero()[0], key=basis.__getitem__))  # least index
+                bland += 1
             else:
-                r = int(ties[np.argmax(abs(alpha[ties]))])  # the largest pivot
+                r = int(np.where(ties, alpha, -1).argmax())  # the largest pivot (alpha > 0)
             pivot(r, j, alpha, phase)
             gain = -d[j] * best
             stall = 0 if gain > gain_tol * (1 + abs(obj)) else stall + 1
@@ -293,33 +293,29 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
     cost1[art:] = one
     if run_phase(cost1, total, 0) == "unbounded":  # cannot happen in phase 1
         raise SolverError("phase 1 reported unbounded")
-    if cost1[basis] @ M[:, m] > zero_tol:
-        return LpSolution("infeasible", None, None, None, path, tuple(pivots), refactors), []
+    if cost1[basis] @ x_B > zero_tol:
+        return solution("infeasible", None, None, None), []
     # Pivot each artificial still basic (at 0) out on any usable real
     # column; an all-zero row is a redundant constraint and keeps it.
-    for i in range(m):
-        if basis[i] >= art:
-            nz = M[i, :m].nonzero()[0]
-            usable = (abs(M[i, nz] @ ext[nz, :art]) > zero_tol).nonzero()[0]
-            if usable.size:
-                pivot(i, int(usable[0]), solve(ext[:, usable[0]]), 0)
+    for i in (basis >= art).nonzero()[0]:
+        nz = M[i, :m].nonzero()[0]
+        usable = (abs(M[i, nz] @ ext[nz, :art]) > zero_tol).nonzero()[0]
+        if usable.size:
+            pivot(i, int(usable[0]), solve(ext[:, usable[0]]), 0)
 
     # Phase 2
     cost2 = np.full(total, zero, dtype=A.dtype)
     cost2[:n] = c * sign
     if run_phase(cost2, art, 1) == "unbounded":
-        return LpSolution("unbounded", None, None, None, path, tuple(pivots), refactors), []
+        return solution("unbounded", None, None, None), []
 
     x = np.full(total, zero, dtype=A.dtype)
-    x[basis] = M[:, m]
+    x[basis] = x_B
     obj = num(cost2[:n] @ x[:n]) * sign
     y = duals(cost2[basis])
     dual = np.where(flip, -y, y) * sign
     primal = x[:n] if exact else np.maximum(x[:n], 0.0)
-    return LpSolution(
-        "optimal", obj, tuple(primal.tolist()), tuple(dual.tolist()), path, tuple(pivots),
-        refactors,
-    ), basis.tolist()
+    return solution("optimal", obj, tuple(primal.tolist()), tuple(dual.tolist())), basis.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +334,8 @@ def _solve_rational(problem: LpProblem) -> LpSolution:
     if sol is not None and sol.status == "optimal":
         certified = _certify_basis(problem, basis)
         if certified is not None:
-            return dataclasses.replace(
-                certified, pivots=sol.pivots, refactorizations=sol.refactorizations
-            )
+            return dataclasses.replace(certified, pivots=sol.pivots, bland_pivots=sol.bland_pivots,
+                                       refactorizations=sol.refactorizations)
     return _revised_simplex(problem, exact=True)[0]
 
 
@@ -391,35 +386,40 @@ def _certify_basis(problem: LpProblem, basis: Sequence[int]) -> LpSolution | Non
         if not is_slack and residual != 0:
             return None  # a basic artificial away from 0
     y = np.full(m, zero, dtype=object)
-    for i, v in zip(free, y_free):
-        rel = problem.relations[i]
+    y[free] = y_free
+    for rel, v in zip(problem.relations, y):
         if (rel == ">=" and v < 0) or (rel == "<=" and v > 0):
             return None  # a nonbasic slack with a negative reduced cost
-        y[i] = v
-    # Reduced costs c - y A, scaled by the duals' common denominator so that
-    # each column is priced with integer products wherever A is integral.
-    scale = math.lcm(*(v.denominator for v in y_free))
+    # Reduced costs c - y A, priced in integers over the rows with a nonzero
+    # dual: row i times the lcm s_i of its denominators is an integer row
+    # N_i, and L clears the denominators of c and of every y_i / s_i, so
+    # L (c - y A) = c L - sum_i (y_i L / s_i) N_i.
     nz = y.nonzero()[0]
-    scaled = np.array([int(v * scale) for v in y[nz]], dtype=object)
-    if (cost * scale - scaled @ A[nz] < 0).any():
+    scales = [math.lcm(*(v.denominator for v in row)) for row in A[nz]]
+    q = [v / s for v, s in zip(y[nz], scales)]
+    lcm = math.lcm(*(v.denominator for v in cost), *(v.denominator for v in q))
+    N = np.array([_integers(row, s) for row, s in zip(A[nz], scales)], dtype=object)
+    if (np.array(_integers(cost, lcm), dtype=object) - _integers(q, lcm) @ N < 0).any():
         return None
 
-    x = [zero] * n
-    for j, v in zip(structural, x_basic):
-        x[j] = v
-    value = sum((cost[j] * v for j, v in zip(structural, x_basic)), zero) * sign
+    x = np.full(n, zero, dtype=object)
+    x[structural] = x_basic
+    value = sum(cost[structural] * x_basic, zero) * sign
     return LpSolution("optimal", value, tuple(x), tuple(v * sign for v in y), "certified")
 
 
+def _integers(values, scale: int) -> list[int]:
+    """Exact `values` times `scale`, a multiple of their denominators."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def _exact(v) -> int | Fraction:
-    """`v` as an exact number: ints and Fractions as they are, without a
-    copy, and anything else (floats, numpy scalars) through Fraction."""
+    """`v` as an int or Fraction: floats and numpy scalars through Fraction."""
     return v if type(v) in (int, Fraction) else Fraction(v)
 
 
 def _exact_array(values: np.ndarray) -> np.ndarray:
-    """`values` as an object array of exact numbers: an object array is
-    taken to hold them already, a float64 array is converted entrywise."""
+    """`values` as exact numbers: object arrays as they are, float64 entrywise."""
     if values.dtype == object:
         return values
     return np.array([Fraction(v) for v in values.flat], dtype=object).reshape(values.shape)

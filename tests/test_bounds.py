@@ -473,7 +473,9 @@ def test_check_witness_rejects_tampered_witnesses(mode):
     p = prt(EQ1, eps(1, 4), mode)
     m = bprt_mu(AND1, UNIFORM_2x2, eps(1, 20), mode)
     s = srec(EQ1, eps(1, 10), 1, mode)
+    s_other = srec(EQ1, eps(1, 10), 0, mode)
     r = rect_dual(eq2, eps(1, 10), 1, mode=mode)
+    r_and = rect_dual(AND1, eps(1, 10), 1, mode=mode)
 
     def wrong_labels(strategy):
         entries = [(rect, 1 - z, w) for rect, z, w in strategy.entries]
@@ -483,18 +485,29 @@ def test_check_witness_rejects_tampered_witnesses(mode):
     raised[next(iter(raised))] += 1
     alpha = dict(r.primal_witness)
     alpha[(0, 0)] += 2  # the 1x1 rectangle on f^-1(1) now exceeds 1
+    alpha_and = dict(r_and.primal_witness)
+    alpha_and[(1, 1)] += 1  # 1 -> 2 on the only cell of f^-1(1); alpha still fits label 0
     cases = [
         (b, _unchecked(b.primal_witness, efficiency=b.primal_witness.efficiency / 2), EQ1, None),
         (b, wrong_labels(b.primal_witness), EQ1, None),
         (p, _unchecked(p.primal_witness, entries=p.primal_witness.entries[1:]), EQ1, None),
         (m, wrong_labels(m.primal_witness), AND1, UNIFORM_2x2),
         (s, raised, EQ1, None),
+        (s, s_other.primal_witness, EQ1, None),  # fits label 0 only
         (r, alpha, eq2, None),
+        (r_and, alpha_and, AND1, None),
     ]
     for result, tampered, f, mu in cases:
         assert check_witness(result, f, mu)[0] is True, result.bound_name
         tampered_result = dataclasses.replace(result, primal_witness=tampered)
         assert check_witness(tampered_result, f, mu)[0] is False, result.bound_name
+
+
+def test_check_witness_needs_the_label():
+    for result in (srec(EQ1, 0.1, 1), rect_dual(AND1, 0.1, 1)):
+        assert result.label == 1
+        with pytest.raises(ParameterError):
+            check_witness(dataclasses.replace(result, label=None), EQ1)
 
 
 def test_check_witness_bprt_mu_requires_mu():
@@ -529,6 +542,66 @@ def test_lp_bounds_check_caps_before_building(monkeypatch):
     for call in calls:
         with pytest.raises(CapacityError):
             call()
+
+
+# (pivots in phase 1 and 2, value) of float corpus LPs at eps = 0.1, with z = 1
+# for srec and rect: a change to the pricing or ratio-test rule moves them.
+_PINNED_LPS = {
+    ("prt", "EQ,2"): ((101, 19), Fraction(11, 2)),
+    ("bprt", "EQ,2"): ((69, 28), Fraction(11, 2)),
+    ("bprt_mu", "EQ,2"): ((30, 16), Fraction(23, 5)),
+    ("srec", "EQ,2"): ((23, 1), 3),
+    ("rect", "EQ,2"): ((23, 1), 3),
+    ("prt", "IP,2"): ((101, 26), Fraction(161, 30)),
+    ("bprt", "IP,2"): ((60, 26), Fraction(161, 30)),
+    ("bprt_mu", "IP,2"): ((35, 18), Fraction(68, 15)),
+    ("srec", "IP,2"): ((10, 2), Fraction(5, 2)),
+    ("rect", "IP,2"): ((10, 2), Fraction(5, 2)),
+}
+
+
+_PINNED_CALLS = {
+    "prt": lambda f: prt(f, 0.1),
+    "bprt": lambda f: bprt(f, 0.1),
+    "bprt_mu": lambda f: bprt_mu(f, make_distribution("uniform", f), 0.1),
+    "srec": lambda f: srec(f, 0.1, 1),
+    "rect": lambda f: rect_dual(f, 0.1, 1),
+}
+
+
+def test_float_corpus_pivots_pinned(monkeypatch):
+    solutions = []
+    solve = bounds.lp_solve
+
+    def recorded(*args):
+        solutions.append(solve(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(bounds, "lp_solve", recorded)
+    for (name, label), (pivots, value) in _PINNED_LPS.items():
+        _PINNED_CALLS[name](make_function(label))
+        sol = solutions[-1]
+        assert (sol.pivots, sol.bland_pivots) == (pivots, 0), (name, label)
+        assert abs(sol.objective_value - value) < 1e-9, (name, label)
+
+
+def test_rect_incidence_memo_is_read_only():
+    # One incidence per grid shape, shared by every LP: it cannot be written
+    # to, and rect_dual's subset of the rectangles meeting alpha's support
+    # is filtered from it without changing it.
+    arrays = bounds._rect_incidence(4, 4)
+    assert arrays[2].shape == (16, 15 * 15)
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[2][0, 0] = False
+    copies = [a.copy() for a in arrays]
+    sparse = InputDistribution(tuple(
+        (Fraction(1, 8), Fraction(1, 8), Fraction(0), Fraction(0)) for _ in range(4)
+    ))
+    ghd = make_function("GHD,2,1")
+    rect_dual(ghd, 0.1, 0, sparse)
+    assert bounds._rect_incidence(4, 4) is arrays
+    assert all((a == b).all() for a, b in zip(arrays, copies))
 
 
 def _highs_weight_form(f: PartialFunction, n_labels: int, rows) -> float:

@@ -172,12 +172,14 @@ def test_dantzig_cycle_ends_under_bland(fail_float_simplex):
     assert abs(sol.objective_value - 0.875) < 1e-9
     assert sol.pivots[0] == 0 and sol.pivots[1] > solver._STALL_LIMIT
     assert sol.refactorizations == sol.pivots[1] // solver._REFACTOR_EVERY
+    assert 0 < sol.bland_pivots <= sol.pivots[1] - solver._STALL_LIMIT
     fail_float_simplex()
     sol = lp_solve(problem, "rational")
     assert sol.path == "exact"
     assert sol.objective_value == Fraction(7, 8)
     assert sol.pivots[0] == 0 and sol.pivots[1] > solver._STALL_LIMIT
     assert sol.refactorizations == 0
+    assert 0 < sol.bland_pivots <= sol.pivots[1] - solver._STALL_LIMIT
     _assert_exact_certificate(problem, sol)
 
 
