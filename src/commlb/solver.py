@@ -17,13 +17,13 @@ where the eta steps' rounding accumulates, B^-1 is refactorized from A's
 basic columns every ``_REFACTOR_EVERY`` pivots.  Two modes use the engine:
 
 * ``float`` returns the float simplex's solution as it is;
-* ``rational`` solves the float simplex's final basis exactly against the
-  problem's own columns, prices its reduced costs in integers, and returns
-  that solution only when it is exactly primal and dual feasible, hence
-  optimal (Applegate-Cook-Dash-Espinoza, "Exact solutions to linear
-  programming problems", ORL 2007).  Otherwise, or when the float simplex
-  fails or finds no optimum, the exact simplex solves the problem from
-  scratch, so exactness is guaranteed either way.
+* ``rational`` solves the float simplex's final basis against the problem's
+  own columns and prices it, in integers by fraction-free elimination, and
+  returns it, in Fractions, only when it is exactly primal and dual
+  feasible, hence optimal (Applegate-Cook-Dash-Espinoza, "Exact solutions
+  to linear programming problems", ORL 2007).  Otherwise, or when the float
+  simplex fails or finds no optimum, the exact simplex solves the problem
+  from scratch, so exactness is guaranteed either way.
 
 ``LpSolution.path`` says which way a solution came: ``"float"``,
 ``"certified"`` (an exactly checked float basis) or ``"exact"``; ``pivots``,
@@ -345,11 +345,15 @@ def _certify_basis(problem: LpProblem, basis: Sequence[int]) -> LpSolution | Non
 
     A basic slack or artificial is a unit column: it covers one row, takes up
     that row's residual and fixes its dual at 0.  The basic structural
-    columns and the uncovered rows then form a square block, solved for the
-    primal and for the duals.  The basis is optimal when the primal is
-    nonnegative, every basic artificial is exactly 0, every dual has the sign
-    of its row and every structural column has a nonnegative reduced cost;
-    complementary slackness then gives c.x == dual.rhs by construction.
+    columns and the free (uncovered) rows form a square block, solved for
+    the primal and, transposed, for the duals.  The basis is optimal when the
+    primal is nonnegative, every basic artificial is exactly 0, every dual
+    has the sign of its row and every structural column has a nonnegative
+    reduced cost; complementary slackness then gives c.x == dual.rhs.  Each
+    check is the sign of an integer: the free rows are scaled to integers
+    over all columns (they also price), the covered rows over the basic
+    structural columns and the objective once, `_bareiss` solves the block
+    and its transpose, and Fractions are built only for the result.
     """
     m, n = problem.matrix.shape
     slack_rows = [i for i, rel in enumerate(problem.relations) if rel != "="]
@@ -367,50 +371,81 @@ def _certify_basis(problem: LpProblem, basis: Sequence[int]) -> LpSolution | Non
     free = [i for i in range(m) if i not in covered]  # as many as `structural`
 
     sign = 1 if problem.sense == "min" else -1  # minimize sign * c.x
-    zero = Fraction(0)
-    A, rhs, c = (_exact_array(v) for v in (problem.matrix, problem.rhs, problem.objective))
-    cost = c * sign
-    block = A[np.ix_(free, structural)]
-    x_basic = _solve_exact(block.tolist(), rhs[free].tolist())
-    if x_basic is None or any(v < 0 for v in x_basic):
+    rhs = _exact_array(problem.rhs)
+    scales, N, b = _integer_rows(_exact_array(problem.matrix[free]), rhs[free])
+    block = N[:, structural]
+    solved = _bareiss(block.tolist(), b)  # x = x_num / d
+    if solved is None or any(v < 0 for v in solved[1]):
         return None
-    y_free = _solve_exact(block.T.tolist(), cost[structural].tolist())
-    if y_free is None:
-        return None
+    d, x_num = solved
+    rows = list(covered)
+    _, C, b = _integer_rows(_exact_array(problem.matrix[np.ix_(rows, structural)]), rhs[rows])
+    for row, c_row, b_row in zip(rows, C, b):
+        residual = b_row * d - sum(a * v for a, v in zip(c_row, x_num))  # times scale * d > 0
+        rel = problem.relations[row] if covered[row] else "="
+        if (rel != ">=" and residual < 0) or (rel != "<=" and residual > 0):
+            return None  # a negative slack (+-residual), or a basic artificial away from 0
 
-    for row, is_slack in covered.items():
-        residual = rhs[row] - sum(A[row, structural] * x_basic)
-        rel = problem.relations[row]
-        if is_slack and (residual < 0 if rel == "<=" else residual > 0):
-            return None  # the slack, +-residual, would be negative
-        if not is_slack and residual != 0:
-            return None  # a basic artificial away from 0
-    y = np.full(m, zero, dtype=object)
-    y[free] = y_free
-    for rel, v in zip(problem.relations, y):
-        if (rel == ">=" and v < 0) or (rel == "<=" and v > 0):
+    # The duals y_i = s_i w_i / L, where w = y_num / d' solves N_block^T w = L c_B.
+    (L,), (cost,), _ = _integer_rows(_exact_array(problem.objective)[None] * sign, [0])
+    d_dual, y_num = _bareiss(block.T.tolist(), cost[structural].tolist())
+    for w, rel in zip(y_num, (problem.relations[i] for i in free)):
+        if (rel == ">=" and w < 0) or (rel == "<=" and w > 0):
             return None  # a nonbasic slack with a negative reduced cost
-    # Reduced costs c - y A, priced in integers over the rows with a nonzero
-    # dual: row i times the lcm s_i of its denominators is an integer row
-    # N_i, and L clears the denominators of c and of every y_i / s_i, so
-    # L (c - y A) = c L - sum_i (y_i L / s_i) N_i.
-    nz = y.nonzero()[0]
-    scales = [math.lcm(*(v.denominator for v in row)) for row in A[nz]]
-    q = [v / s for v, s in zip(y[nz], scales)]
-    lcm = math.lcm(*(v.denominator for v in cost), *(v.denominator for v in q))
-    N = np.array([_integers(row, s) for row, s in zip(A[nz], scales)], dtype=object)
-    if (np.array(_integers(cost, lcm), dtype=object) - _integers(q, lcm) @ N < 0).any():
+    # Reduced costs L d' (c - y A) = c_int d' - sum_i y_num_i N_i, over the
+    # free rows with a nonzero dual.
+    nz = [k for k, w in enumerate(y_num) if w]
+    if (cost * d_dual - np.array(y_num, dtype=object)[nz] @ N[nz] < 0).any():
         return None
 
-    x = np.full(n, zero, dtype=object)
-    x[structural] = x_basic
-    value = sum(cost[structural] * x_basic, zero) * sign
-    return LpSolution("optimal", value, tuple(x), tuple(v * sign for v in y), "certified")
+    x, y = [Fraction(0)] * n, [Fraction(0)] * m
+    for j, v in zip(structural, x_num):
+        x[j] = Fraction(v, d)
+    for i, w, s in zip(free, y_num, scales):
+        y[i] = Fraction(w * s * sign, d_dual * L)
+    value = Fraction(sum(c * v for c, v in zip(cost[structural], x_num)) * sign, L * d)
+    return LpSolution("optimal", value, tuple(x), tuple(y), "certified")
 
 
-def _integers(values, scale: int) -> list[int]:
-    """Exact `values` times `scale`, a multiple of their denominators."""
-    return [v.numerator * (scale // v.denominator) for v in values]
+def _integer_rows(rows: np.ndarray, rhs: Sequence) -> tuple[list[int], np.ndarray, list[int]]:
+    """Each exact row of `rows` with its `rhs` entry times the lcm of their
+    denominators: the scales, the integer rows (object array) and rhs."""
+    scales, ints, int_rhs = [], np.empty(rows.shape, dtype=object), []
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        if set(map(type, row)) <= {int}:  # the common case: only b has a denominator
+            s, ints[i] = b.denominator, row * b.denominator
+        else:
+            s = math.lcm(b.denominator, *(v.denominator for v in row))
+            ints[i] = [v.numerator * (s // v.denominator) for v in row]
+        scales.append(s)
+        int_rhs.append(b.numerator * (s // b.denominator))
+    return scales, ints, int_rhs
+
+
+def _bareiss(matrix: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] | None:
+    """(d, z_num) with d > 0 and z = z_num / d solving the square integer
+    system matrix z = rhs, or None when it is singular.  Bareiss elimination
+    (Math. Comp. 22, 1968) divides exactly by the previous pivot, so the last
+    pivot is the determinant (a zero pivot swaps in a later row, negated to
+    keep it).  Back substitution solves for det * z, integral by Cramer's
+    rule, and divides exactly too."""
+    rows, upper, prev = [[*row, v] for row, v in zip(matrix, rhs)], [], 1
+    while rows:  # eliminate the first remaining column
+        q = next((q for q, row in enumerate(rows) if row[0]), None)
+        if q is None:
+            return None
+        if q:
+            rows[0], rows[q] = [-v for v in rows[q]], rows[0]
+        pivot, *tail = top = rows[0]
+        rows = [[(v * pivot - a * w) // prev for v, w in zip(rest, tail)] if a
+                else rest if pivot == prev else [v * pivot // prev for v in rest]
+                for a, *rest in rows[1:]]
+        upper.append(top)
+        prev = pivot
+    z: list[int] = []  # det * z, from the last unknown up
+    for top in reversed(upper):
+        z.insert(0, (prev * top[-1] - sum(a * v for a, v in zip(top[1:-1], z))) // top[0])
+    return (prev, z) if prev > 0 else (-prev, [-v for v in z])
 
 
 def _exact(v) -> int | Fraction:
@@ -423,38 +458,3 @@ def _exact_array(values: np.ndarray) -> np.ndarray:
     if values.dtype == object:
         return values
     return np.array([Fraction(v) for v in values.flat], dtype=object).reshape(values.shape)
-
-
-def _solve_exact(matrix: list[list], rhs: list) -> list[Fraction] | None:
-    """Solve the square system matrix z = rhs exactly, or None when it is
-    singular.  Gaussian elimination over sparse rows, taking as each pivot
-    the candidate row with the fewest nonzeros."""
-    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix]
-    rhs = [Fraction(v) for v in rhs]
-    remaining = set(range(len(rows)))
-    pivots = []
-    for col in range(len(rows)):
-        candidates = [r for r in remaining if col in rows[r]]
-        if not candidates:
-            return None
-        p = min(candidates, key=lambda r: (len(rows[r]), r))
-        remaining.remove(p)
-        pivot_row = rows[p]
-        for r in candidates:
-            if r == p:
-                continue
-            row = rows[r]
-            factor = row[col] / pivot_row[col]
-            for j, v in pivot_row.items():
-                w = row.get(j, 0) - factor * v
-                if w:
-                    row[j] = w
-                else:
-                    row.pop(j, None)
-            rhs[r] -= factor * rhs[p]
-        pivots.append((p, col))
-    z = [Fraction(0)] * len(rows)
-    for p, col in reversed(pivots):
-        row = rows[p]
-        z[col] = (rhs[p] - sum(v * z[j] for j, v in row.items() if j != col)) / row[col]
-    return z

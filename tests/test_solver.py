@@ -472,6 +472,56 @@ def test_certify_rejects_each_failed_check(case):
     _assert_exact_certificate(problem, sol)
 
 
+# (problem, optimal basis, optimum): blocks whose integer solve needs a row
+# swap, per-row scales, or a covered row whose artificial stays basic.
+_CERTIFIED_CASES = {
+    # The block [[0, 1], [1, 0]] needs a row swap at its first pivot, and
+    # its determinant is -1.
+    "row_swap": (
+        LpProblem.build("min", [1, 1], [[0, 1], [1, 0]], [">=", ">="], [1, 2]), [0, 1], 3),
+    # Each row has its own denominators (3 and 6; 7, 5 and 2), and the
+    # nonbasic z prices against both.
+    "row_denominators": (
+        LpProblem.build(
+            "min", [1, 1, 1],
+            [[Fraction(1, 3), 1, Fraction(1, 2)], [1, Fraction(2, 7), Fraction(1, 5)]],
+            [">=", ">="], [Fraction(5, 6), Fraction(1, 2)]),
+        [0, 1], Fraction(39, 38)),
+    # x + y = 1 repeated as x/3 + y/3 = 1/3: its artificial stays basic at 0.
+    "artificial_at_zero": (
+        LpProblem.build("min", [1, 2], [[1, 1], [Fraction(1, 3), Fraction(1, 3)]], ["=", "="],
+                        [1, Fraction(1, 3)]),
+        [0, 3], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CERTIFIED_CASES))
+def test_certify_accepts_optimal_basis(case):
+    problem, basis, optimum = _CERTIFIED_CASES[case]
+    sol = solver._certify_basis(problem, basis)
+    assert sol.path == "certified"
+    assert sol.objective_value == optimum
+    _assert_exact_certificate(problem, sol)
+
+
+def test_certify_matches_exact_simplex_on_random_lps():
+    # The integer certificate of the exact Fraction simplex's own optimal
+    # basis must accept it and reproduce its value, primal and dual.
+    rng = random.Random(7)
+    optimal = 0
+    for _ in range(300):
+        problem = _random_lp(rng)
+        exact, basis = solver._revised_simplex(problem, exact=True)
+        if exact.status != "optimal":
+            continue
+        optimal += 1
+        sol = solver._certify_basis(problem, basis)
+        assert sol is not None
+        assert sol.objective_value == exact.objective_value
+        assert sol.primal == exact.primal and sol.dual == exact.dual
+    assert optimal >= 100, optimal
+
+
 MAX_LP = LpProblem.build("max", [3, 2], [[1, 1], [1, 0]], ["<=", "<="], [4, 2])
 
 
