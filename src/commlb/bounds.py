@@ -30,6 +30,22 @@ form, over the rectangles meeting alpha's support, and reads alpha off the
 row duals.  The builder computes the LP's shape before it builds the
 incidence, so an instance over the caps is rejected at once.
 
+The builder solves each LP over the orbits of its symmetry group (Bodi,
+Herr and Joswig, "Algorithms for highly symmetric linear and integer
+programs", Math. Programming 2013).  A symmetry is a permutation sigma of
+the grid's rows and tau of its columns, composed with the transpose on a
+square grid, that sends every LP row (terms, labels, relation, rhs) to an
+LP row; ``_orbits`` finds the group from the LP's own data, and
+``_lp_orbits`` memoizes it by the LP's structure (labels, mu and row
+layout, not eps) in a memo bounded in entries and bytes.  The reduced LP has one row
+per row orbit Q and one weight w_O per orbit O of (rectangle, label)
+columns, with objective |O| and coefficients summed over O.  Expanded
+(w_O on each member column, y_Q / |Q| on each member row), its solution is
+optimal for the full LP, exactly so in rational mode, where the solver
+certifies the reduced LP; every witness and the gap check read that
+full-size solution.  The caps are checked against the full shape.  The
+trivial group solves the full LP through the same code.
+
 Every LP result carries both a primal and a dual witness and the two
 objective values are required to agree (1e-6 float, exact rational).  The
 chain 1 - eps <= srec <= bprt <= prt is checked by ``verify_bound_chain``.
@@ -37,7 +53,10 @@ chain 1 - eps <= srec <= bprt <= prt is checked by ``verify_bound_chain``.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,6 +160,8 @@ class BoundResult:
     solver_status: str
     dual_value: Number | None = None
     label: int | None = None  # the output label of a srec or rect bound
+    group_order: int = 1  # the order of the LP's symmetry group
+    lp_shape: tuple[int, int] | None = None  # (rows, vars) of the LP solved
 
     def __post_init__(self) -> None:
         if self.value < -1e-9:
@@ -290,9 +311,31 @@ def _rects_meeting(f: PartialFunction, cells, caps: Caps) -> int:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class _Orbits:
+    """The grid symmetries that map one weight-form LP onto itself, and the
+    reduced LP's layout: one row per row orbit and one column per
+    (rectangle orbit, label), orbits numbered in the order of their first
+    member.  Every array is read-only."""
+
+    order: int  # the group order
+    generators: tuple  # (transpose, sigma, tau) per generator, see _grid_symmetries
+    rects: np.ndarray  # the LP's rectangles, as indices into _rect_incidence's order
+    counts: np.ndarray  # cell x rectangle orbit: its rectangles that contain the cell
+    objective: np.ndarray  # the size of each column orbit
+    columns: np.ndarray  # the reduced column of each full column
+    row_orbit: np.ndarray  # the orbit of each row
+    row_share: np.ndarray  # the size of each row's orbit
+    reps: np.ndarray  # the first row of each row orbit
+
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+
+
 def _weight_form(
     name: str, f: PartialFunction, mode: str, caps: Caps | None, rows, n_labels=1, meet=None
-) -> tuple[LpSolution, list[tuple[Rectangle, int, Number]], Number]:
+) -> tuple[LpSolution, list[tuple[Rectangle, int, Number]], Number, dict]:
     """The one LP of all five bounds: minimize sum(w) over weights
     w_{R,z} >= 0, one per nonempty rectangle R (only those meeting the cells
     `meet`, unless it is None) in enumeration order and label z < n_labels.
@@ -301,43 +344,228 @@ def _weight_form(
     the labels its row counts: those answering the cell correctly (any label
     off the promise) in a `correct` row, every label otherwise.
 
-    Returns the optimal solution, the (rectangle, label, weight) triples of
-    its positive weights, and the dual objective dual . rhs, checked against
-    the value."""
+    The LP is solved over the orbits of its grid symmetries (`_orbits`):
+    one row per row orbit Q, one weight w_O per (rectangle orbit, label) O
+    with objective |O|, and each coefficient the sum over O of a member
+    row's.  Each member column then gets w_O and each member row the dual
+    y_Q / |Q|, which is an optimal solution of the full LP.
+
+    Returns that full-size optimal solution, the (rectangle, label, weight)
+    triples of its positive weights, the dual objective dual . rhs, checked
+    against the value, and the fields `group_order` and `lp_shape` (rows,
+    vars of the LP solved) for the BoundResult."""
     caps = caps or default_caps()
     check_lp_caps(_rects_meeting(f, meet, caps) * n_labels, len(rows), mode, caps)
-    row_masks, col_masks, incidence = _rect_incidence(f.x_size, f.y_size)
-    if meet is not None:
-        keep = incidence[[x * f.y_size + y for x, y in meet]].any(axis=0)
-        row_masks, col_masks, incidence = row_masks[keep], col_masks[keep], incidence[:, keep]
+    key, orbits = _lp_orbits(f, rows, n_labels, meet)
     dtype = float if mode == "float" else object
-    # Column (k, z) sits at k * n_labels + z.
-    matrix = np.zeros((len(rows), len(row_masks), n_labels), dtype)
-    for i, (terms, correct, _, _) in enumerate(rows):
-        for (x, y), c in terms:
-            fz = f.value(x, y)
-            labels = slice(None) if fz is None or not correct else fz
-            matrix[i, incidence[x * f.y_size + y], labels] += _coerce(c, mode)
-    nvars = len(row_masks) * n_labels
-    rhs = np.array([b for _, _, _, b in rows], dtype)
+    # Column (orbit o, z) sits at o * n_labels + z, as column (k, z) of the
+    # full LP sits at k * n_labels + z.
+    reps = orbits.reps.tolist()
+    matrix = np.zeros((len(reps), orbits.counts.shape[1], n_labels), dtype)
+    for q, i in enumerate(reps):
+        for cell, c, label in key[i][2]:
+            labels = slice(None) if label < 0 else slice(label, label + 1)
+            matrix[q, :, labels] += _coerce(c, mode) * orbits.counts[cell, :, None]
+    rhs = [b for _, _, _, b in rows]
     problem = LpProblem(
-        "min", np.ones(nvars, dtype), matrix.reshape(len(rows), nvars),
-        tuple(rel for _, _, rel, _ in rows), rhs,
+        "min", orbits.objective.astype(dtype),
+        matrix.reshape(len(reps), len(orbits.objective)),
+        tuple(rows[i][2] for i in reps), np.array([rhs[i] for i in reps], dtype),
     )
-    sol = lp_solve(problem, mode, caps)
-    if sol.status != "optimal":
-        raise SolverError(f"{name} LP terminated {sol.status}")
-    dual_value = sum(d * b for d, b in zip(sol.dual, rhs))
+    reduced = lp_solve(problem, mode, caps)
+    if reduced.status != "optimal":
+        raise SolverError(f"{name} LP terminated {reduced.status}")
+    w, y, columns = reduced.primal, reduced.dual, orbits.columns.tolist()
+    primal = tuple([w[o] for o in columns])
+    dual = tuple([y[q] / size if size > 1 else y[q]
+                  for q, size in zip(orbits.row_orbit.tolist(), orbits.row_share.tolist())])
+    sol = dataclasses.replace(reduced, primal=primal, dual=dual)
+    dual_value = sum(d * b for d, b in zip(dual, rhs))
     gap = abs(sol.objective_value - dual_value)
     limit = 0 if mode == "rational" else _GAP_TOL
     if gap > limit:
         raise SolverError(f"{name}: primal/dual gap {float(gap)} exceeds {limit}")
-    support = [
-        (Rectangle(int(row_masks[j // n_labels]), int(col_masks[j // n_labels])), j % n_labels, w)
-        for j, w in enumerate(sol.primal)
-        if w > 0
-    ]
-    return sol, support, dual_value
+    row_masks, col_masks, _ = _rect_incidence(f.x_size, f.y_size)
+    nonzero = [bool(v) for v in w]  # the support of the reduced primal
+    support = []
+    for j, o in enumerate(columns):
+        if nonzero[o]:
+            k = orbits.rects[j // n_labels]
+            support.append((Rectangle(int(row_masks[k]), int(col_masks[k])), j % n_labels,
+                            primal[j]))
+    stats = {"group_order": orbits.order, "lp_shape": (problem.num_rows, problem.num_vars)}
+    return sol, support, dual_value, stats
+
+
+# ---------------------------------------------------------------------------
+# Grid symmetries of a weight-form LP
+# ---------------------------------------------------------------------------
+
+
+# The orbits of recent LPs by structure, least recently used first: at most
+# _MEMO_ENTRIES of them, holding at most _MEMO_BYTES of arrays, so that a
+# sweep over wide grids does not keep every LP's incidence counts.
+_MEMO: collections.OrderedDict = collections.OrderedDict()
+_MEMO_ENTRIES = 256
+_MEMO_BYTES = 16 << 20
+
+
+def _lp_orbits(f: PartialFunction, rows, n_labels: int, meet) -> tuple[tuple, _Orbits]:
+    """The structure of a weight-form LP (`_lp_structure`) and its orbits,
+    memoized by value: the structure holds the function's labels, mu and
+    the row layout, but not eps."""
+    structure = _lp_structure(f, rows)
+    cells = None if meet is None else tuple(x * f.y_size + y for x, y in meet)
+    key = (f.x_size, f.y_size, n_labels, structure, cells)
+    orbits = _MEMO.pop(key, None)
+    if orbits is None:
+        orbits = _orbits(*key)
+        while _MEMO and (len(_MEMO) >= _MEMO_ENTRIES or orbits.nbytes + sum(
+                o.nbytes for o in _MEMO.values()) > _MEMO_BYTES):
+            _MEMO.popitem(last=False)
+    _MEMO[key] = orbits
+    return structure, orbits
+
+
+def _lp_structure(f: PartialFunction, rows) -> tuple:
+    """The rows of a weight-form LP as (relation, rhs rank, terms), each term
+    (cell index, coefficient, label) with label -1 where the term counts
+    every label.  rhs values are replaced by their rank in order of first
+    appearance, so LPs that differ only in eps share a structure unless eps
+    makes two right-hand sides equal."""
+    ranks: dict = {}
+    table, y_size = f.table, f.y_size
+    out = []
+    for terms, correct, rel, rhs in rows:
+        norm = []
+        for (x, y), c in terms:
+            label = table[x][y] if correct else None
+            norm.append((x * y_size + y, c, -1 if label is None else label))
+        out.append((rel, ranks.setdefault(rhs, len(ranks)), tuple(norm)))
+    return tuple(out)
+
+
+def _orbits(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | None
+            ) -> _Orbits:
+    """The group of grid symmetries of the weight-form LP with `rows` (as
+    `_lp_structure` gives them) over the rectangles meeting the cells `meet`
+    (all when None), and its orbits.
+
+    A symmetry sends every single-term row to a row with the same relation,
+    rhs, coefficient and label at the image cell, and fixes each row of
+    other length as a set of terms.  So it is a permutation of the cells
+    that keeps each cell's multiset of (row kind, coefficient, label) terms,
+    its "color", and the group is found on the grid of colors."""
+    colors: list[list] = [[] for _ in range(x_size * y_size)]
+    for i, (rel, b, terms) in enumerate(rows):
+        kind = (0, rel, b) if len(terms) == 1 else (1, i, "")
+        for cell, c, label in terms:
+            colors[cell].append((*kind, c, label))
+    for cell in meet or ():
+        colors[cell].append((2, 0, "", 0, 0))
+    ids: dict = {}
+    grid = np.array([ids.setdefault(tuple(sorted(c)), len(ids)) for c in colors])
+    order, generators = _grid_symmetries(grid.reshape(x_size, y_size))
+
+    row_masks, col_masks, incidence = _rect_incidence(x_size, y_size)
+    rects = (np.arange(len(row_masks)) if meet is None
+             else np.flatnonzero(incidence[list(meet)].any(axis=0)))
+    position = np.full(len(row_masks), -1)
+    position[rects] = np.arange(len(rects))
+    single: dict = {}  # the single-term rows by signature; identical ones match in order
+    nth = []
+    for i, (rel, b, terms) in enumerate(rows):
+        same = single.setdefault((rel, b, *terms[0]), []) if len(terms) == 1 else []
+        nth.append(len(same))
+        same.append(i)
+    rect_maps, row_maps = [], []
+    for t, sigma, tau in generators:
+        rows_to, cols_to = _mask_map(sigma), _mask_map(tau)
+        if t:
+            rows_to, cols_to = cols_to[col_masks], rows_to[row_masks]
+        else:
+            rows_to, cols_to = rows_to[row_masks], cols_to[col_masks]
+        rect_maps.append(position[((rows_to - 1) << y_size) - rows_to + cols_to][rects])
+        cell_map = [(tau[y] * y_size + sigma[x]) if t else (sigma[x] * y_size + tau[y])
+                    for x in range(x_size) for y in range(y_size)]
+        row_maps.append([single[(rel, b, cell_map[terms[0][0]], *terms[0][1:])][n]
+                         if len(terms) == 1 else i
+                         for i, ((rel, b, terms), n) in enumerate(zip(rows, nth))])
+    rect_orbit, rect_size, _ = _orbit_ids(rect_maps, len(rects))
+    row_orbit, row_size, row_reps = _orbit_ids(row_maps, len(rows))
+    by_orbit = np.argsort(rect_orbit, kind="stable")
+    starts = np.flatnonzero(np.diff(rect_orbit[by_orbit], prepend=-1))
+    counts = (np.add.reduceat(incidence[:, rects[by_orbit]], starts, axis=1, dtype=np.int32)
+              if len(rects) else np.zeros((x_size * y_size, 0), np.int32))
+    columns = (rect_orbit[:, None] * n_labels + np.arange(n_labels)).ravel()
+    orbits = _Orbits(order, tuple(generators), rects, counts, np.repeat(rect_size, n_labels),
+                     columns, row_orbit, row_size[row_orbit], row_reps)
+    for value in vars(orbits).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return orbits
+
+
+def _mask_map(perm) -> np.ndarray:
+    """The image of every bit mask over len(perm) bits, bit i moved to
+    perm[i]."""
+    masks = np.arange(1 << len(perm))
+    return sum(((masks >> i) & 1) << p for i, p in enumerate(perm))
+
+
+def _orbit_ids(maps, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbit of each of n points under the group generated by the
+    permutations `maps`, numbered in the order of their first point; the
+    orbit sizes; and each orbit's first point.  Each point takes the least
+    point it reaches."""
+    least = np.arange(n)
+    images = np.array(maps, dtype=np.intp).reshape(len(maps), n)
+    while True:
+        step = np.minimum(least, least[images].min(axis=0, initial=n))
+        if (step == least).all():
+            break
+        least = step
+    firsts, orbit, size = np.unique(least, return_inverse=True, return_counts=True)
+    return orbit.reshape(n), size, firsts
+
+
+def _grid_symmetries(grid: np.ndarray) -> tuple[int, list]:
+    """The order and generators of the group of cell permutations of `grid`
+    that keep every entry: (x, y) -> (sigma[x], tau[y]), and on a square
+    grid also (x, y) -> (tau[y], sigma[x]); a generator is (transpose, sigma,
+    tau).  The maps that fix every row form a subgroup K, generated by swaps
+    of equal columns; every sigma (with or without the transpose) whose
+    permuted grid has the same columns gives one coset of K, with tau
+    matching the columns."""
+    x_size, y_size = grid.shape
+    if x_size > y_size:
+        order, generators = _grid_symmetries(grid.T)
+        return order, [(t, tau, sigma) for t, sigma, tau in generators]
+    identity = tuple(range(x_size))
+    columns = [grid[:, y].tobytes() for y in range(y_size)]
+    last: dict = {}
+    generators, fixing = [], 1
+    for y, column in enumerate(columns):
+        if column in last:
+            tau = list(range(y_size))
+            tau[y], tau[last[column]] = last[column], y
+            generators.append((False, identity, tuple(tau)))
+            fixing *= columns[:y + 1].count(column)
+        last[column] = y
+    cosets = 0
+    for t, target in ((False, grid), (True, grid.T))[:1 + (x_size == y_size)]:
+        for sigma in itertools.permutations(range(x_size)):
+            moved = target[list(sigma)]
+            pool: dict = {}
+            for y in range(y_size):
+                pool.setdefault(moved[:, y].tobytes(), []).append(y)
+            try:
+                tau = tuple(pool[column].pop() for column in columns)
+            except (KeyError, IndexError):
+                continue
+            cosets += 1
+            generators.append((t, sigma, tau))
+    return cosets * fixing, generators
 
 
 def _partition_form(
@@ -354,7 +582,7 @@ def _partition_form(
     cells = _cells(f)
     rows = [(terms, True, ">=", 1 - eps) for terms in correct]
     rows += [([(cell, 1)], False, coverage, 1) for cell in cells]
-    sol, support, dual_value = _weight_form(name, f, mode, caps, rows, f.z_size)
+    sol, support, dual_value, stats = _weight_form(name, f, mode, caps, rows, f.z_size)
 
     strategy = _strategy_from_weights(support, f.x_size, f.y_size)
     alpha: dict[tuple[int, int], Number] = {}
@@ -365,7 +593,7 @@ def _partition_form(
     beta = {cell: sign * d for cell, d in zip(cells, sol.dual[len(correct):])}
     return BoundResult(
         name, sol.objective_value, eps, strategy, {"alpha": alpha, "beta": beta}, sol.status,
-        dual_value,
+        dual_value, **stats,
     )
 
 
@@ -425,11 +653,11 @@ def srec(
     blocks = (("lower", side, ">=", 1 - eps), ("upper", side, "<=", 1),
               ("wrong", other, "<=", eps))
     rows = [([(cell, 1)], False, rel, b) for _, cells, rel, b in blocks for cell in cells]
-    sol, support, dual_value = _weight_form("srec", f, mode, caps, rows)
+    sol, support, dual_value, stats = _weight_form("srec", f, mode, caps, rows)
     witness = {r: w for r, _, w in support}
     duals = dict(zip([(kind, *cell) for kind, cells, _, _ in blocks for cell in cells], sol.dual))
     return BoundResult(
-        "srec", sol.objective_value, eps, witness, duals, sol.status, dual_value, z0
+        "srec", sol.objective_value, eps, witness, duals, sol.status, dual_value, z0, **stats
     )
 
 
@@ -461,10 +689,10 @@ def rect_dual(
         else ([(cell, -1)], False, ">=", -eps)
         for cell in cells
     ]
-    sol, _, dual_value = _weight_form("rect_dual", f, mode, caps, rows, meet=cells)
+    sol, _, dual_value, stats = _weight_form("rect_dual", f, mode, caps, rows, meet=cells)
     alpha = dict(zip(cells, sol.dual))
     return BoundResult(
-        "rect", sol.objective_value, eps, alpha, sol.primal, sol.status, dual_value, z
+        "rect", sol.objective_value, eps, alpha, sol.primal, sol.status, dual_value, z, **stats
     )
 
 

@@ -480,7 +480,10 @@ def exact_output_distribution(
     (k <= |U| chains, one per distinct leaf output), so the T-step law costs
     O(log T) products of k 4x4 matrices.  Each party's own law is in closed
     form.  The law is computed in float64, so a lambda below 2**-1022 (whose
-    masses would be subnormal) or a T of 2**1024 or more is refused.
+    masses would be subnormal) or a T of 2**1024 or more is refused, and so
+    is an experiment table with a nonzero per-trial rate below 2**-1022 (a
+    category mass summed over an output value, alone or times
+    2**-hash_bits), before the chain is built.
     """
     if params.lambda_exponent > 1022 or params.trials > int(sys.float_info.max):
         raise CapacityError(
@@ -512,6 +515,19 @@ def exact_output_distribution(
         both_z[index[z]] += float(table.both[u])
         aonly_z[index[z]] += float(table.alice_only[u])
         bonly_z[index[z]] += float(table.bob_only[u])
+    # Every nonzero rate of the chain and of the closed forms is one of these
+    # masses, or at least one of them times rho = 2^-hash_bits.  float64
+    # loses a rate below 2^-1022, and a mass that is 0 only as a float; a
+    # law that would drop one is refused.
+    floor = math.ldexp(1.0, params.hash_bits - 1022)  # the least mass whose rate is normal
+    masses = both_z + aonly_z + bonly_z
+    if min(masses) < floor and (any(0 < m < floor for m in masses) or any(
+            p and not float(p) for p in (*table.both, *table.alice_only, *table.bob_only))):
+        raise CapacityError(
+            "the exact law needs every nonzero per-trial rate >= 2^-1022 in float64; got a "
+            f"category mass below 2^-{1022 - params.hash_bits} under a hash match of "
+            f"2^-{params.hash_bits}"
+        )
     law = _dp_law(both_z, aonly_z, bonly_z, params)
 
     def spread(probs: tuple[float, ...]) -> tuple[float, ...]:

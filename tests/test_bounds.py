@@ -1,11 +1,13 @@
 """Lower-bound LPs: pinned values, orderings, witnesses, and CSV output."""
 
+import collections
 import copy
 import dataclasses
 import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from commlb import bounds, solver
@@ -545,18 +547,19 @@ def test_lp_bounds_check_caps_before_building(monkeypatch):
 
 
 # (pivots in phase 1 and 2, value) of float corpus LPs at eps = 0.1, with z = 1
-# for srec and rect: a change to the pricing or ratio-test rule moves them.
+# for srec and rect: a change to the pricing or ratio-test rule, or to the
+# symmetry reduction of the LP solved, moves them.
 _PINNED_LPS = {
-    ("prt", "EQ,2"): ((101, 19), Fraction(11, 2)),
-    ("bprt", "EQ,2"): ((69, 28), Fraction(11, 2)),
-    ("bprt_mu", "EQ,2"): ((30, 16), Fraction(23, 5)),
-    ("srec", "EQ,2"): ((23, 1), 3),
-    ("rect", "EQ,2"): ((23, 1), 3),
-    ("prt", "IP,2"): ((101, 26), Fraction(161, 30)),
-    ("bprt", "IP,2"): ((60, 26), Fraction(161, 30)),
-    ("bprt_mu", "IP,2"): ((35, 18), Fraction(68, 15)),
-    ("srec", "IP,2"): ((10, 2), Fraction(5, 2)),
-    ("rect", "IP,2"): ((10, 2), Fraction(5, 2)),
+    ("prt", "EQ,2"): ((6, 5), Fraction(11, 2)),
+    ("bprt", "EQ,2"): ((5, 5), Fraction(11, 2)),
+    ("bprt_mu", "EQ,2"): ((3, 3), Fraction(23, 5)),
+    ("srec", "EQ,2"): ((3, 2), 3),
+    ("rect", "EQ,2"): ((3, 2), 3),
+    ("prt", "IP,2"): ((13, 6), Fraction(161, 30)),
+    ("bprt", "IP,2"): ((9, 8), Fraction(161, 30)),
+    ("bprt_mu", "IP,2"): ((6, 4), Fraction(68, 15)),
+    ("srec", "IP,2"): ((3, 3), Fraction(5, 2)),
+    ("rect", "IP,2"): ((3, 3), Fraction(5, 2)),
 }
 
 
@@ -627,10 +630,17 @@ def _highs_weight_form(f: PartialFunction, n_labels: int, rows) -> float:
     return res.fun
 
 
+# A 4x8 table without grid symmetries, so its LPs are solved at full size.
+_ASYMMETRIC_4X8 = PartialFunction.from_rows([
+    [0, 1, 0, 1, 1, 0, 0, 0], [0, 1, 1, 0, 0, 1, 1, 0],
+    [0, 1, 0, 0, 1, 1, 0, 0], [1, 1, 1, 0, 1, 1, 0, 0],
+], 2)
+
+
 def test_wide_grid_lps_solve(monkeypatch):
     # The weight-form LPs of 4x8 and 5x8 grids fit the float caps, and the
-    # revised simplex finishes them, refactorizing its basis inverse on the
-    # way.
+    # revised simplex finishes them; on a table without symmetries it solves
+    # the full 64 x 7,650 LPs, refactorizing its basis inverse on the way.
     solutions = []
 
     def recording_lp_solve(problem, mode="float", caps=None):
@@ -645,9 +655,14 @@ def test_wide_grid_lps_solve(monkeypatch):
         assert abs(r.value - 5.5) < 1e-9
         feasible, objective = check_witness(r, wide)
         assert feasible and abs(objective - r.value) < 1e-6
-    for sol in solutions:
+    solutions.clear()
+    full = [fn(_ASYMMETRIC_4X8, 0.1) for fn in (prt, bprt)]
+    for r, sol in zip(full, solutions):
+        assert r.group_order == 1 and r.lp_shape == (64, 7650)
         assert sum(sol.pivots) > solver._REFACTOR_EVERY
         assert sol.refactorizations == sum(sol.pivots) // solver._REFACTOR_EVERY
+        feasible, objective = check_witness(r, _ASYMMETRIC_4X8)
+        assert feasible and abs(objective - r.value) < 1e-6
     exact = prt(wide, Fraction(1, 10), "rational", Caps().with_overrides(lp_vars_rational=8000))
     assert exact.value == Fraction(11, 2) and solutions[-1].path == "certified"
     assert check_witness(exact, wide) == (True, Fraction(11, 2))
@@ -666,12 +681,20 @@ def test_wide_grid_lps_solve(monkeypatch):
     assert p.value == pytest.approx(_highs_weight_form(wide, 2, prt_rows), abs=1e-6)
     assert b.value == pytest.approx(_highs_weight_form(wide, 2, bprt_rows), abs=1e-6)
     assert r.value == pytest.approx(_highs_weight_form(wider, 1, rect_rows), abs=1e-6)
+    f = _ASYMMETRIC_4X8
+    prt_rows = [(c, {f.value(*c)}, 0.9, None) for c in cells] + [(c, every, 1, 1) for c in cells]
+    bprt_rows = [(c, {f.value(*c)}, 0.9, None) for c in cells]
+    bprt_rows += [(c, every, None, 1) for c in cells]
+    assert full[0].value == pytest.approx(_highs_weight_form(f, 2, prt_rows), abs=1e-9)
+    assert full[1].value == pytest.approx(_highs_weight_form(f, 2, bprt_rows), abs=1e-9)
 
 
 def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
-    # The early cap check must accept and reject exactly what lp_solve's own
-    # check would, so it has to see the shape of the LP that gets built.
-    checked, solved = [], []
+    # The early cap check sees the shape of the full LP, and the LP solved
+    # over its symmetry orbits is no larger: so the caps accept and reject
+    # by the full shape, and lp_solve's own check never refuses what the
+    # early check let through.
+    checked, solved, results = [], [], []
     real_check, real_solve = bounds.check_lp_caps, bounds.lp_solve
 
     def check(num_vars, num_rows, mode, caps):
@@ -689,14 +712,267 @@ def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
     sparse = InputDistribution(tuple(
         (Fraction(1, 8), Fraction(1, 8), Fraction(0), Fraction(0)) for _ in range(4)
     ))
+    full = []  # (vars, rows) of each full LP, counted from the definitions
+
+    def rectangles(f, cells):
+        return sum(1 for r in enumerate_rectangles(f.x_size, f.y_size)
+                   if not r.is_empty and any(r.contains(*c) for c in cells))
+
     for f, mu in ((EQ1, UNIFORM_2x2), (ghd, _uniform(ghd)), (ghd, sparse)):
-        bprt(f, 0.1)
-        prt(f, 0.1)
-        bprt_mu(f, mu, 0.1)
+        grid = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
+        n = len(grid)
+        results += [bprt(f, 0.1), prt(f, 0.1), bprt_mu(f, mu, 0.1)]
+        full += [(rectangles(f, grid) * f.z_size, rows)
+                 for rows in (2 * n, len(f.domain()) + n, 1 + n)]
         for z in range(f.z_size):
-            srec(f, 0.1, z)
-            rect_dual(f, 0.1, z, mu)
-    assert checked == solved
+            charged = [c for c in f.domain() if mu.prob(*c) > 0]
+            results += [srec(f, 0.1, z), rect_dual(f, 0.1, z, mu)]
+            full += [(rectangles(f, grid), len(f.domain()) + len(f.preimage(z))),
+                     (rectangles(f, charged), len(charged))]
+    assert checked == full
+    assert [(v, r) for r, v in (res.lp_shape for res in results)] == solved
+    assert all(v <= fv and r <= fr for (v, r), (fv, fr) in zip(solved, checked))
+    assert any(v < fv for (v, _), (fv, _) in zip(solved, checked))
+
+
+# ---------------------------------------------------------------------------
+# The symmetry reduction of the weight-form LP
+# ---------------------------------------------------------------------------
+
+
+def _recorded_weight_forms(monkeypatch) -> list:
+    """Record every weight-form LP the bounds build: (f, mode, rows,
+    n_labels, meet, its full-size solution, stats)."""
+    records, build = [], bounds._weight_form
+
+    def recording(name, f, mode, caps, rows, n_labels=1, meet=None):
+        out = build(name, f, mode, caps, rows, n_labels, meet)
+        records.append((f, mode, rows, n_labels, meet, out[0], out[3]))
+        return out
+
+    monkeypatch.setattr(bounds, "_weight_form", recording)
+    return records
+
+
+def _full_lp(f: PartialFunction, n_labels: int, rows, meet):
+    """The weight-form LP at full size, from its definition: one column per
+    (nonempty rectangle meeting `meet`, all when None, label z), in
+    enumeration order; a (cell, c) term of a row adds c to every column
+    whose rectangle contains the cell and whose label the row counts.
+    Returns the columns, the cell x column incidence and the matrix (an
+    object array of the rows' own numbers)."""
+    rects = [r for r in enumerate_rectangles(f.x_size, f.y_size) if not r.is_empty
+             and (meet is None or any(r.contains(*c) for c in meet))]
+    columns = [(r, z) for r in rects for z in range(n_labels)]
+    cells = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
+    inside = np.array([[r.contains(*c) for r, _ in columns] for c in cells], dtype=bool)
+    inside = inside.reshape(len(cells), len(columns))
+    labels = np.array([z for _, z in columns], dtype=int)
+    matrix = np.zeros((len(rows), len(columns)), dtype=object)
+    for i, (terms, correct, _, _) in enumerate(rows):
+        for (x, y), c in terms:
+            counted = inside[x * f.y_size + y]
+            if correct and f.value(x, y) is not None:
+                counted = counted & (labels == f.value(x, y))
+            matrix[i] += np.where(counted, c, 0)
+    return columns, inside, matrix
+
+
+def _group(generators, x_size: int, y_size: int) -> set:
+    """Every element of the group the generators generate, as the tuple of
+    the images of the cells x * y_size + y.  A generator (t, sigma, tau)
+    maps (x, y) to (sigma[x], tau[y]), or to (tau[y], sigma[x]) when t."""
+    def cell_map(t, sigma, tau):
+        return tuple(tau[y] * y_size + sigma[x] if t else sigma[x] * y_size + tau[y]
+                     for x in range(x_size) for y in range(y_size))
+
+    maps = [cell_map(*g) for g in generators]
+    elements, frontier = {tuple(range(x_size * y_size))}, [tuple(range(x_size * y_size))]
+    while frontier:
+        g = frontier.pop()
+        for h in maps:
+            gh = tuple(h[c] for c in g)
+            if gh not in elements:
+                elements.add(gh)
+                frontier.append(gh)
+    return elements
+
+
+def _check_group(f: PartialFunction, rows, n_labels: int, meet, stats, full) -> int:
+    """Every element of the LP's group maps its columns onto its columns and
+    its rows onto its rows (the same relation, rhs and coefficients at the
+    image columns); the group has the order found, and the LP solved has one
+    row per row orbit and one column per column orbit.  Returns the order."""
+    _, orbits = bounds._lp_orbits(f, rows, n_labels, meet)
+    elements = _group(orbits.generators, f.x_size, f.y_size)
+    assert len(elements) == orbits.order == stats["group_order"]
+    columns, inside, matrix = full
+    labels = np.array([z for _, z in columns], dtype=np.int64)
+
+    def column_keys(cell_bits):  # the cell set of a column's rectangle, and its label
+        return (inside * cell_bits[:, None]).sum(axis=0) * n_labels + labels
+
+    keys = column_keys(1 << np.arange(inside.shape[0], dtype=np.int64))
+    by_key = np.argsort(keys)
+    values = matrix.astype(float)
+    row_keys = [(rel, b, values[i].tobytes()) for i, (_, _, rel, b) in enumerate(rows)]
+    row_orbit, col_orbit = np.arange(len(rows)), np.arange(len(columns))
+    for g in elements:
+        moved = column_keys(1 << np.array(g, dtype=np.int64))
+        at = np.searchsorted(keys[by_key], moved).clip(max=max(len(keys) - 1, 0))
+        assert (keys[by_key][at] == moved).all()  # every column goes to a column
+        image = by_key[at]
+        assert sorted(image.tolist()) == list(range(len(columns)))
+        permuted = np.zeros_like(values)
+        permuted[:, image] = values
+        images = [(rel, b, permuted[i].tobytes()) for i, (_, _, rel, b) in enumerate(rows)]
+        assert sorted(images) == sorted(row_keys)
+        row_orbit = np.minimum(row_orbit, [row_keys.index(key) for key in images])
+        col_orbit = np.minimum(col_orbit, image)
+    # Each point's least image over the group is its orbit's least member.
+    assert stats["lp_shape"] == (len(set(row_orbit.tolist())), len(set(col_orbit.tolist())))
+    return orbits.order
+
+
+def _check_full_solution(mode: str, rows, sol, full) -> None:
+    """Float: the value within 1e-9 of HiGHS on the full LP.  Rational: the
+    expanded primal and dual are exactly feasible on the full LP, over all
+    its rectangles, and both reach the value."""
+    columns, _, matrix = full
+    rels, rhs = [rel for _, _, rel, _ in rows], [b for _, _, _, b in rows]
+    x, y = sol.primal, sol.dual
+    assert len(x) == len(columns) and len(y) == len(rows)
+    if mode == "float":
+        pytest.importorskip("scipy")
+        from scipy.optimize import linprog
+
+        a = matrix.astype(float)
+        ub = [i for i, rel in enumerate(rels) if rel != "="]
+        eq = [i for i, rel in enumerate(rels) if rel == "="]
+        flip = np.array([-1.0 if rels[i] == ">=" else 1.0 for i in ub])
+        if columns:
+            res = linprog(np.ones(len(columns)),
+                          A_ub=a[ub] * flip[:, None] if ub else None,
+                          b_ub=np.array([rhs[i] for i in ub], dtype=float) * flip if ub else None,
+                          A_eq=a[eq] if eq else None,
+                          b_eq=[rhs[i] for i in eq] if eq else None,
+                          bounds=(0, None), method="highs")
+            assert res.status == 0 and abs(res.fun - sol.objective_value) < 1e-9
+        else:
+            assert sol.objective_value == 0
+        return
+    assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+    for row, rel, b, yi in zip(matrix, rels, rhs, y):
+        lhs = sum(a * v for a, v in zip(row, x) if a)
+        assert {"<=": lhs <= b, ">=": lhs >= b, "=": lhs == b}[rel]
+        assert {"<=": yi <= 0, ">=": yi >= 0, "=": True}[rel]
+    reduced = np.ones(len(columns), dtype=object)  # each column's reduced cost 1 - y.A_j
+    for row, yi in zip(matrix, y):
+        if yi:
+            nz = row.nonzero()[0]
+            reduced[nz] -= yi * row[nz]
+    assert (reduced >= 0).all()
+    assert sum(x) == sum(yi * b for yi, b in zip(y, rhs)) == sol.objective_value
+
+
+def _random_table(rng: random.Random, x_size: int, y_size: int) -> PartialFunction:
+    cells = [[rng.choice((0, 1, 2)) for _ in range(y_size)] for _ in range(x_size)]
+    cells[0][0] = None
+    return PartialFunction.from_rows(cells, 3)
+
+
+def _meet_off_the_rows(mode: str, eps) -> list:
+    """A weight form over the rectangles meeting two cells, one of which no
+    row mentions: a symmetry must keep the columns it builds on."""
+    bounds._weight_form("rect_dual", EQ1, mode, None, [([((0, 0), 1)], False, ">=", 1 - eps)],
+                        meet=[(0, 0), (0, 1)])
+    return []
+
+
+_REDUCTION_CASES = {
+    # A random table: no grid symmetry at all.
+    "random 4x4": lambda mode, eps: (
+        lambda f: [bprt(f, eps, mode), prt(f, eps, mode), srec(f, eps, 1, mode),
+                   rect_dual(f, eps, 2, None, mode)])(_random_table(random.Random(5), 4, 4)),
+    # The transpose, composed with reversals for GT: a group of order 2.
+    "AND,1": lambda mode, eps: [bprt(AND1, eps, mode), srec(AND1, eps, 1, mode),
+                                rect_dual(AND1, eps, 1, None, mode)],
+    "GT,2": lambda mode, eps: [bprt(make_function("GT,2"), eps, mode),
+                               srec(make_function("GT,2"), eps, 1, mode)],
+    # A partial function.
+    "GHD,2,1": lambda mode, eps: [
+        fn(make_function("GHD,2,1"), eps, mode) for fn in (bprt, prt)] + [
+        srec(make_function("GHD,2,1"), eps, 0, mode),
+        rect_dual(make_function("GHD,2,1"), eps, 0, None, mode)],
+    # A mu that breaks EQ,2's symmetry, and one that leaves rect_dual only
+    # the cells of two columns.
+    "skewed mu": lambda mode, eps: [
+        bprt_mu(make_function("EQ,2"), _random_mu(random.Random(3), 4, 4), eps, mode)],
+    "sparse mu": lambda mode, eps: [rect_dual(make_function("GHD,2,1"), eps, 0, InputDistribution(
+        tuple((Fraction(1, 8), Fraction(1, 8), Fraction(0), Fraction(0)) for _ in range(4))),
+        mode)],
+    "4x8": lambda mode, eps: (
+        lambda f, caps=Caps().with_overrides(lp_vars_rational=8000): [
+            srec(f, eps, 1, mode, caps), rect_dual(f, eps, 0, None, mode, caps)])(
+            PartialFunction.from_rows([[int(x == y % 4) for y in range(8)] for x in range(4)], 2)),
+    # The same table transposed: the group is searched over its 4 columns.
+    "8x4": lambda mode, eps: [srec(PartialFunction.from_rows(
+        [[int(x % 4 == y) for y in range(4)] for x in range(8)], 2), eps, 1, mode,
+        Caps().with_overrides(lp_vars_rational=8000))],
+    "meet off the rows": lambda mode, eps: _meet_off_the_rows(mode, eps),
+    # No row at all: mu charges only cells off the promise.
+    "no rows": lambda mode, eps: [rect_dual(
+        PartialFunction.from_rows([[0, None], [None, 1]], z_size=2), eps, 0,
+        InputDistribution(((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0)))),
+        mode)],
+}
+
+
+@pytest.mark.parametrize("case", list(_REDUCTION_CASES))
+def test_reduced_lp_is_the_full_lp(monkeypatch, case):
+    # The group maps each LP onto itself, and the reduced LP's expanded
+    # solution is optimal for the full LP: within 1e-9 of HiGHS in float,
+    # exactly feasible and at the value in rational mode.
+    records = _recorded_weight_forms(monkeypatch)
+    for mode, eps in (("float", 0.1), ("rational", Fraction(1, 10))):
+        results = _REDUCTION_CASES[case](mode, eps)
+        for r in results:
+            assert r.lp_shape is not None
+    orders = {}
+    for f, mode, rows, n_labels, meet, sol, stats in records:
+        full = _full_lp(f, n_labels, rows, meet)
+        if mode == "float":  # the group does not depend on the arithmetic
+            orders.setdefault(mode, []).append(_check_group(f, rows, n_labels, meet, stats, full))
+        else:
+            orders.setdefault(mode, []).append(stats["group_order"])
+        _check_full_solution(mode, rows, sol, full)
+    assert orders["float"] == orders["rational"]
+    expected = {"random 4x4": 1, "AND,1": 2, "GT,2": 2, "GHD,2,1": 16, "skewed mu": 1,
+                "4x8": 384, "8x4": 384, "meet off the rows": 1, "no rows": 8}
+    if case in expected:
+        assert orders["float"][0] == expected[case], orders
+    if case == "sparse mu":
+        assert 1 < orders["float"][0] < 16
+
+
+def test_orbit_memo_is_bounded(monkeypatch):
+    # The memo of LP orbits keeps at most _MEMO_ENTRIES entries and
+    # _MEMO_BYTES of arrays, dropping the least recently used first; a
+    # dropped LP is solved the same way again.
+    memo = collections.OrderedDict()
+    monkeypatch.setattr(bounds, "_MEMO", memo)
+    monkeypatch.setattr(bounds, "_MEMO_BYTES", 30_000)  # a GT,2 entry takes 12-16 kB
+    gt = make_function("GT,2")
+    calls = [lambda: bprt(gt, 0.1), lambda: prt(gt, 0.1), lambda: srec(gt, 0.1, 1),
+             lambda: srec(AND1, 0.1, 1), lambda: rect_dual(EQ1, 0.1, 1)]
+    first = [call() for call in calls]
+    assert sum(o.nbytes for o in memo.values()) <= 30_000
+    assert [k[:3] for k in memo] == [(4, 4, 2), (4, 4, 1), (2, 2, 1), (2, 2, 1)]
+    monkeypatch.setattr(bounds, "_MEMO_ENTRIES", 2)
+    again = [call() for call in calls]
+    assert [k[:3] for k in memo] == [(2, 2, 1), (2, 2, 1)]  # the most recent, in order
+    assert [(r.value, r.group_order, r.lp_shape) for r in again] == [
+        (r.value, r.group_order, r.lp_shape) for r in first]
 
 
 def test_rational_matches_float():

@@ -217,6 +217,24 @@ def test_compress_dp_at_the_float_range(capsys, argv, expected):
         assert out.strip().split("\n")[-2].startswith("aggregate,")
 
 
+@pytest.mark.parametrize("delta", ["0.3", "0.35"])
+def test_compress_dp_refuses_a_rate_past_the_float_range(capsys, delta):
+    # At delta 0.3 the rate of both parties accepting one trial, both * rho,
+    # is about 2^-1121 and would underflow to 0, so the law is refused rather
+    # than reported as a failed eq6.  At 0.35 the smallest rate is 2^-831.
+    code, out, err = _run(capsys, "compress", "--prot", "corpus:send_x", "--fn", "corpus:EQ,1",
+                          "--delta", delta, "--paper-exact", "--mode", "dp")
+    assert "Traceback" not in err
+    if delta == "0.3":
+        assert code == EXIT_CAPACITY
+        assert out == "" and err.startswith("capacity error:") and "2^-1022" in err
+    else:
+        assert code == EXIT_OK
+        lines = out.strip().split("\n")
+        assert lines[2:6] == [f"{x},{y},2.0285958332837637e-168,2.1197879309511924e-168,True,"
+                              for x in (0, 1) for y in (0, 1)]
+
+
 def test_compress_override_mc_deterministic(capsys):
     argv = ("compress", "--prot", "corpus:noisy_bit,0.25", "--delta", "0.5",
             "--override", "2,10,1", "--mode", "mc", "--samples", "20000",

@@ -469,6 +469,33 @@ def test_dp_refuses_what_float64_cannot_hold(delta_exp, trials, hash_bits):
         exact_output_distribution(pi, UNIFORM_2x2, 0, 1, params, caps)
 
 
+@pytest.mark.parametrize("prot,delta,overrides", [
+    ("send_x", 0.3, None),  # both * rho is about 2^-1121
+    ("noisy_bit", 0.5, (1, 10, 1021)),  # lambda = 2^-1022, a one-party rate below it
+    ("send_x", 0.5, (700, 10, 0)),  # the both-accept mass itself is below 2^-1074
+], ids=["send_x-delta0.3", "one-party-rate", "both-mass"])
+def test_dp_refuses_a_rate_past_the_float_range(prot, delta, overrides):
+    # Every nonzero per-trial rate must be a normal float64, or the chain
+    # drops it; lambda itself is within range in all three cases.
+    pi = make_protocol(prot) if prot == "send_x" else make_protocol(prot, flip=0.25)
+    ic = information_cost(pi, UNIFORM_2x2)
+    params = compression_parameters(delta, ic, pi.universe_size, overrides=overrides)
+    assert params.lambda_exponent <= 1022
+    caps = default_caps().with_overrides(dp_trials=params.trials)
+    with pytest.raises(CapacityError, match="per-trial rate"):
+        exact_output_distribution(pi, UNIFORM_2x2, 0, 1, params, caps)
+
+
+def test_dp_keeps_rates_within_the_float_range():
+    # At delta 0.35 the smallest rate is about 2^-831: the law is computed,
+    # and its mass is close to lambda.
+    pi = make_protocol("send_x")
+    params = compression_parameters(0.35, information_cost(pi, UNIFORM_2x2), pi.universe_size)
+    caps = default_caps().with_overrides(dp_trials=params.trials)
+    law = exact_output_distribution(pi, UNIFORM_2x2, 0, 1, params, caps)
+    assert law.not_abort / params.lambda_ == pytest.approx(0.95698, abs=1e-5)
+
+
 @pytest.mark.parametrize("delta", [0.7, 0.5])
 def test_verify_compression_paper_exact_small_delta(delta):
     # T = 2,554,454 at delta 0.7 and 47,632,711,550 at delta 0.5.
