@@ -53,7 +53,6 @@ chain 1 - eps <= srec <= bprt <= prt is checked by ``verify_bound_chain``.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import functools
 import itertools
@@ -402,10 +401,10 @@ def _weight_form(
 # ---------------------------------------------------------------------------
 
 
-# The orbits of recent LPs by structure, least recently used first: at most
-# _MEMO_ENTRIES of them, holding at most _MEMO_BYTES of arrays, so that a
-# sweep over wide grids does not keep every LP's incidence counts.
-_MEMO: collections.OrderedDict = collections.OrderedDict()
+# The orbits of recent LPs by structure, oldest first: at most _MEMO_ENTRIES
+# of them, holding at most _MEMO_BYTES of arrays, so that a sweep over wide
+# grids does not keep every LP's incidence counts.
+_MEMO: dict = {}
 _MEMO_ENTRIES = 256
 _MEMO_BYTES = 16 << 20
 
@@ -417,13 +416,13 @@ def _lp_orbits(f: PartialFunction, rows, n_labels: int, meet) -> tuple[tuple, _O
     structure = _lp_structure(f, rows)
     cells = None if meet is None else tuple(x * f.y_size + y for x, y in meet)
     key = (f.x_size, f.y_size, n_labels, structure, cells)
-    orbits = _MEMO.pop(key, None)
+    orbits = _MEMO.get(key)
     if orbits is None:
         orbits = _orbits(*key)
         while _MEMO and (len(_MEMO) >= _MEMO_ENTRIES or orbits.nbytes + sum(
                 o.nbytes for o in _MEMO.values()) > _MEMO_BYTES):
-            _MEMO.popitem(last=False)
-    _MEMO[key] = orbits
+            del _MEMO[next(iter(_MEMO))]
+        _MEMO[key] = orbits
     return structure, orbits
 
 

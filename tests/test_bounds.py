@@ -1,6 +1,5 @@
 """Lower-bound LPs: pinned values, orderings, witnesses, and CSV output."""
 
-import collections
 import copy
 import dataclasses
 import random
@@ -957,9 +956,9 @@ def test_reduced_lp_is_the_full_lp(monkeypatch, case):
 
 def test_orbit_memo_is_bounded(monkeypatch):
     # The memo of LP orbits keeps at most _MEMO_ENTRIES entries and
-    # _MEMO_BYTES of arrays, dropping the least recently used first; a
-    # dropped LP is solved the same way again.
-    memo = collections.OrderedDict()
+    # _MEMO_BYTES of arrays, dropping the oldest first; a dropped LP is
+    # solved the same way again.
+    memo = {}
     monkeypatch.setattr(bounds, "_MEMO", memo)
     monkeypatch.setattr(bounds, "_MEMO_BYTES", 30_000)  # a GT,2 entry takes 12-16 kB
     gt = make_function("GT,2")
