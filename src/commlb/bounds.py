@@ -312,13 +312,12 @@ def _rects_meeting(f: PartialFunction, cells, caps: Caps) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Orbits:
-    """The grid symmetries that map one weight-form LP onto itself, and the
-    reduced LP's layout: one row per row orbit and one column per
-    (rectangle orbit, label), orbits numbered in the order of their first
-    member.  Every array is read-only."""
+    """The order of the group of grid symmetries that map one weight-form LP
+    onto itself, and the reduced LP's layout: one row per row orbit and one
+    column per (rectangle orbit, label), orbits numbered in the order of
+    their first member.  Every array is read-only."""
 
     order: int  # the group order
-    generators: tuple  # (transpose, sigma, tau) per generator, see _grid_symmetries
     rects: np.ndarray  # the LP's rectangles, as indices into _rect_incidence's order
     counts: np.ndarray  # cell x rectangle orbit: its rectangles that contain the cell
     objective: np.ndarray  # the size of each column orbit
@@ -444,17 +443,13 @@ def _lp_structure(f: PartialFunction, rows) -> tuple:
     return tuple(out)
 
 
-def _orbits(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | None
-            ) -> _Orbits:
-    """The group of grid symmetries of the weight-form LP with `rows` (as
-    `_lp_structure` gives them) over the rectangles meeting the cells `meet`
-    (all when None), and its orbits.
-
-    A symmetry sends every single-term row to a row with the same relation,
-    rhs, coefficient and label at the image cell, and fixes each row of
-    other length as a set of terms.  So it is a permutation of the cells
-    that keeps each cell's multiset of (row kind, coefficient, label) terms,
-    its "color", and the group is found on the grid of colors."""
+def _cell_colors(x_size: int, y_size: int, rows: tuple, meet: tuple | None) -> np.ndarray:
+    """The grid of cell colors of the weight-form LP with `rows` (as
+    `_lp_structure` gives them) over the rectangles meeting the cells `meet`:
+    cells share a color when they carry the same multiset of (row kind,
+    coefficient, label) terms.  A single-term row's kind is its relation and
+    rhs; a row of other length is a kind of its own, which a symmetry must
+    fix as a set of terms; the cells of `meet` carry a mark."""
     colors: list[list] = [[] for _ in range(x_size * y_size)]
     for i, (rel, b, terms) in enumerate(rows):
         kind = (0, rel, b) if len(terms) == 1 else (1, i, "")
@@ -464,8 +459,20 @@ def _orbits(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | 
         colors[cell].append((2, 0, "", 0, 0))
     ids: dict = {}
     grid = np.array([ids.setdefault(tuple(sorted(c)), len(ids)) for c in colors])
-    order, generators = _grid_symmetries(grid.reshape(x_size, y_size))
+    return grid.reshape(x_size, y_size)
 
+
+def _orbits(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | None
+            ) -> _Orbits:
+    """The group of grid symmetries of the weight-form LP with `rows` (as
+    `_lp_structure` gives them) over the rectangles meeting the cells `meet`
+    (all when None), and its orbits.  A symmetry sends every single-term row
+    to a row with the same relation, rhs, coefficient and label at the image
+    cell, and fixes each row of other length as a set of terms: it is a
+    symmetry of the grid of `_cell_colors`.  The orbits are taken from the
+    generators one image at a time, so a large group costs time, not
+    memory."""
+    order, generators = _grid_symmetries(_cell_colors(x_size, y_size, rows, meet))
     row_masks, col_masks, incidence = _rect_incidence(x_size, y_size)
     rects = (np.arange(len(row_masks)) if meet is None
              else np.flatnonzero(incidence[list(meet)].any(axis=0)))
@@ -477,28 +484,30 @@ def _orbits(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | 
         same = single.setdefault((rel, b, *terms[0]), []) if len(terms) == 1 else []
         nth.append(len(same))
         same.append(i)
-    rect_maps, row_maps = [], []
-    for t, sigma, tau in generators:
-        rows_to, cols_to = _mask_map(sigma), _mask_map(tau)
+
+    def rect_image(generator) -> np.ndarray:
+        t, sigma, tau = generator
+        to_rows, to_cols = _mask_map(sigma)[row_masks[rects]], _mask_map(tau)[col_masks[rects]]
         if t:
-            rows_to, cols_to = cols_to[col_masks], rows_to[row_masks]
-        else:
-            rows_to, cols_to = rows_to[row_masks], cols_to[col_masks]
-        rect_maps.append(position[((rows_to - 1) << y_size) - rows_to + cols_to][rects])
+            to_rows, to_cols = to_cols, to_rows
+        return position[((to_rows - 1) << y_size) - to_rows + to_cols]
+
+    def row_image(generator) -> list[int]:
+        t, sigma, tau = generator
         cell_map = [(tau[y] * y_size + sigma[x]) if t else (sigma[x] * y_size + tau[y])
                     for x in range(x_size) for y in range(y_size)]
-        row_maps.append([single[(rel, b, cell_map[terms[0][0]], *terms[0][1:])][n]
-                         if len(terms) == 1 else i
-                         for i, ((rel, b, terms), n) in enumerate(zip(rows, nth))])
-    rect_orbit, rect_size, _ = _orbit_ids(rect_maps, len(rects))
-    row_orbit, row_size, row_reps = _orbit_ids(row_maps, len(rows))
+        return [single[(rel, b, cell_map[terms[0][0]], *terms[0][1:])][n] if len(terms) == 1
+                else i for i, ((rel, b, terms), n) in enumerate(zip(rows, nth))]
+
+    rect_orbit, rect_size, _ = _orbit_ids(generators, rect_image, len(rects))
+    row_orbit, row_size, row_reps = _orbit_ids(generators, row_image, len(rows))
     by_orbit = np.argsort(rect_orbit, kind="stable")
     starts = np.flatnonzero(np.diff(rect_orbit[by_orbit], prepend=-1))
     counts = (np.add.reduceat(incidence[:, rects[by_orbit]], starts, axis=1, dtype=np.int32)
               if len(rects) else np.zeros((x_size * y_size, 0), np.int32))
     columns = (rect_orbit[:, None] * n_labels + np.arange(n_labels)).ravel()
-    orbits = _Orbits(order, tuple(generators), rects, counts, np.repeat(rect_size, n_labels),
-                     columns, row_orbit, row_size[row_orbit], row_reps)
+    orbits = _Orbits(order, rects, counts, np.repeat(rect_size, n_labels), columns, row_orbit,
+                     row_size[row_orbit], row_reps)
     for value in vars(orbits).values():
         if isinstance(value, np.ndarray):
             value.flags.writeable = False
@@ -512,15 +521,17 @@ def _mask_map(perm) -> np.ndarray:
     return sum(((masks >> i) & 1) << p for i, p in enumerate(perm))
 
 
-def _orbit_ids(maps, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The orbit of each of n points under the group generated by the
-    permutations `maps`, numbered in the order of their first point; the
-    orbit sizes; and each orbit's first point.  Each point takes the least
-    point it reaches."""
+def _orbit_ids(generators, image, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The orbit of each of n points under the group generated by
+    `generators`, each of which permutes the points as `image(generator)`
+    gives: numbered in the order of their first point, with the orbit sizes
+    and each orbit's first point.  Each point takes the least point it
+    reaches."""
     least = np.arange(n)
-    images = np.array(maps, dtype=np.intp).reshape(len(maps), n)
     while True:
-        step = np.minimum(least, least[images].min(axis=0, initial=n))
+        step = least.copy()
+        for generator in generators:
+            np.minimum(step, least[image(generator)], out=step)
         if (step == least).all():
             break
         least = step
@@ -529,13 +540,15 @@ def _orbit_ids(maps, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _grid_symmetries(grid: np.ndarray) -> tuple[int, list]:
-    """The order and generators of the group of cell permutations of `grid`
-    that keep every entry: (x, y) -> (sigma[x], tau[y]), and on a square
-    grid also (x, y) -> (tau[y], sigma[x]); a generator is (transpose, sigma,
-    tau).  The maps that fix every row form a subgroup K, generated by swaps
-    of equal columns; every sigma (with or without the transpose) whose
-    permuted grid has the same columns gives one coset of K, with tau
-    matching the columns."""
+    """The order and generators of the group G of cell permutations of
+    `grid` that keep every entry: (x, y) -> (sigma[x], tau[y]), and on a
+    square grid also (x, y) -> (tau[y], sigma[x]); a generator is
+    (transpose, sigma, tau).  The maps that fix every row form a subgroup K,
+    generated by swaps of equal columns.  Every sigma, with or without the
+    transpose, whose permuted grid has the same columns gives one coset of
+    K, with tau matching the columns.  The sigmas without the transpose form
+    a group, and G is generated by K, one map for each sigma outside the
+    group the sigmas kept so far generate, and one map with the transpose."""
     x_size, y_size = grid.shape
     if x_size > y_size:
         order, generators = _grid_symmetries(grid.T)
@@ -551,7 +564,7 @@ def _grid_symmetries(grid: np.ndarray) -> tuple[int, list]:
             generators.append((False, identity, tuple(tau)))
             fixing *= columns[:y + 1].count(column)
         last[column] = y
-    cosets = 0
+    cosets, reached, transposed = 0, {identity}, False
     for t, target in ((False, grid), (True, grid.T))[:1 + (x_size == y_size)]:
         for sigma in itertools.permutations(range(x_size)):
             moved = target[list(sigma)]
@@ -563,8 +576,25 @@ def _grid_symmetries(grid: np.ndarray) -> tuple[int, list]:
             except (KeyError, IndexError):
                 continue
             cosets += 1
-            generators.append((t, sigma, tau))
+            if (t and not transposed) or (not t and sigma not in reached):
+                generators.append((t, sigma, tau))
+                transposed |= t
+                if not t:
+                    reached = _generated([g[1] for g in generators if not g[0]], identity)
     return cosets * fixing, generators
+
+
+def _generated(perms, identity: tuple) -> set:
+    """Every permutation in the group that `perms` generate."""
+    reached, frontier = {identity}, [identity]
+    while frontier:
+        p = frontier.pop()
+        for g in perms:
+            q = tuple(g[i] for i in p)
+            if q not in reached:
+                reached.add(q)
+                frontier.append(q)
+    return reached
 
 
 def _partition_form(

@@ -802,8 +802,11 @@ def _check_group(f: PartialFunction, rows, n_labels: int, meet, stats, full) -> 
     its rows onto its rows (the same relation, rhs and coefficients at the
     image columns); the group has the order found, and the LP solved has one
     row per row orbit and one column per column orbit.  Returns the order."""
-    _, orbits = bounds._lp_orbits(f, rows, n_labels, meet)
-    elements = _group(orbits.generators, f.x_size, f.y_size)
+    structure, orbits = bounds._lp_orbits(f, rows, n_labels, meet)
+    cells = None if meet is None else tuple(x * f.y_size + y for x, y in meet)
+    _, generators = bounds._grid_symmetries(
+        bounds._cell_colors(f.x_size, f.y_size, structure, cells))
+    elements = _group(generators, f.x_size, f.y_size)
     assert len(elements) == orbits.order == stats["group_order"]
     columns, inside, matrix = full
     labels = np.array([z for _, z in columns], dtype=np.int64)
