@@ -13,12 +13,16 @@ Five quantities over a partial function f on an x_size * y_size grid:
 All of them stand on one rectangle layer.  ``_rect_incidence`` builds the
 cell x rectangle incidence of the nonempty rectangles as one boolean numpy
 matrix from their row and column bit masks, once per grid shape (memoized,
-read-only), and every LP column is read off it.  ``_best_rectangle`` finds
-the largest and smallest total weight over all rectangles by enumerating
-row sets only; it decides discrepancy
-and, through ``_alpha_value``, the feasibility of a corruption witness and
-the rect witness check.  On the witness side, every coverage test reads
-the grid of ``_coverage``, one pass over (rectangle, label, weight) entries.
+read-only), and every LP column is read off it.  ``_row_set_sums`` builds
+one numpy table of a grid's column sums over every row set, level by level
+(exact grids in integers, float grids in the order the rows were always
+added).  ``_rects_meeting`` counts LP columns from it, and
+``_best_rectangle`` finds the largest and smallest total weight over all
+rectangles from it, since a row set's best column set keeps the columns of
+one sign; it decides discrepancy and, through ``_alpha_value``, the
+feasibility of a corruption witness and the rect witness check.  On the
+witness side, every coverage test reads the grid of ``_coverage``, one pass
+over (rectangle, label, weight) entries.
 
 The five LP bounds are one weight-form LP, built by ``_weight_form``:
 minimize the total weight on (rectangle, label) pairs subject to per-cell
@@ -35,12 +39,16 @@ Herr and Joswig, "Algorithms for highly symmetric linear and integer
 programs", Math. Programming 2013).  A symmetry is a permutation sigma of
 the grid's rows and tau of its columns, composed with the transpose on a
 square grid, that sends every LP row (terms, labels, relation, rhs) to an
-LP row; ``_orbits`` finds the group from the LP's own data, and
-``_lp_orbits`` memoizes it by the LP's structure (labels, mu and row
-layout, not eps) in a memo bounded in entries and bytes.  The reduced LP has one row
-per row orbit Q and one weight w_O per orbit O of (rectangle, label)
-columns, with objective |O| and coefficients summed over O.  Expanded
-(w_O on each member column, y_Q / |Q| on each member row), its solution is
+LP row; ``_orbits`` finds the group from the LP's own data.  The reduced LP
+has one row per row orbit Q and one weight w_O per orbit O of (rectangle,
+label) columns, with objective |O| and coefficients summed over O.
+``_lp_orbits`` memoizes it, ready to solve, by the LP's structure (labels,
+mu and row layout, not eps) and arithmetic, in a memo bounded in entries
+and bytes: each entry holds the reduced matrix and objective in its own
+arithmetic (float64, or ints and Fractions), the full LP's column count for
+the caps, and the lists that expand a solution, so an LP whose structure
+is in the memo builds only its right-hand side.  Expanded (w_O on each
+member column, y_Q / |Q| on each member row), the reduced solution is
 optimal for the full LP, exactly so in rational mode, where the solver
 certifies the reduced LP; every witness and the gap check read that
 full-size solution.  The caps are checked against the full shape.  The
@@ -57,6 +65,7 @@ import dataclasses
 import functools
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -256,28 +265,54 @@ def _rect_incidence(x_size: int, y_size: int) -> tuple[np.ndarray, np.ndarray, n
     return row_masks, col_masks, incidence
 
 
-def _column_sums(grid):
-    """Yield, for every nonempty row set A, the column sums of `grid` over
-    A; each is an earlier sum plus one row."""
-    sums = [None] * (1 << len(grid))
-    sums[0] = [v * 0 for v in grid[0]]
-    for a in range(1, len(sums)):
-        low = a & -a
-        sums[a] = [s + v for s, v in zip(sums[a ^ low], grid[low.bit_length() - 1])]
-        yield sums[a]
+@functools.lru_cache(maxsize=8)
+def _rectangles(x_size: int, y_size: int) -> tuple[Rectangle, ...]:
+    """The nonempty rectangles of an x_size x y_size grid, in the order of
+    `_rect_incidence`: built once per grid shape and shared by the memoized
+    LPs on it, which name their support with them."""
+    row_masks, col_masks, _ = _rect_incidence(x_size, y_size)
+    return tuple(map(Rectangle, row_masks.tolist(), col_masks.tolist()))
+
+
+def _row_set_sums(grid) -> tuple[np.ndarray, int | None]:
+    """The column sums of `grid` over every row set, as one table built level
+    by level: level i adds grid row x_size - 1 - i to the rows of the table
+    before it, so table row k sums the grid rows x_size - 1 - i of the bits
+    i of k (row 0 is the empty set), highest grid row first.  A grid of ints
+    and Fractions is scaled to integers by the lcm L of its denominators and
+    summed in int64, or in Python ints (an object table) when a sum could
+    pass 2^62; any other grid is summed in float64.  Returns the table and
+    L, None for float64."""
+    values = [v for row in grid for v in row]
+    scale = None
+    if _is_exact(values):
+        scale = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (scale // v.denominator) for v in values]
+        bound = max(map(abs, values)) * len(values)  # no sum is larger
+        dtype = np.int64 if bound < 1 << 62 else object
+    else:
+        dtype = float
+    rows = np.array(values, dtype).reshape(len(grid), -1)
+    table = np.zeros((1 << len(grid), rows.shape[1]), dtype)
+    for level, row in enumerate(rows[::-1]):
+        table[1 << level:2 << level] = table[:1 << level] + row
+    return table, scale
 
 
 def _best_rectangle(grid, caps: Caps) -> tuple[Number, Number]:
     """(max, min) over all rectangles A x B, the empty one included, of the
-    total of `grid` on A x B.  For a fixed row set A the best column set
-    keeps exactly the columns whose sum over A is positive (negative for the
-    min), so only the row sets are enumerated."""
+    total of `grid` on A x B: 0 (an int) when no rectangle's total is
+    positive (negative for the min), else a float, or a Fraction for a grid
+    of ints and Fractions.  For a fixed row set A the best column set keeps
+    exactly the columns whose sum over A is positive (negative for the min),
+    so only the row sets are enumerated; each total adds its columns in
+    order."""
     check_rect_side(len(grid), len(grid[0]), caps)
-    hi = lo = 0
-    for sums in _column_sums(grid):
-        hi = max(hi, sum(s for s in sums if s > 0))
-        lo = min(lo, sum(s for s in sums if s < 0))
-    return hi, lo
+    table, scale = _row_set_sums(grid)
+    hi = np.maximum(table, 0).cumsum(axis=1)[:, -1].max()
+    lo = np.minimum(table, 0).cumsum(axis=1)[:, -1].min()
+    return tuple(0 if not v else float(v) if scale is None else Fraction(int(v), scale)
+                 for v in (hi, lo))
 
 
 def _signed_grid(f: PartialFunction, weight, z: int) -> list[list]:
@@ -291,18 +326,17 @@ def _signed_grid(f: PartialFunction, weight, z: int) -> list[list]:
     return [[entry(x, y) for y in range(f.y_size)] for x in range(f.x_size)]
 
 
-def _rects_meeting(f: PartialFunction, cells, caps: Caps) -> int:
+def _rects_meeting(f: PartialFunction, cells) -> int:
     """Number of nonempty rectangles containing at least one of `cells` (all
-    of them when `cells` is None), after the rect_side check.  Every LP
-    shape follows from it, so caps are checked before any row is built.
-    Over a row set A, every column set meets `cells` except those avoiding
-    the columns A meets."""
-    check_rect_side(f.x_size, f.y_size, caps)
+    of them when `cells` is None).  Every LP shape follows from it, so caps
+    are checked before any row is built.  Over a row set A, every column set
+    meets `cells` except those avoiding the columns A meets."""
     if cells is None:
         return rectangle_count(f.x_size, f.y_size) - 1
     cells = set(cells)
     hits = [[int((x, y) in cells) for y in range(f.y_size)] for x in range(f.x_size)]
-    return sum((1 << f.y_size) - (1 << sums.count(0)) for sums in _column_sums(hits))
+    zeros = (_row_set_sums(hits)[0][1:] == 0).sum(axis=1)
+    return int(((1 << f.y_size) - (1 << zeros)).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -312,23 +346,32 @@ def _rects_meeting(f: PartialFunction, cells, caps: Caps) -> int:
 
 @dataclass(frozen=True, eq=False)
 class _Orbits:
-    """The order of the group of grid symmetries that map one weight-form LP
-    onto itself, and the reduced LP's layout: one row per row orbit and one
-    column per (rectangle orbit, label), orbits numbered in the order of
-    their first member.  Every array is read-only."""
+    """One weight-form LP reduced over the orbits of its group of grid
+    symmetries, ready to solve in one arithmetic: one row per row orbit and
+    one column per (rectangle orbit, label), orbits numbered in the order of
+    their first member, and the lists that expand a reduced solution to the
+    full LP.  The arrays are read-only, float64 in float mode and ints and
+    Fractions (object) in rational mode."""
 
     order: int  # the group order
-    rects: np.ndarray  # the LP's rectangles, as indices into _rect_incidence's order
-    counts: np.ndarray  # cell x rectangle orbit: its rectangles that contain the cell
+    full_vars: int  # the full LP's column count, for the caps
     objective: np.ndarray  # the size of each column orbit
-    columns: np.ndarray  # the reduced column of each full column
-    row_orbit: np.ndarray  # the orbit of each row
-    row_share: np.ndarray  # the size of each row's orbit
-    reps: np.ndarray  # the first row of each row orbit
+    matrix: np.ndarray  # row orbit x column orbit: a member row summed over the column orbit
+    relations: tuple  # the relation of each row orbit
+    reps: list  # the first row of each row orbit, whose rhs is the orbit's
+    columns: list  # the reduced column of each full column
+    row_orbit: list  # the orbit of each row
+    row_share: list  # the size of each row's orbit
+    rects: Sequence[Rectangle]  # the LP's rectangles, in column order
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in vars(self).values() if isinstance(a, np.ndarray))
+        """The bytes the entry's arrays and sequences hold: an array at its
+        nbytes, which counts an object array at pointer size per entry, not
+        the numbers it points to, and a list or tuple at pointer size per
+        item."""
+        return sum(v.nbytes if isinstance(v, np.ndarray) else 8 * len(v)
+                   for v in vars(self).values() if not isinstance(v, int))
 
 
 def _weight_form(
@@ -345,54 +388,53 @@ def _weight_form(
     The LP is solved over the orbits of its grid symmetries (`_orbits`):
     one row per row orbit Q, one weight w_O per (rectangle orbit, label) O
     with objective |O|, and each coefficient the sum over O of a member
-    row's.  Each member column then gets w_O and each member row the dual
-    y_Q / |Q|, which is an optimal solution of the full LP.
+    row's.  The memo of `_lp_orbits` holds that reduced matrix and
+    objective, one entry per arithmetic, so a call builds only the
+    right-hand side: each row orbit's rhs, which eps sets.  Each member
+    column then gets w_O and each member row the dual y_Q / |Q|, which is
+    an optimal solution of the full LP.
 
     Returns that full-size optimal solution, the (rectangle, label, weight)
     triples of its positive weights, the dual objective dual . rhs, checked
     against the value, and the fields `group_order` and `lp_shape` (rows,
     vars of the LP solved) for the BoundResult."""
     caps = caps or default_caps()
-    check_lp_caps(_rects_meeting(f, meet, caps) * n_labels, len(rows), mode, caps)
-    key, orbits = _lp_orbits(f, rows, n_labels, meet)
-    dtype = float if mode == "float" else object
-    # Column (orbit o, z) sits at o * n_labels + z, as column (k, z) of the
-    # full LP sits at k * n_labels + z.
-    reps = orbits.reps.tolist()
-    matrix = np.zeros((len(reps), orbits.counts.shape[1], n_labels), dtype)
-    for q, i in enumerate(reps):
-        for cell, c, label in key[i][2]:
-            labels = slice(None) if label < 0 else slice(label, label + 1)
-            matrix[q, :, labels] += _coerce(c, mode) * orbits.counts[cell, :, None]
+    lp = _lp_orbits(f, rows, n_labels, meet, mode, caps)
     rhs = [b for _, _, _, b in rows]
-    problem = LpProblem(
-        "min", orbits.objective.astype(dtype),
-        matrix.reshape(len(reps), len(orbits.objective)),
-        tuple(rows[i][2] for i in reps), np.array([rhs[i] for i in reps], dtype),
-    )
+    problem = LpProblem("min", lp.objective, lp.matrix, lp.relations,
+                        np.array([rhs[i] for i in lp.reps], lp.matrix.dtype))
     reduced = lp_solve(problem, mode, caps)
     if reduced.status != "optimal":
         raise SolverError(f"{name} LP terminated {reduced.status}")
-    w, y, columns = reduced.primal, reduced.dual, orbits.columns.tolist()
-    primal = tuple([w[o] for o in columns])
+    w, y = reduced.primal, reduced.dual
+    primal = tuple([w[o] for o in lp.columns])
     dual = tuple([y[q] / size if size > 1 else y[q]
-                  for q, size in zip(orbits.row_orbit.tolist(), orbits.row_share.tolist())])
+                  for q, size in zip(lp.row_orbit, lp.row_share)])
     sol = dataclasses.replace(reduced, primal=primal, dual=dual)
     dual_value = sum(d * b for d, b in zip(dual, rhs))
     gap = abs(sol.objective_value - dual_value)
     limit = 0 if mode == "rational" else _GAP_TOL
     if gap > limit:
         raise SolverError(f"{name}: primal/dual gap {float(gap)} exceeds {limit}")
-    row_masks, col_masks, _ = _rect_incidence(f.x_size, f.y_size)
-    nonzero = [bool(v) for v in w]  # the support of the reduced primal
-    support = []
-    for j, o in enumerate(columns):
-        if nonzero[o]:
-            k = orbits.rects[j // n_labels]
-            support.append((Rectangle(int(row_masks[k]), int(col_masks[k])), j % n_labels,
-                            primal[j]))
-    stats = {"group_order": orbits.order, "lp_shape": (problem.num_rows, problem.num_vars)}
-    return sol, support, dual_value, stats
+    # The support of the reduced primal, member by member.
+    support = [(lp.rects[j // n_labels], j % n_labels, primal[j])
+               for j, o in enumerate(lp.columns) if w[o]]
+    return sol, support, dual_value, {"group_order": lp.order, "lp_shape": lp.matrix.shape}
+
+
+def _reduced_matrix(counts: np.ndarray, terms, n_labels: int, mode: str) -> np.ndarray:
+    """The reduced LP's matrix in the arithmetic of `mode`: row q adds, for
+    each (cell, c, label) of terms[q], c times the cell's count in each
+    rectangle orbit (`counts`) under the term's label (every label for -1).
+    Column (orbit o, z) sits at o * n_labels + z, as column (k, z) of the
+    full LP sits at k * n_labels + z."""
+    dtype = float if mode == "float" else object
+    matrix = np.zeros((len(terms), counts.shape[1], n_labels), dtype)
+    for q, row in enumerate(terms):
+        for cell, c, label in row:
+            labels = slice(None) if label < 0 else slice(label, label + 1)
+            matrix[q, :, labels] += _coerce(c, mode) * counts[cell, :, None]
+    return matrix.reshape(len(terms), counts.shape[1] * n_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -400,29 +442,36 @@ def _weight_form(
 # ---------------------------------------------------------------------------
 
 
-# The orbits of recent LPs by structure, oldest first: at most _MEMO_ENTRIES
-# of them, holding at most _MEMO_BYTES of arrays, so that a sweep over wide
-# grids does not keep every LP's incidence counts.
+# The reduced LPs of recent structures, oldest first: at most _MEMO_ENTRIES
+# of them, holding at most _MEMO_BYTES (`_Orbits.nbytes`), so that a sweep
+# over wide grids does not keep every LP's matrix.
 _MEMO: dict = {}
 _MEMO_ENTRIES = 256
 _MEMO_BYTES = 16 << 20
 
 
-def _lp_orbits(f: PartialFunction, rows, n_labels: int, meet) -> tuple[tuple, _Orbits]:
-    """The structure of a weight-form LP (`_lp_structure`) and its orbits,
-    memoized by value: the structure holds the function's labels, mu and
-    the row layout, but not eps."""
-    structure = _lp_structure(f, rows)
+def _lp_orbits(f: PartialFunction, rows, n_labels: int, meet, mode: str, caps: Caps) -> _Orbits:
+    """The reduced form of a weight-form LP in the arithmetic of `mode`,
+    after the caps are checked against the full LP's shape.  It is memoized
+    by value, by the LP's structure (`_lp_structure`: the function's labels,
+    mu and the row layout, not eps) and `mode`, so that a float matrix never
+    reaches a rational solve.  On a miss the caps are checked on the
+    rectangle count, before any orbit or incidence is built; an entry that
+    alone exceeds _MEMO_BYTES is returned but not kept."""
+    check_rect_side(f.x_size, f.y_size, caps)
     cells = None if meet is None else tuple(x * f.y_size + y for x, y in meet)
-    key = (f.x_size, f.y_size, n_labels, structure, cells)
+    key = (f.x_size, f.y_size, n_labels, _lp_structure(f, rows), cells, mode)
     orbits = _MEMO.get(key)
+    full_vars = _rects_meeting(f, meet) * n_labels if orbits is None else orbits.full_vars
+    check_lp_caps(full_vars, len(rows), mode, caps)
     if orbits is None:
         orbits = _orbits(*key)
-        while _MEMO and (len(_MEMO) >= _MEMO_ENTRIES or orbits.nbytes + sum(
-                o.nbytes for o in _MEMO.values()) > _MEMO_BYTES):
-            del _MEMO[next(iter(_MEMO))]
-        _MEMO[key] = orbits
-    return structure, orbits
+        if orbits.nbytes <= _MEMO_BYTES:
+            while _MEMO and (len(_MEMO) >= _MEMO_ENTRIES or orbits.nbytes + sum(
+                    o.nbytes for o in _MEMO.values()) > _MEMO_BYTES):
+                del _MEMO[next(iter(_MEMO))]
+            _MEMO[key] = orbits
+    return orbits
 
 
 def _lp_structure(f: PartialFunction, rows) -> tuple:
@@ -462,16 +511,16 @@ def _cell_colors(x_size: int, y_size: int, rows: tuple, meet: tuple | None) -> n
     return grid.reshape(x_size, y_size)
 
 
-def _orbits(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | None
-            ) -> _Orbits:
+def _orbits(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | None,
+            mode: str) -> _Orbits:
     """The group of grid symmetries of the weight-form LP with `rows` (as
     `_lp_structure` gives them) over the rectangles meeting the cells `meet`
-    (all when None), and its orbits.  A symmetry sends every single-term row
-    to a row with the same relation, rhs, coefficient and label at the image
-    cell, and fixes each row of other length as a set of terms: it is a
-    symmetry of the grid of `_cell_colors`.  The orbits are taken from the
-    generators one image at a time, so a large group costs time, not
-    memory."""
+    (all when None), its orbits, and the LP reduced over them in the
+    arithmetic of `mode`.  A symmetry sends every single-term row to a row
+    with the same relation, rhs, coefficient and label at the image cell,
+    and fixes each row of other length as a set of terms: it is a symmetry
+    of the grid of `_cell_colors`.  The orbits are taken from the generators
+    one image at a time, so a large group costs time, not memory."""
     order, generators = _grid_symmetries(_cell_colors(x_size, y_size, rows, meet))
     row_masks, col_masks, incidence = _rect_incidence(x_size, y_size)
     rects = (np.arange(len(row_masks)) if meet is None
@@ -506,12 +555,14 @@ def _orbits(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | 
     counts = (np.add.reduceat(incidence[:, rects[by_orbit]], starts, axis=1, dtype=np.int32)
               if len(rects) else np.zeros((x_size * y_size, 0), np.int32))
     columns = (rect_orbit[:, None] * n_labels + np.arange(n_labels)).ravel()
-    orbits = _Orbits(order, rects, counts, np.repeat(rect_size, n_labels), columns, row_orbit,
-                     row_size[row_orbit], row_reps)
-    for value in vars(orbits).values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return orbits
+    reps = row_reps.tolist()
+    objective = np.repeat(rect_size, n_labels).astype(float if mode == "float" else object)
+    matrix = _reduced_matrix(counts, [rows[i][2] for i in reps], n_labels, mode)
+    objective.flags.writeable = matrix.flags.writeable = False
+    every = _rectangles(x_size, y_size)
+    return _Orbits(order, len(columns), objective, matrix, tuple(rows[i][0] for i in reps), reps,
+                   columns.tolist(), row_orbit.tolist(), row_size[row_orbit].tolist(),
+                   every if meet is None else [every[k] for k in rects.tolist()])
 
 
 def _mask_map(perm) -> np.ndarray:

@@ -144,19 +144,30 @@ class ExperimentTable:
 
 
 def experiment_probabilities(inp: ExperimentInputs) -> ExperimentTable:
-    """Closed-form category probabilities of a single experiment."""
+    """Closed-form category probabilities of a single experiment.
+
+    With float factors they are float64, and the scale S = 2^delta_exp meets
+    them as a float: an S^2 past the float range (delta_exp >= 512) raises
+    CapacityError, since every both-accept mass is then at most 2^-1024 and
+    float64 cannot hold it."""
     size = inp.universe_size
     scale = _pow2(inp.delta_exp)
     inv_u = Fraction(1, size) if isinstance(scale, Fraction) else 1.0 / size
     both, alice_only, bob_only = [], [], []
-    for pa, qa, pb, qb in zip(inp.p_a, inp.q_a, inp.p_b, inp.q_b):
-        # alpha <= min(pa, S*qb) and beta <= min(pb, S*qa), alpha/beta ~ U[0, S]
-        p_both = inv_u * min(pa, scale * qb) * min(pb, scale * qa) / (scale * scale)
-        p_alice = inv_u * pa * qa / scale
-        p_bob = inv_u * pb * qb / scale
-        both.append(p_both)
-        alice_only.append(p_alice - p_both)
-        bob_only.append(p_bob - p_both)
+    try:
+        for pa, qa, pb, qb in zip(inp.p_a, inp.q_a, inp.p_b, inp.q_b):
+            # alpha <= min(pa, S*qb) and beta <= min(pb, S*qa), alpha/beta ~ U[0, S]
+            p_both = inv_u * min(pa, scale * qb) * min(pb, scale * qa) / (scale * scale)
+            p_alice = inv_u * pa * qa / scale
+            p_bob = inv_u * pb * qb / scale
+            both.append(p_both)
+            alice_only.append(p_alice - p_both)
+            bob_only.append(p_bob - p_both)
+    except OverflowError:
+        raise CapacityError(
+            "the experiment table with float factors needs 2^(2 delta_exp) below 2^1024 in "
+            f"float64; got delta_exp = {inp.delta_exp}"
+        ) from None
     covered = sum(both) + sum(alice_only) + sum(bob_only)
     return ExperimentTable(tuple(both), tuple(alice_only), tuple(bob_only), 1 - covered)
 

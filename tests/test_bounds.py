@@ -383,14 +383,55 @@ def test_discrepancy_matches_enumeration_oracle():
         assert discrepancy(f, mu) == best
 
 
+def _column_sums_reference(grid):
+    """Yield, for every nonempty row set A, the column sums of `grid` over
+    A; each is an earlier sum plus one row, so the rows are added highest
+    first."""
+    sums = [None] * (1 << len(grid))
+    sums[0] = [v * 0 for v in grid[0]]
+    for a in range(1, len(sums)):
+        low = a & -a
+        sums[a] = [s + v for s, v in zip(sums[a ^ low], grid[low.bit_length() - 1])]
+        yield sums[a]
+
+
+def _best_rectangle_reference(grid) -> tuple:
+    """(max, min) rectangle total of `grid`, summed in Python over the row
+    sets of `_column_sums_reference`."""
+    hi = lo = 0
+    for sums in _column_sums_reference(grid):
+        hi = max(hi, sum(s for s in sums if s > 0))
+        lo = min(lo, sum(s for s in sums if s < 0))
+    return hi, lo
+
+
 def test_best_rectangle_matches_brute_force():
+    # Exact grids are summed in int64, or in Python ints when the scaled
+    # sums could pass 2^62 (large denominators); float grids bit for bit as
+    # the Python sums add them.
     rng = random.Random(41)
+    dtypes = set()
     for _ in range(60):
         x_size, y_size = rng.randint(1, 4), rng.randint(1, 4)
-        grid = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(y_size)]
-                for _ in range(x_size)]
-        sums = _brute_rectangle_sums(grid)
-        assert bounds._best_rectangle(grid, Caps()) == (max(sums), min(sums))
+        for top, den in ((9, 6), (10**6, 2**40)):
+            grid = [[Fraction(rng.randint(-top, top), rng.randint(1, den)) for _ in range(y_size)]
+                    for _ in range(x_size)]
+            sums = _brute_rectangle_sums(grid)
+            assert bounds._best_rectangle(grid, Caps()) == (max(sums), min(sums))
+            dtypes.add(bounds._row_set_sums(grid)[0].dtype)
+        cells = [(x, y) for x in range(x_size) for y in range(y_size) if rng.random() < 0.4]
+        f = PartialFunction.from_rows([[0] * y_size for _ in range(x_size)], 1)
+        assert bounds._rects_meeting(f, cells) == sum(
+            1 for r in enumerate_rectangles(x_size, y_size)
+            if not r.is_empty and any(r.contains(*c) for c in cells))
+    assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+    for _ in range(200):
+        x_size, y_size = rng.randint(1, 5), rng.randint(1, 4)
+        grid = [[rng.choice((0, -0.0)) if rng.random() < 0.15
+                 else rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3)
+                 for _ in range(y_size)] for _ in range(x_size)]
+        got, want = bounds._best_rectangle(grid, Caps()), _best_rectangle_reference(grid)
+        assert [(type(v), repr(v)) for v in got] == [(type(v), repr(v)) for v in want], grid
 
 
 def test_best_rectangle_enforces_rect_side_cap():
@@ -802,10 +843,10 @@ def _check_group(f: PartialFunction, rows, n_labels: int, meet, stats, full) -> 
     its rows onto its rows (the same relation, rhs and coefficients at the
     image columns); the group has the order found, and the LP solved has one
     row per row orbit and one column per column orbit.  Returns the order."""
-    structure, orbits = bounds._lp_orbits(f, rows, n_labels, meet)
+    orbits = bounds._lp_orbits(f, rows, n_labels, meet, "float", Caps())
     cells = None if meet is None else tuple(x * f.y_size + y for x, y in meet)
     _, generators = bounds._grid_symmetries(
-        bounds._cell_colors(f.x_size, f.y_size, structure, cells))
+        bounds._cell_colors(f.x_size, f.y_size, bounds._lp_structure(f, rows), cells))
     elements = _group(generators, f.x_size, f.y_size)
     assert len(elements) == orbits.order == stats["group_order"]
     columns, inside, matrix = full
@@ -958,23 +999,151 @@ def test_reduced_lp_is_the_full_lp(monkeypatch, case):
 
 
 def test_orbit_memo_is_bounded(monkeypatch):
-    # The memo of LP orbits keeps at most _MEMO_ENTRIES entries and
-    # _MEMO_BYTES of arrays, dropping the oldest first; a dropped LP is
-    # solved the same way again.
+    # The memo of reduced LPs keeps at most _MEMO_ENTRIES entries and
+    # _MEMO_BYTES, its matrices included, dropping the oldest first; a
+    # dropped LP is solved the same way again.
     memo = {}
     monkeypatch.setattr(bounds, "_MEMO", memo)
-    monkeypatch.setattr(bounds, "_MEMO_BYTES", 30_000)  # a GT,2 entry takes 12-16 kB
+    monkeypatch.setattr(bounds, "_MEMO_BYTES", 70_000)  # a GT,2 bprt or prt entry takes 47 kB
     gt = make_function("GT,2")
     calls = [lambda: bprt(gt, 0.1), lambda: prt(gt, 0.1), lambda: srec(gt, 0.1, 1),
              lambda: srec(AND1, 0.1, 1), lambda: rect_dual(EQ1, 0.1, 1)]
     first = [call() for call in calls]
-    assert sum(o.nbytes for o in memo.values()) <= 30_000
+    assert sum(o.nbytes for o in memo.values()) <= 70_000
     assert [k[:3] for k in memo] == [(4, 4, 2), (4, 4, 1), (2, 2, 1), (2, 2, 1)]
+    for entry in memo.values():
+        assert entry.nbytes > entry.matrix.nbytes + entry.objective.nbytes
     monkeypatch.setattr(bounds, "_MEMO_ENTRIES", 2)
     again = [call() for call in calls]
     assert [k[:3] for k in memo] == [(2, 2, 1), (2, 2, 1)]  # the most recent, in order
     assert [(r.value, r.group_order, r.lp_shape) for r in again] == [
         (r.value, r.group_order, r.lp_shape) for r in first]
+    # An entry larger than the bound alone is solved but not kept, and the
+    # memo keeps what it held.
+    monkeypatch.setattr(bounds, "_MEMO_ENTRIES", 256)
+    monkeypatch.setattr(bounds, "_MEMO_BYTES", 40_000)
+    kept = dict(memo)
+    assert bprt(gt, 0.1) == first[0]
+    assert memo == kept
+    # A rational entry counts its object arrays at least at pointer size.
+    rational = bprt(gt, Fraction(1, 10), "rational")
+    assert memo == kept and rational.lp_shape == first[0].lp_shape
+    monkeypatch.setattr(bounds, "_MEMO_BYTES", 16 << 20)
+    bprt(gt, Fraction(1, 10), "rational")
+    entry = memo[next(reversed(memo))]
+    assert entry.matrix.dtype == object and entry.nbytes >= 8 * (
+        entry.matrix.size + entry.objective.size)
+
+
+# ---------------------------------------------------------------------------
+# The memoized reduced LP
+# ---------------------------------------------------------------------------
+
+
+_FIVE_BOUNDS = {
+    "bprt": lambda f, eps, mode: bprt(f, eps, mode),
+    "prt": lambda f, eps, mode: prt(f, eps, mode),
+    "bprt_mu": lambda f, eps, mode: bprt_mu(f, _uniform(f), eps, mode),
+    "srec": lambda f, eps, mode: srec(f, eps, 1, mode),
+    "rect": lambda f, eps, mode: rect_dual(f, eps, 1, None, mode),
+}
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_memo_hit_builds_only_the_rhs(monkeypatch, mode):
+    # An LP of a structure already in the memo, at another eps, builds no
+    # matrix, and its result equals that of a cold memo.
+    builds = []
+    build = bounds._reduced_matrix
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(bounds, "_reduced_matrix", counted)
+    gt = make_function("GT,2")
+    eps = (0.1, 0.2) if mode == "float" else (Fraction(1, 10), Fraction(1, 5))
+    for name, call in _FIVE_BOUNDS.items():
+        monkeypatch.setattr(bounds, "_MEMO", {})
+        call(gt, eps[0], mode)
+        assert len(builds) == 1, name
+        warm = call(gt, eps[1], mode)
+        assert len(builds) == 1, name
+        monkeypatch.setattr(bounds, "_MEMO", {})
+        assert call(gt, eps[1], mode) == warm, name
+        assert len(builds) == 2, name
+        builds.clear()
+
+
+def test_memo_matrices_are_read_only(monkeypatch):
+    monkeypatch.setattr(bounds, "_MEMO", {})
+    gt = make_function("GT,2")
+    bprt(gt, 0.1)
+    bprt(gt, Fraction(1, 10), "rational")
+    (_, floats), (_, exact) = bounds._MEMO.items()
+    assert floats.matrix.dtype == floats.objective.dtype == np.float64
+    assert exact.matrix.dtype == exact.objective.dtype == object
+    assert {type(v) for v in (*exact.matrix.flat, *exact.objective)} <= {int, Fraction}
+    for entry in (floats, exact):
+        for array in (entry.matrix, entry.objective):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+
+
+@pytest.mark.parametrize("first", ["float", "rational"])
+def test_float_and_rational_lps_keep_apart(monkeypatch, first):
+    # A float and a rational LP of one structure have equal memo structures
+    # (1.0 == 1 and 0.0625 == Fraction(1, 16)); each is solved in its own
+    # arithmetic, as with a cold memo.
+    gt = make_function("GT,2")
+    mu = _uniform(gt)
+    calls = {
+        "float": lambda: [bprt(gt, 0.1), bprt_mu(gt, mu, 0.1)],
+        "rational": lambda: [bprt(gt, Fraction(1, 10), "rational"),
+                             bprt_mu(gt, mu, Fraction(1, 10), "rational")],
+    }
+    second = "rational" if first == "float" else "float"
+    solved = []
+    solve = bounds.lp_solve
+
+    def recorded(problem, mode, caps):
+        sol = solve(problem, mode, caps)
+        solved.append((problem.matrix.dtype, sol.path))
+        return sol
+
+    monkeypatch.setattr(bounds, "lp_solve", recorded)
+    monkeypatch.setattr(bounds, "_MEMO", {})
+    calls[first]()
+    solved.clear()
+    results = calls[second]()
+    monkeypatch.setattr(bounds, "_MEMO", {})
+    assert results == calls[second]()
+    if second == "rational":
+        assert all(isinstance(r.value, Fraction) for r in results)
+        assert solved[:2] == [(np.dtype(object), "certified")] * 2
+    else:
+        assert all(type(r.value) is float for r in results)
+        assert solved[:2] == [(np.dtype(np.float64), "float")] * 2
+
+
+def test_memo_hit_checks_the_full_shape(monkeypatch):
+    # A memo hit checks the caps against the full LP's shape, read from its
+    # entry, before anything is solved: GT,2's bprt is 450 vars x 32 rows,
+    # solved at 240 x 20.
+    monkeypatch.setattr(bounds, "_MEMO", {})
+    gt = make_function("GT,2")
+    assert bprt(gt, 0.1).lp_shape == (20, 240)
+    assert len(bounds._MEMO) == 1
+
+    def refuse(*args):
+        raise AssertionError("called on a memo hit over the caps")
+
+    monkeypatch.setattr(bounds, "lp_solve", refuse)
+    monkeypatch.setattr(bounds, "_rects_meeting", refuse)
+    for caps in (Caps(lp_vars_float=449), Caps(lp_rows_float=31), Caps(rect_side=3)):
+        with pytest.raises(CapacityError):
+            bprt(gt, 0.2, caps=caps)
 
 
 def test_rational_matches_float():

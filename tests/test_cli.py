@@ -206,7 +206,11 @@ def test_compress_paper_exact_dp_small_delta(capsys):
     # T^2 / 2 is past the float range, but lambda = 2^-701 is a normal float.
     (("--prot", "corpus:noisy_bit,0.25", "--fn", "corpus:EQ,1", "--delta", "0.5",
       "--override", f"1,{10**200},700"), EXIT_OK),
-], ids=["lambda-delta0.5", "lambda-delta0.3", "trials", "t-squared"])
+    # With float factors, S^2 = 2^1400 is past the float range, and a
+    # both-accept mass of about 2^-1400 would be lost.
+    (("--prot", "corpus:noisy_bit,0.25", "--fn", "corpus:EQ,1", "--delta", "0.5",
+      "--override", "700,10,0"), EXIT_CAPACITY),
+], ids=["lambda-delta0.5", "lambda-delta0.3", "trials", "t-squared", "scale-squared"])
 def test_compress_dp_at_the_float_range(capsys, argv, expected):
     code, out, err = _run(capsys, "compress", *argv, "--mode", "dp")
     assert code == expected
