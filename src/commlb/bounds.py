@@ -34,15 +34,16 @@ form, over the rectangles meeting alpha's support, and reads alpha off the
 row duals.  The builder computes the LP's shape before it builds the
 incidence, so an instance over the caps is rejected at once.
 
-The builder solves each LP over the orbits of its symmetry group (Bodi,
-Herr and Joswig, "Algorithms for highly symmetric linear and integer
-programs", Math. Programming 2013).  A symmetry is a permutation sigma of
-the grid's rows and tau of its columns, composed with the transpose on a
-square grid, that sends every LP row (terms, labels, relation, rhs) to an
-LP row; ``_orbits`` finds the group from the LP's own data.  The reduced LP
-has one row per row orbit Q and one weight w_O per orbit O of (rectangle,
-label) columns, with objective |O| and coefficients summed over O.
-``_lp_orbits`` memoizes it, ready to solve, by the LP's structure (labels,
+The builder solves each LP over the classes of an equitable partition of
+its rows and columns (Grohe, Kersting, Mladenov and Selman, "Dimension
+reduction via colour refinement", ESA 2014): the rows of a class have equal
+sums over each column class, and the columns of a class over each row
+class.  ``_classes`` finds it by colour refinement on the LP's own data; no
+class is finer than an orbit of a symmetry group of the LP, and label swaps
+and identical columns fold too.  The reduced LP has one row per row class Q
+and one weight w_O per class O of (rectangle, label) columns, with
+objective |O| and coefficients summed over O.
+``_lp_classes`` memoizes it, ready to solve, by the LP's structure (labels,
 mu and row layout, not eps) and arithmetic, in a memo bounded in entries
 and bytes: each entry holds the reduced matrix and objective in its own
 arithmetic (float64, or ints and Fractions), the full LP's column count for
@@ -51,8 +52,8 @@ is in the memo builds only its right-hand side.  Expanded (w_O on each
 member column, y_Q / |Q| on each member row), the reduced solution is
 optimal for the full LP, exactly so in rational mode, where the solver
 certifies the reduced LP; every witness and the gap check read that
-full-size solution.  The caps are checked against the full shape.  The
-trivial group solves the full LP through the same code.
+full-size solution.  The caps are checked against the full shape.  An LP
+whose classes are all single solves at full size through the same code.
 
 Every LP result carries both a primal and a dual witness and the two
 objective values are required to agree (1e-6 float, exact rational).  The
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -150,13 +150,6 @@ class LabeledRectangleStrategy:
         correctly (any label off the promise)."""
         return _coverage(self.entries, self.x_size, self.y_size, f)
 
-    def weight_map(self) -> dict[tuple[Rectangle, int], Number]:
-        out: dict[tuple[Rectangle, int], Number] = {}
-        for rect, z, w in self.entries:
-            key = (rect, z)
-            out[key] = out.get(key, 0) + w
-        return out
-
 
 @dataclass(frozen=True)
 class BoundResult:
@@ -168,7 +161,6 @@ class BoundResult:
     solver_status: str
     dual_value: Number | None = None
     label: int | None = None  # the output label of a srec or rect bound
-    group_order: int = 1  # the order of the LP's symmetry group
     lp_shape: tuple[int, int] | None = None  # (rows, vars) of the LP solved
 
     def __post_init__(self) -> None:
@@ -345,23 +337,22 @@ def _rects_meeting(f: PartialFunction, cells) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class _Orbits:
-    """One weight-form LP reduced over the orbits of its group of grid
-    symmetries, ready to solve in one arithmetic: one row per row orbit and
-    one column per (rectangle orbit, label), orbits numbered in the order of
-    their first member, and the lists that expand a reduced solution to the
-    full LP.  The arrays are read-only, float64 in float mode and ints and
-    Fractions (object) in rational mode."""
+class _Classes:
+    """One weight-form LP reduced over the classes of an equitable partition
+    of its rows and (rectangle, label) columns, ready to solve in one
+    arithmetic: one row per row class and one column per column class,
+    classes numbered in the order of their first member, and the lists that
+    expand a reduced solution to the full LP.  The arrays are read-only,
+    float64 in float mode and ints and Fractions (object) in rational mode."""
 
-    order: int  # the group order
     full_vars: int  # the full LP's column count, for the caps
-    objective: np.ndarray  # the size of each column orbit
-    matrix: np.ndarray  # row orbit x column orbit: a member row summed over the column orbit
-    relations: tuple  # the relation of each row orbit
-    reps: list  # the first row of each row orbit, whose rhs is the orbit's
+    objective: np.ndarray  # the size of each column class
+    matrix: np.ndarray  # row class x column class: a member row summed over the column class
+    relations: tuple  # the relation of each row class
+    reps: list  # the first row of each row class, whose rhs is the class's
     columns: list  # the reduced column of each full column
-    row_orbit: list  # the orbit of each row
-    row_share: list  # the size of each row's orbit
+    row_class: list  # the class of each row
+    row_share: list  # the size of each row's class
     rects: Sequence[Rectangle]  # the LP's rectangles, in column order
 
     @property
@@ -385,21 +376,21 @@ def _weight_form(
     the labels its row counts: those answering the cell correctly (any label
     off the promise) in a `correct` row, every label otherwise.
 
-    The LP is solved over the orbits of its grid symmetries (`_orbits`):
-    one row per row orbit Q, one weight w_O per (rectangle orbit, label) O
-    with objective |O|, and each coefficient the sum over O of a member
-    row's.  The memo of `_lp_orbits` holds that reduced matrix and
-    objective, one entry per arithmetic, so a call builds only the
-    right-hand side: each row orbit's rhs, which eps sets.  Each member
+    The LP is solved over the classes of an equitable partition of its rows
+    and columns (`_classes`): one row per row class Q, one weight w_O per
+    column class O with objective |O|, and each coefficient the sum over O
+    of a member row's.  The memo of `_lp_classes` holds that reduced
+    matrix and objective, one entry per arithmetic, so a call builds only
+    the right-hand side: each row class's rhs, which eps sets.  Each member
     column then gets w_O and each member row the dual y_Q / |Q|, which is
     an optimal solution of the full LP.
 
     Returns that full-size optimal solution, the (rectangle, label, weight)
     triples of its positive weights, the dual objective dual . rhs, checked
-    against the value, and the fields `group_order` and `lp_shape` (rows,
-    vars of the LP solved) for the BoundResult."""
+    against the value, and the field `lp_shape` (rows, vars of the LP
+    solved) for the BoundResult."""
     caps = caps or default_caps()
-    lp = _lp_orbits(f, rows, n_labels, meet, mode, caps)
+    lp = _lp_classes(f, rows, n_labels, meet, mode, caps)
     rhs = [b for _, _, _, b in rows]
     problem = LpProblem("min", lp.objective, lp.matrix, lp.relations,
                         np.array([rhs[i] for i in lp.reps], lp.matrix.dtype))
@@ -409,7 +400,7 @@ def _weight_form(
     w, y = reduced.primal, reduced.dual
     primal = tuple([w[o] for o in lp.columns])
     dual = tuple([y[q] / size if size > 1 else y[q]
-                  for q, size in zip(lp.row_orbit, lp.row_share)])
+                  for q, size in zip(lp.row_class, lp.row_share)])
     sol = dataclasses.replace(reduced, primal=primal, dual=dual)
     dual_value = sum(d * b for d, b in zip(dual, rhs))
     gap = abs(sol.objective_value - dual_value)
@@ -419,59 +410,58 @@ def _weight_form(
     # The support of the reduced primal, member by member.
     support = [(lp.rects[j // n_labels], j % n_labels, primal[j])
                for j, o in enumerate(lp.columns) if w[o]]
-    return sol, support, dual_value, {"group_order": lp.order, "lp_shape": lp.matrix.shape}
+    return sol, support, dual_value, {"lp_shape": lp.matrix.shape}
 
 
-def _reduced_matrix(counts: np.ndarray, terms, n_labels: int, mode: str) -> np.ndarray:
+def _reduced_matrix(counts: np.ndarray, terms, mode: str) -> np.ndarray:
     """The reduced LP's matrix in the arithmetic of `mode`: row q adds, for
-    each (cell, c, label) of terms[q], c times the cell's count in each
-    rectangle orbit (`counts`) under the term's label (every label for -1).
-    Column (orbit o, z) sits at o * n_labels + z, as column (k, z) of the
-    full LP sits at k * n_labels + z."""
-    dtype = float if mode == "float" else object
-    matrix = np.zeros((len(terms), counts.shape[1], n_labels), dtype)
+    each (cell, c, label) of terms[q], c times the number of columns of each
+    class whose rectangle contains the cell, under the term's label (every
+    label for -1); counts[z, cell, o] is that number under label z."""
+    matrix = np.zeros((len(terms), counts.shape[2]), float if mode == "float" else object)
     for q, row in enumerate(terms):
         for cell, c, label in row:
-            labels = slice(None) if label < 0 else slice(label, label + 1)
-            matrix[q, :, labels] += _coerce(c, mode) * counts[cell, :, None]
-    return matrix.reshape(len(terms), counts.shape[1] * n_labels)
+            per_class = counts[:, cell].sum(axis=0) if label < 0 else counts[label, cell]
+            matrix[q] += _coerce(c, mode) * per_class
+    return matrix
 
 
 # ---------------------------------------------------------------------------
-# Grid symmetries of a weight-form LP
+# The equitable partition of a weight-form LP
 # ---------------------------------------------------------------------------
 
 
 # The reduced LPs of recent structures, oldest first: at most _MEMO_ENTRIES
-# of them, holding at most _MEMO_BYTES (`_Orbits.nbytes`), so that a sweep
+# of them, holding at most _MEMO_BYTES (`_Classes.nbytes`), so that a sweep
 # over wide grids does not keep every LP's matrix.
 _MEMO: dict = {}
 _MEMO_ENTRIES = 256
 _MEMO_BYTES = 16 << 20
 
 
-def _lp_orbits(f: PartialFunction, rows, n_labels: int, meet, mode: str, caps: Caps) -> _Orbits:
+def _lp_classes(f: PartialFunction, rows, n_labels: int, meet, mode: str,
+                caps: Caps) -> _Classes:
     """The reduced form of a weight-form LP in the arithmetic of `mode`,
     after the caps are checked against the full LP's shape.  It is memoized
     by value, by the LP's structure (`_lp_structure`: the function's labels,
     mu and the row layout, not eps) and `mode`, so that a float matrix never
     reaches a rational solve.  On a miss the caps are checked on the
-    rectangle count, before any orbit or incidence is built; an entry that
+    rectangle count, before any class or incidence is built; an entry that
     alone exceeds _MEMO_BYTES is returned but not kept."""
     check_rect_side(f.x_size, f.y_size, caps)
     cells = None if meet is None else tuple(x * f.y_size + y for x, y in meet)
     key = (f.x_size, f.y_size, n_labels, _lp_structure(f, rows), cells, mode)
-    orbits = _MEMO.get(key)
-    full_vars = _rects_meeting(f, meet) * n_labels if orbits is None else orbits.full_vars
+    classes = _MEMO.get(key)
+    full_vars = _rects_meeting(f, meet) * n_labels if classes is None else classes.full_vars
     check_lp_caps(full_vars, len(rows), mode, caps)
-    if orbits is None:
-        orbits = _orbits(*key)
-        if orbits.nbytes <= _MEMO_BYTES:
-            while _MEMO and (len(_MEMO) >= _MEMO_ENTRIES or orbits.nbytes + sum(
-                    o.nbytes for o in _MEMO.values()) > _MEMO_BYTES):
+    if classes is None:
+        classes = _classes(*key)
+        if classes.nbytes <= _MEMO_BYTES:
+            while _MEMO and (len(_MEMO) >= _MEMO_ENTRIES or classes.nbytes + sum(
+                    c.nbytes for c in _MEMO.values()) > _MEMO_BYTES):
                 del _MEMO[next(iter(_MEMO))]
-            _MEMO[key] = orbits
-    return orbits
+            _MEMO[key] = classes
+    return classes
 
 
 def _lp_structure(f: PartialFunction, rows) -> tuple:
@@ -492,160 +482,91 @@ def _lp_structure(f: PartialFunction, rows) -> tuple:
     return tuple(out)
 
 
-def _cell_colors(x_size: int, y_size: int, rows: tuple, meet: tuple | None) -> np.ndarray:
-    """The grid of cell colors of the weight-form LP with `rows` (as
-    `_lp_structure` gives them) over the rectangles meeting the cells `meet`:
-    cells share a color when they carry the same multiset of (row kind,
-    coefficient, label) terms.  A single-term row's kind is its relation and
-    rhs; a row of other length is a kind of its own, which a symmetry must
-    fix as a set of terms; the cells of `meet` carry a mark."""
-    colors: list[list] = [[] for _ in range(x_size * y_size)]
-    for i, (rel, b, terms) in enumerate(rows):
-        kind = (0, rel, b) if len(terms) == 1 else (1, i, "")
-        for cell, c, label in terms:
-            colors[cell].append((*kind, c, label))
-    for cell in meet or ():
-        colors[cell].append((2, 0, "", 0, 0))
-    ids: dict = {}
-    grid = np.array([ids.setdefault(tuple(sorted(c)), len(ids)) for c in colors])
-    return grid.reshape(x_size, y_size)
-
-
-def _orbits(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | None,
-            mode: str) -> _Orbits:
-    """The group of grid symmetries of the weight-form LP with `rows` (as
+def _classes(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | None,
+             mode: str) -> _Classes:
+    """An equitable partition of the weight-form LP with `rows` (as
     `_lp_structure` gives them) over the rectangles meeting the cells `meet`
-    (all when None), its orbits, and the LP reduced over them in the
-    arithmetic of `mode`.  A symmetry sends every single-term row to a row
-    with the same relation, rhs, coefficient and label at the image cell,
-    and fixes each row of other length as a set of terms: it is a symmetry
-    of the grid of `_cell_colors`.  The orbits are taken from the generators
-    one image at a time, so a large group costs time, not memory."""
-    order, generators = _grid_symmetries(_cell_colors(x_size, y_size, rows, meet))
-    row_masks, col_masks, incidence = _rect_incidence(x_size, y_size)
-    rects = (np.arange(len(row_masks)) if meet is None
-             else np.flatnonzero(incidence[list(meet)].any(axis=0)))
-    position = np.full(len(row_masks), -1)
-    position[rects] = np.arange(len(rects))
-    single: dict = {}  # the single-term rows by signature; identical ones match in order
-    nth = []
-    for i, (rel, b, terms) in enumerate(rows):
-        same = single.setdefault((rel, b, *terms[0]), []) if len(terms) == 1 else []
-        nth.append(len(same))
-        same.append(i)
+    (all when None), found by colour refinement, and the LP reduced over it
+    in the arithmetic of `mode`.
 
-    def rect_image(generator) -> np.ndarray:
-        t, sigma, tau = generator
-        to_rows, to_cols = _mask_map(sigma)[row_masks[rects]], _mask_map(tau)[col_masks[rects]]
-        if t:
-            to_rows, to_cols = to_cols, to_rows
-        return position[((to_rows - 1) << y_size) - to_rows + to_cols]
-
-    def row_image(generator) -> list[int]:
-        t, sigma, tau = generator
-        cell_map = [(tau[y] * y_size + sigma[x]) if t else (sigma[x] * y_size + tau[y])
-                    for x in range(x_size) for y in range(y_size)]
-        return [single[(rel, b, cell_map[terms[0][0]], *terms[0][1:])][n] if len(terms) == 1
-                else i for i, ((rel, b, terms), n) in enumerate(zip(rows, nth))]
-
-    rect_orbit, rect_size, _ = _orbit_ids(generators, rect_image, len(rects))
-    row_orbit, row_size, row_reps = _orbit_ids(generators, row_image, len(rows))
-    by_orbit = np.argsort(rect_orbit, kind="stable")
-    starts = np.flatnonzero(np.diff(rect_orbit[by_orbit], prepend=-1))
-    counts = (np.add.reduceat(incidence[:, rects[by_orbit]], starts, axis=1, dtype=np.int32)
-              if len(rects) else np.zeros((x_size * y_size, 0), np.int32))
-    columns = (rect_orbit[:, None] * n_labels + np.arange(n_labels)).ravel()
-    reps = row_reps.tolist()
-    objective = np.repeat(rect_size, n_labels).astype(float if mode == "float" else object)
-    matrix = _reduced_matrix(counts, [rows[i][2] for i in reps], n_labels, mode)
+    The terms of a row that share a coefficient form a group; a term hits
+    column (k, z) when rectangle k contains its cell and its label is z or
+    -1.  Rows start coloured by their relation and rhs rank, groups by their
+    row's and their coefficient, and all columns alike.  Each round splits
+    the columns by how many hitting terms they have of each group colour,
+    counted through the cell x rectangle incidence; then the rows by how
+    many groups they have of each colour, and the groups by their row's
+    colour and their terms' hits on the columns of each colour.  Rounds stop
+    when no class splits.  The rows of a class then have equal sums over
+    each column class, and the columns of a class over each row class, so
+    the reduced LP of `_weight_form` expands to an optimal solution of the
+    full LP.  The orbits of any symmetry group of the LP are such a stable
+    colouring, so every orbit lies within one class."""
+    incidence = _rect_incidence(x_size, y_size)[2]
+    if meet is None:
+        rects = np.arange(incidence.shape[1])
+    else:
+        rects = np.flatnonzero(incidence[list(meet)].any(axis=0))
+        incidence = incidence[:, rects]
+    n_cells, n_rects = incidence.shape
+    kinds: dict = {}
+    groups: dict = {}  # (row, coefficient) -> group
+    row_start = np.array([kinds.setdefault((rel, b), len(kinds)) for rel, b, _ in rows], int)
+    terms = [(groups.setdefault((i, c), len(groups)), cell, label)
+             for i, (_, _, row) in enumerate(rows) for cell, c, label in row]
+    group_row = np.array([i for i, _ in groups], int)
+    group = np.array([kinds.setdefault((*rows[i][:2], c), len(kinds)) for i, c in groups], int)
+    term_group, term_cell, term_label = np.array(terms, int).reshape(-1, 3).T
+    hit_term, hit_label = np.nonzero(
+        (term_label[:, None] < 0) | (term_label[:, None] == np.arange(n_labels)))
+    # at[g, z * n_cells + cell]: the terms of group g at the cell that count label z
+    at = np.zeros((len(groups), n_labels * n_cells))
+    np.add.at(at, (term_group[hit_term], hit_label * n_cells + term_cell[hit_term]), 1)
+    as_float = incidence.astype(float)  # for counts by BLAS, exact below 2^53
+    column = np.zeros(n_rects * n_labels, int)
+    while True:
+        n_groups, n_columns = group.max(initial=-1) + 1, column.max(initial=-1) + 1
+        per_colour = np.zeros((n_groups, n_labels * n_cells))
+        np.add.at(per_colour, group, at)
+        key = np.empty((n_rects, n_labels, n_groups + 1), np.int32)
+        key[..., 0] = column.reshape(n_rects, n_labels)
+        key[..., 1:] = (per_colour.reshape(-1, n_cells) @ as_float).reshape(
+            n_groups, n_labels, n_rects).T
+        column = _class_ids(key.reshape(n_rects * n_labels, n_groups + 1))
+        n_classes = column.max(initial=-1) + 1
+        # by_class[z * n_cells + cell, o]: the columns (k, z) of class o with the cell in k
+        by_class = np.array([np.bincount(column[z::n_labels], cell, n_classes)
+                             for z in range(n_labels) for cell in as_float])
+        in_row = np.zeros((len(rows), n_groups), int)
+        np.add.at(in_row, (group_row, group), 1)
+        row = _class_ids(np.column_stack([row_start, in_row]))
+        key = np.empty((len(group), n_classes + 2), np.int32)
+        key[:, 0], key[:, 1], key[:, 2:] = group, row[group_row], at @ by_class
+        group = _class_ids(key)
+        if n_classes == n_columns and group.max(initial=-1) + 1 == n_groups:
+            break
+    _, reps = np.unique(row, return_index=True)
+    reps = reps.tolist()
+    objective = np.bincount(column, minlength=n_classes).astype(
+        float if mode == "float" else object)
+    counts = by_class.reshape(n_labels, n_cells, n_classes).astype(np.int32)
+    matrix = _reduced_matrix(counts, [rows[i][2] for i in reps], mode)
     objective.flags.writeable = matrix.flags.writeable = False
     every = _rectangles(x_size, y_size)
-    return _Orbits(order, len(columns), objective, matrix, tuple(rows[i][0] for i in reps), reps,
-                   columns.tolist(), row_orbit.tolist(), row_size[row_orbit].tolist(),
-                   every if meet is None else [every[k] for k in rects.tolist()])
+    return _Classes(len(column), objective, matrix, tuple(rows[i][0] for i in reps), reps,
+                    column.tolist(), row.tolist(), np.bincount(row)[row].tolist(),
+                    every if meet is None else [every[k] for k in rects.tolist()])
 
 
-def _mask_map(perm) -> np.ndarray:
-    """The image of every bit mask over len(perm) bits, bit i moved to
-    perm[i]."""
-    masks = np.arange(1 << len(perm))
-    return sum(((masks >> i) & 1) << p for i, p in enumerate(perm))
-
-
-def _orbit_ids(generators, image, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The orbit of each of n points under the group generated by
-    `generators`, each of which permutes the points as `image(generator)`
-    gives: numbered in the order of their first point, with the orbit sizes
-    and each orbit's first point.  Each point takes the least point it
-    reaches."""
-    least = np.arange(n)
-    while True:
-        step = least.copy()
-        for generator in generators:
-            np.minimum(step, least[image(generator)], out=step)
-        if (step == least).all():
-            break
-        least = step
-    firsts, orbit, size = np.unique(least, return_inverse=True, return_counts=True)
-    return orbit.reshape(n), size, firsts
-
-
-def _grid_symmetries(grid: np.ndarray) -> tuple[int, list]:
-    """The order and generators of the group G of cell permutations of
-    `grid` that keep every entry: (x, y) -> (sigma[x], tau[y]), and on a
-    square grid also (x, y) -> (tau[y], sigma[x]); a generator is
-    (transpose, sigma, tau).  The maps that fix every row form a subgroup K,
-    generated by swaps of equal columns.  Every sigma, with or without the
-    transpose, whose permuted grid has the same columns gives one coset of
-    K, with tau matching the columns.  The sigmas without the transpose form
-    a group, and G is generated by K, one map for each sigma outside the
-    group the sigmas kept so far generate, and one map with the transpose."""
-    x_size, y_size = grid.shape
-    if x_size > y_size:
-        order, generators = _grid_symmetries(grid.T)
-        return order, [(t, tau, sigma) for t, sigma, tau in generators]
-    identity = tuple(range(x_size))
-    columns = [grid[:, y].tobytes() for y in range(y_size)]
-    last: dict = {}
-    generators, fixing = [], 1
-    for y, column in enumerate(columns):
-        if column in last:
-            tau = list(range(y_size))
-            tau[y], tau[last[column]] = last[column], y
-            generators.append((False, identity, tuple(tau)))
-            fixing *= columns[:y + 1].count(column)
-        last[column] = y
-    cosets, reached, transposed = 0, {identity}, False
-    for t, target in ((False, grid), (True, grid.T))[:1 + (x_size == y_size)]:
-        for sigma in itertools.permutations(range(x_size)):
-            moved = target[list(sigma)]
-            pool: dict = {}
-            for y in range(y_size):
-                pool.setdefault(moved[:, y].tobytes(), []).append(y)
-            try:
-                tau = tuple(pool[column].pop() for column in columns)
-            except (KeyError, IndexError):
-                continue
-            cosets += 1
-            if (t and not transposed) or (not t and sigma not in reached):
-                generators.append((t, sigma, tau))
-                transposed |= t
-                if not t:
-                    reached = _generated([g[1] for g in generators if not g[0]], identity)
-    return cosets * fixing, generators
-
-
-def _generated(perms, identity: tuple) -> set:
-    """Every permutation in the group that `perms` generate."""
-    reached, frontier = {identity}, [identity]
-    while frontier:
-        p = frontier.pop()
-        for g in perms:
-            q = tuple(g[i] for i in p)
-            if q not in reached:
-                reached.add(q)
-                frontier.append(q)
-    return reached
+def _class_ids(key: np.ndarray) -> np.ndarray:
+    """The classes of equal rows of the 2-d array `key`, numbered in the
+    order of their first row."""
+    key = np.ascontiguousarray(key)
+    _, first, inverse = np.unique(key.view(np.dtype((np.void, key.itemsize * key.shape[1]))),
+                                  return_index=True, return_inverse=True)
+    number = np.empty(len(first), int)
+    number[np.argsort(first)] = np.arange(len(first))
+    return number[inverse.reshape(-1)]
 
 
 def _partition_form(

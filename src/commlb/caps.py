@@ -30,25 +30,31 @@ class Caps:
     grid_cells: int = 256       # max x_size * y_size for strategy extraction
 
     def with_overrides(self, **kwargs: int) -> "Caps":
+        """These caps with the fields named in `kwargs` replaced; an unknown
+        field, or a value that is not a positive int, raises ParameterError."""
+        for key, value in kwargs.items():
+            if key not in Caps.__dataclass_fields__:
+                raise ParameterError(f"unknown cap {key!r}")
+            if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
+                raise ParameterError(f"{key} must be a positive integer, got {value!r}")
         return replace(self, **kwargs)
 
 
 def _from_env(base: Caps) -> Caps:
+    """`base` with the overrides of CCLB_CAPS, a comma-separated list of
+    key=value entries; a value of decimal digits is read as an int."""
     raw = os.environ.get("CCLB_CAPS", "")
     if not raw.strip():
         return base
-    overrides: dict[str, int] = {}
+    overrides: dict = {}
     for item in raw.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        key, _, value = (part.strip() for part in item.partition("="))
-        if key not in Caps.__dataclass_fields__:
-            raise ParameterError(f"CCLB_CAPS: unknown cap {key!r}")
-        if not value.isdecimal() or int(value) <= 0:
-            raise ParameterError(f"CCLB_CAPS: {key} must be a positive integer, got {value!r}")
-        overrides[key] = int(value)
-    return base.with_overrides(**overrides)
+        if item.strip():
+            key, _, value = (part.strip() for part in item.partition("="))
+            overrides[key] = int(value) if value.isdecimal() else value
+    try:
+        return base.with_overrides(**overrides)
+    except ParameterError as e:
+        raise ParameterError(f"CCLB_CAPS: {e}") from None
 
 
 def default_caps() -> Caps:

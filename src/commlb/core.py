@@ -250,7 +250,7 @@ class InputDistribution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rectangle:
     """A combinatorial rectangle A x B, stored as bit masks over rows/columns.
 

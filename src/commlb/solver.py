@@ -38,8 +38,8 @@ always equals ``dual . rhs``.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
@@ -96,7 +96,7 @@ class LpProblem:
             raise DimensionError("row length must equal variable count")
         if not (m == len(relations) == len(rhs)):
             raise DimensionError("rows, relations, rhs lengths differ")
-        values = [*objective, *rhs, *itertools.chain.from_iterable(rows)]
+        values = [*objective, *rhs, *(v for row in rows for v in row)]
         floats = [v for v in values if isinstance(v, float)]
         if not np.isfinite(floats).all():
             raise ParameterError("non-finite coefficient")
@@ -261,8 +261,8 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
         if not width:
             return "optimal"
         stall, obj = 0, cost[basis] @ x_B
-        limit = itertools.count() if exact else range(_PIVOT_LIMIT_FACTOR * (m + total) + 1)
-        for _ in limit:  # in float the last pass only prices
+        # No pivot limit in exact arithmetic; in float the last pass only prices.
+        for _ in range(sys.maxsize if exact else _PIVOT_LIMIT_FACTOR * (m + total) + 1):
             d = price(cost, duals(cost[basis]))[:width]
             use_bland = stall > _STALL_LIMIT
             # Dantzig: the least reduced cost; Bland: the first negative one.

@@ -588,7 +588,7 @@ def test_lp_bounds_check_caps_before_building(monkeypatch):
 
 # (pivots in phase 1 and 2, value) of float corpus LPs at eps = 0.1, with z = 1
 # for srec and rect: a change to the pricing or ratio-test rule, or to the
-# symmetry reduction of the LP solved, moves them.
+# reduction of the LP solved, moves them.
 _PINNED_LPS = {
     ("prt", "EQ,2"): ((6, 5), Fraction(11, 2)),
     ("bprt", "EQ,2"): ((5, 5), Fraction(11, 2)),
@@ -597,7 +597,7 @@ _PINNED_LPS = {
     ("rect", "EQ,2"): ((3, 2), 3),
     ("prt", "IP,2"): ((13, 6), Fraction(161, 30)),
     ("bprt", "IP,2"): ((9, 8), Fraction(161, 30)),
-    ("bprt_mu", "IP,2"): ((6, 4), Fraction(68, 15)),
+    ("bprt_mu", "IP,2"): ((9, 4), Fraction(68, 15)),
     ("srec", "IP,2"): ((3, 3), Fraction(5, 2)),
     ("rect", "IP,2"): ((3, 3), Fraction(5, 2)),
 }
@@ -670,7 +670,7 @@ def _highs_weight_form(f: PartialFunction, n_labels: int, rows) -> float:
     return res.fun
 
 
-# A 4x8 table without grid symmetries, so its LPs are solved at full size.
+# A 4x8 table whose LPs colour refinement leaves at full size.
 _ASYMMETRIC_4X8 = PartialFunction.from_rows([
     [0, 1, 0, 1, 1, 0, 0, 0], [0, 1, 1, 0, 0, 1, 1, 0],
     [0, 1, 0, 0, 1, 1, 0, 0], [1, 1, 1, 0, 1, 1, 0, 0],
@@ -679,8 +679,10 @@ _ASYMMETRIC_4X8 = PartialFunction.from_rows([
 
 def test_wide_grid_lps_solve(monkeypatch):
     # The weight-form LPs of 4x8 and 5x8 grids fit the float caps, and the
-    # revised simplex finishes them; on a table without symmetries it solves
-    # the full 64 x 7,650 LPs, refactorizing its basis inverse on the way.
+    # revised simplex finishes them; on a table that colour refinement does
+    # not reduce it solves the full 64 x 7,650 LPs, refactorizing its basis
+    # inverse on the way.  prt on the wide table folds from 64 x 7,650 to
+    # 4 x 100 (4 x 214 over the orbits of its grid symmetries).
     solutions = []
 
     def recording_lp_solve(problem, mode="float", caps=None):
@@ -691,6 +693,7 @@ def test_wide_grid_lps_solve(monkeypatch):
     wide = PartialFunction.from_rows([[int(x == y % 4) for y in range(8)] for x in range(4)], 2)
     wider = PartialFunction.from_rows([[int(x == y % 5) for y in range(8)] for x in range(5)], 2)
     p, b = prt(wide, 0.1), bprt(wide, 0.1)
+    assert p.lp_shape == (4, 100)
     for r in (p, b):
         assert abs(r.value - 5.5) < 1e-9
         feasible, objective = check_witness(r, wide)
@@ -698,7 +701,7 @@ def test_wide_grid_lps_solve(monkeypatch):
     solutions.clear()
     full = [fn(_ASYMMETRIC_4X8, 0.1) for fn in (prt, bprt)]
     for r, sol in zip(full, solutions):
-        assert r.group_order == 1 and r.lp_shape == (64, 7650)
+        assert r.lp_shape == (64, 7650)
         assert sum(sol.pivots) > solver._REFACTOR_EVERY
         assert sol.refactorizations == sum(sol.pivots) // solver._REFACTOR_EVERY
         feasible, objective = check_witness(r, _ASYMMETRIC_4X8)
@@ -731,7 +734,7 @@ def test_wide_grid_lps_solve(monkeypatch):
 
 def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
     # The early cap check sees the shape of the full LP, and the LP solved
-    # over its symmetry orbits is no larger: so the caps accept and reject
+    # over its classes is no larger: so the caps accept and reject
     # by the full shape, and lp_solve's own check never refuses what the
     # early check let through.
     checked, solved, results = [], [], []
@@ -776,7 +779,7 @@ def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The symmetry reduction of the weight-form LP
+# The equitable partition of the weight-form LP
 # ---------------------------------------------------------------------------
 
 
@@ -818,63 +821,45 @@ def _full_lp(f: PartialFunction, n_labels: int, rows, meet):
     return columns, inside, matrix
 
 
-def _group(generators, x_size: int, y_size: int) -> set:
-    """Every element of the group the generators generate, as the tuple of
-    the images of the cells x * y_size + y.  A generator (t, sigma, tau)
-    maps (x, y) to (sigma[x], tau[y]), or to (tau[y], sigma[x]) when t."""
-    def cell_map(t, sigma, tau):
-        return tuple(tau[y] * y_size + sigma[x] if t else sigma[x] * y_size + tau[y]
-                     for x in range(x_size) for y in range(y_size))
-
-    maps = [cell_map(*g) for g in generators]
-    elements, frontier = {tuple(range(x_size * y_size))}, [tuple(range(x_size * y_size))]
-    while frontier:
-        g = frontier.pop()
-        for h in maps:
-            gh = tuple(h[c] for c in g)
-            if gh not in elements:
-                elements.add(gh)
-                frontier.append(gh)
-    return elements
+def _class_sums(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """The columns of `matrix` summed within each class of `ids` (numbered
+    0, 1, ..., each class nonempty): one column per class."""
+    order = np.argsort(ids, kind="stable")
+    starts = np.searchsorted(ids[order], np.arange(ids.max(initial=-1) + 1))
+    if not matrix.size:
+        return np.zeros((matrix.shape[0], len(starts)), dtype=object)
+    return np.add.reduceat(matrix[:, order], starts, axis=1)
 
 
-def _check_group(f: PartialFunction, rows, n_labels: int, meet, stats, full) -> int:
-    """Every element of the LP's group maps its columns onto its columns and
-    its rows onto its rows (the same relation, rhs and coefficients at the
-    image columns); the group has the order found, and the LP solved has one
-    row per row orbit and one column per column orbit.  Returns the order."""
-    orbits = bounds._lp_orbits(f, rows, n_labels, meet, "float", Caps())
-    cells = None if meet is None else tuple(x * f.y_size + y for x, y in meet)
-    _, generators = bounds._grid_symmetries(
-        bounds._cell_colors(f.x_size, f.y_size, bounds._lp_structure(f, rows), cells))
-    elements = _group(generators, f.x_size, f.y_size)
-    assert len(elements) == orbits.order == stats["group_order"]
-    columns, inside, matrix = full
-    labels = np.array([z for _, z in columns], dtype=np.int64)
-
-    def column_keys(cell_bits):  # the cell set of a column's rectangle, and its label
-        return (inside * cell_bits[:, None]).sum(axis=0) * n_labels + labels
-
-    keys = column_keys(1 << np.arange(inside.shape[0], dtype=np.int64))
-    by_key = np.argsort(keys)
-    values = matrix.astype(float)
-    row_keys = [(rel, b, values[i].tobytes()) for i, (_, _, rel, b) in enumerate(rows)]
-    row_orbit, col_orbit = np.arange(len(rows)), np.arange(len(columns))
-    for g in elements:
-        moved = column_keys(1 << np.array(g, dtype=np.int64))
-        at = np.searchsorted(keys[by_key], moved).clip(max=max(len(keys) - 1, 0))
-        assert (keys[by_key][at] == moved).all()  # every column goes to a column
-        image = by_key[at]
-        assert sorted(image.tolist()) == list(range(len(columns)))
-        permuted = np.zeros_like(values)
-        permuted[:, image] = values
-        images = [(rel, b, permuted[i].tobytes()) for i, (_, _, rel, b) in enumerate(rows)]
-        assert sorted(images) == sorted(row_keys)
-        row_orbit = np.minimum(row_orbit, [row_keys.index(key) for key in images])
-        col_orbit = np.minimum(col_orbit, image)
-    # Each point's least image over the group is its orbit's least member.
-    assert stats["lp_shape"] == (len(set(row_orbit.tolist())), len(set(col_orbit.tolist())))
-    return orbits.order
+def _check_equitable(f: PartialFunction, rows, n_labels: int, meet, mode: str, stats,
+                     full) -> None:
+    """The classes of the reduced LP are numbered in the order of their first
+    member, and the LP solved has one row per row class and one column per
+    column class.  The rows of a class share their relation and rhs and
+    have equal sums over each column class; the columns of a class have
+    equal sums over each row class: the partition is equitable, in exact
+    arithmetic on the full LP's own numbers."""
+    classes = bounds._lp_classes(f, rows, n_labels, meet, mode, Caps(lp_vars_rational=50_000))
+    columns, _, matrix = full
+    row_ids, col_ids = np.array(classes.row_class, int), np.array(classes.columns, int)
+    assert len(row_ids) == len(rows) and len(col_ids) == len(columns)
+    for ids in (row_ids, col_ids):
+        values, first = np.unique(ids, return_index=True)
+        assert values.tolist() == list(range(len(values))) and (np.diff(first) > 0).all()
+    assert classes.reps == np.unique(row_ids, return_index=True)[1].tolist()
+    assert stats["lp_shape"] == (row_ids.max(initial=-1) + 1, col_ids.max(initial=-1) + 1)
+    if mode == "float":  # the exact value of every float coefficient
+        distinct, at = np.unique(matrix.astype(float), return_inverse=True)
+        matrix = np.array([Fraction(v) for v in distinct], dtype=object)[at.reshape(-1)]
+        matrix = matrix.reshape(len(rows), len(columns))
+    over_columns = _class_sums(matrix, col_ids)
+    over_rows = _class_sums(matrix.T, row_ids)
+    for ids, sums in ((row_ids, over_columns), (col_ids, over_rows)):
+        for members in (np.flatnonzero(ids == k) for k in range(ids.max(initial=-1) + 1)):
+            assert (sums[members] == sums[members[0]]).all()
+    for i, q in enumerate(row_ids):
+        first = rows[classes.reps[q]]
+        assert (rows[i][2], rows[i][3]) == (first[2], first[3])
 
 
 def _check_full_solution(mode: str, rows, sol, full) -> None:
@@ -926,18 +911,18 @@ def _random_table(rng: random.Random, x_size: int, y_size: int) -> PartialFuncti
 
 def _meet_off_the_rows(mode: str, eps) -> list:
     """A weight form over the rectangles meeting two cells, one of which no
-    row mentions: a symmetry must keep the columns it builds on."""
+    row mentions: its columns are the rectangles meeting either cell."""
     bounds._weight_form("rect_dual", EQ1, mode, None, [([((0, 0), 1)], False, ">=", 1 - eps)],
                         meet=[(0, 0), (0, 1)])
     return []
 
 
 _REDUCTION_CASES = {
-    # A random table: no grid symmetry at all.
+    # A random table: no grid symmetry, but some identical columns.
     "random 4x4": lambda mode, eps: (
         lambda f: [bprt(f, eps, mode), prt(f, eps, mode), srec(f, eps, 1, mode),
                    rect_dual(f, eps, 2, None, mode)])(_random_table(random.Random(5), 4, 4)),
-    # The transpose, composed with reversals for GT: a group of order 2.
+    # Symmetric under the transpose, composed with reversals for GT.
     "AND,1": lambda mode, eps: [bprt(AND1, eps, mode), srec(AND1, eps, 1, mode),
                                 rect_dual(AND1, eps, 1, None, mode)],
     "GT,2": lambda mode, eps: [bprt(make_function("GT,2"), eps, mode),
@@ -958,7 +943,7 @@ _REDUCTION_CASES = {
         lambda f, caps=Caps().with_overrides(lp_vars_rational=8000): [
             srec(f, eps, 1, mode, caps), rect_dual(f, eps, 0, None, mode, caps)])(
             PartialFunction.from_rows([[int(x == y % 4) for y in range(8)] for x in range(4)], 2)),
-    # The same table transposed: the group is searched over its 4 columns.
+    # The same table transposed.
     "8x4": lambda mode, eps: [srec(PartialFunction.from_rows(
         [[int(x % 4 == y) for y in range(4)] for x in range(8)], 2), eps, 1, mode,
         Caps().with_overrides(lp_vars_rational=8000))],
@@ -971,31 +956,84 @@ _REDUCTION_CASES = {
 }
 
 
+# The (rows, vars) of each LP of a case as solved over the orbits of its
+# group of grid symmetries: no LP of the equitable partition is larger.
+_ORBIT_SHAPES = {
+    "random 4x4": [(32, 675), (31, 675), (11, 137), (15, 224)],
+    "AND,1": [(6, 12), (4, 6), (3, 6)],
+    "GT,2": [(20, 240), (14, 120)],
+    "GHD,2,1": [(6, 56), (5, 56), (3, 28), (2, 25)],
+    "skewed mu": [(17, 450)],
+    "sparse mu": [(2, 63)],
+    "4x8": [(3, 107), (2, 107)],
+    "8x4": [(3, 107)],
+    "meet off the rows": [(1, 6)],
+    "no rows": [(0, 0)],
+}
+
+
 @pytest.mark.parametrize("case", list(_REDUCTION_CASES))
 def test_reduced_lp_is_the_full_lp(monkeypatch, case):
-    # The group maps each LP onto itself, and the reduced LP's expanded
+    # The partition of each LP is equitable, and the reduced LP's expanded
     # solution is optimal for the full LP: within 1e-9 of HiGHS in float,
     # exactly feasible and at the value in rational mode.
     records = _recorded_weight_forms(monkeypatch)
     for mode, eps in (("float", 0.1), ("rational", Fraction(1, 10))):
-        results = _REDUCTION_CASES[case](mode, eps)
-        for r in results:
+        for r in _REDUCTION_CASES[case](mode, eps):
             assert r.lp_shape is not None
-    orders = {}
+    shapes = {"float": [], "rational": []}
     for f, mode, rows, n_labels, meet, sol, stats in records:
         full = _full_lp(f, n_labels, rows, meet)
-        if mode == "float":  # the group does not depend on the arithmetic
-            orders.setdefault(mode, []).append(_check_group(f, rows, n_labels, meet, stats, full))
-        else:
-            orders.setdefault(mode, []).append(stats["group_order"])
+        _check_equitable(f, rows, n_labels, meet, mode, stats, full)
         _check_full_solution(mode, rows, sol, full)
-    assert orders["float"] == orders["rational"]
-    expected = {"random 4x4": 1, "AND,1": 2, "GT,2": 2, "GHD,2,1": 16, "skewed mu": 1,
-                "4x8": 384, "8x4": 384, "meet off the rows": 1, "no rows": 8}
-    if case in expected:
-        assert orders["float"][0] == expected[case], orders
-    if case == "sparse mu":
-        assert 1 < orders["float"][0] < 16
+        shapes[mode].append(stats["lp_shape"])
+    assert shapes["float"] == shapes["rational"]
+    assert len(shapes["float"]) == len(_ORBIT_SHAPES[case])
+    assert all(r <= orbit_r and v <= orbit_v for (r, v), (orbit_r, orbit_v)
+               in zip(shapes["float"], _ORBIT_SHAPES[case])), shapes["float"]
+
+
+def test_label_swaps_and_identical_columns_fold():
+    # Classes need no grid symmetry: EQ,1's bprt folds its two labels into
+    # one (4 x 8 over the orbits of its grid symmetries), and GHD,2,1's
+    # bprt folds label swaps and identical columns (6 x 56 over the orbits).
+    for mode, eps in (("float", 0.1), ("rational", Fraction(1, 10))):
+        assert bprt(EQ1, eps, mode).lp_shape == (2, 4)
+        assert bprt(make_function("GHD,2,1"), eps, mode).lp_shape == (4, 25)
+
+
+def test_reduction_is_exact_on_random_tables(monkeypatch):
+    # On random partial 2x2 to 3x4 tables with 2 or 3 labels, every bound's
+    # partition is equitable and its expanded solution is optimal for the
+    # full LP, in both arithmetics.
+    hypothesis = pytest.importorskip("hypothesis")
+    pytest.importorskip("scipy")
+    st = hypothesis.strategies
+    records = _recorded_weight_forms(monkeypatch)
+
+    @hypothesis.settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.randoms(use_true_random=False))
+    def check(rng):
+        x_size, y_size, z_size = rng.randint(2, 3), rng.randint(2, 4), rng.randint(2, 3)
+        table = [[rng.choice((None, *range(z_size))) for _ in range(y_size)]
+                 for _ in range(x_size)]
+        table[rng.randrange(x_size)][rng.randrange(y_size)] = rng.randrange(z_size)
+        f = PartialFunction.from_rows(table, z_size)
+        mu = _random_mu(rng, x_size, y_size)
+        eps = Fraction(rng.randint(0, 3), 10)
+        records.clear()
+        for mode in ("float", "rational"):
+            e = eps if mode == "rational" else float(eps)
+            bprt(f, e, mode), prt(f, e, mode), bprt_mu(f, mu, e, mode)
+            for z in range(z_size):
+                if f.preimage(z):
+                    srec(f, e, z, mode), rect_dual(f, e, z, mu, mode)
+        for g, mode, rows, n_labels, meet, sol, stats in records:
+            full = _full_lp(g, n_labels, rows, meet)
+            _check_equitable(g, rows, n_labels, meet, mode, stats, full)
+            _check_full_solution(mode, rows, sol, full)
+
+    check()
 
 
 def test_orbit_memo_is_bounded(monkeypatch):
@@ -1016,8 +1054,7 @@ def test_orbit_memo_is_bounded(monkeypatch):
     monkeypatch.setattr(bounds, "_MEMO_ENTRIES", 2)
     again = [call() for call in calls]
     assert [k[:3] for k in memo] == [(2, 2, 1), (2, 2, 1)]  # the most recent, in order
-    assert [(r.value, r.group_order, r.lp_shape) for r in again] == [
-        (r.value, r.group_order, r.lp_shape) for r in first]
+    assert [(r.value, r.lp_shape) for r in again] == [(r.value, r.lp_shape) for r in first]
     # An entry larger than the bound alone is solved but not kept, and the
     # memo keeps what it held.
     monkeypatch.setattr(bounds, "_MEMO_ENTRIES", 256)

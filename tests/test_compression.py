@@ -977,7 +977,9 @@ def test_extract_strategy_trivial_protocol():
     # hash_bits=0 means every accepted trial matches; with 30 trials both
     # parties output 1 near-certainly, so half the weight (1/|Z| per seed)
     # sits on the full rectangle labeled 1.
-    weight = strategy.weight_map()
+    weight = Counter()
+    for rect, z, w in strategy.entries:
+        weight[rect, z] += w
     full = Rectangle(0b11, 0b11)
     assert weight.get((full, 1), 0) >= Fraction(49, 100)
     assert weight.get((EMPTY_RECTANGLE, 0), 0) >= Fraction(49, 100)
@@ -1003,7 +1005,10 @@ def test_extract_strategy_tally_matches_counter():
             cols = sum(1 << y for y, v in enumerate(b) if v == z)
             tally[(Rectangle(rows, cols), z)] += 1
     assert len(tally) > 4
-    assert strategy.weight_map() == {k: Fraction(c, seeds * pi.z_size) for k, c in tally.items()}
+    weight = Counter()
+    for rect, z, w in strategy.entries:
+        weight[rect, z] += w
+    assert weight == {k: Fraction(c, seeds * pi.z_size) for k, c in tally.items()}
     keys = [(z, rect.row_mask, rect.col_mask) for rect, z, _ in strategy.entries]
     assert keys == sorted(set(keys))
 

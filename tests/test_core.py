@@ -263,3 +263,13 @@ def test_caps_with_overrides():
     caps = Caps().with_overrides(grid_cells=512)
     assert caps.grid_cells == 512
     assert Caps().grid_cells == 256
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"bogus": 1}, {"rect_side": 0}, {"rect_side": -3}, {"rect_side": 2.5},
+     {"rect_side": "8"}, {"rect_side": True}, {"grid_cells": 512, "lp_rows": 10}],
+)
+def test_caps_with_overrides_rejects_bad_values(overrides):
+    with pytest.raises(ParameterError):
+        Caps().with_overrides(**overrides)
