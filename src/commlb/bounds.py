@@ -65,6 +65,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,6 +163,7 @@ class BoundResult:
     dual_value: Number | None = None
     label: int | None = None  # the output label of a srec or rect bound
     lp_shape: tuple[int, int] | None = None  # (rows, vars) of the LP solved
+    pivots: tuple[int, int] = (0, 0)  # the LP solve's simplex pivots in phase 1 and 2
 
     def __post_init__(self) -> None:
         if self.value < -1e-9:
@@ -185,8 +187,13 @@ class ChainReport:
 
 
 def _check_eps(eps) -> None:
-    if not (0 <= eps < 1):
-        raise ParameterError(f"eps must lie in [0, 1), got {eps}")
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 <= eps < 1:
+        raise ParameterError(f"eps must be a real number in [0, 1), got {eps!r}")
+
+
+def _check_label(z, f: PartialFunction) -> None:
+    if isinstance(z, bool) or not isinstance(z, numbers.Integral) or not 0 <= z < f.z_size:
+        raise ParameterError(f"label must be an int in [0, {f.z_size}), got {z!r}")
 
 
 def _eps(eps, mode: str) -> Number:
@@ -387,8 +394,8 @@ def _weight_form(
 
     Returns that full-size optimal solution, the (rectangle, label, weight)
     triples of its positive weights, the dual objective dual . rhs, checked
-    against the value, and the field `lp_shape` (rows, vars of the LP
-    solved) for the BoundResult."""
+    against the value, and the fields `lp_shape` (rows, vars of the LP
+    solved) and `pivots` for the BoundResult."""
     caps = caps or default_caps()
     lp = _lp_classes(f, rows, n_labels, meet, mode, caps)
     rhs = [b for _, _, _, b in rows]
@@ -410,7 +417,7 @@ def _weight_form(
     # The support of the reduced primal, member by member.
     support = [(lp.rects[j // n_labels], j % n_labels, primal[j])
                for j, o in enumerate(lp.columns) if w[o]]
-    return sol, support, dual_value, {"lp_shape": lp.matrix.shape}
+    return sol, support, dual_value, {"lp_shape": lp.matrix.shape, "pivots": reduced.pivots}
 
 
 def _reduced_matrix(counts: np.ndarray, terms, mode: str) -> np.ndarray:
@@ -645,8 +652,7 @@ def srec(
     with coverage in [1 - eps, 1] on f^{-1}(z0) and at most eps on the rest
     of the promise."""
     eps = _eps(eps, mode)
-    if not (0 <= z0 < f.z_size):
-        raise ParameterError(f"z0 must lie in [0, {f.z_size})")
+    _check_label(z0, f)
     side = f.preimage(z0)
     if not side:
         raise DegenerateInputError(f"f^(-1)({z0}) is empty")
@@ -680,8 +686,7 @@ def rect_dual(
     A supplied mu restricts the support of alpha to the cells mu charges.
     """
     eps = _eps(eps, mode)
-    if not (0 <= z < f.z_size):
-        raise ParameterError(f"z must lie in [0, {f.z_size})")
+    _check_label(z, f)
     if mu is not None:
         mu.check_compatible(f)
     cells = [cell for cell in f.domain() if mu is None or mu.prob(*cell) > 0]
@@ -802,7 +807,9 @@ def check_witness(
     Returns (feasible within 1e-7, recomputed objective).  Exact witnesses
     are checked with zero tolerance.  A srec or rect witness is checked for
     the label it was built for (`result.label`).  A partition witness whose
-    grid, or whose mu, differs in shape from f raises DimensionError.
+    grid differs in shape from f, a srec or rect witness that holds a
+    rectangle or cell outside f's grid, or a mu of another shape raises
+    DimensionError.
     """
     caps = caps or default_caps()
     eps = result.epsilon
@@ -838,6 +845,8 @@ def check_witness(
 
     if name == "srec":
         weights: dict[Rectangle, Number] = result.primal_witness
+        _check_on_grid(f, [rect for rect in weights
+                           if rect.row_mask >> f.x_size or rect.col_mask >> f.y_size])
         tol = _tolerance(weights.values(), eps)
         cover = _coverage([(rect, None, w) for rect, w in weights.items()], f.x_size, f.y_size)
         feasible = bool(f.preimage(z)) and all(
@@ -849,11 +858,21 @@ def check_witness(
 
     if name == "rect":
         alpha: dict[tuple[int, int], Number] = result.primal_witness
+        _check_on_grid(f, [cell for cell in alpha
+                           if not (0 <= cell[0] < f.x_size and 0 <= cell[1] < f.y_size)])
         tol = _tolerance(alpha.values(), eps)
         fits, objective = _alpha_value(f, alpha, z, eps, tol, caps)
         return fits and all(v >= -tol for v in alpha.values()), objective
 
     raise ParameterError(f"unknown bound name {name!r}")
+
+
+def _check_on_grid(f: PartialFunction, outside: list) -> None:
+    """DimensionError naming the first of a witness's rectangles or cells
+    found `outside` f's grid, if any."""
+    if outside:
+        raise DimensionError(f"witness holds {outside[0]}, outside the "
+                             f"{f.x_size}x{f.y_size} grid of the function")
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,13 @@ Programming", 1983, ch. 7-8).  It prices d = c - (c_B B^-1) A by Dantzig's
 rule (the least reduced cost), breaks ratio-test ties by the largest pivot
 element, and switches to Bland's rule (the first improving column, the
 least basic index among ties) after ``_STALL_LIMIT`` pivots that do not
-lower the objective: the bound LPs are highly degenerate.  The objective
+lower the objective: the bound LPs are highly degenerate.  In float64 the
+columns are equilibrated first: each column of [c; A] is divided by its
+largest magnitude (Tomlin, "On scaling linear programming problems", Math.
+Programming Study 4, 1975), so that Dantzig's rule compares columns on one
+scale, and the primal is divided by the same scales on the way out; the
+basis, the duals and the objective value do not change.  The exact simplex
+prices the columns as they are.  The objective
 never rises, and pivots that leave it unchanged cannot cycle under Bland's
 rule, so the exact simplex terminates without a pivot limit.  In float64,
 where the eta steps' rounding accumulates, B^-1 is refactorized from A's
@@ -176,6 +182,11 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
         A, b, c = (v.astype(float) for v in (problem.matrix, problem.rhs, problem.objective))
         num, zero, one, path = float, 0.0, 1.0, "float"
         feas_tol, zero_tol, gain_tol = _FEAS_TOL, 1e-7, 1e-12
+        # Equilibrate the columns; the primal is divided by `scales` at the end.
+        scales = np.maximum(abs(A).max(axis=0, initial=0.0), abs(c))
+        scales[scales == 0] = 1.0
+        A /= scales
+        c /= scales
     flip = b < 0
     A, b = np.where(flip[:, None], -A, A), np.where(flip, -b, b)
     rels = [{"<=": ">=", ">=": "<="}.get(r, r) if f else r for r, f in zip(problem.relations, flip)]
@@ -207,11 +218,11 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
             nz = cb.nonzero()[0]
             return zero + cb[nz] @ M[nz, :m]
 
-        def price(cost, y):  # c - y A
+        def price(cost, y, width):  # c - y A, over the first `width` columns
             d = cost.copy()
             for i in y.nonzero()[0]:
                 d[row_nz[i]] -= y[i] * ext[i, row_nz[i]]
-            return d
+            return d[:width]
 
         def solve(a):  # B^-1 a
             nz = a.nonzero()[0]
@@ -222,8 +233,8 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
         def duals(cb):
             return cb @ B_inv
 
-        def price(cost, y):
-            return cost - y @ ext
+        def price(cost, y, width):
+            return cost[:width] - y @ ext[:, :width]
 
         def solve(a):
             return B_inv @ a
@@ -263,25 +274,24 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
         stall, obj = 0, cost[basis] @ x_B
         # No pivot limit in exact arithmetic; in float the last pass only prices.
         for _ in range(sys.maxsize if exact else _PIVOT_LIMIT_FACTOR * (m + total) + 1):
-            d = price(cost, duals(cost[basis]))[:width]
+            d = price(cost, duals(cost[basis]), width)
             use_bland = stall > _STALL_LIMIT
             # Dantzig: the least reduced cost; Bland: the first negative one.
             j = int((d < -feas_tol).argmax() if use_bland else d.argmin())
             if not d[j] < -feas_tol:
                 return "optimal"
             alpha = solve(ext[:, j])
-            positive = alpha > feas_tol
-            if not positive.any():
-                return "unbounded"
             ratios = unreached.copy()
-            np.divide(x_B, alpha, out=ratios, where=positive)
-            best = ratios.min()
+            np.divide(x_B, alpha, out=ratios, where=alpha > feas_tol)
+            best = ratios.min(initial=np.inf)
+            if best == np.inf:  # no row bounds the entering column
+                return "unbounded"
             ties = ratios <= best + feas_tol * (1 + abs(best))
             if use_bland:
                 r = int(min(ties.nonzero()[0], key=basis.__getitem__))  # least index
                 bland += 1
             else:
-                r = int(np.where(ties, alpha, -1).argmax())  # the largest pivot (alpha > 0)
+                r = int((alpha * ties).argmax())  # the largest pivot (alpha > 0 on ties)
             pivot(r, j, alpha, phase)
             gain = -d[j] * best
             stall = 0 if gain > gain_tol * (1 + abs(obj)) else stall + 1
@@ -314,7 +324,7 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
     obj = num(cost2[:n] @ x[:n]) * sign
     y = duals(cost2[basis])
     dual = np.where(flip, -y, y) * sign
-    primal = x[:n] if exact else np.maximum(x[:n], 0.0)
+    primal = x[:n] if exact else np.maximum(x[:n], 0.0) / scales
     return solution("optimal", obj, tuple(primal.tolist()), tuple(dual.tolist())), basis.tolist()
 
 

@@ -552,6 +552,19 @@ def test_check_witness_needs_the_label():
             check_witness(dataclasses.replace(result, label=None), EQ1)
 
 
+def test_check_witness_rejects_a_witness_off_the_grid():
+    # A 4x4 srec or rect witness holds rectangles or cells outside a 2x2
+    # grid; a witness that fits the grid is checked as before.
+    gt2 = make_function("GT,2")
+    for result in (srec(gt2, 0.1, 1), rect_dual(gt2, 0.1, 1)):
+        with pytest.raises(DimensionError):
+            check_witness(result, EQ1)
+    inside = dataclasses.replace(srec(gt2, 0.1, 1), primal_witness={Rectangle(0b1, 0b10): 1.0})
+    assert check_witness(inside, EQ1) == (False, 1.0)
+    inside = dataclasses.replace(rect_dual(gt2, 0.1, 1), primal_witness={(0, 0): 1.0})
+    assert check_witness(inside, EQ1) == (True, pytest.approx(0.9))
+
+
 def test_check_witness_bprt_mu_requires_mu():
     r = bprt_mu(AND1, UNIFORM_2x2, 0.05)
     with pytest.raises(ParameterError):
@@ -590,16 +603,16 @@ def test_lp_bounds_check_caps_before_building(monkeypatch):
 # for srec and rect: a change to the pricing or ratio-test rule, or to the
 # reduction of the LP solved, moves them.
 _PINNED_LPS = {
-    ("prt", "EQ,2"): ((6, 5), Fraction(11, 2)),
-    ("bprt", "EQ,2"): ((5, 5), Fraction(11, 2)),
-    ("bprt_mu", "EQ,2"): ((3, 3), Fraction(23, 5)),
-    ("srec", "EQ,2"): ((3, 2), 3),
-    ("rect", "EQ,2"): ((3, 2), 3),
-    ("prt", "IP,2"): ((13, 6), Fraction(161, 30)),
-    ("bprt", "IP,2"): ((9, 8), Fraction(161, 30)),
-    ("bprt_mu", "IP,2"): ((9, 4), Fraction(68, 15)),
-    ("srec", "IP,2"): ((3, 3), Fraction(5, 2)),
-    ("rect", "IP,2"): ((3, 3), Fraction(5, 2)),
+    ("prt", "EQ,2"): ((6, 0), Fraction(11, 2)),
+    ("bprt", "EQ,2"): ((6, 0), Fraction(11, 2)),
+    ("bprt_mu", "EQ,2"): ((3, 0), Fraction(23, 5)),
+    ("srec", "EQ,2"): ((3, 0), 3),
+    ("rect", "EQ,2"): ((3, 0), 3),
+    ("prt", "IP,2"): ((10, 2), Fraction(161, 30)),
+    ("bprt", "IP,2"): ((8, 5), Fraction(161, 30)),
+    ("bprt_mu", "IP,2"): ((7, 1), Fraction(68, 15)),
+    ("srec", "IP,2"): ((2, 0), Fraction(5, 2)),
+    ("rect", "IP,2"): ((2, 0), Fraction(5, 2)),
 }
 
 
@@ -622,10 +635,29 @@ def test_float_corpus_pivots_pinned(monkeypatch):
 
     monkeypatch.setattr(bounds, "lp_solve", recorded)
     for (name, label), (pivots, value) in _PINNED_LPS.items():
-        _PINNED_CALLS[name](make_function(label))
+        result = _PINNED_CALLS[name](make_function(label))
         sol = solutions[-1]
         assert (sol.pivots, sol.bland_pivots) == (pivots, 0), (name, label)
+        assert result.pivots == pivots, (name, label)
         assert abs(sol.objective_value - value) < 1e-9, (name, label)
+
+
+# The functions of the float bounds benchmark.
+_BENCH_CORPUS = ("CONST,1", "AND,1", "EQ,1", "EQ,2", "GT,2", "DISJ,2", "IP,2", "GHD,2,1")
+
+
+def test_float_corpus_pivot_total():
+    # The five bounds, at every label with a nonempty preimage, over the
+    # benchmark's functions at eps = 0.1: 54 LPs that take 396 pivots when
+    # the float simplex prices equilibrated columns (553 unscaled).
+    results = []
+    for label in _BENCH_CORPUS:
+        f = make_function(label)
+        labels = [z for z in range(f.z_size) if f.preimage(z)]
+        results += [bprt(f, 0.1), prt(f, 0.1), bprt_mu(f, _uniform(f), 0.1)]
+        results += [srec(f, 0.1, z) for z in labels] + [rect_dual(f, 0.1, z) for z in labels]
+    assert len(results) == 54
+    assert sum(sum(r.pivots) for r in results) <= 396
 
 
 def test_rect_incidence_memo_is_read_only():
@@ -1261,6 +1293,24 @@ def test_eps_validation():
             fn(EQ1, 1.0)
         with pytest.raises(ParameterError):
             fn(EQ1, -0.1)
+
+
+@pytest.mark.parametrize("eps", ["0.1", None, True, 0.1j, [0.1], float("nan")])
+def test_eps_that_is_not_a_real_number_rejected(eps):
+    calls = [lambda: bprt(EQ1, eps), lambda: prt(EQ1, eps, "rational"),
+             lambda: bprt_mu(EQ1, UNIFORM_2x2, eps), lambda: srec(EQ1, eps, 1),
+             lambda: rect_dual(EQ1, eps, 1)]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+
+
+@pytest.mark.parametrize("z", [True, False, 1.0, "1", None, -1, 2])
+def test_label_that_is_not_an_int_of_the_range_rejected(z):
+    for fn in (srec, rect_dual):
+        with pytest.raises(ParameterError):
+            fn(EQ1, 0.1, z)
+    assert srec(EQ1, 0.1, np.int64(1)).value == srec(EQ1, 0.1, 1).value
 
 
 # ---------------------------------------------------------------------------

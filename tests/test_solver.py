@@ -114,6 +114,39 @@ def test_rational_matches_float_on_random_lps():
             assert abs(fsol.objective_value - float(rsol.objective_value)) < 1e-7
 
 
+def test_badly_scaled_columns_match_rational():
+    # Feasible, bounded LPs with each column (objective and rows) multiplied
+    # by 10^k, k in [-6, 6].  The float simplex prices equilibrated columns;
+    # its value must match the exact one, its primal must be feasible for
+    # the rows as given (so the scaling is undone), and dual . rhs must
+    # equal the value.
+    rng = random.Random(19)
+    for _ in range(100):
+        n, m = rng.randint(2, 6), rng.randint(1, 5)
+        point = [rng.randint(1, 3) for _ in range(n)]  # feasible once unscaled
+        rows = [[rng.randint(-3, 4) for _ in range(n)] for _ in range(m)]
+        rels = [rng.choice(("<=", ">=", "=")) for _ in range(m)]
+        rhs = [sum(a * v for a, v in zip(row, point)) + {"<=": 1, ">=": -1, "=": 0}[rel]
+               * rng.randint(1, 2) for row, rel in zip(rows, rels)]
+        sense = rng.choice(("min", "max"))
+        scales = [Fraction(10) ** rng.randint(-6, 6) for _ in range(n)]
+        cost = [rng.randint(1, 5) * (1 if sense == "min" else -1) * s for s in scales]
+        problem = LpProblem.build(
+            sense, cost, [[a * s for a, s in zip(row, scales)] for row in rows], rels, rhs
+        )
+        exact, sol = lp_solve(problem, "rational"), lp_solve(problem)
+        assert exact.status == sol.status == "optimal"
+        value = float(exact.objective_value)
+        assert sol.objective_value == pytest.approx(value, rel=1e-7, abs=1e-12)
+        A, b = problem.matrix.astype(float), problem.rhs.astype(float)
+        x = np.array(sol.primal)
+        lhs, tol = A @ x, 1e-7 * (abs(A) @ x + abs(b))
+        for lhs_i, b_i, tol_i, rel in zip(lhs, b, tol, rels):
+            assert {"<=": lhs_i <= b_i + tol_i, ">=": lhs_i >= b_i - tol_i,
+                    "=": abs(lhs_i - b_i) <= tol_i}[rel]
+        assert np.dot(sol.dual, b) == pytest.approx(value, rel=1e-7, abs=1e-12)
+
+
 def test_degenerate_lp_terminates(fail_float_simplex):
     # Beale's cycling example: Dantzig pricing cycles on it when ratio ties
     # go to the least index; taking the largest pivot among them does not.
@@ -152,11 +185,14 @@ def test_degenerate_lp_terminates(fail_float_simplex):
     _assert_exact_certificate(problem, sol)
 
 
-def test_dantzig_cycle_ends_under_bland(fail_float_simplex):
+def test_dantzig_cycle_ends_under_bland(fail_float_simplex, monkeypatch):
     # Hall and McKinnon's example ("The simplest examples where the simplex
     # method cycles", Math. Programming 2004, with a bounding row added)
-    # cycles under Dantzig's rule whatever the ratio tie-break: the stall
-    # limit hands over to Bland's rule, which ends it, in float and exact.
+    # cycles under Dantzig's rule whatever the ratio tie-break: in exact
+    # arithmetic, which prices the columns as they are, the stall limit
+    # hands over to Bland's rule, which ends it.  The float simplex prices
+    # equilibrated columns and solves it in 2 pivots; with a stall limit of
+    # 0 it takes one Bland pivot and ends at the same optimum.
     problem = LpProblem.build(
         "max",
         [Fraction(23, 10), Fraction(43, 20), Fraction(-271, 20), Fraction(-2, 5)],
@@ -170,9 +206,12 @@ def test_dantzig_cycle_ends_under_bland(fail_float_simplex):
     )
     sol = lp_solve(problem)
     assert abs(sol.objective_value - 0.875) < 1e-9
-    assert sol.pivots[0] == 0 and sol.pivots[1] > solver._STALL_LIMIT
-    assert sol.refactorizations == sol.pivots[1] // solver._REFACTOR_EVERY
-    assert 0 < sol.bland_pivots <= sol.pivots[1] - solver._STALL_LIMIT
+    assert (sol.pivots, sol.bland_pivots, sol.refactorizations) == ((0, 2), 0, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_STALL_LIMIT", 0)
+        sol = lp_solve(problem)
+    assert abs(sol.objective_value - 0.875) < 1e-9
+    assert (sol.pivots, sol.bland_pivots) == ((0, 3), 1)
     fail_float_simplex()
     sol = lp_solve(problem, "rational")
     assert sol.path == "exact"
