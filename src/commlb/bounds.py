@@ -66,7 +66,6 @@ import dataclasses
 import functools
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -264,15 +263,6 @@ def _rect_incidence(x_size: int, y_size: int) -> tuple[np.ndarray, np.ndarray, n
     return row_masks, col_masks, incidence
 
 
-@functools.lru_cache(maxsize=8)
-def _rectangles(x_size: int, y_size: int) -> tuple[Rectangle, ...]:
-    """The nonempty rectangles of an x_size x y_size grid, in the order of
-    `_rect_incidence`: built once per grid shape and shared by the memoized
-    LPs on it, which name their support with them."""
-    row_masks, col_masks, _ = _rect_incidence(x_size, y_size)
-    return tuple(map(Rectangle, row_masks.tolist(), col_masks.tolist()))
-
-
 def _row_set_sums(grid) -> tuple[np.ndarray, int | None]:
     """The column sums of `grid` over every row set, as one table built level
     by level: level i adds grid row x_size - 1 - i to the rows of the table
@@ -360,7 +350,7 @@ class _Classes:
     columns: list  # the reduced column of each full column
     row_class: list  # the class of each row
     row_share: list  # the size of each row's class
-    rects: Sequence[Rectangle]  # the LP's rectangles, in column order
+    rects: np.ndarray  # the LP's rectangles in column order, as `_rect_incidence` indices
 
     @property
     def nbytes(self) -> int:
@@ -415,8 +405,11 @@ def _weight_form(
     if gap > limit:
         raise SolverError(f"{name}: primal/dual gap {float(gap)} exceeds {limit}")
     # The support of the reduced primal, member by member.
-    support = [(lp.rects[j // n_labels], j % n_labels, primal[j])
-               for j, o in enumerate(lp.columns) if w[o]]
+    picked = [j for j, o in enumerate(lp.columns) if w[o]]
+    rects = lp.rects[np.array(picked, int) // n_labels]
+    row_masks, col_masks, _ = _rect_incidence(f.x_size, f.y_size)
+    support = [(Rectangle(r, c), j % n_labels, primal[j]) for r, c, j in
+               zip(row_masks[rects].tolist(), col_masks[rects].tolist(), picked)]
     return sol, support, dual_value, {"lp_shape": lp.matrix.shape, "pivots": reduced.pivots}
 
 
@@ -558,11 +551,9 @@ def _classes(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple |
         float if mode == "float" else object)
     counts = by_class.reshape(n_labels, n_cells, n_classes).astype(np.int32)
     matrix = _reduced_matrix(counts, [rows[i][2] for i in reps], mode)
-    objective.flags.writeable = matrix.flags.writeable = False
-    every = _rectangles(x_size, y_size)
+    objective.flags.writeable = matrix.flags.writeable = rects.flags.writeable = False
     return _Classes(len(column), objective, matrix, tuple(rows[i][0] for i in reps), reps,
-                    column.tolist(), row.tolist(), np.bincount(row)[row].tolist(),
-                    every if meet is None else [every[k] for k in rects.tolist()])
+                    column.tolist(), row.tolist(), np.bincount(row)[row].tolist(), rects)
 
 
 def _class_ids(key: np.ndarray) -> np.ndarray:

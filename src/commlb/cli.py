@@ -56,23 +56,21 @@ def _load_distribution(source: str, f: PartialFunction) -> InputDistribution:
     return InputDistribution.from_text(Path(source).read_text())
 
 
+# The one parameter of the corpus protocols that take one: its keyword and type.
+_PROTOCOL_PARAMS = {"trivial_const": ("z", int), "noisy_bit": ("flip", float),
+                    "exchange_all": ("n", int)}
+
+
 def _load_protocol(source: str, f: PartialFunction | None) -> ProtocolTree:
-    if source.startswith("corpus:"):
-        body = source.removeprefix("corpus:")
-        parts = [p.strip() for p in body.split(",")]
-        kind = parts[0]
-        kwargs: dict = {}
-        if kind == "trivial_const" and len(parts) > 1:
-            kwargs["z"] = int(parts[1])
-        if kind == "noisy_bit" and len(parts) > 1:
-            kwargs["flip"] = float(parts[1])
-        if kind == "exchange_all":
-            if f is not None:
-                kwargs["f"] = f
-            elif len(parts) > 1:
-                kwargs["n"] = int(parts[1])
-        return cps.make_protocol(kind, **kwargs)
-    return ProtocolTree.from_text(Path(source).read_text())
+    if not source.startswith("corpus:"):
+        return ProtocolTree.from_text(Path(source).read_text())
+    kind, *params = [p.strip() for p in source.removeprefix("corpus:").split(",")]
+    if kind == "exchange_all" and f is not None:
+        return cps.make_protocol(kind, f=f)  # n is read off f
+    if params and kind in _PROTOCOL_PARAMS:
+        name, parse = _PROTOCOL_PARAMS[kind]
+        return cps.make_protocol(kind, **{name: parse(params[0])})
+    return cps.make_protocol(kind)
 
 
 def _write_output(lines: list[str], out: str | None) -> None:
@@ -190,10 +188,9 @@ def cmd_verify(args) -> int:
         mc_samples=args.samples,
         seed=args.seed,
     )
-    lines = [r.line() for r in results]
-    _write_output(lines, args.out)
     if not results:
         raise CommlbError(f"no checks match --only {args.only!r}")
+    _write_output([r.line() for r in results], args.out)
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY
 
 

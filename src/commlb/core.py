@@ -12,7 +12,7 @@ All types are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -130,34 +130,9 @@ class PartialFunction:
 
     @classmethod
     def from_text(cls, text: str) -> "PartialFunction":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != cls.MAGIC:
-            raise FormatError(f"missing magic line {cls.MAGIC!r}")
-        try:
-            x_size, y_size, z_size = (int(t) for t in lines[1].split())
-        except (IndexError, ValueError) as exc:
-            raise FormatError("bad size line in COMMFN file") from exc
-        if len(lines) != 2 + x_size:
-            raise FormatError(f"expected {x_size} rows, found {len(lines) - 2}")
-        table = []
-        for ln in lines[2:]:
-            tokens = ln.split()
-            if len(tokens) != y_size:
-                raise FormatError(f"expected {y_size} tokens per row")
-            row: list[int | None] = []
-            for tok in tokens:
-                if tok == "*":
-                    row.append(None)
-                else:
-                    try:
-                        row.append(int(tok))
-                    except ValueError as exc:
-                        raise FormatError(f"bad output token {tok!r}") from exc
-            table.append(tuple(row))
-        try:
-            return cls(x_size, y_size, z_size, tuple(table))
-        except (ParameterError, DimensionError) as exc:
-            raise FormatError(str(exc)) from exc
+        (x_size, y_size, z_size), body = _read_text(text, cls.MAGIC, 3)
+        table = _read_grid(body, x_size, y_size, lambda t: None if t == "*" else int(t))
+        return _construct(cls, x_size, y_size, z_size, table)
 
 
 @dataclass(frozen=True)
@@ -221,28 +196,51 @@ class InputDistribution:
 
     @classmethod
     def from_text(cls, text: str) -> "InputDistribution":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != cls.MAGIC:
-            raise FormatError(f"missing magic line {cls.MAGIC!r}")
-        try:
-            x_size, y_size = (int(t) for t in lines[1].split())
-        except (IndexError, ValueError) as exc:
-            raise FormatError("bad size line in COMMDIST file") from exc
-        if len(lines) != 2 + x_size:
-            raise FormatError(f"expected {x_size} rows, found {len(lines) - 2}")
-        mass = []
-        for ln in lines[2:]:
-            tokens = ln.split()
-            if len(tokens) != y_size:
-                raise FormatError(f"expected {y_size} tokens per row")
-            try:
-                mass.append(tuple(float(t) for t in tokens))
-            except ValueError as exc:
-                raise FormatError("bad probability token") from exc
-        try:
-            return cls(tuple(mass))
-        except (ParameterError, DimensionError) as exc:
-            raise FormatError(str(exc)) from exc
+        (x_size, y_size), body = _read_text(text, cls.MAGIC, 2)
+        return _construct(cls, _read_grid(body, x_size, y_size, float))
+
+
+# ---------------------------------------------------------------------------
+# The COMM* text formats: a magic line, a line of sizes and a body
+# ---------------------------------------------------------------------------
+
+
+def _read_text(text: str, magic: str, n_sizes: int) -> tuple[tuple[int, ...], list[str]]:
+    """The `n_sizes` integers of the size line of a text that opens with the
+    line `magic`, and the lines after it; blank lines are skipped and every
+    line is stripped."""
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != magic:
+        raise FormatError(f"missing magic line {magic!r}")
+    try:
+        sizes = tuple(int(t) for t in lines[1].split())
+    except (IndexError, ValueError):
+        sizes = ()
+    if len(sizes) != n_sizes:
+        raise FormatError(f"bad size line in {magic.split()[0]} file")
+    return sizes, lines[2:]
+
+
+def _read_grid(lines: list[str], x_size: int, y_size: int, token) -> tuple[tuple, ...]:
+    """The x_size rows of y_size whitespace-separated tokens in `lines`, each
+    token read by `token`, which raises ValueError on a bad one."""
+    rows = [line.split() for line in lines]
+    if len(rows) != x_size:
+        raise FormatError(f"expected {x_size} rows, found {len(rows)}")
+    if any(len(row) != y_size for row in rows):
+        raise FormatError(f"expected {y_size} tokens per row")
+    try:
+        return tuple(tuple(map(token, row)) for row in rows)
+    except ValueError as exc:
+        raise FormatError(f"bad token: {exc}") from exc
+
+
+def _construct(cls, *fields):
+    """cls(*fields), with a ParameterError or DimensionError as a FormatError."""
+    try:
+        return cls(*fields)
+    except (ParameterError, DimensionError) as exc:
+        raise FormatError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

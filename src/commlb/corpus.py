@@ -162,8 +162,9 @@ def make_protocol(kind: str, *, n: int = 1, z: int = 1, flip: float = 0.25,
 
     trivial_const: depth 0, outputs z.  send_x: Alice announces her bit.
     noisy_bit: Alice announces her bit flipped with probability ``flip``.
-    exchange_all: both parties announce all n bits; the leaf outputs f's
-    value there (0 off the promise).  and_protocol: exchange_all on AND.
+    exchange_all: both parties announce all n bits (0 <= n <= 3, read off f
+    if given), and the leaf outputs f's value there (0 off the promise).
+    and_protocol: exchange_all on AND.
     """
     if kind == "trivial_const":
         return ProtocolTree(Leaf(z), 2, 2, 2)
@@ -182,6 +183,8 @@ def make_protocol(kind: str, *, n: int = 1, z: int = 1, flip: float = 0.25,
             if 2**bits != size or f.y_size != size:
                 raise ParameterError("exchange_all needs a 2^n x 2^n function")
             n = bits
+        if not 0 <= n <= _MAX_BITS:
+            raise ParameterError(f"exchange_all needs n in [0, {_MAX_BITS}], got {n}")
         size = 2**n
         root = _exchange_tree(n, f, 0, 0, n, n, size)
         z_size = f.z_size if f is not None else 1

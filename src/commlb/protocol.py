@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Literal, Sequence, Union
+from typing import Literal, Union
 
 from .core import FiniteDistribution, InputDistribution, Number, PartialFunction
+from .core import _construct, _read_text
 from .errors import (
     ConditioningError,
     DimensionError,
@@ -45,8 +45,8 @@ __all__ = [
 ]
 
 _IC_PATH_TOL = 1e-9
-# Deepest COMMPROT tree accepted: the tree walks recurse once per level and
-# must stay within Python's default recursion limit of 1000 frames.
+# Deepest COMMPROT tree accepted: the parse and the tree walks recurse once per
+# level and must stay within Python's default recursion limit of 1000 frames.
 _MAX_DEPTH = 500
 
 
@@ -170,113 +170,72 @@ class ProtocolTree:
 
     @classmethod
     def from_text(cls, text: str) -> "ProtocolTree":
-        lines = text.splitlines()
-        stripped = [ln.strip() for ln in lines if ln.strip()]
-        if not stripped or stripped[0] != cls.MAGIC:
-            raise FormatError(f"missing magic line {cls.MAGIC!r}")
-        try:
-            x_size, y_size, z_size = (int(t) for t in stripped[1].split())
-        except (IndexError, ValueError) as exc:
-            raise FormatError("bad size line in COMMPROT file") from exc
-        body = " ".join(stripped[2:])
-        tokens = re.findall(r"\(|\)|[^\s()]+", body)
-        node = _parse_sexpr(tokens)
-        try:
-            return cls(node, x_size, y_size, z_size)
-        except (ParameterError, DimensionError) as exc:
-            raise FormatError(str(exc)) from exc
+        (x_size, y_size, z_size), body = _read_text(text, cls.MAGIC, 3)
+        tokens = re.findall(r"\(|\)|[^\s()]+", " ".join(body))
+        return _construct(cls, _parse_tree(tokens), x_size, y_size, z_size)
 
 
-def _parse_sexpr(tokens: list[str]) -> Union[Node, Leaf]:
-    """Parse one tree from `tokens`, which it must use up.
+def _parse_tree(tokens: list[str]) -> Union[Node, Leaf]:
+    """Parse one tree from `tokens`, which it must use up, by recursive descent:
 
-    Walks the tokens with an index and keeps the nodes still waiting for a
-    subtree on an explicit stack, so the parse itself never recurses.  The
-    tree walks (validation, factors, rendering) do recurse, one frame per
-    level, so a tree deeper than _MAX_DEPTH is rejected here.
-    """
+        tree := ( leaf z=<int> )
+              | ( node owner=<owner> p1= [(] <float>... ) zero= tree one= tree )
+
+    A node's ')' is checked before its Node is built, so a text cut short is
+    a FormatError whatever the node holds, and a node deeper than _MAX_DEPTH
+    is rejected before the parse descends into it."""
     pos = 0
 
-    def peek() -> str | None:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def subtree_marker(name: str) -> None:
-        # 'zero=' / 'one=' introduce a subtree, which must open with '('.
+    def take(expected: str | None = None) -> str:
+        """The next token, which must exist and, if given, be `expected`."""
         nonlocal pos
-        token = peek()
-        if token is None or not token.startswith(name):
-            raise FormatError(f"node needs {name}<subtree>")
-        if token != name:
-            raise FormatError("expected '('")
+        if pos == len(tokens):
+            raise FormatError("unterminated protocol tree")
+        token = tokens[pos]
+        if expected is not None and token != expected:
+            raise FormatError(f"expected {expected!r}, found {token!r}")
         pos += 1
+        return token
 
-    stack: list[list] = []  # [owner, probs, zero subtree or None] per open node
-    while True:
-        if peek() != "(":
-            raise FormatError("expected '('")
-        pos += 1
-        kind = peek()
-        if kind is None:
-            raise FormatError("unterminated expression")
-        pos += 1
+    def field(key: str) -> str:
+        token = take()
+        if not token.startswith(key):
+            raise FormatError(f"expected {key}..., found {token!r}")
+        return token[len(key):]
+
+    def number(token: str, parse=float):
+        try:
+            return parse(token)
+        except ValueError as exc:
+            raise FormatError(f"bad number {token!r}") from exc
+
+    def tree(depth: int) -> Union[Node, Leaf]:
+        take("(")
+        kind = take()
         if kind == "leaf":
-            token = peek()
-            if token is None or not token.startswith("z="):
-                raise FormatError("leaf needs z=<int>")
-            try:
-                z = int(token[2:])
-            except ValueError as exc:
-                raise FormatError("bad leaf output") from exc
-            pos += 1
-            if peek() != ")":
-                raise FormatError("expected ')' after leaf")
-            pos += 1
-            done: Union[Node, Leaf] = Leaf(z)
-        elif kind == "node":
-            token = peek()
-            if token is None or not token.startswith("owner="):
-                raise FormatError("node needs owner=A|B|P")
-            owner = token[len("owner="):]
-            pos += 1
-            token = peek()
-            if token != "p1=":
-                if token is not None and token.startswith("p1="):
-                    raise FormatError("malformed p1 list")
-                raise FormatError("node needs p1=(...)")
-            pos += 1
-            if peek() == "(":
-                pos += 1
-            probs: list[float] = []
-            while peek() not in (")", None):
-                try:
-                    probs.append(float(tokens[pos]))
-                except ValueError as exc:
-                    raise FormatError(f"bad probability {tokens[pos]!r}") from exc
-                pos += 1
-            if peek() is None:
-                raise FormatError("unterminated p1 list")
-            pos += 1  # closing ')' of p1
-            subtree_marker("zero=")
-            if len(stack) >= _MAX_DEPTH:
-                raise FormatError(f"protocol tree deeper than {_MAX_DEPTH} levels")
-            stack.append([owner, tuple(probs), None])
-            continue
-        else:
+            z = number(field("z="), int)
+            take(")")
+            return Leaf(z)
+        if kind != "node":
             raise FormatError(f"unknown element {kind!r}")
-        # `done` is a complete subtree: hang it under the open nodes, closing
-        # every node whose 'one' branch it completes.
-        while stack and stack[-1][2] is not None:
-            owner, probs, zero = stack.pop()
-            if peek() != ")":
-                raise FormatError("expected ')' after node")
-            pos += 1
-            done = Node(owner, probs, zero, done)
-        if not stack:
-            if pos != len(tokens):
-                raise FormatError("trailing tokens after protocol tree")
-            return done
-        stack[-1][2] = done
-        subtree_marker("one=")
+        if depth >= _MAX_DEPTH:
+            raise FormatError(f"protocol tree deeper than {_MAX_DEPTH} levels")
+        owner = field("owner=")
+        take("p1=")
+        if tokens[pos:pos + 1] == ["("]:  # the grammar's [(]: to_text writes it
+            take()
+        p1 = tuple(map(number, iter(take, ")")))
+        take("zero=")
+        zero = tree(depth + 1)
+        take("one=")
+        one = tree(depth + 1)
+        take(")")
+        return Node(owner, p1, zero, one)
+
+    root = tree(0)
+    if pos != len(tokens):
+        raise FormatError("trailing tokens after protocol tree")
+    return root
 
 
 # ---------------------------------------------------------------------------

@@ -141,6 +141,13 @@ def test_ic_trivial_const(capsys):
     assert float(_ic_table(out)["information_cost"]) == 0.0
 
 
+@pytest.mark.parametrize("n", ["-1", "4"])
+def test_ic_exchange_all_outside_its_range_is_bad_input(capsys, n):
+    code, out, err = _run(capsys, "ic", "--prot", f"corpus:exchange_all,{n}")
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: exchange_all needs n in [0, 3]")
+
+
 def test_ic_noisy_bit(capsys):
     code, out, _ = _run(capsys, "ic", "--prot", "corpus:noisy_bit,0.25")
     assert code == EXIT_OK
@@ -303,6 +310,14 @@ def test_verify_perturb_fails(capsys):
 def test_verify_unknown_filter(capsys):
     code, _, err = _run(capsys, "verify", "--only", "no-such-check")
     assert code == EXIT_BAD_INPUT
+
+
+def test_verify_unknown_filter_leaves_no_file(capsys, tmp_path):
+    path = tmp_path / "report.txt"
+    code, out, err = _run(capsys, "verify", "--only", "nonsense", "--out", str(path))
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith("error: no checks match")
+    assert not path.exists()
 
 
 def test_bad_arguments_exit_code(capsys):

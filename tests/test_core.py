@@ -116,6 +116,38 @@ def test_commdist_round_trip():
     assert again.mass == mu.mass
 
 
+@pytest.mark.parametrize("text", [
+    "COMMDIST 1\n2 2\n0.5 0.5\n",  # a row short
+    "COMMDIST 1\n2 2\n0.5 0.5\n0.0\n",  # a token short
+    "COMMDIST 1\n2 2\n0.5 0.5\n0.0 zero\n",  # bad probability
+    "COMMDIST 1\n2 2 2\n0.5 0.5\n0.0 0.0\n",  # three sizes
+    "COMMDIST 1\n2 2\n0.5 0.5\n0.5 0.5\n",  # sums to 2
+    "COMMDIST 1\n0 2\n",  # empty grid
+    "COMMFN 1\n2 2\n0 1\n1 0\n",  # the magic of the other format
+])
+def test_commdist_rejects_garbage(text):
+    with pytest.raises(FormatError):
+        InputDistribution.from_text(text)
+
+
+@pytest.mark.parametrize("text", [
+    "COMMFN 1\n1 2 2\n0 x\n",  # bad output token
+    "COMMFN 1\n1 2 2\n0 2\n",  # output outside the alphabet
+    "COMMFN 1\n1 2\n0 1\n",  # two sizes
+    "COMMFN 1\n1 2 2\n* *\n",  # no defined cell
+])
+def test_commfn_rejects_garbage(text):
+    with pytest.raises(FormatError):
+        PartialFunction.from_text(text)
+
+
+def test_comm_texts_ignore_blank_lines_and_indentation():
+    f = PartialFunction.from_text("\n  COMMFN 1\n\n1 2 2  \n   0 *\n\n")
+    assert f.table == ((0, None),)
+    mu = InputDistribution.from_text("COMMDIST 1\n\n 1 2\n 0.25   0.75 \n")
+    assert mu.mass == ((0.25, 0.75),)
+
+
 def test_compatibility_check():
     f = PartialFunction.from_rows([[0, 1]], z_size=2)
     mu = InputDistribution(((0.5, 0.5), (0.0, 0.0)))

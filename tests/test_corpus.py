@@ -115,6 +115,20 @@ def test_exchange_all_requires_square_power_of_two():
         make_protocol("exchange_all", f=bad)
 
 
+def test_exchange_all_bounds_n():
+    from commlb.core import PartialFunction
+
+    assert make_protocol("exchange_all", n=0).universe_size == 1
+    assert make_protocol("exchange_all", n=3).universe_size == 64
+    for n in (-1, 4):
+        with pytest.raises(ParameterError):
+            make_protocol("exchange_all", n=n)
+    # n read off a 16x16 function is past the bound too.
+    wide = PartialFunction.from_rows([[0] * 16] * 16, z_size=1)
+    with pytest.raises(ParameterError):
+        make_protocol("exchange_all", f=wide)
+
+
 def test_corpus_listings():
     functions = corpus_functions()
     assert len(functions) == 8

@@ -202,8 +202,68 @@ def test_commprot_deep_tree_round_trip():
     assert again.to_text() == text
 
 
+_NODE = "(node owner=A p1=(0.5 0.5) zero=(leaf z=0) one=(leaf z=1))"
+
+
+_GARBAGE = [
+    "(node owner=A)",
+    "",  # no tree
+    "(leaf z=0",  # cut short
+    "(node owner=A p1=0.5 0.5) zero=(leaf z=0) one=(leaf z=1))",  # no '(' after p1=
+    "(node owner=A p1=(0.5 0.5) zero=(leaf z=0 one=(leaf z=1))",  # no ')' after a leaf
+    "(node owner=A p1=(0.5 0.5) zero=(leaf z=0) one=(leaf z=1)",  # no ')' after a node
+    "(node owner=A p1=(0.5 0.5) zero=" + _NODE + " one=(leaf z=1)",  # nor after the root
+    "(leaf z=one)",  # bad z=
+    "(leaf y=0)",
+    "(node owner=A p1=(0.5 half) zero=(leaf z=0) one=(leaf z=1))",  # bad probability
+    "(node owner=A p1=(0.5 0.5) zero=leaf one=(leaf z=1))",  # zero= without a subtree
+    "(node owner=A p1=(0.5 0.5) (leaf z=0) one=(leaf z=1))",  # no zero=
+    "(node p1=(0.5 0.5) zero=(leaf z=0) one=(leaf z=1))",  # no owner=
+    "(tree z=0)",  # unknown element
+    "(leaf z=0) (leaf z=1)",  # trailing tokens
+    "(leaf z=0))",
+    "(node owner=A p1=(0.5) zero=(leaf z=0) one=(leaf z=1))",  # too few probabilities
+    "(leaf z=2)",  # output outside the alphabet
+]
+
+
 def test_commprot_rejects_garbage():
-    with pytest.raises(FormatError):
-        ProtocolTree.from_text("COMMPROT 1\n2 2 2\n(node owner=A)\n")
+    for body in _GARBAGE:
+        with pytest.raises(FormatError):
+            ProtocolTree.from_text(f"COMMPROT 1\n2 2 2\n{body}\n")
     with pytest.raises(FormatError):
         ProtocolTree.from_text("NOPE\n")
+
+
+@pytest.mark.parametrize("text", ["COMMPROT 1\n2 2\n(leaf z=0)\n",
+                                  "COMMPROT 1\n2 two 2\n(leaf z=0)\n", "COMMPROT 1\n"])
+def test_commprot_rejects_a_bad_header(text):
+    with pytest.raises(FormatError):
+        ProtocolTree.from_text(text)
+
+
+@pytest.mark.parametrize("body", [
+    "(node owner=Q p1=(0.5 0.5) zero=(leaf z=0) one=(leaf z=1))",  # bad owner
+    "(node owner=A p1=(0.5 1.5) zero=(leaf z=0) one=(leaf z=1))",  # probability past 1
+    "(node owner=P p1=(0.5 0.5) zero=(leaf z=0) one=(leaf z=1))",  # public node, 2 entries
+])
+def test_commprot_rejects_a_bad_node(body):
+    with pytest.raises(ParameterError):
+        ProtocolTree.from_text(f"COMMPROT 1\n2 2 2\n{body}\n")
+
+
+def test_commprot_cut_short_is_a_format_error_before_a_bad_owner():
+    # The node's missing ')' is found before the node itself is built.
+    text = "COMMPROT 1\n2 2 2\n(node owner=Q p1=(0.5 0.5) zero=(leaf z=0) one=(leaf z=1)\n"
+    with pytest.raises(FormatError):
+        ProtocolTree.from_text(text)
+
+
+def test_commprot_depth_limit():
+    # Compare texts, since == on a tree 500 levels deep recurses past the limit.
+    text = _chain(500).to_text()
+    assert ProtocolTree.from_text(text).to_text() == text
+    for depth in (501, 5000):
+        body = "(node owner=A p1=(0.5 0.5) zero=(leaf z=0) one=" * depth + "(leaf z=1)" + ")" * depth
+        with pytest.raises(FormatError, match="protocol tree deeper than 500 levels"):
+            ProtocolTree.from_text(f"COMMPROT 1\n2 2 2\n{body}\n")
