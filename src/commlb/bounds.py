@@ -16,10 +16,9 @@ matrix from their row and column bit masks, once per grid shape (memoized,
 read-only), and every LP column is read off it.  ``_row_set_sums`` builds
 one numpy table of a grid's column sums over every row set, level by level
 (exact grids in integers, float grids in the order the rows were always
-added).  ``_rects_meeting`` counts LP columns from it, and
-``_best_rectangle`` finds the largest and smallest total weight over all
-rectangles from it, since a row set's best column set keeps the columns of
-one sign; it decides discrepancy and, through ``_alpha_value``, the
+added).  ``_best_rectangle`` finds the largest and smallest total weight
+over all rectangles from it, since a row set's best column set keeps the
+columns of one sign; it decides discrepancy and, through ``_alpha_value``, the
 feasibility of a corruption witness and the rect witness check.  On the
 witness side, every coverage test reads the grid of ``_coverage``, one pass
 over (rectangle, label, weight) entries.
@@ -30,9 +29,7 @@ rows over the rectangles containing each cell.  ``bprt``, ``bprt_mu`` and
 ``prt`` weigh every label and differ in their correctness rows and coverage
 relation; ``srec`` weighs one label with coverage rows in [1 - eps, 1] on
 its side and at most eps off it; ``rect_dual`` is the LP dual of its alpha
-form, over the rectangles meeting alpha's support, and reads alpha off the
-row duals.  The builder computes the LP's shape before it builds the
-incidence, so an instance over the caps is rejected at once.
+form and reads alpha off the row duals.
 
 The builder solves each LP over the classes of an equitable partition of
 its rows and columns (Grohe, Kersting, Mladenov and Selman, "Dimension
@@ -46,14 +43,15 @@ objective |O| and coefficients summed over O.
 ``_lp_classes`` memoizes it, ready to solve, by the LP's structure (labels,
 mu and row layout, not eps) and arithmetic, in a memo bounded in entries
 and bytes: each entry holds the reduced matrix and objective in its own
-arithmetic (float64, or ints and Fractions), the full LP's column count for
-the caps, and the lists that expand a solution, so an LP whose structure
-is in the memo builds only its right-hand side.  Expanded (w_O on each
-member column, y_Q / |Q| on each member row), the reduced solution is
-optimal for the full LP, exactly so in rational mode, where the solver
-certifies the reduced LP; every witness and the gap check read that
-full-size solution.  The caps are checked against the full shape.  An LP
-whose classes are all single solves at full size through the same code.
+arithmetic (float64, or ints and Fractions) and the lists that expand a
+solution, so an LP whose structure is in the memo builds only its
+right-hand side.  Expanded (w_O on each member column, y_Q / |Q| on each
+member row), the reduced solution is optimal for the full LP, exactly so in
+rational mode, where the solver certifies the reduced LP; every witness and
+the gap check read that full-size solution.  The LP caps bound the reduced
+LP, the one solved: refinement stops once its classes pass them, and
+``lp_solve`` checks the shape it is given.  An LP whose classes are all
+single solves at full size through the same code.
 
 Every LP result carries both a primal and a dual witness and the two
 objective values are required to agree (1e-6 float, exact rational).  The
@@ -79,7 +77,6 @@ from .core import (
     Rectangle,
     _is_exact,
     check_rect_side,
-    rectangle_count,
 )
 from .errors import DegenerateInputError, DimensionError, ParameterError, SolverError
 from .solver import LpProblem, LpSolution, _exact, check_lp_caps, lp_solve
@@ -315,19 +312,6 @@ def _signed_grid(f: PartialFunction, weight, z: int) -> list[list]:
     return [[entry(x, y) for y in range(f.y_size)] for x in range(f.x_size)]
 
 
-def _rects_meeting(f: PartialFunction, cells) -> int:
-    """Number of nonempty rectangles containing at least one of `cells` (all
-    of them when `cells` is None).  Every LP shape follows from it, so caps
-    are checked before any row is built.  Over a row set A, every column set
-    meets `cells` except those avoiding the columns A meets."""
-    if cells is None:
-        return rectangle_count(f.x_size, f.y_size) - 1
-    cells = set(cells)
-    hits = [[int((x, y) in cells) for y in range(f.y_size)] for x in range(f.x_size)]
-    zeros = (_row_set_sums(hits)[0][1:] == 0).sum(axis=1)
-    return int(((1 << f.y_size) - (1 << zeros)).sum())
-
-
 # ---------------------------------------------------------------------------
 # The weight-form LP of all five bounds
 # ---------------------------------------------------------------------------
@@ -342,7 +326,6 @@ class _Classes:
     expand a reduced solution to the full LP.  The arrays are read-only,
     float64 in float mode and ints and Fractions (object) in rational mode."""
 
-    full_vars: int  # the full LP's column count, for the caps
     objective: np.ndarray  # the size of each column class
     matrix: np.ndarray  # row class x column class: a member row summed over the column class
     relations: tuple  # the relation of each row class
@@ -350,24 +333,22 @@ class _Classes:
     columns: list  # the reduced column of each full column
     row_class: list  # the class of each row
     row_share: list  # the size of each row's class
-    rects: np.ndarray  # the LP's rectangles in column order, as `_rect_incidence` indices
 
     @property
     def nbytes(self) -> int:
         """The bytes the entry's arrays and sequences hold: an array at its
-        nbytes, which counts an object array at pointer size per entry, not
-        the numbers it points to, and a list or tuple at pointer size per
-        item."""
+        nbytes (an object array at pointer size per entry, not the numbers it
+        points to), and a list or tuple at pointer size per item."""
         return sum(v.nbytes if isinstance(v, np.ndarray) else 8 * len(v)
-                   for v in vars(self).values() if not isinstance(v, int))
+                   for v in vars(self).values())
 
 
 def _weight_form(
-    name: str, f: PartialFunction, mode: str, caps: Caps | None, rows, n_labels=1, meet=None
+    name: str, f: PartialFunction, mode: str, caps: Caps | None, rows, n_labels=1
 ) -> tuple[LpSolution, list[tuple[Rectangle, int, Number]], Number, dict]:
     """The one LP of all five bounds: minimize sum(w) over weights
-    w_{R,z} >= 0, one per nonempty rectangle R (only those meeting the cells
-    `meet`, unless it is None) in enumeration order and label z < n_labels.
+    w_{R,z} >= 0, one per nonempty rectangle R in enumeration order and
+    label z < n_labels, so column j is rectangle j // n_labels.
     Each of `rows` is (terms, correct, relation, rhs).  A (cell, c) term
     adds c times the weights of the rectangles containing the cell, under
     the labels its row counts: those answering the cell correctly (any label
@@ -380,14 +361,14 @@ def _weight_form(
     matrix and objective, one entry per arithmetic, so a call builds only
     the right-hand side: each row class's rhs, which eps sets.  Each member
     column then gets w_O and each member row the dual y_Q / |Q|, which is
-    an optimal solution of the full LP.
+    an optimal solution of the full LP.  The LP caps bound the reduced LP.
 
     Returns that full-size optimal solution, the (rectangle, label, weight)
     triples of its positive weights, the dual objective dual . rhs, checked
     against the value, and the fields `lp_shape` (rows, vars of the LP
     solved) and `pivots` for the BoundResult."""
     caps = caps or default_caps()
-    lp = _lp_classes(f, rows, n_labels, meet, mode, caps)
+    lp = _lp_classes(f, rows, n_labels, mode, caps)
     rhs = [b for _, _, _, b in rows]
     problem = LpProblem("min", lp.objective, lp.matrix, lp.relations,
                         np.array([rhs[i] for i in lp.reps], lp.matrix.dtype))
@@ -406,7 +387,7 @@ def _weight_form(
         raise SolverError(f"{name}: primal/dual gap {float(gap)} exceeds {limit}")
     # The support of the reduced primal, member by member.
     picked = [j for j, o in enumerate(lp.columns) if w[o]]
-    rects = lp.rects[np.array(picked, int) // n_labels]
+    rects = np.array(picked, int) // n_labels
     row_masks, col_masks, _ = _rect_incidence(f.x_size, f.y_size)
     support = [(Rectangle(r, c), j % n_labels, primal[j]) for r, c, j in
                zip(row_masks[rects].tolist(), col_masks[rects].tolist(), picked)]
@@ -439,23 +420,17 @@ _MEMO_ENTRIES = 256
 _MEMO_BYTES = 16 << 20
 
 
-def _lp_classes(f: PartialFunction, rows, n_labels: int, meet, mode: str,
-                caps: Caps) -> _Classes:
+def _lp_classes(f: PartialFunction, rows, n_labels: int, mode: str, caps: Caps) -> _Classes:
     """The reduced form of a weight-form LP in the arithmetic of `mode`,
-    after the caps are checked against the full LP's shape.  It is memoized
-    by value, by the LP's structure (`_lp_structure`: the function's labels,
-    mu and the row layout, not eps) and `mode`, so that a float matrix never
-    reaches a rational solve.  On a miss the caps are checked on the
-    rectangle count, before any class or incidence is built; an entry that
-    alone exceeds _MEMO_BYTES is returned but not kept."""
+    memoized by value, by the LP's structure (`_lp_structure`: the function's
+    labels, mu and the row layout, not eps) and `mode`, so that a float
+    matrix never reaches a rational solve; an entry that alone exceeds
+    _MEMO_BYTES is returned but not kept."""
     check_rect_side(f.x_size, f.y_size, caps)
-    cells = None if meet is None else tuple(x * f.y_size + y for x, y in meet)
-    key = (f.x_size, f.y_size, n_labels, _lp_structure(f, rows), cells, mode)
+    key = (f.x_size, f.y_size, n_labels, _lp_structure(f, rows), mode)
     classes = _MEMO.get(key)
-    full_vars = _rects_meeting(f, meet) * n_labels if classes is None else classes.full_vars
-    check_lp_caps(full_vars, len(rows), mode, caps)
     if classes is None:
-        classes = _classes(*key)
+        classes = _classes(*key, caps)
         if classes.nbytes <= _MEMO_BYTES:
             while _MEMO and (len(_MEMO) >= _MEMO_ENTRIES or classes.nbytes + sum(
                     c.nbytes for c in _MEMO.values()) > _MEMO_BYTES):
@@ -482,78 +457,88 @@ def _lp_structure(f: PartialFunction, rows) -> tuple:
     return tuple(out)
 
 
-def _classes(x_size: int, y_size: int, n_labels: int, rows: tuple, meet: tuple | None,
-             mode: str) -> _Classes:
+# Refinement splits the columns by _COLOUR_SLICE group colours at a time, and
+# counts hits over blocks of _RECT_BLOCK rectangles (or column classes).
+_COLOUR_SLICE = 16
+_RECT_BLOCK = 4096
+
+
+def _classes(x_size: int, y_size: int, n_labels: int, rows: tuple, mode: str,
+             caps: Caps) -> _Classes:
     """An equitable partition of the weight-form LP with `rows` (as
-    `_lp_structure` gives them) over the rectangles meeting the cells `meet`
-    (all when None), found by colour refinement, and the LP reduced over it
-    in the arithmetic of `mode`.
+    `_lp_structure` gives them), found by colour refinement, and the LP
+    reduced over it in the arithmetic of `mode`.
 
     The terms of a row that share a coefficient form a group; a term hits
     column (k, z) when rectangle k contains its cell and its label is z or
     -1.  Rows start coloured by their relation and rhs rank, groups by their
     row's and their coefficient, and all columns alike.  Each round splits
     the columns by how many hitting terms they have of each group colour,
-    counted through the cell x rectangle incidence; then the rows by how
-    many groups they have of each colour, and the groups by their row's
-    colour and their terms' hits on the columns of each colour.  Rounds stop
-    when no class splits.  The rows of a class then have equal sums over
+    counted through the cell x rectangle incidence a slice of colours at a
+    time (one slice after another gives the same classes); then the rows by
+    how many groups they have of each colour, and the groups by their row's
+    colour and their terms' hits on the columns of each class.  Once no group
+    splits, no class would.  The rows of a class then have equal sums over
     each column class, and the columns of a class over each row class, so
     the reduced LP of `_weight_form` expands to an optimal solution of the
-    full LP.  The orbits of any symmetry group of the LP are such a stable
-    colouring, so every orbit lies within one class."""
+    full LP.  Every orbit of a symmetry group of the LP lies in one class.
+    The all-zero columns, if any, form one class, which never enters a basis
+    (its reduced cost is its size).  Classes only split, so once they pass
+    the LP caps of `mode`, refinement raises CapacityError."""
     incidence = _rect_incidence(x_size, y_size)[2]
-    if meet is None:
-        rects = np.arange(incidence.shape[1])
-    else:
-        rects = np.flatnonzero(incidence[list(meet)].any(axis=0))
-        incidence = incidence[:, rects]
     n_cells, n_rects = incidence.shape
-    kinds: dict = {}
+    kinds: dict = {}  # group colours first, so that max + 1 counts them
     groups: dict = {}  # (row, coefficient) -> group
-    row_start = np.array([kinds.setdefault((rel, b), len(kinds)) for rel, b, _ in rows], int)
     terms = [(groups.setdefault((i, c), len(groups)), cell, label)
              for i, (_, _, row) in enumerate(rows) for cell, c, label in row]
     group_row = np.array([i for i, _ in groups], int)
     group = np.array([kinds.setdefault((*rows[i][:2], c), len(kinds)) for i, c in groups], int)
+    row_start = np.array([kinds.setdefault((rel, b), len(kinds)) for rel, b, _ in rows], int)
     term_group, term_cell, term_label = np.array(terms, int).reshape(-1, 3).T
     hit_term, hit_label = np.nonzero(
         (term_label[:, None] < 0) | (term_label[:, None] == np.arange(n_labels)))
     # at[g, z * n_cells + cell]: the terms of group g at the cell that count label z
     at = np.zeros((len(groups), n_labels * n_cells))
     np.add.at(at, (term_group[hit_term], hit_label * n_cells + term_cell[hit_term]), 1)
-    as_float = incidence.astype(float)  # for counts by BLAS, exact below 2^53
     column = np.zeros(n_rects * n_labels, int)
     while True:
-        n_groups, n_columns = group.max(initial=-1) + 1, column.max(initial=-1) + 1
+        n_groups = group.max(initial=-1) + 1
         per_colour = np.zeros((n_groups, n_labels * n_cells))
         np.add.at(per_colour, group, at)
-        key = np.empty((n_rects, n_labels, n_groups + 1), np.int32)
-        key[..., 0] = column.reshape(n_rects, n_labels)
-        key[..., 1:] = (per_colour.reshape(-1, n_cells) @ as_float).reshape(
-            n_groups, n_labels, n_rects).T
-        column = _class_ids(key.reshape(n_rects * n_labels, n_groups + 1))
+        for start in range(0, n_groups, _COLOUR_SLICE):
+            colours = per_colour[start:start + _COLOUR_SLICE].reshape(-1, n_cells)
+            key = np.empty((n_rects, n_labels, len(colours) // n_labels + 1), np.int32)
+            key[..., 0] = column.reshape(n_rects, n_labels)
+            for block in range(0, n_rects, _RECT_BLOCK):
+                part = incidence[:, block:block + _RECT_BLOCK]
+                key[block:block + _RECT_BLOCK, :, 1:] = (colours @ part).reshape(
+                    -1, n_labels, part.shape[1]).T
+            column = _class_ids(key.reshape(n_rects * n_labels, -1))
         n_classes = column.max(initial=-1) + 1
-        # by_class[z * n_cells + cell, o]: the columns (k, z) of class o with the cell in k
-        by_class = np.array([np.bincount(column[z::n_labels], cell, n_classes)
-                             for z in range(n_labels) for cell in as_float])
         in_row = np.zeros((len(rows), n_groups), int)
         np.add.at(in_row, (group_row, group), 1)
         row = _class_ids(np.column_stack([row_start, in_row]))
+        check_lp_caps(n_classes, row.max(initial=-1) + 1, mode, caps)
+        # counts[z, cell, o]: the columns (k, z) of class o with the cell in k
+        counts = np.empty((n_labels, n_cells, n_classes), np.int32)
+        for z, ids in enumerate(column.reshape(n_rects, n_labels).T.copy()):
+            for cell, inside in enumerate(incidence):
+                counts[z, cell] = np.bincount(ids, inside, n_classes)
         key = np.empty((len(group), n_classes + 2), np.int32)
-        key[:, 0], key[:, 1], key[:, 2:] = group, row[group_row], at @ by_class
+        key[:, 0], key[:, 1] = group, row[group_row]
+        for block in range(0, n_classes, _RECT_BLOCK):
+            key[:, 2 + block:2 + block + _RECT_BLOCK] = at @ counts.reshape(
+                -1, n_classes)[:, block:block + _RECT_BLOCK]
         group = _class_ids(key)
-        if n_classes == n_columns and group.max(initial=-1) + 1 == n_groups:
+        if group.max(initial=-1) + 1 == n_groups:
             break
-    _, reps = np.unique(row, return_index=True)
-    reps = reps.tolist()
+    reps = np.unique(row, return_index=True)[1].tolist()
     objective = np.bincount(column, minlength=n_classes).astype(
         float if mode == "float" else object)
-    counts = by_class.reshape(n_labels, n_cells, n_classes).astype(np.int32)
     matrix = _reduced_matrix(counts, [rows[i][2] for i in reps], mode)
-    objective.flags.writeable = matrix.flags.writeable = rects.flags.writeable = False
-    return _Classes(len(column), objective, matrix, tuple(rows[i][0] for i in reps), reps,
-                    column.tolist(), row.tolist(), np.bincount(row)[row].tolist(), rects)
+    objective.flags.writeable = matrix.flags.writeable = False
+    return _Classes(objective, matrix, tuple(rows[i][0] for i in reps), reps,
+                    column.tolist(), row.tolist(), np.bincount(row)[row].tolist())
 
 
 def _class_ids(key: np.ndarray) -> np.ndarray:
@@ -670,9 +655,10 @@ def rect_dual(
     """Rectangle bound for label z: maximize (1-eps)*alpha(f^{-1}(z)) -
     eps*alpha(rest of promise) over alpha >= 0 with alpha(R on the z side) -
     alpha(R off it) <= 1 for every rectangle.  Solved as its LP dual, the
-    weight form over the rectangles meeting the cells of alpha: coverage at
-    least 1 - eps on the z side and at most eps on the rest; alpha is read
-    off the row duals and the weights are the dual witness.
+    weight form: coverage at least 1 - eps on the z side and at most eps on
+    the rest; alpha is read off the row duals.  The dual witness holds one
+    weight per nonempty rectangle in enumeration order, 0 on every rectangle
+    that meets no cell of alpha's support.
 
     A supplied mu restricts the support of alpha to the cells mu charges.
     """
@@ -686,7 +672,7 @@ def rect_dual(
         else ([(cell, -1)], False, ">=", -eps)
         for cell in cells
     ]
-    sol, _, dual_value, stats = _weight_form("rect_dual", f, mode, caps, rows, meet=cells)
+    sol, _, dual_value, stats = _weight_form("rect_dual", f, mode, caps, rows)
     alpha = dict(zip(cells, sol.dual))
     return BoundResult(
         "rect", sol.objective_value, eps, alpha, sol.primal, sol.status, dual_value, z, **stats

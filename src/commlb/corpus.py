@@ -3,7 +3,8 @@
 Function families are addressed as ``FAMILY,n[,extra]`` (with an optional
 ``corpus:`` prefix): EQ, GT, DISJ, IP on n-bit strings (n <= 3, so matrices
 stay within the 8x8 enumeration cap), AND over single bits, CONST with the
-constant as the parameter, and GHD with an integer promise gap.
+constant as the parameter, and GHD,n,g, 1 at Hamming distance >= n/2 + g
+and 0 at <= n/2 - g, with g a positive multiple of 1/2 (GHD,3,0.5 is total).
 """
 
 from __future__ import annotations
@@ -85,9 +86,9 @@ def make_function(spec: CorpusSpec | str) -> PartialFunction:
             raise ParameterError("CONST takes the constant value 0 or 1")
         return PartialFunction(2, 2, 2, ((z, z), (z, z)))
     if family == "GHD":
-        g = int(spec.extra) if spec.extra is not None else 1
-        if g < 1:
-            raise ParameterError("GHD gap must be a positive integer")
+        g = spec.extra if spec.extra is not None else 1
+        if not (g > 0 and float(2 * g).is_integer()):
+            raise ParameterError(f"GHD gap must be a positive multiple of 1/2, got {g!r}")
 
         def ghd(x: int, y: int) -> int | None:
             d = bin(x ^ y).count("1")

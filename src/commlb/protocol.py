@@ -103,6 +103,19 @@ class ProtocolTree:
         self._validate(node.zero, path + "0", acc)
         self._validate(node.one, path + "1", acc)
 
+    def __eq__(self, other) -> bool:
+        """Equal sizes and trees, walked with an explicit stack, not recursion."""
+        if not isinstance(other, ProtocolTree):
+            return NotImplemented
+        stack = [(self.root, other.root)]
+        while stack:
+            a, b = stack.pop()
+            if isinstance(a, Node) and isinstance(b, Node) and (a.owner, a.p1) == (b.owner, b.p1):
+                stack += [(a.zero, b.zero), (a.one, b.one)]
+            elif a != b:  # two leaves, a leaf and a node, or nodes unequal at the top
+                return False
+        return (self.x_size, self.y_size, self.z_size) == (other.x_size, other.y_size, other.z_size)
+
     @property
     def leaves(self) -> tuple[tuple[str, Leaf], ...]:
         """(transcript bit string, leaf) pairs in depth-first order; this

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -267,13 +268,15 @@ def test_rect_dual_empty_preimage_is_zero():
 
 
 def test_rect_dual_without_cells_is_zero():
-    # mu charges only cells off the promise: an LP with no rows and no
-    # rectangles, whose optimum is 0.
+    # mu charges only cells off the promise: an LP with no rows, whose nine
+    # all-zero rectangle columns fold into one class, and whose optimum is 0
+    # with every rectangle's weight 0.
     f = PartialFunction.from_rows([[0, None], [None, 1]], z_size=2)
     mu = InputDistribution(((Fraction(0), Fraction(1, 2)), (Fraction(1, 2), Fraction(0))))
     for mode in ("float", "rational"):
         r = rect_dual(f, 0, 0, mu, mode)
-        assert r.value == 0 and r.primal_witness == {} and r.dual_witness == ()
+        assert r.value == 0 and r.primal_witness == {} and r.dual_witness == (0,) * 9
+        assert r.lp_shape == (0, 1)
     assert check_witness(r, f) == (True, 0)
 
 
@@ -419,11 +422,6 @@ def test_best_rectangle_matches_brute_force():
             sums = _brute_rectangle_sums(grid)
             assert bounds._best_rectangle(grid, Caps()) == (max(sums), min(sums))
             dtypes.add(bounds._row_set_sums(grid)[0].dtype)
-        cells = [(x, y) for x in range(x_size) for y in range(y_size) if rng.random() < 0.4]
-        f = PartialFunction.from_rows([[0] * y_size for _ in range(x_size)], 1)
-        assert bounds._rects_meeting(f, cells) == sum(
-            1 for r in enumerate_rectangles(x_size, y_size)
-            if not r.is_empty and any(r.contains(*c) for c in cells))
     assert dtypes == {np.dtype(np.int64), np.dtype(object)}
     for _ in range(200):
         x_size, y_size = rng.randint(1, 5), rng.randint(1, 4)
@@ -578,25 +576,79 @@ def test_check_witness_bprt_mu_requires_mu():
             check_witness(result, f, mu)
 
 
-def test_lp_bounds_check_caps_before_building(monkeypatch):
-    # EQ,3 is over the float LP caps; each bound must say so before it
-    # assembles the rectangle incidence its LP columns are read off.
-    def no_build(*args, **kwargs):
-        raise AssertionError("rectangle incidence built before the cap check")
+def _random_8x8() -> PartialFunction:
+    """A seeded random total 0/1 table on an 8x8 grid: colour refinement
+    does not fold its bprt LP (128 x 130,050)."""
+    rng = random.Random(8)
+    return PartialFunction.from_rows([[rng.randrange(2) for _ in range(8)] for _ in range(8)], 2)
 
-    monkeypatch.setattr(bounds, "_rect_incidence", no_build)
-    f = make_function("EQ,3")
-    mu = make_distribution("uniform", f)
-    calls = [
-        lambda: bprt(f, 0.0),
-        lambda: bprt_mu(f, mu, 0.0),
-        lambda: prt(f, 0.0),
-        lambda: srec(f, 0.0, 1),
-        lambda: rect_dual(f, 0.0, 1),
-    ]
-    for call in calls:
+
+def test_lp_bounds_check_caps_before_building(monkeypatch):
+    # Refinement reads the caps as it splits classes, and classes only
+    # split: GT,3's bprt (72 x 65,280 reduced) and the random 8x8 table's
+    # bprt and srec (65,025 vars, no fold) pass the float caps during
+    # refinement and are refused before any reduced matrix is built.
+    def no_build(*args):
+        raise AssertionError("reduced matrix built past the caps")
+
+    monkeypatch.setattr(bounds, "_MEMO", {})
+    monkeypatch.setattr(bounds, "_reduced_matrix", no_build)
+    table = _random_8x8()
+    with pytest.raises(CapacityError, match="65280 vars x 72 rows"):
+        bprt(make_function("GT,3"), 0.1)
+    for call in (lambda: bprt(table, 0.1), lambda: srec(table, 0.1, 1)):
         with pytest.raises(CapacityError):
             call()
+
+
+def test_refinement_memory_is_bounded():
+    # A memo miss on the random 8x8 table holds its refinement to fixed-size
+    # slices and blocks: refused within 100 MB by tracemalloc.
+    table = _random_8x8()
+    bounds._rect_incidence(8, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            bprt(table, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 << 20, peak
+
+
+# Rational bprt = prt of the n = 3 corpus at eps 0 and 1/10, and bprt's
+# reduced shape: each LP folds far below the caps.
+_N3_VALUES = {
+    "EQ,3": (Fraction(23, 2), Fraction(73, 10), (4, 152)),
+    "IP,3": (14, Fraction(259, 24), (8, 638)),
+    "GHD,3,1": (4, Fraction(17, 5), (4, 202)),
+    "GHD,3,0.5": (16, Fraction(56, 5), (2, 120)),
+}
+
+
+@pytest.mark.parametrize("label", list(_N3_VALUES))
+def test_n3_bounds_at_default_caps(monkeypatch, label):
+    # Certified by the rational simplex, accepted by check_witness, and the
+    # bound chain holds in both modes.
+    paths, solve = [], bounds.lp_solve
+
+    def recorded(problem, mode, caps):
+        sol = solve(problem, mode, caps)
+        paths.append(sol.path)
+        return sol
+
+    monkeypatch.setattr(bounds, "lp_solve", recorded)
+    f = make_function(label)
+    *values, shape = _N3_VALUES[label]
+    for eps, value in zip((0, Fraction(1, 10)), values):
+        for bound in (bprt, prt):
+            r = bound(f, eps, "rational")
+            assert r.value == r.dual_value == value, (bound, eps)
+            assert check_witness(r, f) == (True, value)
+        assert bprt(f, eps, "rational").lp_shape == shape
+    assert set(paths) == {"certified"}
+    for mode, eps in (("float", 0.1), ("rational", Fraction(1, 10))):
+        assert verify_bound_chain(f, eps, mode).passed
 
 
 # (pivots in phase 1 and 2, value) of float corpus LPs at eps = 0.1, with z = 1
@@ -765,49 +817,35 @@ def test_wide_grid_lps_solve(monkeypatch):
 
 
 def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
-    # The early cap check sees the shape of the full LP, and the LP solved
-    # over its classes is no larger: so the caps accept and reject
-    # by the full shape, and lp_solve's own check never refuses what the
-    # early check let through.
-    checked, solved, results = [], [], []
-    real_check, real_solve = bounds.check_lp_caps, bounds.lp_solve
-
-    def check(num_vars, num_rows, mode, caps):
-        checked.append((num_vars, num_rows))
-        real_check(num_vars, num_rows, mode, caps)
-
-    def solve(problem, mode="float", caps=None):
-        solved.append((problem.num_vars, problem.num_rows))
-        return real_solve(problem, mode, caps)
-
-    monkeypatch.setattr(bounds, "check_lp_caps", check)
-    monkeypatch.setattr(bounds, "lp_solve", solve)
+    # The caps bound the LP solved: every bound solves at caps equal to its
+    # reduced shape and is refused one var or one row below it, with a cold
+    # memo (refinement stops) and a warm one (lp_solve checks the entry).
     ghd = make_function("GHD,2,1")
     # mu charges only the first two columns, so rect_dual drops some rows.
     sparse = InputDistribution(tuple(
         (Fraction(1, 8), Fraction(1, 8), Fraction(0), Fraction(0)) for _ in range(4)
     ))
-    full = []  # (vars, rows) of each full LP, counted from the definitions
-
-    def rectangles(f, cells):
-        return sum(1 for r in enumerate_rectangles(f.x_size, f.y_size)
-                   if not r.is_empty and any(r.contains(*c) for c in cells))
-
+    calls = []
     for f, mu in ((EQ1, UNIFORM_2x2), (ghd, _uniform(ghd)), (ghd, sparse)):
-        grid = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
-        n = len(grid)
-        results += [bprt(f, 0.1), prt(f, 0.1), bprt_mu(f, mu, 0.1)]
-        full += [(rectangles(f, grid) * f.z_size, rows)
-                 for rows in (2 * n, len(f.domain()) + n, 1 + n)]
+        calls += [lambda caps, f=f: bprt(f, 0.1, caps=caps),
+                  lambda caps, f=f: prt(f, 0.1, caps=caps),
+                  lambda caps, f=f, mu=mu: bprt_mu(f, mu, 0.1, caps=caps)]
         for z in range(f.z_size):
-            charged = [c for c in f.domain() if mu.prob(*c) > 0]
-            results += [srec(f, 0.1, z), rect_dual(f, 0.1, z, mu)]
-            full += [(rectangles(f, grid), len(f.domain()) + len(f.preimage(z))),
-                     (rectangles(f, charged), len(charged))]
-    assert checked == full
-    assert [(v, r) for r, v in (res.lp_shape for res in results)] == solved
-    assert all(v <= fv and r <= fr for (v, r), (fv, fr) in zip(solved, checked))
-    assert any(v < fv for (v, _), (fv, _) in zip(solved, checked))
+            calls += [lambda caps, f=f, z=z: srec(f, 0.1, z, caps=caps),
+                      lambda caps, f=f, z=z, mu=mu: rect_dual(f, 0.1, z, mu, caps=caps)]
+    for call in calls:
+        monkeypatch.setattr(bounds, "_MEMO", {})
+        rows, num_vars = call(None).lp_shape
+        exact = Caps(lp_vars_float=num_vars, lp_rows_float=rows)
+        below = [exact.with_overrides(lp_vars_float=num_vars - 1)] * (num_vars > 1)
+        below += [exact.with_overrides(lp_rows_float=rows - 1)] * (rows > 1)
+        for memo in ({}, dict(bounds._MEMO)):
+            for caps in below:
+                monkeypatch.setattr(bounds, "_MEMO", dict(memo))
+                with pytest.raises(CapacityError):
+                    call(caps)
+            monkeypatch.setattr(bounds, "_MEMO", dict(memo))
+            assert call(exact).lp_shape == (rows, num_vars)
 
 
 # ---------------------------------------------------------------------------
@@ -817,27 +855,25 @@ def test_lp_shape_checked_is_the_shape_solved(monkeypatch):
 
 def _recorded_weight_forms(monkeypatch) -> list:
     """Record every weight-form LP the bounds build: (f, mode, rows,
-    n_labels, meet, its full-size solution, stats)."""
+    n_labels, its full-size solution, stats)."""
     records, build = [], bounds._weight_form
 
-    def recording(name, f, mode, caps, rows, n_labels=1, meet=None):
-        out = build(name, f, mode, caps, rows, n_labels, meet)
-        records.append((f, mode, rows, n_labels, meet, out[0], out[3]))
+    def recording(name, f, mode, caps, rows, n_labels=1):
+        out = build(name, f, mode, caps, rows, n_labels)
+        records.append((f, mode, rows, n_labels, out[0], out[3]))
         return out
 
     monkeypatch.setattr(bounds, "_weight_form", recording)
     return records
 
 
-def _full_lp(f: PartialFunction, n_labels: int, rows, meet):
+def _full_lp(f: PartialFunction, n_labels: int, rows):
     """The weight-form LP at full size, from its definition: one column per
-    (nonempty rectangle meeting `meet`, all when None, label z), in
-    enumeration order; a (cell, c) term of a row adds c to every column
-    whose rectangle contains the cell and whose label the row counts.
-    Returns the columns, the cell x column incidence and the matrix (an
+    (nonempty rectangle, label z), in enumeration order; a (cell, c) term of
+    a row adds c to every column whose rectangle contains the cell and whose
+    label the row counts.  Returns the columns, the cell x column incidence and the matrix (an
     object array of the rows' own numbers)."""
-    rects = [r for r in enumerate_rectangles(f.x_size, f.y_size) if not r.is_empty
-             and (meet is None or any(r.contains(*c) for c in meet))]
+    rects = [r for r in enumerate_rectangles(f.x_size, f.y_size) if not r.is_empty]
     columns = [(r, z) for r in rects for z in range(n_labels)]
     cells = [(x, y) for x in range(f.x_size) for y in range(f.y_size)]
     inside = np.array([[r.contains(*c) for r, _ in columns] for c in cells], dtype=bool)
@@ -863,7 +899,7 @@ def _class_sums(matrix: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return np.add.reduceat(matrix[:, order], starts, axis=1)
 
 
-def _check_equitable(f: PartialFunction, rows, n_labels: int, meet, mode: str, stats,
+def _check_equitable(f: PartialFunction, rows, n_labels: int, mode: str, stats,
                      full) -> None:
     """The classes of the reduced LP are numbered in the order of their first
     member, and the LP solved has one row per row class and one column per
@@ -871,7 +907,7 @@ def _check_equitable(f: PartialFunction, rows, n_labels: int, meet, mode: str, s
     have equal sums over each column class; the columns of a class have
     equal sums over each row class: the partition is equitable, in exact
     arithmetic on the full LP's own numbers."""
-    classes = bounds._lp_classes(f, rows, n_labels, meet, mode, Caps(lp_vars_rational=50_000))
+    classes = bounds._lp_classes(f, rows, n_labels, mode, Caps(lp_vars_rational=50_000))
     columns, _, matrix = full
     row_ids, col_ids = np.array(classes.row_class, int), np.array(classes.columns, int)
     assert len(row_ids) == len(rows) and len(col_ids) == len(columns)
@@ -941,14 +977,6 @@ def _random_table(rng: random.Random, x_size: int, y_size: int) -> PartialFuncti
     return PartialFunction.from_rows(cells, 3)
 
 
-def _meet_off_the_rows(mode: str, eps) -> list:
-    """A weight form over the rectangles meeting two cells, one of which no
-    row mentions: its columns are the rectangles meeting either cell."""
-    bounds._weight_form("rect_dual", EQ1, mode, None, [([((0, 0), 1)], False, ">=", 1 - eps)],
-                        meet=[(0, 0), (0, 1)])
-    return []
-
-
 _REDUCTION_CASES = {
     # A random table: no grid symmetry, but some identical columns.
     "random 4x4": lambda mode, eps: (
@@ -979,7 +1007,6 @@ _REDUCTION_CASES = {
     "8x4": lambda mode, eps: [srec(PartialFunction.from_rows(
         [[int(x % 4 == y) for y in range(4)] for x in range(8)], 2), eps, 1, mode,
         Caps().with_overrides(lp_vars_rational=8000))],
-    "meet off the rows": lambda mode, eps: _meet_off_the_rows(mode, eps),
     # No row at all: mu charges only cells off the promise.
     "no rows": lambda mode, eps: [rect_dual(
         PartialFunction.from_rows([[0, None], [None, 1]], z_size=2), eps, 0,
@@ -999,8 +1026,7 @@ _ORBIT_SHAPES = {
     "sparse mu": [(2, 63)],
     "4x8": [(3, 107), (2, 107)],
     "8x4": [(3, 107)],
-    "meet off the rows": [(1, 6)],
-    "no rows": [(0, 0)],
+    "no rows": [(0, 1)],
 }
 
 
@@ -1014,9 +1040,9 @@ def test_reduced_lp_is_the_full_lp(monkeypatch, case):
         for r in _REDUCTION_CASES[case](mode, eps):
             assert r.lp_shape is not None
     shapes = {"float": [], "rational": []}
-    for f, mode, rows, n_labels, meet, sol, stats in records:
-        full = _full_lp(f, n_labels, rows, meet)
-        _check_equitable(f, rows, n_labels, meet, mode, stats, full)
+    for f, mode, rows, n_labels, sol, stats in records:
+        full = _full_lp(f, n_labels, rows)
+        _check_equitable(f, rows, n_labels, mode, stats, full)
         _check_full_solution(mode, rows, sol, full)
         shapes[mode].append(stats["lp_shape"])
     assert shapes["float"] == shapes["rational"]
@@ -1060,9 +1086,9 @@ def test_reduction_is_exact_on_random_tables(monkeypatch):
             for z in range(z_size):
                 if f.preimage(z):
                     srec(f, e, z, mode), rect_dual(f, e, z, mu, mode)
-        for g, mode, rows, n_labels, meet, sol, stats in records:
-            full = _full_lp(g, n_labels, rows, meet)
-            _check_equitable(g, rows, n_labels, meet, mode, stats, full)
+        for g, mode, rows, n_labels, sol, stats in records:
+            full = _full_lp(g, n_labels, rows)
+            _check_equitable(g, rows, n_labels, mode, stats, full)
             _check_full_solution(mode, rows, sol, full)
 
     check()
@@ -1196,23 +1222,23 @@ def test_float_and_rational_lps_keep_apart(monkeypatch, first):
         assert solved[:2] == [(np.dtype(np.float64), "float")] * 2
 
 
-def test_memo_hit_checks_the_full_shape(monkeypatch):
-    # A memo hit checks the caps against the full LP's shape, read from its
-    # entry, before anything is solved: GT,2's bprt is 450 vars x 32 rows,
-    # solved at 240 x 20.
+def test_memo_hit_checks_the_reduced_shape(monkeypatch):
+    # The memo holds no caps: a hit is checked by lp_solve on the reduced
+    # shape, so an entry built under higher caps is refused under lower
+    # ones.  GT,2's bprt is solved at 20 x 240 (32 x 450 at full size).
     monkeypatch.setattr(bounds, "_MEMO", {})
     gt = make_function("GT,2")
     assert bprt(gt, 0.1).lp_shape == (20, 240)
     assert len(bounds._MEMO) == 1
 
     def refuse(*args):
-        raise AssertionError("called on a memo hit over the caps")
+        raise AssertionError("refinement ran on a memo hit")
 
-    monkeypatch.setattr(bounds, "lp_solve", refuse)
-    monkeypatch.setattr(bounds, "_rects_meeting", refuse)
-    for caps in (Caps(lp_vars_float=449), Caps(lp_rows_float=31), Caps(rect_side=3)):
+    monkeypatch.setattr(bounds, "_classes", refuse)
+    for caps in (Caps(lp_vars_float=239), Caps(lp_rows_float=19), Caps(rect_side=3)):
         with pytest.raises(CapacityError):
             bprt(gt, 0.2, caps=caps)
+    assert bprt(gt, 0.2, caps=Caps(lp_vars_float=240)).lp_shape == (20, 240)
 
 
 def test_rational_matches_float():

@@ -1,6 +1,7 @@
 """CLI contract: CSV output, determinism, exit codes, atomic writes."""
 
 import math
+import re
 import time
 
 import pytest
@@ -91,6 +92,25 @@ def test_bounds_capacity_exceeded(capsys, tmp_path):
     path.write_text(f.to_text())
     code, _, err = _run(capsys, "bounds", "--fn", str(path), "--bound", "prt")
     assert code == EXIT_CAPACITY
+
+
+def test_bounds_n3_at_default_caps(capsys):
+    # EQ,3's LPs fold to a few hundred vars, so every LP bound runs at the
+    # default caps: bprt, prt, one srec and one rect per label.
+    code, out, _ = _run(capsys, "bounds", "--fn", "corpus:EQ,3", "--bound", "bprt,prt,srec,rect")
+    assert code == EXIT_OK
+    lines = out.strip().split("\n")[1:]
+    assert len(lines) == 6 and all(line.endswith("optimal") for line in lines)
+    assert [_csv_value(line) for line in lines[:2]] == [pytest.approx(11.5, abs=1e-9)] * 2
+
+
+def test_bounds_over_the_caps_names_the_reduced_shape(capsys):
+    # GT,3's bprt reduces to 72 x 65,280, past the 50,000-var float cap:
+    # refused, naming at least that many vars.
+    code, _, err = _run(capsys, "bounds", "--fn", "corpus:GT,3", "--bound", "bprt")
+    assert code == EXIT_CAPACITY
+    num_vars = re.search(r"(\d+) vars x (\d+) rows", err)
+    assert num_vars and int(num_vars[1]) >= 65_280
 
 
 @pytest.mark.parametrize("raw", ["rect_side=-1", "no_such_cap=3"])

@@ -62,6 +62,22 @@ def test_ghd_promise_gap():
         make_function("GHD,2,0")
 
 
+def test_ghd_gap_is_a_multiple_of_one_half():
+    # GHD,3,0.5 is the smallest n = 3 gap: distance <= 1 gives 0 and >= 2
+    # gives 1, a total table.  1.5 leaves n = 2 an empty promise, and a gap
+    # off the half-integers is refused, not truncated.
+    half = make_function("GHD,3,0.5")
+    assert len(half.domain()) == 64
+    assert [half.value(0, y) for y in (0b000, 0b001, 0b011, 0b111)] == [0, 0, 1, 1]
+    for spec in ("GHD,2,1.5", "GHD,3,0.3", "GHD,3,1.25", "GHD,2,-0.5"):
+        with pytest.raises(ParameterError):
+            make_function(spec)
+    # Integer gaps are unchanged: GHD,3,1 is 0 at distance 0, 1 at 3.
+    one = make_function("GHD,3,1")
+    assert make_function("GHD,3,1.0") == one
+    assert [one.value(0, y) for y in (0b000, 0b001, 0b011, 0b111)] == [0, None, None, 1]
+
+
 def test_function_family_errors():
     with pytest.raises(ParameterError):
         make_function("XOR,1")

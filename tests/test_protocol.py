@@ -186,9 +186,10 @@ def test_commprot_round_trip():
             )
 
 
-def _chain(depth: int) -> ProtocolTree:
-    """A protocol whose one-branches nest `depth` nodes deep."""
-    root = Leaf(1)
+def _chain(depth: int, last: int = 1) -> ProtocolTree:
+    """A protocol whose one-branches nest `depth` nodes deep, down to a
+    leaf with output `last`."""
+    root = Leaf(last)
     for level in range(depth):
         root = Node("AB"[level % 2], (0.5, 0.25), Leaf(0), root)
     return ProtocolTree(root, 2, 2, 2)
@@ -260,10 +261,19 @@ def test_commprot_cut_short_is_a_format_error_before_a_bad_owner():
 
 
 def test_commprot_depth_limit():
-    # Compare texts, since == on a tree 500 levels deep recurses past the limit.
     text = _chain(500).to_text()
+    assert ProtocolTree.from_text(text) == _chain(500)
     assert ProtocolTree.from_text(text).to_text() == text
     for depth in (501, 5000):
         body = "(node owner=A p1=(0.5 0.5) zero=(leaf z=0) one=" * depth + "(leaf z=1)" + ")" * depth
         with pytest.raises(FormatError, match="protocol tree deeper than 500 levels"):
             ProtocolTree.from_text(f"COMMPROT 1\n2 2 2\n{body}\n")
+
+
+def test_deep_trees_compare_without_recursion():
+    # == walks both trees with an explicit stack: 500-level chains compare
+    # equal, and unequal when only their deepest leaf or their sizes differ.
+    assert _chain(500) == _chain(500)
+    assert _chain(500) != _chain(500, last=0)
+    assert _chain(500) != ProtocolTree(_chain(500).root, 2, 2, 3)
+    assert _chain(3) != _chain(4)
