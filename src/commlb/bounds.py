@@ -322,25 +322,25 @@ class _Classes:
     """One weight-form LP reduced over the classes of an equitable partition
     of its rows and (rectangle, label) columns, ready to solve in one
     arithmetic: one row per row class and one column per column class,
-    classes numbered in the order of their first member, and the lists that
-    expand a reduced solution to the full LP.  The arrays are read-only,
-    float64 in float mode and ints and Fractions (object) in rational mode."""
+    classes numbered in the order of their first member, and the int32
+    arrays that expand a reduced solution to the full LP.  The arrays are
+    read-only; the LP's are float64 in float mode and ints and Fractions
+    (object) in rational mode."""
 
     objective: np.ndarray  # the size of each column class
     matrix: np.ndarray  # row class x column class: a member row summed over the column class
     relations: tuple  # the relation of each row class
     reps: list  # the first row of each row class, whose rhs is the class's
-    columns: list  # the reduced column of each full column
-    row_class: list  # the class of each row
-    row_share: list  # the size of each row's class
+    columns: np.ndarray  # the reduced column of each full column
+    row_class: np.ndarray  # the class of each row
+    row_share: np.ndarray  # the size of each row's class
 
     @property
     def nbytes(self) -> int:
-        """The bytes the entry's arrays and sequences hold: an array at its
-        nbytes (an object array at pointer size per entry, not the numbers it
-        points to), and a list or tuple at pointer size per item."""
-        return sum(v.nbytes if isinstance(v, np.ndarray) else 8 * len(v)
-                   for v in vars(self).values())
+        """The bytes the entry's arrays hold (an object array at pointer size
+        per entry, not the numbers it points to); the per-row-class
+        `relations` and `reps` are not counted."""
+        return sum(v.nbytes for v in vars(self).values() if isinstance(v, np.ndarray))
 
 
 def _weight_form(
@@ -375,22 +375,21 @@ def _weight_form(
     reduced = lp_solve(problem, mode, caps)
     if reduced.status != "optimal":
         raise SolverError(f"{name} LP terminated {reduced.status}")
-    w, y = reduced.primal, reduced.dual
-    primal = tuple([w[o] for o in lp.columns])
+    w, y = np.fromiter(reduced.primal, lp.matrix.dtype, len(reduced.primal)), reduced.dual
+    primal = tuple(w[lp.columns].tolist())
     dual = tuple([y[q] / size if size > 1 else y[q]
-                  for q, size in zip(lp.row_class, lp.row_share)])
+                  for q, size in zip(lp.row_class.tolist(), lp.row_share.tolist())])
     sol = dataclasses.replace(reduced, primal=primal, dual=dual)
     dual_value = sum(d * b for d, b in zip(dual, rhs))
     gap = abs(sol.objective_value - dual_value)
     limit = 0 if mode == "rational" else _GAP_TOL
     if gap > limit:
         raise SolverError(f"{name}: primal/dual gap {float(gap)} exceeds {limit}")
-    # The support of the reduced primal, member by member.
-    picked = [j for j, o in enumerate(lp.columns) if w[o]]
-    rects = np.array(picked, int) // n_labels
+    picked = w.astype(bool)[lp.columns].nonzero()[0]  # the support, member by member
+    rects = picked // n_labels
     row_masks, col_masks, _ = _rect_incidence(f.x_size, f.y_size)
     support = [(Rectangle(r, c), j % n_labels, primal[j]) for r, c, j in
-               zip(row_masks[rects].tolist(), col_masks[rects].tolist(), picked)]
+               zip(row_masks[rects].tolist(), col_masks[rects].tolist(), picked.tolist())]
     return sol, support, dual_value, {"lp_shape": lp.matrix.shape, "pivots": reduced.pivots}
 
 
@@ -536,9 +535,10 @@ def _classes(x_size: int, y_size: int, n_labels: int, rows: tuple, mode: str,
     objective = np.bincount(column, minlength=n_classes).astype(
         float if mode == "float" else object)
     matrix = _reduced_matrix(counts, [rows[i][2] for i in reps], mode)
-    objective.flags.writeable = matrix.flags.writeable = False
-    return _Classes(objective, matrix, tuple(rows[i][0] for i in reps), reps,
-                    column.tolist(), row.tolist(), np.bincount(row)[row].tolist())
+    expansion = [a.astype(np.int32) for a in (column, row, np.bincount(row)[row])]
+    for array in (objective, matrix, *expansion):
+        array.flags.writeable = False
+    return _Classes(objective, matrix, tuple(rows[i][0] for i in reps), reps, *expansion)
 
 
 def _class_ids(key: np.ndarray) -> np.ndarray:

@@ -771,7 +771,9 @@ def verify_compression(
     (X, Y, original output) and (X, Y, run output | not abort) is at most
     delta.  In paper-exact mode a failure is a defect; under overrides the
     report is informational.  In MC mode the cells' laws share one coin
-    block; each per-input check is still valid on its own.
+    block; each per-input check is still valid on its own.  The collision
+    bound is checked only on the DP's exact collision mass: its pass is None
+    under overrides and in MC mode, which computes none.
     """
     if not (0 < delta < 1):
         raise ParameterError("delta must lie in (0, 1)")
@@ -786,7 +788,7 @@ def verify_compression(
         mc_laws = _mc_laws(pi, mu, params, xs, ys, mc_samples, seed)
     reports = []
     run_laws: dict[tuple[int, int], tuple[list[float], float]] = {}
-    collision_ok: bool | None = True if params.mode == "paper-exact" else None
+    collision_ok: bool | None = True if params.mode == "paper-exact" and engine == "dp" else None
     for x, y in cells:
         if engine == "dp":
             law = exact_output_distribution(pi, mu, x, y, params, caps)
@@ -801,9 +803,8 @@ def verify_compression(
         eq5 = not_abort <= (1 + delta) * lam + (tol if engine == "dp" else 5 * (se or 0))
         reports.append(InputReport(x, y, not_abort, eq5, collision, se))
         run_laws[(x, y)] = (out, not_abort)
-        if collision_ok is not None and engine == "dp":
-            if collision > (delta / 16) * lam + tol:
-                collision_ok = False
+        if collision_ok and collision > (delta / 16) * lam + tol:
+            collision_ok = False
 
     aggregate = sum(float(mu.prob(x, y)) * run_laws[(x, y)][1] for x, y in cells)
     eq6 = aggregate >= (1 - delta) * lam - (tol if engine == "dp" else 0.0)

@@ -175,27 +175,33 @@ def _revised_simplex(problem: LpProblem, exact: bool) -> tuple[LpSolution, list[
     m, n = problem.matrix.shape
     sign = 1 if problem.sense == "min" else -1  # minimize sign * c.x
     if exact:
-        A, b, c = (_exact_array(v) for v in (problem.matrix, problem.rhs, problem.objective))
+        b, c = (_exact_array(v) for v in (problem.rhs, problem.objective))
         num, zero, one, path = Fraction, Fraction(0), Fraction(1), "exact"
         feas_tol = zero_tol = gain_tol = 0
     else:
-        A, b, c = (v.astype(float) for v in (problem.matrix, problem.rhs, problem.objective))
+        b, c = (v.astype(float) for v in (problem.rhs, problem.objective))
         num, zero, one, path = float, 0.0, 1.0, "float"
         feas_tol, zero_tol, gain_tol = _FEAS_TOL, 1e-7, 1e-12
-        # Equilibrate the columns; the primal is divided by `scales` at the end.
-        scales = np.maximum(abs(A).max(axis=0, initial=0.0), abs(c))
-        scales[scales == 0] = 1.0
-        A /= scales
-        c /= scales
     flip = b < 0
-    A, b = np.where(flip[:, None], -A, A), np.where(flip, -b, b)
+    b = np.where(flip, -b, b)
     rels = [{"<=": ">=", ">=": "<="}.get(r, r) if f else r for r, f in zip(problem.relations, flip)]
 
     slack_rows = [i for i, rel in enumerate(rels) if rel != "="]
     art = n + len(slack_rows)  # the artificial of row i is column art + i
     total = art + m  # artificials for every row keep the first basis the identity
-    ext = np.full((m, total), zero, dtype=A.dtype)
-    ext[:, :n] = A
+    # The one working copy of the matrix: A, a view of ext, is scaled and flipped in place.
+    ext = np.full((m, total), zero, dtype=c.dtype)
+    A = ext[:, :n]
+    A[:] = _exact_array(problem.matrix) if exact else problem.matrix
+    if not exact:
+        # Equilibrate the columns; the primal is divided by `scales` at the end.
+        scales = np.maximum(A.max(axis=0, initial=0.0), -A.min(axis=0, initial=0.0))
+        np.maximum(scales, abs(c), out=scales)
+        scales[scales == 0] = 1.0
+        A /= scales
+        c /= scales
+    if flip.any():  # the masked pass reads the whole matrix
+        np.negative(A, out=A, where=flip[:, None])
     ext[slack_rows, range(n, art)] = [one if rels[i] == "<=" else -one for i in slack_rows]
     ext[range(m), range(art, total)] = one
     basis = np.arange(art, total)  # '<=' rows start with their slack basic

@@ -7,8 +7,9 @@ guarantee (7), the information-cost lower-bound inequality (8) and its
 strategy-extraction construction (9), the conditional-distance property (10),
 and the two-path information-cost cross-check (11).
 
-Each check returns a CheckResult; ``run_checks`` evaluates a filtered subset
-and is deterministic for a fixed seed.
+Each check returns (passed, detail).  ``run_checks`` holds the one ordered
+table of checks, numbers each by its place there and builds its CheckResult;
+it evaluates a filtered subset and is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ from . import bounds as bnd
 from . import compression as cmp
 from . import corpus as cps
 from .caps import Caps, default_caps
-from .core import FiniteDistribution, bad_set, kl_divergence, stat_distance
+from .core import FiniteDistribution, InputDistribution, bad_set, kl_divergence, stat_distance
 from .protocol import Leaf, Node, ProtocolTree, information_cost, protocol_error
-from .core import InputDistribution
 
-__all__ = ["CheckResult", "run_checks", "CHECK_NAMES"]
+__all__ = ["CheckResult", "run_checks"]
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def _random_mu(rng: random.Random, nx: int = 2, ny: int = 2) -> InputDistributio
 # ---------------------------------------------------------------------------
 
 
-def check_accept_identity(seed: int = 0, instances: int = 500) -> CheckResult:
+def check_accept_identity(seed: int = 0, instances: int = 500) -> tuple[bool, str]:
     """Exact per-party acceptance probability 1/(|U| 2^delta_exp)."""
     rng = random.Random(seed)
     worst_float = 0.0
@@ -107,11 +107,9 @@ def check_accept_identity(seed: int = 0, instances: int = 500) -> CheckResult:
         table = cmp.experiment_probabilities(inp)
         expected = Fraction(1, inp.universe_size * 2**int(inp.delta_exp))
         if table.alice_accept_total() != expected:
-            return CheckResult(1, "accept-identity", False,
-                               f"alice total != {expected}")
+            return False, f"alice total != {expected}"
         if table.bob_accept_total() != expected:
-            return CheckResult(1, "accept-identity", False,
-                               f"bob total != {expected}")
+            return False, f"bob total != {expected}"
         finp = cmp.ExperimentInputs(
             tuple(map(float, inp.p_a)), tuple(map(float, inp.q_a)),
             tuple(map(float, inp.p_b)), tuple(map(float, inp.q_b)),
@@ -124,15 +122,11 @@ def check_accept_identity(seed: int = 0, instances: int = 500) -> CheckResult:
             abs(float(ftab.bob_accept_total()) - float(expected)),
         )
         if worst_float > 1e-12:
-            return CheckResult(1, "accept-identity", False,
-                               f"float deviation {worst_float}")
-    return CheckResult(
-        1, "accept-identity", True,
-        f"{instances} instances exact; max float deviation {worst_float:.2e}",
-    )
+            return False, f"float deviation {worst_float}"
+    return True, f"{instances} instances exact; max float deviation {worst_float:.2e}"
 
 
-def check_accept_bounds(seed: int = 0, instances: int = 500) -> CheckResult:
+def check_accept_bounds(seed: int = 0, instances: int = 500) -> tuple[bool, str]:
     """Both-accept probability bracketed by the bad-set mass, and the
     accepted-output law within gamma of the target."""
     rng = random.Random(seed)
@@ -149,17 +143,15 @@ def check_accept_bounds(seed: int = 0, instances: int = 500) -> CheckResult:
         gamma = tau_d.mass(bad)
         denom = inp.universe_size * 2 ** (2 * d)
         if not (Fraction(1 - gamma, denom) <= accept <= Fraction(1, denom)):
-            return CheckResult(2, "accept-bounds", False,
-                               f"accept {accept} outside bracket, gamma={gamma}")
+            return False, f"accept {accept} outside bracket, gamma={gamma}"
         if accept > 0:
             tau_prime = FiniteDistribution(tuple(b / accept for b in table.both))
             if stat_distance(tau_d, tau_prime) > gamma:
-                return CheckResult(2, "accept-bounds", False,
-                                   "output law further than gamma from target")
-    return CheckResult(2, "accept-bounds", True, f"{instances} instances exact")
+                return False, "output law further than gamma from target"
+    return True, f"{instances} instances exact"
 
 
-def check_bad_set_bound(seed: int = 0, instances: int = 1000) -> CheckResult:
+def check_bad_set_bound(seed: int = 0, instances: int = 1000) -> tuple[bool, str]:
     """tau(Bad) <= (D(tau||nu) + 1) / delta_exp on random pairs."""
     rng = random.Random(seed)
     worst = -math.inf
@@ -175,85 +167,63 @@ def check_bad_set_bound(seed: int = 0, instances: int = 1000) -> CheckResult:
         limit = (kl_divergence(tau, nu) + 1) / d
         worst = max(worst, mass - limit)
         if mass > limit + 1e-12:
-            return CheckResult(3, "bad-set-bound", False,
-                               f"mass {mass} exceeds {limit}")
-    return CheckResult(3, "bad-set-bound", True,
-                       f"{instances} pairs, worst margin {worst:.3e}")
+            return False, f"mass {mass} exceeds {limit}"
+    return True, f"{instances} pairs, worst margin {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
-# Checks 4-5: bound chain and LP duality (shared corpus sweep)
+# Checks 4-5: bound chain and LP duality over the corpus
 # ---------------------------------------------------------------------------
 
 _EPS_GRID = (0.0, 0.05, 0.1, 0.25)
-_sweep_cache: dict[Caps, list] = {}
 
 
-def _corpus_sweep(caps: Caps) -> list:
-    if caps in _sweep_cache:
-        return _sweep_cache[caps]
-    rows = []
-    for label, f in cps.corpus_functions():
-        mu = cps.make_distribution("uniform", f)
-        for eps in _EPS_GRID:
-            results = [
-                bnd.bprt(f, eps, "float", caps),
-                bnd.prt(f, eps, "float", caps),
-                bnd.bprt_mu(f, mu, eps, "float", caps),
-            ]
-            srecs = {}
-            for z in range(f.z_size):
-                if f.preimage(z):
-                    srecs[z] = bnd.srec(f, eps, z, "float", caps)
-                    results.append(srecs[z])
-                    results.append(bnd.rect_dual(f, eps, z, None, "float", caps))
-            rows.append((label, f, eps, results, srecs))
-    _sweep_cache[caps] = rows
-    return rows
-
-
-def check_chain(caps: Caps | None = None, perturb: bool = False) -> CheckResult:
-    """srec <= bprt <= prt (and 1 - eps <= bprt) across the corpus, plus the
-    two pinned exact rational values."""
-    caps = caps or default_caps()
-    tol = 1e-6
+def check_chain(caps: Caps, perturb: bool = False) -> tuple[bool, str]:
+    """`bounds.verify_bound_chain` (srec <= bprt <= prt and 1 - eps <= bprt)
+    on every corpus function and eps, plus the two pinned exact rational
+    values."""
     shift = 1e-3 if perturb else 0.0  # self-test hook: breaks the ordering
-    for label, f, eps, results, srecs in _corpus_sweep(caps):
-        failures = bnd._chain_failures(
-            eps, float(results[0].value) + shift, float(results[1].value),
-            [(z, float(s.value)) for z, s in srecs.items()], tol,
-        )
-        if failures:
-            return CheckResult(4, "bound-chain", False, f"{label} eps={eps}: {failures[0]}")
+    for label, f in cps.corpus_functions():
+        for eps in _EPS_GRID:
+            r = bnd.verify_bound_chain(f, eps, "float", caps)
+            failures = bnd._chain_failures(
+                r.eps, r.bprt_value + shift, r.prt_value, r.srec_values, r.tol)
+            if failures:
+                return False, f"{label} eps={eps}: {failures[0]}"
     eq1 = cps.make_function("corpus:EQ,1")
     if bnd.prt(eq1, Fraction(0), "rational", caps).value != 4:
-        return CheckResult(4, "bound-chain", False, "prt_0(EQ_1) != 4 exactly")
+        return False, "prt_0(EQ_1) != 4 exactly"
     const = cps.make_function("corpus:CONST,1")
     for eps in (Fraction(0), Fraction(1, 20), Fraction(1, 10), Fraction(1, 4)):
         if bnd.bprt(const, eps, "rational", caps).value != 1 - eps:
-            return CheckResult(4, "bound-chain", False,
-                               f"bprt_{eps}(CONST) != {1 - eps} exactly")
-    return CheckResult(4, "bound-chain", True,
-                       "8 functions x 4 eps ordered; pinned rational values exact")
+            return False, f"bprt_{eps}(CONST) != {1 - eps} exactly"
+    return True, "8 functions x 4 eps ordered; pinned rational values exact"
 
 
-def check_duality(caps: Caps | None = None) -> CheckResult:
-    """Primal and dual objectives agree on every LP of the corpus sweep."""
-    caps = caps or default_caps()
+def check_duality(caps: Caps) -> tuple[bool, str]:
+    """Primal and dual objectives agree on every corpus LP: bprt, prt and
+    uniform bprt_mu, and srec and rect_dual per label with a nonempty
+    preimage, at each eps."""
     worst = 0.0
     count = 0
-    for label, f, eps, results, _ in _corpus_sweep(caps):
-        for res in results:
-            if res.dual_value is None:
-                continue
-            gap = abs(float(res.value) - float(res.dual_value))
-            worst = max(worst, gap)
-            count += 1
-            if gap > 1e-6:
-                return CheckResult(5, "lp-duality", False,
-                                   f"{label} eps={eps} {res.bound_name}: gap {gap}")
-    return CheckResult(5, "lp-duality", True,
-                       f"{count} LPs, worst primal/dual gap {worst:.2e}")
+    for label, f in cps.corpus_functions():
+        mu = cps.make_distribution("uniform", f)
+        for eps in _EPS_GRID:
+            results = [bnd.bprt(f, eps, "float", caps), bnd.prt(f, eps, "float", caps),
+                       bnd.bprt_mu(f, mu, eps, "float", caps)]
+            for z in range(f.z_size):
+                if f.preimage(z):
+                    results += [bnd.srec(f, eps, z, "float", caps),
+                                bnd.rect_dual(f, eps, z, None, "float", caps)]
+            for res in results:
+                if res.dual_value is None:
+                    continue
+                gap = abs(float(res.value) - float(res.dual_value))
+                worst = max(worst, gap)
+                count += 1
+                if gap > 1e-6:
+                    return False, f"{label} eps={eps} {res.bound_name}: gap {gap}"
+    return True, f"{count} LPs, worst primal/dual gap {worst:.2e}"
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +231,13 @@ def check_duality(caps: Caps | None = None) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_dp_vs_mc(
-    samples: int = 10_000_000, seed: int = 0, caps: Caps | None = None
-) -> CheckResult:
+def check_dp_vs_mc(samples: int, seed: int, caps: Caps) -> tuple[bool, str]:
     """Exact DP law within 5 binomial standard errors of a large Monte Carlo
     run, per input, at small override parameters.
 
     All four inputs' MC laws are read off one coin block, so the cells share
     coins.  Each TV test is made per cell against that cell's own law and
     standard error, so each is still valid on its own."""
-    caps = caps or default_caps()
     pi = cps.make_protocol("noisy_bit", flip=0.25)
     f = cps.make_function("corpus:EQ,1")
     mu = cps.make_distribution("uniform", f)
@@ -284,19 +251,17 @@ def check_dp_vs_mc(
         limit = 5 * mc.max_standard_error()
         worst_ratio = max(worst_ratio, tv / limit)
         if tv > limit:
-            return CheckResult(6, "dp-vs-mc", False, f"input ({x},{y}): TV {tv} > {limit}")
+            return False, f"input ({x},{y}): TV {tv} > {limit}"
     # The cells share one coin block, so every law counts the same candidates.
     share = mc.candidates / (samples * params.trials)
-    return CheckResult(6, "dp-vs-mc", True,
-                       f"{samples} samples/input, worst TV/limit {worst_ratio:.2f}, "
-                       f"candidate trials {share:.1%}")
+    return True, (f"{samples} samples/input, worst TV/limit {worst_ratio:.2f}, "
+                  f"candidate trials {share:.1%}")
 
 
-def check_compression_guarantee(caps: Caps | None = None) -> CheckResult:
+def check_compression_guarantee(caps: Caps) -> tuple[bool, str]:
     """Exact verification of the three compression inequalities and the
     collision bound at delta = 0.9, 0.7 and 0.5 on the noisy-bit protocol
     with derived parameters (T up to 4.76e10)."""
-    caps = caps or default_caps()
     pi = cps.make_protocol("noisy_bit", flip=0.25)
     f = cps.make_function("corpus:EQ,1")
     mu = cps.make_distribution("uniform", f)
@@ -309,16 +274,13 @@ def check_compression_guarantee(caps: Caps | None = None) -> CheckResult:
             caps=caps.with_overrides(dp_trials=max(caps.dp_trials, params.trials)),
         )
         if not report.all_pass or report.collision_bound_pass is False:
-            return CheckResult(
-                7, "compression-guarantee", False,
-                f"delta={delta}: eq4={report.eq4_pass} eq5={report.eq5_pass} "
-                f"eq6={report.eq6_pass} collision={report.collision_bound_pass}",
-            )
+            return False, (f"delta={delta}: eq4={report.eq4_pass} eq5={report.eq5_pass} "
+                           f"eq6={report.eq6_pass} collision={report.collision_bound_pass}")
         parts.append(
             f"delta={delta} T={params.trials} "
             f"agg/lambda={report.aggregate_not_abort / params.lambda_:.4f}"
         )
-    return CheckResult(7, "compression-guarantee", True, "; ".join(parts))
+    return True, "; ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +288,9 @@ def check_compression_guarantee(caps: Caps | None = None) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_ic_lower_bound(caps: Caps | None = None) -> CheckResult:
+def check_ic_lower_bound(caps: Caps) -> tuple[bool, str]:
     """IC >= (delta^2/64)(log2 bprt_mu at eps+3delta - log2 |Z|) - delta on
     every corpus triple."""
-    caps = caps or default_caps()
     count = 0
     closest = math.inf
     for label, f, mu, pi in cps.corpus_triples():
@@ -347,19 +308,16 @@ def check_ic_lower_bound(caps: Caps | None = None) -> CheckResult:
             if rhs > -math.inf:
                 closest = min(closest, ic - rhs)
             if ic < rhs - 1e-9:
-                return CheckResult(8, "ic-lower-bound", False,
-                                   f"{label} delta={delta}: IC {ic} < {rhs}")
-    return CheckResult(8, "ic-lower-bound", True,
-                       f"{count} (triple, delta) cases, min slack {closest:.4f}")
+                return False, f"{label} delta={delta}: IC {ic} < {rhs}"
+    return True, f"{count} (triple, delta) cases, min slack {closest:.4f}"
 
 
-def check_extraction(seed: int = 0, caps: Caps | None = None) -> CheckResult:
+def check_extraction(seed: int, caps: Caps) -> tuple[bool, str]:
     """Strategy extraction on trivial_const over CONST,1 at delta = 0.3 and
     overrides (2, 3, 1), where the correctness threshold is positive and
     about 12 % of runs do not abort: exact weight normalization, correctness
     and coverage consistent with eta within 3 SE, and coverage within 5 SE
     of the exact not-abort mass over |Z|."""
-    caps = caps or default_caps()
     delta = 0.3
     pi = cps.make_protocol("trivial_const", z=1)
     f = cps.make_function("corpus:CONST,1")
@@ -371,22 +329,16 @@ def check_extraction(seed: int = 0, caps: Caps | None = None) -> CheckResult:
     exact = max(cmp.exact_output_distribution(pi, mu, x, y, params, caps).not_abort
                 for x in range(f.x_size) for y in range(f.y_size)) / f.z_size
     if rep.weight_total != 1:
-        return CheckResult(9, "extraction", False,
-                           f"weights sum to {rep.weight_total}, not 1")
+        return False, f"weights sum to {rep.weight_total}, not 1"
     if rep.correctness_lhs < rep.correctness_threshold - 3 * rep.correctness_se:
-        return CheckResult(9, "extraction", False,
-                           f"correctness {rep.correctness_lhs} below threshold")
+        return False, f"correctness {rep.correctness_lhs} below threshold"
     if rep.max_coverage > rep.eta_target + 3 * rep.coverage_se:
-        return CheckResult(9, "extraction", False,
-                           f"coverage {rep.max_coverage} above eta {rep.eta_target}")
+        return False, f"coverage {rep.max_coverage} above eta {rep.eta_target}"
     if abs(rep.max_coverage - exact) > 5 * rep.coverage_se:
-        return CheckResult(9, "extraction", False,
-                           f"coverage {rep.max_coverage} not within 5 SE of exact {exact}")
-    return CheckResult(
-        9, "extraction", True,
-        f"{rep.seeds} seeds, {len(strategy.entries)} entries, coverage {rep.max_coverage:.5f}"
-        f" +- {rep.coverage_se:.5f} vs exact {exact:.5f}, eta {rep.eta_target:.4f}",
-    )
+        return False, f"coverage {rep.max_coverage} not within 5 SE of exact {exact}"
+    return True, (f"{rep.seeds} seeds, {len(strategy.entries)} entries, coverage "
+                  f"{rep.max_coverage:.5f} +- {rep.coverage_se:.5f} vs exact {exact:.5f}, "
+                  f"eta {rep.eta_target:.4f}")
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +346,7 @@ def check_extraction(seed: int = 0, caps: Caps | None = None) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_conditional_distance(seed: int = 0, instances: int = 1000) -> CheckResult:
+def check_conditional_distance(seed: int = 0, instances: int = 1000) -> tuple[bool, str]:
     """|Pi'_H - Pi| <= c + Pr[F]/Pr[H] on random finite spaces, with the
     precondition made true by choosing c as the measured distance on H - F."""
     rng = random.Random(seed)
@@ -424,12 +376,11 @@ def check_conditional_distance(seed: int = 0, instances: int = 1000) -> CheckRes
             pi_dist, weights, value_map, event_f, event_h, c
         )
         if not holds:
-            return CheckResult(10, "conditional-distance", False,
-                               f"measured {measured} > bound {limit}")
-    return CheckResult(10, "conditional-distance", True, f"{instances} spaces")
+            return False, f"measured {measured} > bound {limit}"
+    return True, f"{instances} spaces"
 
 
-def check_ic_paths(seed: int = 0, instances: int = 200) -> CheckResult:
+def check_ic_paths(seed: int = 0, instances: int = 200) -> tuple[bool, str]:
     """Both information-cost computations agree, and 0 <= IC <= depth."""
     rng = random.Random(seed)
     for _ in range(instances):
@@ -437,31 +388,13 @@ def check_ic_paths(seed: int = 0, instances: int = 200) -> CheckResult:
         mu = _random_mu(rng)
         ic = information_cost(pi, mu)  # raises if the two paths disagree
         if not (0 <= ic <= pi.depth + 1e-9):
-            return CheckResult(11, "ic-paths", False,
-                               f"IC {ic} outside [0, depth={pi.depth}]")
-    return CheckResult(11, "ic-paths", True,
-                       f"{instances} random (tree, distribution) pairs")
+            return False, f"IC {ic} outside [0, depth={pi.depth}]"
+    return True, f"{instances} random (tree, distribution) pairs"
 
 
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
-
-CHECK_NAMES = (
-    "accept-identity",
-    "accept-bounds",
-    "bad-set-bound",
-    "bound-chain",
-    "lp-duality",
-    "dp-vs-mc",
-    "compression-guarantee",
-    "ic-lower-bound",
-    "extraction",
-    "conditional-distance",
-    "ic-paths",
-)
-
-_ONLY_ALIASES = {"chain": "bound-chain", "duality": "lp-duality"}
 
 
 def run_checks(
@@ -471,24 +404,22 @@ def run_checks(
     seed: int = 0,
     caps: Caps | None = None,
 ) -> list[CheckResult]:
+    """The checks whose name contains `only` (all by default), in battery
+    order, each numbered by its place in the full battery."""
     caps = caps or default_caps()
-    wanted = _ONLY_ALIASES.get(only, only)
-    runners = {
-        "accept-identity": lambda: check_accept_identity(seed),
-        "accept-bounds": lambda: check_accept_bounds(seed),
-        "bad-set-bound": lambda: check_bad_set_bound(seed),
-        "bound-chain": lambda: check_chain(caps, perturb),
-        "lp-duality": lambda: check_duality(caps),
-        "dp-vs-mc": lambda: check_dp_vs_mc(mc_samples, seed, caps),
-        "compression-guarantee": lambda: check_compression_guarantee(caps),
-        "ic-lower-bound": lambda: check_ic_lower_bound(caps),
-        "extraction": lambda: check_extraction(seed, caps),
-        "conditional-distance": lambda: check_conditional_distance(seed),
-        "ic-paths": lambda: check_ic_paths(seed),
-    }
-    results = []
-    for name in CHECK_NAMES:
-        if wanted is not None and wanted not in name:
-            continue
-        results.append(runners[name]())
-    return results
+    checks = (
+        ("accept-identity", lambda: check_accept_identity(seed)),
+        ("accept-bounds", lambda: check_accept_bounds(seed)),
+        ("bad-set-bound", lambda: check_bad_set_bound(seed)),
+        ("bound-chain", lambda: check_chain(caps, perturb)),
+        ("lp-duality", lambda: check_duality(caps)),
+        ("dp-vs-mc", lambda: check_dp_vs_mc(mc_samples, seed, caps)),
+        ("compression-guarantee", lambda: check_compression_guarantee(caps)),
+        ("ic-lower-bound", lambda: check_ic_lower_bound(caps)),
+        ("extraction", lambda: check_extraction(seed, caps)),
+        ("conditional-distance", lambda: check_conditional_distance(seed)),
+        ("ic-paths", lambda: check_ic_paths(seed)),
+    )
+    return [CheckResult(number, name, *run())
+            for number, (name, run) in enumerate(checks, 1)
+            if only is None or only in name]

@@ -1130,6 +1130,24 @@ def test_orbit_memo_is_bounded(monkeypatch):
         entry.matrix.size + entry.objective.size)
 
 
+def test_memo_entry_bytes_are_what_it_retains(monkeypatch):
+    # A memo miss on DISJ,3's float bprt, with the incidence warm, leaves
+    # the memo holding within 10 % of the entry's nbytes by tracemalloc:
+    # the expansion is int32 arrays, with no int object per column.
+    memo = {}
+    monkeypatch.setattr(bounds, "_MEMO", memo)
+    f = make_function("DISJ,3")
+    bounds._rect_incidence(f.x_size, f.y_size)
+    tracemalloc.start()
+    try:
+        bprt(f, 0.1)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    [entry] = memo.values()
+    assert abs(retained - entry.nbytes) <= 0.1 * entry.nbytes, (retained, entry.nbytes)
+
+
 # ---------------------------------------------------------------------------
 # The memoized reduced LP
 # ---------------------------------------------------------------------------

@@ -933,6 +933,18 @@ def test_verify_compression_paper_exact_trivial_protocol():
     assert report.eq4_distance <= 0.9
 
 
+def test_verify_compression_mc_reports_no_collision_result():
+    # MC computes no collision mass (each input's is NaN), so even at
+    # paper-exact parameters it reports no collision-bound result.
+    pi = make_protocol("trivial_const")
+    params = compression_parameters(0.9, 0.0, pi.universe_size)
+    assert params.mode == "paper-exact"
+    report = verify_compression(pi, make_function("CONST,1"), UNIFORM_2x2, 0.9, params,
+                                engine="mc", mc_samples=1000)
+    assert all(math.isnan(r.collision) for r in report.inputs)
+    assert report.collision_bound_pass is None
+
+
 def test_verify_compression_override_informational():
     pi = make_protocol("noisy_bit", flip=0.25)
     params = compression_parameters(0.5, 1.0, 2, overrides=(2, 10, 1))

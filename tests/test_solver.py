@@ -1,6 +1,7 @@
 """LP engine: optimality, duality, degeneracy, and exact-mode agreement."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -145,6 +146,27 @@ def test_badly_scaled_columns_match_rational():
             assert {"<=": lhs_i <= b_i + tol_i, ">=": lhs_i >= b_i - tol_i,
                     "=": abs(lhs_i - b_i) <= tol_i}[rel]
         assert np.dot(sol.dual, b) == pytest.approx(value, rel=1e-7, abs=1e-12)
+
+
+def test_float_simplex_holds_one_working_matrix():
+    # A 66 x 8,000 LP of 30 % 0/1 entries with every third row negated
+    # against rhs -1, so the simplex flips it back.  The float path scales
+    # and flips its one working copy in place: the solve peaks under 1.5
+    # times the matrix by tracemalloc (three copies before).
+    rng = np.random.default_rng(0)
+    matrix = (rng.random((66, 8000)) < 0.3).astype(float)
+    rhs = np.ones(66)
+    matrix[::3] *= -1
+    rhs[::3] = -1
+    problem = LpProblem("min", np.ones(8000), matrix, (">=",) * 66, rhs)
+    tracemalloc.start()
+    try:
+        sol = lp_solve(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.status == "optimal"
+    assert peak <= 1.5 * matrix.nbytes, peak / matrix.nbytes
 
 
 def test_degenerate_lp_terminates(fail_float_simplex):
