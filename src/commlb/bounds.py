@@ -55,7 +55,8 @@ single solves at full size through the same code.
 
 Every LP result carries both a primal and a dual witness and the two
 objective values are required to agree (1e-6 float, exact rational).  The
-chain 1 - eps <= srec <= bprt <= prt is checked by ``verify_bound_chain``.
+chain rect_z <= srec_z <= bprt <= prt, with 1 - eps <= bprt and uniform
+bprt_mu <= bprt, is checked by ``verify_bound_chain``.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ from .core import (
     _is_exact,
     check_rect_side,
 )
-from .errors import DegenerateInputError, DimensionError, ParameterError, SolverError
+from .errors import (CapacityError, DegenerateInputError, DimensionError, ParameterError,
+                     SolverError)
 from .solver import LpProblem, LpSolution, _exact, check_lp_caps, lp_solve
 
 __all__ = [
@@ -168,6 +170,8 @@ class BoundResult:
 
 @dataclass(frozen=True)
 class ChainReport:
+    """The chain of one (f, eps), its broken links, and every LP it solved."""
+
     eps: Number
     bprt_value: Number
     prt_value: Number
@@ -175,6 +179,7 @@ class ChainReport:
     tol: Number
     passed: bool
     failures: tuple[str, ...]
+    results: tuple[BoundResult, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +429,16 @@ def _lp_classes(f: PartialFunction, rows, n_labels: int, mode: str, caps: Caps) 
     memoized by value, by the LP's structure (`_lp_structure`: the function's
     labels, mu and the row layout, not eps) and `mode`, so that a float
     matrix never reaches a rational solve; an entry that alone exceeds
-    _MEMO_BYTES is returned but not kept."""
+    _MEMO_BYTES is returned but not kept.  A miss on more (rectangle, label)
+    columns than two labels have on a rect_side grid raises CapacityError."""
     check_rect_side(f.x_size, f.y_size, caps)
     key = (f.x_size, f.y_size, n_labels, _lp_structure(f, rows), mode)
     classes = _MEMO.get(key)
     if classes is None:
+        columns = (2**f.x_size - 1) * (2**f.y_size - 1) * n_labels
+        if columns > (limit := 2 * (2**caps.rect_side - 1) ** 2):
+            raise CapacityError(f"{columns} (rectangle, label) columns exceed the {limit} "
+                                "of two labels on a rect_side grid; raise rect_side to override")
         classes = _classes(*key, caps)
         if classes.nbytes <= _MEMO_BYTES:
             while _MEMO and (len(_MEMO) >= _MEMO_ENTRIES or classes.nbytes + sum(
@@ -741,36 +751,41 @@ def discrepancy(
 # ---------------------------------------------------------------------------
 
 
-def _chain_failures(eps, bprt_value, prt_value, srec_values, tol) -> list[str]:
-    """The broken links of 1 - eps <= bprt <= prt and srec_z <= bprt, given
-    srec as (z, value) pairs, each as a message."""
-    failures = []
-    if bprt_value < (1 - eps) - tol:
-        failures.append(f"bprt {float(bprt_value)} < 1 - eps")
-    if bprt_value > prt_value + tol:
-        failures.append(f"bprt {float(bprt_value)} > prt {float(prt_value)}")
-    return failures + [
-        f"srec_{z} {float(s)} > bprt {float(bprt_value)}"
-        for z, s in srec_values
-        if s > bprt_value + tol
-    ]
+def _chain_failures(eps, bprt_value, results, tol) -> list[str]:
+    """The broken links of 1 - eps <= bprt <= prt, bprt_mu <= bprt and
+    rect_z <= srec_z <= bprt, each as a message: bprt is `bprt_value`, and
+    every other bound is read off `results`."""
+    value = {(r.bound_name, r.label): r.value for r in results}
+    links = [("bprt", bprt_value, "prt", value["prt", None]),
+             ("bprt_mu", value["bprt_mu", None], "bprt", bprt_value)]
+    for (name, z), v in value.items():
+        if name == "srec":
+            links += [(f"srec_{z}", v, "bprt", bprt_value),
+                      (f"rect_{z}", value["rect", z], f"srec_{z}", v)]
+    failures = [f"bprt {float(bprt_value)} < 1 - eps"] if bprt_value < (1 - eps) - tol else []
+    return failures + [f"{a} {float(u)} > {b} {float(v)}" for a, u, b, v in links if u > v + tol]
 
 
 def verify_bound_chain(
     f: PartialFunction, eps, mode: str = "float", caps: Caps | None = None
 ) -> ChainReport:
-    """Check 1 - eps <= bprt <= prt and srec_z <= bprt for every label with a
-    nonempty preimage."""
+    """Solve each LP bound of (f, eps) once, in `mode`: bprt, prt, bprt_mu
+    under the uniform mu, then srec and rect per label with a nonempty
+    preimage; and check the chain's links on them, exactly in rational mode
+    and within 1e-6 in float.  bprt_mu <= bprt, since bprt's per-cell
+    correctness rows imply bprt_mu's one mu-averaged row; rect_z <= srec_z,
+    since srec's LP is rect's plus the coverage <= 1 rows on the z side."""
     caps = caps or default_caps()
     tol = 0 if mode == "rational" else _GAP_TOL
-    b = bprt(f, eps, mode, caps)
-    p = prt(f, eps, mode, caps)
-    srec_vals = tuple(
-        (z, srec(f, eps, z, mode, caps).value) for z in range(f.z_size) if f.preimage(z)
-    )
-    eps_c = _coerce(eps, mode)
-    failures = _chain_failures(eps_c, b.value, p.value, srec_vals, tol)
-    return ChainReport(eps_c, b.value, p.value, srec_vals, tol, not failures, tuple(failures))
+    uniform = InputDistribution(((Fraction(1, f.x_size * f.y_size),) * f.y_size,) * f.x_size)
+    results = (bprt(f, eps, mode, caps), prt(f, eps, mode, caps),
+               bprt_mu(f, uniform, eps, mode, caps),
+               *(r for z in range(f.z_size) if f.preimage(z) for r in (
+                   srec(f, eps, z, mode, caps), rect_dual(f, eps, z, None, mode, caps))))
+    srec_vals = tuple((r.label, r.value) for r in results if r.bound_name == "srec")
+    eps_c, b, p = _coerce(eps, mode), results[0].value, results[1].value
+    failures = _chain_failures(eps_c, b, results, tol)
+    return ChainReport(eps_c, b, p, srec_vals, tol, not failures, tuple(failures), results)
 
 
 def check_witness(

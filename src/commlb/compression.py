@@ -229,10 +229,7 @@ def compression_parameters(
     if info_cost < 0:
         raise ParameterError("info_cost must be nonnegative")
     if overrides is not None:
-        d, t, k = overrides
-        if d < 1 or t < 1 or k < 0:
-            raise ParameterError("override parameters must be positive (hash_bits >= 0)")
-        return CompressionParameters(delta, info_cost, d, t, k, "override")
+        return CompressionParameters(delta, info_cost, *overrides, "override")
     if universe_size < 1:
         raise ParameterError("universe_size must be positive")
     delta_exp = math.ceil((4 / delta) * (8 * info_cost / delta + 1))
@@ -284,7 +281,10 @@ class _Same:
 @functools.lru_cache(maxsize=256)
 def _experiment_cell(same: _Same, x: int, y: int, delta_exp):
     """The cell's factor functions and its read-only uint32 party rows,
-    shape (2, 2, |U|): Alice's row, then Bob's (see ``_party_rows``)."""
+    shape (2, 2, |U|): Alice's row, then Bob's (see ``_party_rows``).
+    Memoized per (pi, mu, x, y, delta_exp): a scalar run would otherwise
+    spend most of its time rebuilding the factorization and converting it to
+    thresholds."""
     pi, mu = same.objects
     inp = ExperimentInputs.from_factorization(factorization(pi, mu, x, y), delta_exp)
 
@@ -294,14 +294,6 @@ def _experiment_cell(same: _Same, x: int, y: int, delta_exp):
     rows = _thresholds([(scaled(inp.p_a), inp.q_a), (inp.q_b, scaled(inp.p_b))])
     rows.flags.writeable = False
     return inp, rows
-
-
-def _experiment_setup(pi: ProtocolTree, mu: InputDistribution, x: int, y: int, params):
-    """The experiment's factor functions, memoized per (pi, mu, x, y,
-    delta_exp) together with the cell's party rows: a scalar run would
-    otherwise spend most of its time rebuilding the factorization and
-    converting it to thresholds."""
-    return _experiment_cell(_Same(pi, mu), x, y, params.delta_exp)[0]
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
@@ -511,7 +503,7 @@ def exact_output_distribution(
         raise CapacityError(
             f"|U|={pi.universe_size} exceeds the DP cap {caps.dp_universe}"
         )
-    inp = _experiment_setup(pi, mu, x, y, params)
+    inp = _experiment_cell(_Same(pi, mu), x, y, params.delta_exp)[0]
     table = experiment_probabilities(inp)
     outputs = pi.leaf_outputs()
     # Aggregate categories by the transcript's output value.  The chain runs
@@ -777,6 +769,8 @@ def verify_compression(
     """
     if not (0 < delta < 1):
         raise ParameterError("delta must lie in (0, 1)")
+    if engine not in ("dp", "mc"):
+        raise ParameterError(f"engine must be 'dp' or 'mc', got {engine!r}")
     caps = caps or default_caps()
     lam = params.lambda_
     tol = 1e-9 * lam  # float-rounding allowance on exact quantities

@@ -14,6 +14,7 @@ it evaluates a filtered subset and is deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -178,18 +179,14 @@ def check_bad_set_bound(seed: int = 0, instances: int = 1000) -> tuple[bool, str
 _EPS_GRID = (0.0, 0.05, 0.1, 0.25)
 
 
-def check_chain(caps: Caps, perturb: bool = False) -> tuple[bool, str]:
-    """`bounds.verify_bound_chain` (srec <= bprt <= prt and 1 - eps <= bprt)
-    on every corpus function and eps, plus the two pinned exact rational
-    values."""
+def check_chain(sweep: list, caps: Caps, perturb: bool = False) -> tuple[bool, str]:
+    """`bounds._chain_failures` on every (label, eps, chain report) of the
+    corpus sweep, plus the two pinned exact rational values."""
     shift = 1e-3 if perturb else 0.0  # self-test hook: breaks the ordering
-    for label, f in cps.corpus_functions():
-        for eps in _EPS_GRID:
-            r = bnd.verify_bound_chain(f, eps, "float", caps)
-            failures = bnd._chain_failures(
-                r.eps, r.bprt_value + shift, r.prt_value, r.srec_values, r.tol)
-            if failures:
-                return False, f"{label} eps={eps}: {failures[0]}"
+    for label, eps, r in sweep:
+        failures = bnd._chain_failures(r.eps, r.bprt_value + shift, r.results, r.tol)
+        if failures:
+            return False, f"{label} eps={eps}: {failures[0]}"
     eq1 = cps.make_function("corpus:EQ,1")
     if bnd.prt(eq1, Fraction(0), "rational", caps).value != 4:
         return False, "prt_0(EQ_1) != 4 exactly"
@@ -200,29 +197,17 @@ def check_chain(caps: Caps, perturb: bool = False) -> tuple[bool, str]:
     return True, "8 functions x 4 eps ordered; pinned rational values exact"
 
 
-def check_duality(caps: Caps) -> tuple[bool, str]:
-    """Primal and dual objectives agree on every corpus LP: bprt, prt and
-    uniform bprt_mu, and srec and rect_dual per label with a nonempty
-    preimage, at each eps."""
+def check_duality(sweep: list) -> tuple[bool, str]:
+    """Primal and dual objectives agree on every LP of the corpus sweep."""
     worst = 0.0
     count = 0
-    for label, f in cps.corpus_functions():
-        mu = cps.make_distribution("uniform", f)
-        for eps in _EPS_GRID:
-            results = [bnd.bprt(f, eps, "float", caps), bnd.prt(f, eps, "float", caps),
-                       bnd.bprt_mu(f, mu, eps, "float", caps)]
-            for z in range(f.z_size):
-                if f.preimage(z):
-                    results += [bnd.srec(f, eps, z, "float", caps),
-                                bnd.rect_dual(f, eps, z, None, "float", caps)]
-            for res in results:
-                if res.dual_value is None:
-                    continue
-                gap = abs(float(res.value) - float(res.dual_value))
-                worst = max(worst, gap)
-                count += 1
-                if gap > 1e-6:
-                    return False, f"{label} eps={eps} {res.bound_name}: gap {gap}"
+    for label, eps, report in sweep:
+        for res in report.results:
+            gap = abs(float(res.value) - float(res.dual_value))
+            worst = max(worst, gap)
+            count += 1
+            if gap > 1e-6:
+                return False, f"{label} eps={eps} {res.bound_name}: gap {gap}"
     return True, f"{count} LPs, worst primal/dual gap {worst:.2e}"
 
 
@@ -407,12 +392,17 @@ def run_checks(
     """The checks whose name contains `only` (all by default), in battery
     order, each numbered by its place in the full battery."""
     caps = caps or default_caps()
+    # Checks 4 and 5 read one sweep of (label, eps, `bounds.verify_bound_chain`
+    # report) over the corpus functions and eps, solved on first use.
+    sweep = functools.cache(lambda: [
+        (label, eps, bnd.verify_bound_chain(f, eps, "float", caps))
+        for label, f in cps.corpus_functions() for eps in _EPS_GRID])
     checks = (
         ("accept-identity", lambda: check_accept_identity(seed)),
         ("accept-bounds", lambda: check_accept_bounds(seed)),
         ("bad-set-bound", lambda: check_bad_set_bound(seed)),
-        ("bound-chain", lambda: check_chain(caps, perturb)),
-        ("lp-duality", lambda: check_duality(caps)),
+        ("bound-chain", lambda: check_chain(sweep(), caps, perturb)),
+        ("lp-duality", lambda: check_duality(sweep())),
         ("dp-vs-mc", lambda: check_dp_vs_mc(mc_samples, seed, caps)),
         ("compression-guarantee", lambda: check_compression_guarantee(caps)),
         ("ic-lower-bound", lambda: check_ic_lower_bound(caps)),

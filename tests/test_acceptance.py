@@ -9,9 +9,11 @@ rounding on the compression equalities, and 3-5 standard errors for Monte
 Carlo comparisons.
 """
 
+import dataclasses
+
 import pytest
 
-from commlb import verify
+from commlb import bounds, verify
 from commlb.caps import default_caps
 from commlb.errors import CapacityError
 
@@ -55,9 +57,35 @@ def test_corpus_sweep_cache_respects_caps():
         verify.run_checks(only="bound-chain", caps=default_caps().with_overrides(lp_vars_float=10))
 
 
+@pytest.mark.parametrize("bound, message", [("bprt_mu", "bprt_mu"), ("rect_dual", "rect_")])
+def test_bound_chain_fails_on_a_broken_link(monkeypatch, bound, message):
+    # A uniform bprt_mu above bprt, or a rect above its label's srec, breaks
+    # the chain that check 4 reads off the sweep.
+    solve = getattr(bounds, bound)
+
+    def raised(*args):
+        result = solve(*args)
+        return dataclasses.replace(result, value=result.value + 100)
+
+    monkeypatch.setattr(bounds, bound, raised)
+    [result] = verify.run_checks(only="bound-chain")
+    assert not result.passed and f" {message}" in result.detail, result.line()
+
+
 def test_criterion_05_lp_duality():
     # Primal = dual within 1e-6 on every LP of the corpus sweep.
-    _check(5, "lp-duality")
+    result = _check(5, "lp-duality")
+    assert result.detail.startswith("216 LPs,")
+
+
+def test_checks_4_and_5_share_one_sweep(monkeypatch):
+    # One battery run solves each corpus LP of checks 4 and 5 once: the
+    # sweep's 216, the 5 pinned rational LPs and check 8's 22.
+    calls = []
+    solve = bounds.lp_solve
+    monkeypatch.setattr(bounds, "lp_solve", lambda *args: calls.append(1) or solve(*args))
+    assert all(r.passed for r in verify.run_checks(mc_samples=1000))
+    assert len(calls) == 243
 
 
 def test_criterion_06_dp_versus_monte_carlo():

@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -111,6 +112,24 @@ def test_bounds_over_the_caps_names_the_reduced_shape(capsys):
     assert code == EXIT_CAPACITY
     num_vars = re.search(r"(\d+) vars x (\d+) rows", err)
     assert num_vars and int(num_vars[1]) >= 65_280
+
+
+def test_bounds_refuses_a_label_alphabet_refinement_cannot_hold(capsys, tmp_path):
+    # A 2x2 table declaring 10^6 labels gives bprt 9,000,000 (rectangle,
+    # label) columns, past the 130,050 of two labels on an 8x8 grid: refused
+    # before refinement allocates per column.
+    path = tmp_path / "labels.fn"
+    path.write_text(PartialFunction.from_rows([[1, 0], [0, 1]], z_size=1_000_000).to_text())
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, _, err = _run(capsys, "bounds", "--fn", str(path), "--bound", "bprt",
+                            "--eps", "0.1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CAPACITY and "9000000 (rectangle, label) columns" in err
+    assert time.perf_counter() - start < 1 and peak < 50 << 20
 
 
 @pytest.mark.parametrize("raw", ["rect_side=-1", "no_such_cap=3"])

@@ -538,13 +538,14 @@ def test_run_zero_comm_memoizes_the_factorization(monkeypatch):
     assert len(conversions) == 1
     run_zero_comm(pi, UNIFORM_2x2, 1, 1, params, seed=0)
     assert len(calls) == len(conversions) == 2
-    exact = compression._experiment_setup(pi, UNIFORM_2x2, 0, 1, params)
+    cell = compression._experiment_cell
+    exact = cell(compression._Same(pi, UNIFORM_2x2), 0, 1, params.delta_exp)[0]
     assert exact == ExperimentInputs.from_factorization(factorization(pi, UNIFORM_2x2, 0, 1), 2)
     # Equal in value but not in number type: the float input gets its own
     # factors, not the exact ones.
     float_mu = InputDistribution(((0.25, 0.25), (0.25, 0.25)))
     assert float_mu == UNIFORM_2x2
-    rounded = compression._experiment_setup(pi, float_mu, 0, 1, params)
+    rounded = cell(compression._Same(pi, float_mu), 0, 1, params.delta_exp)[0]
     assert len(calls) == 3
     assert all(isinstance(v, Fraction) for v in exact.q_a)
     assert all(isinstance(v, float) for v in rounded.q_a)
@@ -971,6 +972,20 @@ def test_verify_compression_rejects_bad_delta():
     params = compression_parameters(0.9, 0.0, 1)
     with pytest.raises(ParameterError):
         verify_compression(pi, None, UNIFORM_2x2, 1.0, params)
+
+
+@pytest.mark.parametrize("engine", ["MC", "exact", None])
+def test_verify_compression_rejects_an_unknown_engine(monkeypatch, engine):
+    # Refused by name before any law is computed, not an UnboundLocalError.
+    def no_law(*args, **kwargs):
+        raise AssertionError("a law was computed")
+
+    monkeypatch.setattr(compression, "exact_output_distribution", no_law)
+    monkeypatch.setattr(compression, "_mc_laws", no_law)
+    pi = make_protocol("trivial_const")
+    params = compression_parameters(0.9, 0.0, 1)
+    with pytest.raises(ParameterError, match=repr(engine)):
+        verify_compression(pi, None, UNIFORM_2x2, 0.9, params, engine=engine)
 
 
 # ---------------------------------------------------------------------------
