@@ -102,6 +102,9 @@ def cmd_bounds(args) -> int:
     eps = Fraction(args.eps).limit_denominator(10**9) if args.rational else args.eps
     caps = default_caps()
     requested = [b.strip() for b in args.bound.split(",") if b.strip()]
+    # srec and rect are solved per label that occurs in the table; a declared
+    # label with an empty preimage gets no row.
+    labels = sorted({z for row in f.table for z in row if z is not None})
     rows = [bnd.CSV_HEADER]
     for name in requested:
         if name == "prt":
@@ -111,12 +114,11 @@ def cmd_bounds(args) -> int:
         elif name == "bprt-mu":
             rows.append(bnd.csv_row(bnd.bprt_mu(f, mu, eps, mode, caps), args.fn, f))
         elif name == "srec":
-            for z in range(f.z_size):
-                if f.preimage(z):
-                    res = bnd.srec(f, eps, z, mode, caps)
-                    rows.append(bnd.csv_row(res, f"{args.fn}:z={z}", f))
+            for z in labels:
+                res = bnd.srec(f, eps, z, mode, caps)
+                rows.append(bnd.csv_row(res, f"{args.fn}:z={z}", f))
         elif name == "rect":
-            for z in range(f.z_size):
+            for z in labels:
                 res = bnd.rect_dual(f, eps, z, None, mode, caps)
                 rows.append(bnd.csv_row(res, f"{args.fn}:z={z}", f))
         elif name == "disc":

@@ -12,10 +12,9 @@ The pipeline:
   on a four-state chain per output value (nobody decided, only Bob, only
   Alice, both have it) taken by squaring in O(log T) products, with each
   party's own law in closed form, and a vectorized Monte Carlo engine for
-  cross-checking it, which draws the coins' top bytes at every trial, their
-  low bits only where a top byte admits some party, and u and the hash only
-  at the trials whose (alpha, beta) some party could accept (at most a
-  2**(1 - delta_exp) share);
+  cross-checking it, which draws the coins' top bytes at every trial, and
+  their low bits, u and the hash only at the trials where a top byte admits
+  some party (about 2/256 of them once delta_exp >= 9);
 * the conversion of runs into a labeled-rectangle strategy.
 
 Experiment category probabilities are closed-form: with S = 2**delta_exp,
@@ -297,7 +296,7 @@ def _experiment_cell(same: _Same, x: int, y: int, delta_exp):
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
 
 
 def _thresholds(probs) -> np.ndarray:
@@ -344,30 +343,35 @@ def _first_per_run(hit, run):
 
 
 def _candidate_coins(bitgen, count: int, alpha_cut: int, beta_cut: int):
-    """The coins of a block of ``count`` trials, at its candidate trials only:
-    (alpha, beta, trial index), in trial order.  A trial is a candidate when
-    alpha <= alpha_cut or beta <= beta_cut.
+    """The coins of a block of ``count`` trials, at its near trials only:
+    (alpha, beta, trial index), in trial order.  A trial is near when
+    alpha's top byte is at most alpha_cut's or beta's top byte is at most
+    beta_cut's; every trial with alpha <= alpha_cut or beta <= beta_cut is
+    near.
 
     Each uint32 coin is 2**24 * h + l, with top byte h and low 24 bits l.
     The block draws the top bytes of every trial, 2 bytes per trial from one
     uint8 view of raw words: alpha's bytes for all ``count`` trials, then
-    beta's.  Then, at the trials where h_alpha <= alpha_cut >> 24 or h_beta
-    <= beta_cut >> 24 only, it draws one raw word each, whose uint32 view
-    gives l_alpha (first half) and l_beta (second half) as its low 24 bits.
-    A trial whose top bytes are both above their cut's is no candidate,
-    whatever its l, so every coin is still an exact uniform uint32 where it
-    is compared.  The arrays this builds over the whole block are freed on
-    return.
+    beta's.  Then, at the near trials only, it draws one raw word each,
+    whose uint32 view gives l_alpha (first half) and l_beta (second half) as
+    its low 24 bits.  A trial that is not near is accepted by no row,
+    whatever its l and u, so every coin is still an exact uniform uint32
+    where it is compared.  The arrays this builds over the whole block are
+    freed on return.
     """
     tops = bitgen.random_raw(-(-count // 4)).view(np.uint8)[:2 * count].reshape(2, -1)
-    near = ((tops[0] <= alpha_cut >> 24) | (tops[1] <= beta_cut >> 24)).nonzero()[0]
+    # One mask, or-ed in place: with a third block-sized temporary, repeated
+    # paper-exact calls at delta 0.8 took about 5,800 minor page faults each
+    # (the pages freed by one block, faulted in again by the next).
+    near = tops[0] <= alpha_cut >> 24
+    near |= tops[1] <= beta_cut >> 24
+    near = near.nonzero()[0]
     # Overwrite the top byte of each drawn uint32 with the trial's h, which
     # keeps its low 24 bits as l.
     coins = bitgen.random_raw(len(near)).view(np.uint32)
     coins.view(np.uint8)[_TOP_BYTE::4] = tops.take(near, axis=1).ravel()
     alpha, beta = coins.reshape(2, -1)
-    keep = ((alpha <= alpha_cut) | (beta <= beta_cut)).nonzero()[0]
-    return alpha[keep], beta[keep], near[keep]
+    return alpha, beta, near
 
 
 def _party_maps(rng, n, params, a_rows, b_rows, outputs):
@@ -380,17 +384,18 @@ def _party_maps(rng, n, params, a_rows, b_rows, outputs):
     output of each u.  ``a_rows`` and ``b_rows`` are sequences of uint32
     thresholds of shape (2, |U|), alpha's then beta's.
 
-    A block draws, in this order: the coins' top bytes at every trial, then
-    their low bits where a top byte admits them (``_candidate_coins``, with
-    alpha_cut the largest alpha threshold of any Alice row and beta_cut the
-    largest beta threshold of any Bob row), then u, then the hash matches,
-    these two at the candidate trials only and in trial order.  No trial
-    outside the candidates is accepted by any row, whatever its u.  Every
-    coin is still an independent uniform uint32 compared with the same
-    thresholds, so the law of a run is the same as when every coin, u and
-    hash is drawn at every trial.  ``candidates`` counts the trials whose u
-    and hash were drawn.  A run must fit in one block: a T above
-    ``_CHUNK_ELEMENTS`` raises ``CapacityError`` before any draw.
+    A block draws from the generator's SFC64 stream, in this order: the
+    coins' top bytes at every trial, then their low bits where a top byte
+    admits them (``_candidate_coins``, with alpha_cut the largest alpha
+    threshold of any Alice row and beta_cut the largest beta threshold of
+    any Bob row), then u, then the hash matches, these two at those near
+    trials only and in trial order.  No trial outside them is accepted by
+    any row, whatever its u.  Every coin is still an independent uniform
+    uint32 compared with the same thresholds, so the law of a run is the
+    same as when every coin, u and hash is drawn at every trial.
+    ``candidates`` counts the near trials, whose u and hash were drawn.  A
+    run must fit in one block: a T above ``_CHUNK_ELEMENTS`` raises
+    ``CapacityError`` before any draw.
     """
     trials, bitgen, outputs = params.trials, rng.bit_generator, np.asarray(outputs)
     if trials > _CHUNK_ELEMENTS:
@@ -441,7 +446,7 @@ def run_zero_comm(
     """One full zero-communication run; returns an output value or BOT.
 
     Fully deterministic given (seed, params, x, y): the single-run case of
-    the sampling kernel on a Philox stream seeded by ``seed``.
+    the sampling kernel on an SFC64 stream seeded by ``seed``.
     """
     a_rows, b_rows = _party_rows(pi, mu, [x], [y], params)
     ((a_map, b_map, _),) = _party_maps(_seeded_rng(seed), 1, params, a_rows, b_rows,
@@ -631,15 +636,18 @@ def _collision(q: float, trials: int) -> float:
 class McLaw:
     """Empirical law of the run output over Z plus BOT.
 
-    ``candidates`` counts the trials whose u and hash were drawn: alpha at
-    most the largest alpha threshold of any Alice row, or beta at most the
-    largest beta threshold of any Bob row.  The kernel draws the coins' top
-    bytes at every trial, their low 24 bits only where a top byte is at most
-    its cut's top byte, then u and the hash at the candidates only."""
+    ``candidates`` counts the near trials, whose u and hash were drawn: the
+    top byte of alpha at most that of the largest alpha threshold of any
+    Alice row, or the top byte of beta at most that of the largest beta
+    threshold of any Bob row.  The kernel draws, from an SFC64 stream, the
+    coins' top bytes at every trial, then their low 24 bits, u and the hash
+    at the near trials only.  A coin's cut c admits a (floor(c * 2**-24) +
+    1) / 256 share of the trials: at most 2/256 once delta_exp >= 8 and
+    1/256 once delta_exp >= 9, so about 2/256 of the trials are near."""
 
     counts: tuple[int, ...]   # per z, then BOT last
     samples: int
-    candidates: int           # trials whose u and hash were drawn
+    candidates: int           # near trials, whose u and hash were drawn
 
     @property
     def frequencies(self) -> tuple[float, ...]:
@@ -730,6 +738,8 @@ class CompressionReport:
             f"trials={self.params.trials} hash_bits={self.params.hash_bits} "
             f"lambda={lam!r}"
         )
+        if self.engine == "mc":
+            header += f" rng={type(_seeded_rng(0).bit_generator).__name__}"
         rows = [header, "x,y,prob_not_abort,lambda,eq5_pass,eq6_pass"]
         for rep in self.inputs:
             rows.append(

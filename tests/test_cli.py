@@ -1,12 +1,16 @@
 """CLI contract: CSV output, determinism, exit codes, atomic writes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 
 import pytest
 
+import commlb
 from commlb import protocol
 from commlb.cli import (
     EXIT_BAD_INPUT,
@@ -69,7 +73,7 @@ def test_bounds_multiple_and_rational(capsys):
                         "--bound", "prt,bprt,srec,rect", "--rational")
     assert code == EXIT_OK
     lines = out.strip().split("\n")
-    # prt + bprt + one srec per nonempty label + one rect per label
+    # prt + bprt + one srec and one rect per label that occurs
     assert len(lines) == 1 + 2 + 2 + 2
     assert all(line.endswith("optimal") for line in lines[1:])
 
@@ -130,6 +134,20 @@ def test_bounds_refuses_a_label_alphabet_refinement_cannot_hold(capsys, tmp_path
         tracemalloc.stop()
     assert code == EXIT_CAPACITY and "9000000 (rectangle, label) columns" in err
     assert time.perf_counter() - start < 1 and peak < 50 << 20
+
+
+def test_bounds_solves_only_the_labels_that_occur(capsys, tmp_path):
+    # srec and rect are solved for the two labels in the table, not for each
+    # of the 10^6 it declares.
+    path = tmp_path / "labels.fn"
+    path.write_text(PartialFunction.from_rows([[1, 0], [0, 1]], z_size=1_000_000).to_text())
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, "bounds", "--fn", str(path), "--bound", "rect,srec",
+                        "--eps", "0.1")
+    assert time.perf_counter() - start < 1
+    assert code == EXIT_OK
+    names = re.findall(r"^(\w+),.*:z=(\d+),", out, re.M)
+    assert names == [("rect", "0"), ("rect", "1"), ("srec", "0"), ("srec", "1")]
 
 
 @pytest.mark.parametrize("raw", ["rect_side=-1", "no_such_cap=3"])
@@ -364,3 +382,17 @@ def test_bad_arguments_exit_code(capsys):
     capsys.readouterr()
     assert main(["nope"]) == EXIT_BAD_INPUT
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    # ``python -m commlb`` from a checkout, with src on the path, exits with
+    # the CLI's own codes.
+    src = os.path.dirname(os.path.dirname(commlb.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    ok = subprocess.run([sys.executable, "-m", "commlb", "bounds", "--fn", "corpus:EQ,1",
+                         "--bound", "disc"], env=env, capture_output=True, text=True)
+    assert ok.returncode == EXIT_OK, ok.stderr
+    assert ok.stdout.split("\n")[1] == 'disc,"corpus:EQ,1",2,2,2,0.0,0.25,-2.0,exact'
+    bad = subprocess.run([sys.executable, "-m", "commlb", "bounds", "--fn", "missing.fn"],
+                         env=env, capture_output=True, text=True)
+    assert bad.returncode == EXIT_BAD_INPUT

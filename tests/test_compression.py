@@ -125,7 +125,7 @@ def _run_experiment(inp: ExperimentInputs, rng: np.random.Generator) -> str:
 def test_run_experiment_matches_table():
     inp = _trivial_inputs(1)
     table = experiment_probabilities(inp)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(42)))
+    rng = _seeded_rng(42)
     counts = {"both": 0, "alice_only": 0, "bob_only": 0, "neither": 0}
     n = 40_000
     for _ in range(n):
@@ -581,7 +581,7 @@ def test_mc_matches_dp():
 
 
 def test_mc_matches_dp_sparse_regime():
-    # At delta_exp 6 about 2.7 % of the trials are candidates, so a cut that
+    # At delta_exp 6 about 3.9 % of the trials are near, so a cut that
     # dropped accepting trials would show in the law here.
     pi = make_protocol("noisy_bit", flip=0.25)
     params = compression_parameters(0.5, 1.0, 2, overrides=(6, 200, 2))
@@ -592,6 +592,26 @@ def test_mc_matches_dp_sparse_regime():
             se = math.sqrt(max(p * (1 - p), 1e-12) / mc.samples)
             assert abs(got - p) < 5 * se
         assert 0 < mc.candidates < 0.05 * mc.samples * params.trials
+
+
+def test_mc_matches_dp_when_near_trials_outnumber_candidates():
+    # At delta_exp 9 both cuts are below 2**24, so every trial with a zero
+    # top byte is near: 1 - (255/256)**2 = 0.78 % of the trials, against
+    # 0.34 % whose coins are at most their cuts.  u and the hash are drawn at
+    # all of them, and the law must not move.
+    pi = make_protocol("noisy_bit", flip=0.25)
+    params = compression_parameters(0.5, 1.0, 2, overrides=(9, 4000, 0))
+    mc = mc_output_distribution(pi, UNIFORM_2x2, 1, 0, params, samples=10_000, seed=9)
+    caps = default_caps().with_overrides(dp_trials=params.trials)
+    law = exact_output_distribution(pi, UNIFORM_2x2, 1, 0, params, caps)
+    assert 0.4 < law.not_abort < 0.6
+    for got, p in zip(mc.frequencies, list(law.output) + [law.abort]):
+        assert abs(got - p) < 5 * math.sqrt(p * (1 - p) / mc.samples)
+    a_rows, b_rows = _party_rows(pi, UNIFORM_2x2, [1], [0], params)
+    alpha_share = (int(a_rows[0][0].max()) + 1) / 2**32
+    beta_share = (int(b_rows[0][1].max()) + 1) / 2**32
+    cut_share = 1 - (1 - alpha_share) * (1 - beta_share)
+    assert mc.candidates > 2 * cut_share * mc.samples * params.trials
 
 
 def test_mc_memory_bounded_by_trials():
@@ -622,14 +642,13 @@ def _reference_maps(seed, n, trials, size, hash_bits, a_rows, b_rows, outputs):
     """The party maps by a plain loop over the coins, drawn in the kernel's
     documented order.  First the top bytes of every trial, from a uint8 view
     of raw words: alpha's bytes for all trials, then beta's.  Then, at the
-    trials where h_alpha <= alpha_cut >> 24 or h_beta <= beta_cut >> 24, one
-    raw word each, whose uint32 view gives the low 24 bits of alpha (first
-    half) and of beta (second half).  Then, at the candidates only (alpha <=
-    alpha_cut or beta <= beta_cut), u and then the hash-match words.
-    alpha_cut is the largest alpha threshold of any Alice row and beta_cut
-    the largest beta threshold of any Bob row.  Rows are [alpha thresholds,
-    beta thresholds] over u, as integers."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    near trials, where h_alpha <= alpha_cut >> 24 or h_beta <= beta_cut >>
+    24, one raw word each, whose uint32 view gives the low 24 bits of alpha
+    (first half) and of beta (second half); then, at the same trials, u and
+    then the hash-match words.  alpha_cut is the largest alpha threshold of
+    any Alice row and beta_cut the largest beta threshold of any Bob row.
+    Rows are [alpha thresholds, beta thresholds] over u, as integers."""
+    rng = _seeded_rng(seed)
     count = n * trials
     tops = rng.bit_generator.random_raw(-(-2 * count // 8)).view(np.uint8).tolist()
     top_alpha, top_beta = tops[:count], tops[count:2 * count]
@@ -638,48 +657,39 @@ def _reference_maps(seed, n, trials, size, hash_bits, a_rows, b_rows, outputs):
     near = [k for k in range(count)
             if top_alpha[k] <= alpha_cut // 2**24 or top_beta[k] <= beta_cut // 2**24]
     lows = rng.bit_generator.random_raw(len(near)).view(np.uint32).tolist()
-    # A trial without low bits gets its smallest possible coins.
-    alpha = [h * 2**24 for h in top_alpha]
-    beta = [h * 2**24 for h in top_beta]
-    for i, k in enumerate(near):
-        alpha[k] += lows[i] % 2**24
-        beta[k] += lows[len(near) + i] % 2**24
-    cand = [k for k in near if alpha[k] <= alpha_cut or beta[k] <= beta_cut]
-    u = rng.integers(0, size, size=len(cand), dtype=np.min_scalar_type(size - 1)).tolist()
-    match = [True] * len(cand)
+    u = rng.integers(0, size, size=len(near), dtype=np.min_scalar_type(size - 1)).tolist()
+    match = [True] * len(near)
     for done in range(0, hash_bits, 64):
         bits = min(hash_bits - done, 64)
         dtype = np.uint8 if bits <= 8 else np.uint32 if bits <= 32 else np.uint64
         per_draw = 8 // np.dtype(dtype).itemsize
-        words = rng.bit_generator.random_raw(-(-len(cand) // per_draw)).view(dtype)
-        match = [m and w % 2**bits == 0 for m, w in zip(match, words[:len(cand)].tolist())]
-    coins = {k: (u[i], match[i]) for i, k in enumerate(cand)}
-
-    def accepts(row, k):
-        # A trial that is no candidate has no u: no row may accept it, even
-        # at the smallest coins its top bytes allow.
-        if k not in coins:
-            assert all(alpha[k] > t for t in row[0]) or all(beta[k] > t for t in row[1])
-            return False
-        v = coins[k][0]
-        return alpha[k] <= row[0][v] and beta[k] <= row[1][v]
+        words = rng.bit_generator.random_raw(-(-len(near) // per_draw)).view(dtype)
+        match = [m and w % 2**bits == 0 for m, w in zip(match, words[:len(near)].tolist())]
+    # Each run's near trials in trial order, as (alpha, beta, u, match).  A
+    # trial that is not near has both top bytes above their cut's, so alpha
+    # above every Alice row's alpha threshold and beta above every Bob row's
+    # beta threshold: no row accepts it.
+    runs = [[] for _ in range(n)]
+    for i, k in enumerate(near):
+        runs[k // trials].append((top_alpha[k] * 2**24 + lows[i] % 2**24,
+                                  top_beta[k] * 2**24 + lows[len(near) + i] % 2**24,
+                                  u[i], match[i]))
 
     a_maps = [[BOT] * len(a_rows) for _ in range(n)]
     b_maps = [[BOT] * len(b_rows) for _ in range(n)]
-    for r in range(n):
-        for i, row in enumerate(a_rows):
-            for k in range(r * trials, (r + 1) * trials):
-                if accepts(row, k):
-                    v, hit = coins[k]
+    for r, coins in enumerate(runs):
+        for i, (t_alpha, t_beta) in enumerate(a_rows):
+            for alpha, beta, v, hit in coins:
+                if alpha <= t_alpha[v] and beta <= t_beta[v]:
                     if hit:
                         a_maps[r][i] = outputs[v]
                     break
-        for j, row in enumerate(b_rows):
-            for k in range(r * trials, (r + 1) * trials):
-                if accepts(row, k) and coins[k][1]:
-                    b_maps[r][j] = outputs[coins[k][0]]
+        for j, (t_alpha, t_beta) in enumerate(b_rows):
+            for alpha, beta, v, hit in coins:
+                if hit and alpha <= t_alpha[v] and beta <= t_beta[v]:
+                    b_maps[r][j] = outputs[v]
                     break
-    return a_maps, b_maps, len(cand), max(u, default=0)
+    return a_maps, b_maps, len(near), max(u, default=0)
 
 
 def _check_kernel(seed, n, trials, size, hash_bits, a_rows, b_rows, outputs):
@@ -709,7 +719,7 @@ def test_thresholds_edge_cases():
 
 
 def test_kernel_threshold_extremes():
-    # Dense: p = 1 on every u makes every trial a candidate, and each party
+    # Dense: p = 1 on every u makes every trial near, and each party
     # accepts its first trial.  p = 0: a party accepts only when both its
     # coins are 0, Pr 2**-64 per trial.
     rows = _thresholds([[[1.0] * 3, [1.0] * 3], [[0.0] * 3, [0.0] * 3]])
@@ -725,11 +735,14 @@ def test_kernel_threshold_extremes():
     first = np.array((2, 0, 1))[u[:, 0]]
     assert (a_maps[:, 0] == first).all() and (b_maps[:, 0] == first).all()
     assert (a_maps[:, 1] == BOT).all() and (b_maps[:, 1] == BOT).all()
-    # p = 0 on every row: no candidate, so no u or hash is drawn at all.
+    # p = 0 on the cut coin of every row: both cuts are 0, so the near
+    # trials are those with a zero top byte, about 2/256 of them.  u and the
+    # hash are drawn there, and no row accepts any trial.
     rows = _thresholds([[[0.0] * 3, [1.0] * 3]])
     ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(8), n, params, rows, rows[:, ::-1],
                                              (2, 0, 1))
-    assert count == 0
+    tops = _seeded_rng(8).bit_generator.random_raw(n * trials // 4).view(np.uint8)
+    assert count == ((tops[:n * trials] == 0) | (tops[n * trials:] == 0)).sum() > 0
     assert (a_maps == BOT).all() and (b_maps == BOT).all()
 
 
@@ -745,7 +758,9 @@ def test_kernel_cut_is_max_over_rows():
     b_rows = [[[2**31] * size, [small] * size],
               [[2**32 - 1] * size, [small, small, 8 * small]]]
     a_maps, b_maps, count, _ = _check_kernel(21, 3000, 6, size, 1, a_rows, b_rows, (0, 1, 2))
-    assert 0.1 < count / (3000 * 6) < 0.2  # about 1/16 + 1/8 - 1/128
+    # The cuts 2**28 and 2**29 have top bytes 16 and 32, so about
+    # 1 - (239/256)(223/256) = 18.7 % of the trials are near.
+    assert 0.1 < count / (3000 * 6) < 0.2
     # Every row outputs a value in some run.
     assert (a_maps != BOT).any(axis=0).all() and (b_maps != BOT).any(axis=0).all()
 
@@ -773,7 +788,7 @@ def test_kernel_top_byte_edges(k):
 )
 def test_kernel_matches_loop_reference(size, hash_bits, trials, n):
     # Alice's alpha and Bob's beta thresholds are scaled by 1/8, like p/S at
-    # delta_exp 3, so that most trials are no candidates.
+    # delta_exp 3, so that most trials are not near.
     rng = random.Random(size * 100 + hash_bits)
 
     def row(scaled):
@@ -957,6 +972,20 @@ def test_verify_compression_override_informational():
     assert rows[1] == "x,y,prob_not_abort,lambda,eq5_pass,eq6_pass"
     assert rows[-1].startswith("eq4,")
     assert rows[-2].startswith("aggregate,")
+
+
+def test_csv_header_names_the_mc_stream():
+    # The MC header ends with the generator the kernel draws from; the DP
+    # header and the columns name none.
+    pi = make_protocol("noisy_bit", flip=0.25)
+    params = compression_parameters(0.5, 1.0, 2, overrides=(2, 10, 1))
+    dp = verify_compression(pi, None, UNIFORM_2x2, 0.5, params).csv_rows()
+    mc = verify_compression(pi, None, UNIFORM_2x2, 0.5, params, engine="mc",
+                            mc_samples=1000).csv_rows()
+    assert dp[0] == ("# engine=dp mode=override delta=0.5 delta_exp=2 trials=10 hash_bits=1 "
+                     "lambda=0.125")
+    assert mc[0] == dp[0].replace("engine=dp", "engine=mc") + " rng=SFC64"
+    assert mc[1] == dp[1] and len(mc) == len(dp)
 
 
 def test_verify_compression_skips_zero_marginals():
