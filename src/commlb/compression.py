@@ -306,40 +306,57 @@ def _thresholds(probs) -> np.ndarray:
     return np.minimum(scaled, 2**32 - 1).astype(np.uint32)
 
 
-def _party_rows(pi: ProtocolTree, mu: InputDistribution, xs, ys, params):
-    """Lists of thresholds, shape (2, |U|) each, of Alice's rows for ``xs``
-    and Bob's for ``ys``.  With alpha, beta ~ U[0, S], S = 2**delta_exp,
-    Alice accepts u when alpha/S <= p_a(u)/S and beta/S <= q_a(u); Bob when
-    alpha/S <= q_b(u) and beta/S <= p_b(u)/S.  Alice's row depends on x
-    alone and Bob's on y alone, so each is read off one memoized cell."""
-    same = _Same(pi, mu)
-    alice = [_experiment_cell(same, x, ys[0], params.delta_exp)[1][0] for x in xs]
-    bob = [_experiment_cell(same, xs[0], y, params.delta_exp)[1][1] for y in ys]
-    return alice, bob
+@functools.lru_cache(maxsize=256)
+def _party_rows(same: _Same, xs: tuple, ys: tuple, delta_exp):
+    """The ``_kernel_setup`` of (pi, mu) = ``same.objects``, memoized per
+    (pi, mu, xs, ys, delta_exp): a scalar run spends no time on setup.  With
+    alpha, beta ~ U[0, S], S = 2**delta_exp, Alice accepts u when alpha/S <=
+    p_a(u)/S and beta/S <= q_a(u); Bob when alpha/S <= q_b(u) and beta/S <=
+    p_b(u)/S.  Alice's row depends on x alone and Bob's on y alone, so each
+    is read off one memoized cell."""
+    alice = tuple(_experiment_cell(same, x, ys[0], delta_exp)[1][0] for x in xs)
+    bob = tuple(_experiment_cell(same, xs[0], y, delta_exp)[1][1] for y in ys)
+    return _kernel_setup(alice, bob, same.objects[0].leaf_outputs())
+
+
+def _kernel_setup(a_rows, b_rows, outputs):
+    """(a_rows, b_rows, outputs, alpha_cut, beta_cut, u_dtype): each row is
+    uint32 thresholds of shape (2, |U|), alpha's then beta's; the cuts are
+    the largest alpha threshold of any Alice row and beta of any Bob row."""
+    # Python's max over a list beats a numpy reduction on rows this short.
+    alpha_cut = max(max(t_alpha.tolist()) for t_alpha, _ in a_rows)
+    beta_cut = max(max(t_beta.tolist()) for _, t_beta in b_rows)
+    outputs = np.array(outputs)
+    outputs.flags.writeable = False  # shared by every call that hits the memo
+    return a_rows, b_rows, outputs, alpha_cut, beta_cut, np.min_scalar_type(len(outputs) - 1)
 
 
 def _hash_match(bitgen, count: int, hash_bits: int) -> np.ndarray:
     """``count`` hash matches h(i) == r of probability 2**-hash_bits: the low
     hash_bits bits of a word are zero.  Words are uint8 views of raw draws
-    up to 8 bits, uint32 views up to 32, whole draws (64 bits each) beyond."""
-    match = np.ones(count, dtype=bool)
+    up to 8 bits, uint32 views up to 32, whole draws (64 bits each) beyond.
+    It starts from the first word's compare; at hash_bits 0 nothing is drawn."""
+    match = None
     for done in range(0, hash_bits, 64):
         bits = min(hash_bits - done, 64)
         dtype = np.uint8 if bits <= 8 else np.uint32 if bits <= 32 else np.uint64
         words = bitgen.random_raw(-(-count * np.dtype(dtype).itemsize // 8)).view(dtype)[:count]
-        match &= (words & dtype((1 << bits) - 1)) == 0
-    return match
+        hit = (words & dtype((1 << bits) - 1)) == 0
+        match = hit if match is None else match & hit
+    return np.ones(count, dtype=bool) if match is None else match
 
 
 def _first_per_run(hit, run):
     """The runs in which ``hit`` holds somewhere, and the candidate position
-    of its first True in each; ``run`` is the candidates' sorted run index."""
+    of its first True in each; ``run`` is the candidates' sorted run index.
+    Both are integer gathers, cheaper than boolean masks at dense hits."""
     pos = hit.nonzero()[0]
     runs = run[pos]
     first = np.empty(len(runs), dtype=bool)
     first[:1] = True
     np.not_equal(runs[1:], runs[:-1], out=first[1:])
-    return runs[first], pos[first]
+    k = first.nonzero()[0]
+    return runs[k], pos[k]
 
 
 def _candidate_coins(bitgen, count: int, alpha_cut: int, beta_cut: int):
@@ -374,21 +391,19 @@ def _candidate_coins(bitgen, count: int, alpha_cut: int, beta_cut: int):
     return alpha, beta, near
 
 
-def _party_maps(rng, n, params, a_rows, b_rows, outputs):
+def _party_maps(rng, n, params, setup):
     """Yield (a_maps, b_maps, candidates) for blocks of ``n`` runs; the maps
-    have shape (block, rows).
+    have shape (block, rows).  ``setup`` is a ``_kernel_setup`` tuple, which
+    ``_party_rows`` memoizes, so a call computes no rows, cuts or dtype.
 
     a_maps[r, i] is the output of Alice's first accepted trial of run r under
     row i if its hash matches, else BOT; b_maps[r, j] is the output of Bob's
-    first accepted trial whose hash matches, else BOT.  ``outputs`` holds the
-    output of each u.  ``a_rows`` and ``b_rows`` are sequences of uint32
-    thresholds of shape (2, |U|), alpha's then beta's.
+    first accepted trial whose hash matches, else BOT.
 
     A block draws from the generator's SFC64 stream, in this order: the
     coins' top bytes at every trial, then their low bits where a top byte
-    admits them (``_candidate_coins``, with alpha_cut the largest alpha
-    threshold of any Alice row and beta_cut the largest beta threshold of
-    any Bob row), then u, then the hash matches, these two at those near
+    admits them (``_candidate_coins``, with the setup's alpha_cut and
+    beta_cut), then u, then the hash matches, these two at those near
     trials only and in trial order.  No trial outside them is accepted by
     any row, whatever its u.  Every coin is still an independent uniform
     uint32 compared with the same thresholds, so the law of a run is the
@@ -397,27 +412,24 @@ def _party_maps(rng, n, params, a_rows, b_rows, outputs):
     run must fit in one block: a T above ``_CHUNK_ELEMENTS`` raises
     ``CapacityError`` before any draw.
     """
-    trials, bitgen, outputs = params.trials, rng.bit_generator, np.asarray(outputs)
+    a_rows, b_rows, outputs, alpha_cut, beta_cut, u_dtype = setup
+    trials, bitgen = params.trials, rng.bit_generator
     if trials > _CHUNK_ELEMENTS:
         raise CapacityError(
             f"T ({trials.bit_length()} bits) exceeds the {_CHUNK_ELEMENTS} trials of one "
             "MC block; use the DP for larger T"
         )
-    size = len(outputs)
-    u_dtype = np.min_scalar_type(size - 1)
-    # Python's max over a list beats a numpy reduction on rows this short.
-    alpha_cut = max(max(t_alpha.tolist()) for t_alpha, _ in a_rows)
-    beta_cut = max(max(t_beta.tolist()) for _, t_beta in b_rows)
     chunk = min(n, _CHUNK_ELEMENTS // trials)
     for start in range(0, n, chunk):
         m = min(chunk, n - start)
         alpha, beta, cand = _candidate_coins(bitgen, m * trials, alpha_cut, beta_cut)
         count = len(cand)
-        u = rng.integers(0, size, size=count, dtype=u_dtype)
+        u = rng.integers(0, len(outputs), size=count, dtype=u_dtype)
         match = _hash_match(bitgen, count, params.hash_bits)
         run, u = cand // trials, u.astype(np.intp)
-        a_maps = np.full((m, len(a_rows)), BOT, dtype=np.int64)
-        b_maps = np.full((m, len(b_rows)), BOT, dtype=np.int64)
+        a_maps, b_maps = np.empty((m, len(a_rows)), np.int64), np.empty((m, len(b_rows)), np.int64)
+        a_maps.fill(BOT)
+        b_maps.fill(BOT)
         for i, (t_alpha, t_beta) in enumerate(a_rows):
             runs, pos = _first_per_run((alpha <= t_alpha[u]) & (beta <= t_beta[u]), run)
             a_maps[runs, i] = np.where(match[pos], outputs[u[pos]], BOT)
@@ -448,9 +460,8 @@ def run_zero_comm(
     Fully deterministic given (seed, params, x, y): the single-run case of
     the sampling kernel on an SFC64 stream seeded by ``seed``.
     """
-    a_rows, b_rows = _party_rows(pi, mu, [x], [y], params)
-    ((a_map, b_map, _),) = _party_maps(_seeded_rng(seed), 1, params, a_rows, b_rows,
-                                       pi.leaf_outputs())
+    setup = _party_rows(_Same(pi, mu), (x,), (y,), params.delta_exp)
+    ((a_map, b_map, _),) = _party_maps(_seeded_rng(seed), 1, params, setup)
     alice_out, bob_out = int(a_map[0, 0]), int(b_map[0, 0])
     return alice_out if alice_out != BOT and alice_out == bob_out else BOT
 
@@ -663,11 +674,11 @@ def _mc_laws(pi, mu, params, xs, ys, samples, seed) -> dict[tuple[int, int], McL
     """MC output laws of every cell of xs x ys, read off one coin block."""
     if samples < 1:
         raise ParameterError(f"MC needs at least one sample, got {samples}")
-    a_rows, b_rows = _party_rows(pi, mu, xs, ys, params)
+    setup = _party_rows(_Same(pi, mu), tuple(xs), tuple(ys), params.delta_exp)
     nz = pi.z_size
     counts = np.zeros((len(xs), len(ys), nz + 1), dtype=np.int64)
     candidates = 0
-    blocks = _party_maps(_seeded_rng(seed), samples, params, a_rows, b_rows, pi.leaf_outputs())
+    blocks = _party_maps(_seeded_rng(seed), samples, params, setup)
     for a_maps, b_maps, count in blocks:
         candidates += count
         for i in range(len(xs)):
@@ -900,8 +911,8 @@ def extract_strategy(
     mu.check_compatible(f)
 
     nx, ny, nz = pi.x_size, pi.y_size, pi.z_size
-    a_rows, b_rows = _party_rows(pi, mu, range(nx), range(ny), params)
-    blocks = _party_maps(_seeded_rng(seed), seed_count, params, a_rows, b_rows, pi.leaf_outputs())
+    setup = _party_rows(_Same(pi, mu), tuple(range(nx)), tuple(range(ny)), params.delta_exp)
+    blocks = _party_maps(_seeded_rng(seed), seed_count, params, setup)
     a_blocks, b_blocks, _ = zip(*blocks)
     a_maps, b_maps = np.concatenate(a_blocks), np.concatenate(b_blocks)
 

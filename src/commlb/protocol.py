@@ -70,6 +70,23 @@ class Node:
         if self.owner == "P" and len(self.p1) != 1:
             raise ParameterError("public node takes a single probability")
 
+    def _preorder(self) -> tuple:
+        """The tree in preorder, (owner, p1) per node and each Leaf as is,
+        which fixes a full binary tree; walked with an explicit stack, so
+        equality and hashing (and a ProtocolTree's) do not recurse."""
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            out.append((node.owner, node.p1) if isinstance(node, Node) else node)
+            stack += (node.one, node.zero) if isinstance(node, Node) else ()
+        return tuple(out)
+
+    def __eq__(self, other) -> bool:
+        return self._preorder() == other._preorder() if isinstance(other, Node) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._preorder())
+
 
 @dataclass(frozen=True)
 class ProtocolTree:
@@ -102,19 +119,6 @@ class ProtocolTree:
             )
         self._validate(node.zero, path + "0", acc)
         self._validate(node.one, path + "1", acc)
-
-    def __eq__(self, other) -> bool:
-        """Equal sizes and trees, walked with an explicit stack, not recursion."""
-        if not isinstance(other, ProtocolTree):
-            return NotImplemented
-        stack = [(self.root, other.root)]
-        while stack:
-            a, b = stack.pop()
-            if isinstance(a, Node) and isinstance(b, Node) and (a.owner, a.p1) == (b.owner, b.p1):
-                stack += [(a.zero, b.zero), (a.one, b.one)]
-            elif a != b:  # two leaves, a leaf and a node, or nodes unequal at the top
-                return False
-        return (self.x_size, self.y_size, self.z_size) == (other.x_size, other.y_size, other.z_size)
 
     @property
     def leaves(self) -> tuple[tuple[str, Leaf], ...]:

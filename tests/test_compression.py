@@ -19,7 +19,9 @@ from commlb import compression
 from commlb.compression import (
     BOT,
     _dp_law,
+    _first_per_run,
     _hash_match,
+    _kernel_setup,
     _mc_laws,
     _party_maps,
     _party_rows,
@@ -607,11 +609,24 @@ def test_mc_matches_dp_when_near_trials_outnumber_candidates():
     assert 0.4 < law.not_abort < 0.6
     for got, p in zip(mc.frequencies, list(law.output) + [law.abort]):
         assert abs(got - p) < 5 * math.sqrt(p * (1 - p) / mc.samples)
-    a_rows, b_rows = _party_rows(pi, UNIFORM_2x2, [1], [0], params)
+    a_rows, b_rows, *_ = _party_rows(compression._Same(pi, UNIFORM_2x2), (1,), (0,),
+                                     params.delta_exp)
     alpha_share = (int(a_rows[0][0].max()) + 1) / 2**32
     beta_share = (int(b_rows[0][1].max()) + 1) / 2**32
     cut_share = 1 - (1 - alpha_share) * (1 - beta_share)
     assert mc.candidates > 2 * cut_share * mc.samples * params.trials
+
+
+def test_mc_matches_dp_when_most_trials_are_near():
+    # At delta_exp 1 the cuts are 3/8 and 1/2 of 2**32, so 1 - (159/256) *
+    # (127/256) = 69 % of the trials are near: the compaction keeps most.
+    pi = make_protocol("noisy_bit", flip=0.25)
+    params = compression_parameters(0.5, 1.0, 2, overrides=(1, 30, 0))
+    mc = mc_output_distribution(pi, UNIFORM_2x2, 0, 1, params, samples=100_000, seed=30)
+    law = exact_output_distribution(pi, UNIFORM_2x2, 0, 1, params)
+    assert 0.6 < mc.candidates / (mc.samples * params.trials) < 0.75
+    for got, p in zip(mc.frequencies, list(law.output) + [law.abort]):
+        assert abs(got - p) < 5 * math.sqrt(p * (1 - p) / mc.samples)
 
 
 def test_mc_memory_bounded_by_trials():
@@ -697,8 +712,8 @@ def _check_kernel(seed, n, trials, size, hash_bits, a_rows, b_rows, outputs):
     returns the maps, the candidate count and the reference's largest u."""
     a_rows, b_rows = (np.array(rows, dtype=np.uint32) for rows in (a_rows, b_rows))
     params = compression_parameters(0.5, 0.0, size, overrides=(1, trials, hash_bits))
-    ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(seed), n, params, a_rows, b_rows,
-                                             outputs)
+    ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(seed), n, params,
+                                             _kernel_setup(a_rows, b_rows, outputs))
     ref_a, ref_b, ref_count, max_u = _reference_maps(
         seed, n, trials, size, hash_bits, a_rows.tolist(), b_rows.tolist(), outputs)
     assert a_maps.tolist() == ref_a
@@ -725,7 +740,8 @@ def test_kernel_threshold_extremes():
     rows = _thresholds([[[1.0] * 3, [1.0] * 3], [[0.0] * 3, [0.0] * 3]])
     n, trials = 2000, 5
     params = compression_parameters(0.5, 0.0, 3, overrides=(1, trials, 0))
-    ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(8), n, params, rows, rows, (2, 0, 1))
+    ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(8), n, params,
+                                             _kernel_setup(rows, rows, (2, 0, 1)))
     assert count == n * trials
     # Every top byte is at most 255, so every trial gets its low bits before u.
     rng = _seeded_rng(8)
@@ -739,8 +755,8 @@ def test_kernel_threshold_extremes():
     # trials are those with a zero top byte, about 2/256 of them.  u and the
     # hash are drawn there, and no row accepts any trial.
     rows = _thresholds([[[0.0] * 3, [1.0] * 3]])
-    ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(8), n, params, rows, rows[:, ::-1],
-                                             (2, 0, 1))
+    ((a_maps, b_maps, count),) = _party_maps(_seeded_rng(8), n, params,
+                                             _kernel_setup(rows, rows[:, ::-1], (2, 0, 1)))
     tops = _seeded_rng(8).bit_generator.random_raw(n * trials // 4).view(np.uint8)
     assert count == ((tops[:n * trials] == 0) | (tops[n * trials:] == 0)).sum() > 0
     assert (a_maps == BOT).all() and (b_maps == BOT).all()
@@ -873,6 +889,28 @@ def test_hash_match_word_layout():
     assert _hash_match(_Words([0, 5], tail), 2, 70).tolist() == [True, False]
 
 
+def test_first_per_run_matches_a_loop():
+    # The first hit of each run, by a plain loop over sorted run indices, on
+    # empty and full hit masks, one hit, one run, and hit densities from 0.02
+    # to 0.9.
+    def reference(hit, run):
+        firsts = {}
+        for k, (h, r) in enumerate(zip(hit.tolist(), run.tolist())):
+            if h and r not in firsts:
+                firsts[r] = k
+        return list(firsts), list(firsts.values())
+
+    rng = np.random.default_rng(27)
+    run = np.sort(rng.integers(0, 300, size=2000))
+    cases = [(np.zeros(2000, dtype=bool), run), (np.ones(2000, dtype=bool), run),
+             (rng.random(50) < 0.5, np.full(50, 7)), (np.zeros(0, dtype=bool), run[:0]),
+             (np.arange(2000) == 1234, run)]
+    cases += [(rng.random(2000) < density, run) for density in (0.02, 0.1, 0.5, 0.9)]
+    for hit, run in cases:
+        runs, pos = _first_per_run(hit, run)
+        assert (runs.tolist(), pos.tolist()) == reference(hit, run)
+
+
 def test_mc_cell_counts_equal_all_cells_block(monkeypatch):
     # A small block size makes the runs span many blocks.
     monkeypatch.setattr(compression, "_CHUNK_ELEMENTS", 1000)
@@ -910,7 +948,8 @@ def test_mc_refuses_a_run_past_one_block(monkeypatch):
     params = compression_parameters(0.5, 1.0, 2, overrides=(2, 1001, 1))
     rows = _thresholds([[[1.0, 1.0], [1.0, 1.0]]])
     # _Words holds no draws, so any draw fails with IndexError, not the refusal.
-    blocks = _party_maps(SimpleNamespace(bit_generator=_Words()), 1, params, rows, rows, (0, 1))
+    blocks = _party_maps(SimpleNamespace(bit_generator=_Words()), 1, params,
+                         _kernel_setup(rows, rows, (0, 1)))
     with pytest.raises(CapacityError, match="MC block"):
         next(blocks)
     for call in (lambda: mc_output_distribution(pi, UNIFORM_2x2, 0, 1, params, 3, seed=0),
@@ -1051,9 +1090,9 @@ def test_extract_strategy_tally_matches_counter():
     strategy, report = extract_strategy(pi, f, mu, 0.5, params, seeds, seed=4)
     assert report.weight_total == 1
     assert sum(w for *_, w in strategy.entries) == 1
-    a_rows, b_rows = _party_rows(pi, mu, range(4), range(4), params)
-    ((a_maps, b_maps, _),) = _party_maps(_seeded_rng(4), seeds, params, a_rows, b_rows,
-                                         pi.leaf_outputs())
+    setup = _party_rows(compression._Same(pi, mu), tuple(range(4)), tuple(range(4)),
+                        params.delta_exp)
+    ((a_maps, b_maps, _),) = _party_maps(_seeded_rng(4), seeds, params, setup)
     tally = Counter()
     for a, b in zip(a_maps.tolist(), b_maps.tolist()):
         for z in range(pi.z_size):

@@ -277,3 +277,13 @@ def test_deep_trees_compare_without_recursion():
     assert _chain(500) != _chain(500, last=0)
     assert _chain(500) != ProtocolTree(_chain(500).root, 2, 2, 3)
     assert _chain(3) != _chain(4)
+
+
+def test_deep_nodes_compare_and_hash_without_recursion():
+    # Node's == and hash walk the tree with one explicit stack, and a
+    # ProtocolTree's use them: at 500 levels neither raises RecursionError.
+    a, b, other = _chain(500), _chain(500), _chain(500, last=0)
+    assert a.root == b.root and hash(a.root) == hash(b.root)
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert a.root != other.root and a != other
+    assert a.root != Leaf(1) and Leaf(1) != a.root
