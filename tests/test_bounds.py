@@ -1385,3 +1385,10 @@ def test_strategy_invariants_enforced():
         LabeledRectangleStrategy(
             [(full, 1, Fraction(1))], Fraction(1, 2), 2, 2
         )
+    for efficiency in (0, Fraction(-1, 2)):
+        with pytest.raises(ParameterError):
+            LabeledRectangleStrategy([(full, 1, Fraction(1))], efficiency, 2, 2)
+    with pytest.raises(ParameterError):
+        LabeledRectangleStrategy(
+            [(full, 0, Fraction(3, 2)), (full, 1, Fraction(-1, 2))], Fraction(2), 2, 2
+        )

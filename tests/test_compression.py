@@ -78,6 +78,21 @@ def test_experiment_inputs_validation():
         ExperimentInputs((Fraction(1, 2),), (ONE,), (ONE,), (ONE,), 1)
     with pytest.raises(DimensionError):
         ExperimentInputs((ONE,), (ONE, ONE), (ONE,), (ONE,), 1)
+    for factor in (Fraction(3, 2), Fraction(-1, 2), 1.5):
+        with pytest.raises(ParameterError):
+            ExperimentInputs((ONE,), (factor,), (ONE,), (ONE,), 1)
+    # A float product sum passes within 1e-9 of 1 and fails past it; an
+    # exact one must be 1 exactly.
+    half = (0.5, 0.5)
+    ExperimentInputs(half, (1.0, 1.0), (1.0, 1.0 - 1e-10), half, 1)
+    with pytest.raises(ParameterError):
+        ExperimentInputs(half, (1.0, 1.0), (1.0, 1.0 - 1e-8), half, 1)
+    with pytest.raises(ParameterError):
+        ExperimentInputs(half, (1.0, 1.0), (1.0, 1.0), (0.5, 0.5 - 1e-8), 1)
+    exact_half = (Fraction(1, 2),) * 2
+    with pytest.raises(ParameterError):
+        ExperimentInputs(exact_half, (ONE, ONE), (ONE, ONE - Fraction(1, 10**12)),
+                         exact_half, 1)
 
 
 def test_experiment_probabilities_point_universe():
@@ -185,8 +200,10 @@ def test_parameters_validation():
         compression_parameters(0.5, 1.0, 0)
     with pytest.raises(ParameterError):
         compression_parameters(0.5, 1.0, 1, overrides=(0, 1, 0))
-    with pytest.raises(ParameterError):
-        CompressionParameters(0.5, 1.0, 1, 0, 0, "override")
+    for fields in ((0.5, 1.0, 1, 0, 0), (1.0, 1.0, 1, 1, 0), (0.0, 1.0, 1, 1, 0),
+                   (0.5, -1.0, 1, 1, 0), (0.5, 1.0, 0, 1, 0), (0.5, 1.0, 1, 1, -1)):
+        with pytest.raises(ParameterError):
+            CompressionParameters(*fields, "override")
 
 
 # ---------------------------------------------------------------------------
@@ -1125,6 +1142,9 @@ def test_extract_strategy_validation():
         extract_strategy(pi, f, UNIFORM_2x2, 0.9, params, 0)
     with pytest.raises(ParameterError):
         extract_strategy(pi, f, UNIFORM_2x2, 1.5, params, 10)
+    with pytest.raises(CapacityError):
+        extract_strategy(pi, f, UNIFORM_2x2, 0.9, params, 10,
+                         caps=default_caps().with_overrides(grid_cells=3))
 
 
 # ---------------------------------------------------------------------------

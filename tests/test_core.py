@@ -110,6 +110,11 @@ def test_distribution_rejects_negative():
         InputDistribution(((-0.5, 0.5), (0.5, 0.5)))
 
 
+def test_distribution_rejects_ragged():
+    with pytest.raises(DimensionError):
+        InputDistribution(((0.25, 0.25), (0.5,)))
+
+
 def test_commdist_round_trip():
     mu = InputDistribution(((0.1, 0.2), (0.3, 0.4)))
     again = InputDistribution.from_text(mu.to_text())
@@ -201,6 +206,20 @@ def test_finite_distribution_exactness():
     assert d.mass(0b0101) == Fraction(1, 2)
     with pytest.raises(ParameterError):
         FiniteDistribution((Fraction(1, 2), Fraction(1, 3)))
+    with pytest.raises(ParameterError):
+        FiniteDistribution((Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10**15)))
+
+
+def test_finite_distribution_refusals():
+    with pytest.raises(DimensionError):
+        FiniteDistribution(())
+    for weights in ((1.5, -0.5), (Fraction(3, 2), Fraction(-1, 2))):
+        with pytest.raises(ParameterError):
+            FiniteDistribution(weights)
+    # A float total passes within 1e-12 of 1 and fails past it.
+    FiniteDistribution((0.5, 0.5 + 1e-13))
+    with pytest.raises(ParameterError):
+        FiniteDistribution((0.5, 0.5 + 1e-11))
 
 
 def test_stat_distance_exact():

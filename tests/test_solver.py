@@ -249,6 +249,8 @@ def test_caps_enforced():
     problem = LpProblem.build("min", [1, 1, 1], [[1, 1, 1]], [">="], [1])
     with pytest.raises(CapacityError):
         lp_solve(problem, "float", caps)
+    with pytest.raises(ParameterError):
+        solver.check_lp_caps(1, 1, "exact", caps)
 
 
 def test_build_validation():
@@ -267,6 +269,10 @@ def test_build_validation():
             LpProblem("min", np.ones(1), np.full((1, 1), bad), (">=",), np.ones(1))
     with pytest.raises(DimensionError):
         LpProblem("min", np.ones(2), np.ones((1, 1)), (">=",), np.ones(1))
+    with pytest.raises(DimensionError):
+        LpProblem.build("min", [1, 1], [[1]], [">="], [1])
+    with pytest.raises(DimensionError):
+        LpProblem.build("min", [1], [[1]], [">=", ">="], [1])
 
 
 def test_float64_problem_solved_exactly(fail_float_simplex):
