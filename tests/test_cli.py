@@ -1,5 +1,6 @@
 """CLI contract: CSV output, determinism, exit codes, atomic writes."""
 
+import dataclasses
 import math
 import os
 import re
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 import commlb
-from commlb import protocol
+from commlb import compression, protocol, verify
 from commlb.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAPACITY,
@@ -20,7 +21,7 @@ from commlb.cli import (
     EXIT_VERIFY,
     main,
 )
-from commlb.core import PartialFunction
+from commlb.core import BadSet, PartialFunction
 from commlb.corpus import make_distribution, make_protocol
 from commlb.errors import SolverError
 
@@ -360,6 +361,46 @@ def test_verify_only_chain(capsys):
 def test_verify_perturb_fails(capsys):
     code, out, _ = _run(capsys, "verify", "--only", "chain",
                         "--self-test-perturb")
+    assert code == EXIT_VERIFY
+    assert out.startswith("FAIL [")
+
+
+def _doubled_both(experiment_probabilities):
+    def doubled(inp):
+        table = experiment_probabilities(inp)
+        return dataclasses.replace(table, both=tuple(2 * b for b in table.both))
+    return doubled
+
+
+def _shifted_law(exact_output_distribution):
+    # 0.1 of the abort mass moved onto output 0: past 5 standard errors of
+    # the MC law at 20,000 samples.
+    def shifted(*args, **kwargs):
+        law = exact_output_distribution(*args, **kwargs)
+        return dataclasses.replace(law, output=(law.output[0] + 0.1, *law.output[1:]),
+                                   abort=law.abort - 0.1)
+    return shifted
+
+
+# (check, module, attribute, breaker): each breaker takes the attribute, one
+# that a check reads its subject through, and returns a wrong version of it.
+BROKEN_SUBJECTS = [
+    ("accept-identity", compression, "experiment_probabilities", _doubled_both),
+    ("accept-bounds", compression, "experiment_probabilities", _doubled_both),
+    ("bad-set-bound", verify, "bad_set",
+     lambda bad_set: lambda *args: BadSet(bad_set(*args).members, 1.0)),
+    ("dp-vs-mc", compression, "exact_output_distribution", _shifted_law),
+    ("ic-paths", verify, "information_cost", lambda _: lambda pi, mu: pi.depth + 1),
+]
+
+
+@pytest.mark.parametrize("only, module, name, breaker", BROKEN_SUBJECTS,
+                         ids=[case[0] for case in BROKEN_SUBJECTS])
+def test_verify_fails_on_a_broken_subject(capsys, monkeypatch, only, module, name, breaker):
+    code, out, _ = _run(capsys, "verify", "--only", only, "--samples", "20000")
+    assert code == EXIT_OK and out.startswith("PASS [")
+    monkeypatch.setattr(module, name, breaker(getattr(module, name)))
+    code, out, _ = _run(capsys, "verify", "--only", only, "--samples", "20000")
     assert code == EXIT_VERIFY
     assert out.startswith("FAIL [")
 
