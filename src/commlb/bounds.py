@@ -76,12 +76,14 @@ from .core import (
     Number,
     PartialFunction,
     Rectangle,
+    _exact,
     _is_exact,
+    _slack,
     check_rect_side,
 )
 from .errors import (CapacityError, DegenerateInputError, DimensionError, ParameterError,
                      SolverError)
-from .solver import LpProblem, LpSolution, _exact, check_lp_caps, lp_solve
+from .solver import LpProblem, LpSolution, check_lp_caps, lp_solve
 
 __all__ = [
     "LabeledRectangleStrategy",
@@ -205,12 +207,6 @@ def _eps(eps, mode: str) -> Number:
 
 def _coerce(v, mode: str) -> Number:
     return _exact(v) if mode == "rational" else float(v)
-
-
-def _tolerance(values, eps=0, inexact=_WITNESS_TOL) -> Number:
-    """0 when `eps` and every one of `values` are exact numbers, else
-    `inexact`."""
-    return 0 if _is_exact((eps, *values)) else inexact
 
 
 def _coverage(entries, x_size: int, y_size: int, f: PartialFunction | None = None) -> list[list]:
@@ -713,7 +709,7 @@ def corruption_witness(
     for x, y in f.domain():
         m = mu.prob(x, y)
         alpha[(x, y)] = m / beta if f.value(x, y) == z else m / (delta_c * beta)
-    slack = _tolerance(alpha.values(), inexact=1e-12)
+    slack = _slack(alpha.values(), 1e-12)
     feasible, objective = _alpha_value(f, alpha, z, eps, slack, caps or default_caps())
     return alpha, feasible, objective
 
@@ -812,7 +808,7 @@ def check_witness(
         if (strategy.x_size, strategy.y_size) != (f.x_size, f.y_size):
             raise DimensionError(f"strategy is {strategy.x_size}x{strategy.y_size}, "
                                  f"function is {f.x_size}x{f.y_size}")
-        tol = _tolerance([w for _, _, w in strategy.entries], eps)
+        tol = _slack((eps, *(w for _, _, w in strategy.entries)), _WITNESS_TOL)
         scale = 1 / strategy.efficiency  # back to raw LP weights w = p * scale
         objective = scale * sum((w for _, _, w in strategy.entries), Fraction(0))
         cover, correct = strategy.coverage(), strategy.coverage(f)
@@ -839,7 +835,7 @@ def check_witness(
         weights: dict[Rectangle, Number] = result.primal_witness
         _check_on_grid(f, [rect for rect in weights
                            if rect.row_mask >> f.x_size or rect.col_mask >> f.y_size])
-        tol = _tolerance(weights.values(), eps)
+        tol = _slack((eps, *weights.values()), _WITNESS_TOL)
         cover = _coverage([(rect, None, w) for rect, w in weights.items()], f.x_size, f.y_size)
         feasible = bool(f.preimage(z)) and all(
             (1 - eps) - tol <= cover[x][y] <= 1 + tol if f.value(x, y) == z
@@ -852,7 +848,7 @@ def check_witness(
         alpha: dict[tuple[int, int], Number] = result.primal_witness
         _check_on_grid(f, [cell for cell in alpha
                            if not (0 <= cell[0] < f.x_size and 0 <= cell[1] < f.y_size)])
-        tol = _tolerance(alpha.values(), eps)
+        tol = _slack((eps, *alpha.values()), _WITNESS_TOL)
         fits, objective = _alpha_value(f, alpha, z, eps, tol, caps)
         return fits and all(v >= -tol for v in alpha.values()), objective
 

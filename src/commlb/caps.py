@@ -26,7 +26,6 @@ class Caps:
     lp_vars_rational: int = 2_000
     lp_rows_rational: int = 2_000
     dp_trials: int = 500        # max T for the exact output law; its work grows with log T
-    dp_universe: int = 16       # max |U| for the DP
     grid_cells: int = 256       # max x_size * y_size for strategy extraction
 
     def with_overrides(self, **kwargs: int) -> "Caps":

@@ -95,6 +95,23 @@ def _write_output(lines: list[str], out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
+# The bounds of `commlb bounds`: each whole-function bound from (f, mu, eps,
+# mode, caps), and each per-label bound from (f, eps, z, mode, caps), solved
+# per label that occurs in the table (a declared label with an empty
+# preimage gets no row).
+_BOUNDS = {
+    "prt": lambda f, mu, eps, mode, caps: bnd.prt(f, eps, mode, caps),
+    "bprt": lambda f, mu, eps, mode, caps: bnd.bprt(f, eps, mode, caps),
+    "bprt-mu": lambda f, mu, eps, mode, caps: bnd.bprt_mu(f, mu, eps, mode, caps),
+    "disc": lambda f, mu, eps, mode, caps: bnd.BoundResult(
+        "disc", bnd.discrepancy(f, mu, caps), eps, None, None, "exact"),
+}
+_LABEL_BOUNDS = {
+    "srec": lambda f, eps, z, mode, caps: bnd.srec(f, eps, z, mode, caps),
+    "rect": lambda f, eps, z, mode, caps: bnd.rect_dual(f, eps, z, None, mode, caps),
+}
+
+
 def cmd_bounds(args) -> int:
     f = _load_function(args.fn)
     mu = _load_distribution(args.mu, f)
@@ -102,40 +119,31 @@ def cmd_bounds(args) -> int:
     eps = Fraction(args.eps).limit_denominator(10**9) if args.rational else args.eps
     caps = default_caps()
     requested = [b.strip() for b in args.bound.split(",") if b.strip()]
-    # srec and rect are solved per label that occurs in the table; a declared
-    # label with an empty preimage gets no row.
     labels = sorted({z for row in f.table for z in row if z is not None})
     rows = [bnd.CSV_HEADER]
     for name in requested:
-        if name == "prt":
-            rows.append(bnd.csv_row(bnd.prt(f, eps, mode, caps), args.fn, f))
-        elif name == "bprt":
-            rows.append(bnd.csv_row(bnd.bprt(f, eps, mode, caps), args.fn, f))
-        elif name == "bprt-mu":
-            rows.append(bnd.csv_row(bnd.bprt_mu(f, mu, eps, mode, caps), args.fn, f))
-        elif name == "srec":
-            for z in labels:
-                res = bnd.srec(f, eps, z, mode, caps)
-                rows.append(bnd.csv_row(res, f"{args.fn}:z={z}", f))
-        elif name == "rect":
-            for z in labels:
-                res = bnd.rect_dual(f, eps, z, None, mode, caps)
-                rows.append(bnd.csv_row(res, f"{args.fn}:z={z}", f))
-        elif name == "disc":
-            res = bnd.BoundResult("disc", bnd.discrepancy(f, mu, caps), eps, None, None, "exact")
-            rows.append(bnd.csv_row(res, args.fn, f))
+        if name in _BOUNDS:
+            rows.append(bnd.csv_row(_BOUNDS[name](f, mu, eps, mode, caps), args.fn, f))
+        elif name in _LABEL_BOUNDS:
+            rows += [bnd.csv_row(_LABEL_BOUNDS[name](f, eps, z, mode, caps),
+                                 f"{args.fn}:z={z}", f) for z in labels]
         else:
             raise CommlbError(f"unknown bound {name!r}")
     _write_output(rows, args.out)
     return EXIT_OK
 
 
-def cmd_ic(args) -> int:
+def _load_instance(args) -> tuple[PartialFunction | None, ProtocolTree, InputDistribution, float]:
+    """The function of --fn (None without it), the protocol of --prot, the
+    distribution of --mu on their grid, and the protocol's information cost."""
     f = _load_function(args.fn) if args.fn else None
     pi = _load_protocol(args.prot, f)
-    shape = f if f is not None else pi
-    mu = _load_distribution(args.mu, shape)
-    ic = information_cost(pi, mu)
+    mu = _load_distribution(args.mu, f if f is not None else pi)
+    return f, pi, mu, information_cost(pi, mu)
+
+
+def cmd_ic(args) -> int:
+    f, pi, mu, ic = _load_instance(args)
     path_a, path_b = information_cost_paths(pi, mu)
     lines = [
         "quantity,value",
@@ -155,11 +163,7 @@ def cmd_ic(args) -> int:
 def cmd_compress(args) -> int:
     if not (0 < args.delta < 1):
         raise CommlbError(f"delta must lie in (0, 1), got {args.delta}")
-    f = _load_function(args.fn) if args.fn else None
-    pi = _load_protocol(args.prot, f)
-    shape = f if f is not None else pi
-    mu = _load_distribution(args.mu, shape)
-    ic = information_cost(pi, mu)
+    f, pi, mu, ic = _load_instance(args)
     if args.override and args.paper_exact:
         raise CommlbError("--paper-exact and --override are mutually exclusive")
     if args.override:

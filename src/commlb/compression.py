@@ -38,7 +38,8 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .caps import Caps, default_caps
-from .core import FiniteDistribution, InputDistribution, Number, PartialFunction, Rectangle, _pow2
+from .core import (FiniteDistribution, InputDistribution, Number, PartialFunction, Rectangle,
+                   _pow2, _slack)
 from .errors import (
     CapacityError,
     ConditioningError,
@@ -75,17 +76,13 @@ _SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ExperimentInputs:
-    """Factor functions for one sampling experiment.
+class ExperimentInputs(Factorization):
+    """Factor functions for one sampling experiment, and its delta_exp.
 
     p_a*p_b, p_a*q_a, and p_b*q_b must each be probability distributions over
     the universe (the target tau and the two parties' estimates nu_a, nu_b).
     """
 
-    p_a: tuple[Number, ...]
-    q_a: tuple[Number, ...]
-    p_b: tuple[Number, ...]
-    q_b: tuple[Number, ...]
     delta_exp: Number
 
     def __post_init__(self) -> None:
@@ -99,15 +96,13 @@ class ExperimentInputs:
         ):
             if any(v < 0 or v > 1 for v in vals):
                 raise ParameterError(f"{name} values must lie in [0, 1]")
-        for name, total in (
-            ("p_a*p_b", sum(a * b for a, b in zip(self.p_a, self.p_b))),
-            ("p_a*q_a", sum(a * b for a, b in zip(self.p_a, self.q_a))),
-            ("p_b*q_b", sum(a * b for a, b in zip(self.p_b, self.q_b))),
+        for name, left, right in (
+            ("p_a*p_b", self.p_a, self.p_b),
+            ("p_a*q_a", self.p_a, self.q_a),
+            ("p_b*q_b", self.p_b, self.q_b),
         ):
-            if isinstance(total, Fraction):
-                if total != 1:
-                    raise ParameterError(f"{name} sums to {total}, not 1")
-            elif abs(total - 1) > _SUM_TOL:
+            total = sum(a * b for a, b in zip(left, right))
+            if abs(total - 1) > _slack((*left, *right), _SUM_TOL):
                 raise ParameterError(f"{name} sums to {total}, not 1")
 
     @property
@@ -514,10 +509,6 @@ def exact_output_distribution(
         raise CapacityError(
             f"T={params.trials} exceeds the DP cap {caps.dp_trials}; "
             "use MC mode or raise the dp_trials cap"
-        )
-    if pi.universe_size > caps.dp_universe:
-        raise CapacityError(
-            f"|U|={pi.universe_size} exceeds the DP cap {caps.dp_universe}"
         )
     inp = _experiment_cell(_Same(pi, mu), x, y, params.delta_exp)[0]
     table = experiment_probabilities(inp)
@@ -1009,5 +1000,4 @@ def conditional_distance_check(
         sum(pw - cw for cw, pw in zip(cond, pi_dist.weights) if pw > cw),
     )
     bound = c + pr_f / pr_h
-    slack = 0 if isinstance(measured, Fraction) and isinstance(bound, Fraction) else 1e-12
-    return measured <= bound + slack, measured, bound
+    return measured <= bound + _slack((measured, bound), 1e-12), measured, bound

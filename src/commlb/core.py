@@ -43,6 +43,17 @@ def _is_exact(values: Iterable) -> bool:
     return all(isinstance(v, (Fraction, int)) for v in values)
 
 
+def _slack(values: Iterable, inexact: float) -> Number:
+    """The tolerance of a comparison of `values`: 0 when every one is an
+    exact number, else `inexact`."""
+    return 0 if _is_exact(values) else inexact
+
+
+def _exact(v) -> int | Fraction:
+    """`v` as an int or Fraction: floats and numpy scalars through Fraction."""
+    return v if type(v) in (int, Fraction) else Fraction(v)
+
+
 def _pow2(delta_exp) -> Number:
     """2**delta_exp: exact for an integral int or Fraction, else a float."""
     if isinstance(delta_exp, int) or (
@@ -335,10 +346,7 @@ class FiniteDistribution:
         if any(w < 0 for w in self.weights):
             raise ParameterError("negative weight")
         total = sum(self.weights)
-        if self.is_exact:
-            if total != 1:
-                raise ParameterError(f"weights sum to {total}, not 1")
-        elif abs(total - 1) > _NORMALIZED_TOL:
+        if abs(total - 1) > _slack(self.weights, _NORMALIZED_TOL):
             raise ParameterError(f"weights sum to {total}, not 1")
 
     @property

@@ -130,31 +130,18 @@ def make_distribution(kind: str, f: PartialFunction) -> InputDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _exchange_tree(n: int, f: PartialFunction | None, x_prefix: int, y_prefix: int,
-                   a_left: int, b_left: int, size: int):
-    if a_left > 0:
-        # Alice sends her next most significant bit, deterministically.  The
-        # table indexes the full input; inputs inconsistent with the prefix
-        # never reach this node, so their entries are harmless.
-        bit = a_left - 1
-        p1 = tuple(Fraction((x >> bit) & 1) for x in range(size))
-        return Node(
-            "A", p1,
-            _exchange_tree(n, f, x_prefix << 1, y_prefix, a_left - 1, b_left, size),
-            _exchange_tree(n, f, (x_prefix << 1) | 1, y_prefix, a_left - 1, b_left, size),
-        )
-    if b_left > 0:
-        bit = b_left - 1
-        p1 = tuple(Fraction((y >> bit) & 1) for y in range(size))
-        return Node(
-            "B", p1,
-            _exchange_tree(n, f, x_prefix, y_prefix << 1, 0, b_left - 1, size),
-            _exchange_tree(n, f, x_prefix, (y_prefix << 1) | 1, 0, b_left - 1, size),
-        )
-    if f is None:
-        return Leaf(0)
-    z = f.value(x_prefix, y_prefix)
-    return Leaf(z if z is not None else 0)
+def _exchange_tree(f: PartialFunction | None, n: int, sent: int, depth: int):
+    """The subtree after the first `depth` bits, `sent`, of the 2n that the
+    parties send: Alice's n bits of x, most significant first, then Bob's of
+    y.  A node's table indexes the full input; inputs inconsistent with the
+    bits sent never reach it, so their entries are harmless."""
+    if depth == 2 * n:
+        z = None if f is None else f.value(sent >> n, sent & ((1 << n) - 1))
+        return Leaf(0 if z is None else z)
+    bit = n - 1 - depth % n
+    p1 = tuple(Fraction((v >> bit) & 1) for v in range(1 << n))
+    return Node("AB"[depth // n], p1,
+                *(_exchange_tree(f, n, (sent << 1) | b, depth + 1) for b in (0, 1)))
 
 
 def make_protocol(kind: str, *, n: int = 1, z: int = 1, flip: float = 0.25,
@@ -186,13 +173,10 @@ def make_protocol(kind: str, *, n: int = 1, z: int = 1, flip: float = 0.25,
             n = bits
         if not 0 <= n <= _MAX_BITS:
             raise ParameterError(f"exchange_all needs n in [0, {_MAX_BITS}], got {n}")
-        size = 2**n
-        root = _exchange_tree(n, f, 0, 0, n, n, size)
         z_size = f.z_size if f is not None else 1
-        return ProtocolTree(root, size, size, z_size)
+        return ProtocolTree(_exchange_tree(f, n, 0, 0), 2**n, 2**n, z_size)
     if kind == "and_protocol":
-        from_f = make_function(CorpusSpec("AND", 1))
-        return make_protocol("exchange_all", f=from_f)
+        return make_protocol("exchange_all", f=make_function("AND,1"))
     raise ParameterError(f"unknown protocol kind {kind!r}")
 
 
@@ -202,17 +186,8 @@ def make_protocol(kind: str, *, n: int = 1, z: int = 1, flip: float = 0.25,
 
 
 def corpus_functions() -> list[tuple[str, PartialFunction]]:
-    specs = [
-        ("CONST,1", CorpusSpec("CONST", 1)),
-        ("AND,1", CorpusSpec("AND", 1)),
-        ("EQ,1", CorpusSpec("EQ", 1)),
-        ("EQ,2", CorpusSpec("EQ", 2)),
-        ("GT,2", CorpusSpec("GT", 2)),
-        ("DISJ,2", CorpusSpec("DISJ", 2)),
-        ("IP,2", CorpusSpec("IP", 2)),
-        ("GHD,2,1", CorpusSpec("GHD", 2, 1)),
-    ]
-    return [(label, make_function(spec)) for label, spec in specs]
+    labels = ("CONST,1", "AND,1", "EQ,1", "EQ,2", "GT,2", "DISJ,2", "IP,2", "GHD,2,1")
+    return [(label, make_function(label)) for label in labels]
 
 
 def corpus_triples() -> list[tuple[str, PartialFunction, InputDistribution, ProtocolTree]]:
@@ -223,9 +198,7 @@ def corpus_triples() -> list[tuple[str, PartialFunction, InputDistribution, Prot
         mu = make_distribution("uniform", f)
         pi = make_protocol("exchange_all", f=f)
         triples.append((f"{label}/exchange_all", f, mu, pi))
-    eq1 = make_function(CorpusSpec("EQ", 1))
-    and1 = make_function(CorpusSpec("AND", 1))
-    const1 = make_function(CorpusSpec("CONST", 1))
+    eq1, and1, const1 = (make_function(label) for label in ("EQ,1", "AND,1", "CONST,1"))
     mu2 = make_distribution("uniform", eq1)
     triples.append(("EQ,1/send_x", eq1, mu2, make_protocol("send_x")))
     triples.append(("EQ,1/noisy_bit", eq1, mu2, make_protocol("noisy_bit", flip=0.25)))

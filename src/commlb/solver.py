@@ -53,6 +53,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .caps import Caps, default_caps
+from .core import _exact
 from .errors import CapacityError, DimensionError, ParameterError, SolverError
 
 __all__ = ["LpProblem", "LpSolution", "lp_solve", "check_lp_caps"]
@@ -462,11 +463,6 @@ def _bareiss(matrix: list[list[int]], rhs: list[int]) -> tuple[int, list[int]] |
     for top in reversed(upper):
         z.insert(0, (prev * top[-1] - sum(a * v for a, v in zip(top[1:-1], z))) // top[0])
     return (prev, z) if prev > 0 else (-prev, [-v for v in z])
-
-
-def _exact(v) -> int | Fraction:
-    """`v` as an int or Fraction: floats and numpy scalars through Fraction."""
-    return v if type(v) in (int, Fraction) else Fraction(v)
 
 
 def _exact_array(values: np.ndarray) -> np.ndarray:

@@ -47,10 +47,10 @@ class CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _random_experiment_inputs(rng: random.Random, max_universe: int = 8):
+def _random_experiment_inputs(rng: random.Random):
     """A random exact ExperimentInputs: rational tau = p_a*p_b and party
     estimates nu_a = p_a*q_a, nu_b = p_b*q_b, with integer delta_exp."""
-    size = rng.randint(1, max_universe)
+    size = rng.randint(1, 8)
     delta_exp = rng.randint(1, 6)
     raw = [rng.randint(1, 20) for _ in range(size)]
     total = sum(raw)
@@ -99,11 +99,11 @@ def _random_mu(rng: random.Random, nx: int = 2, ny: int = 2) -> InputDistributio
 # ---------------------------------------------------------------------------
 
 
-def check_accept_identity(seed: int = 0, instances: int = 500) -> tuple[bool, str]:
+def check_accept_identity(seed: int = 0) -> tuple[bool, str]:
     """Exact per-party acceptance probability 1/(|U| 2^delta_exp)."""
     rng = random.Random(seed)
     worst_float = 0.0
-    for _ in range(instances):
+    for _ in range(500):
         inp, *_ = _random_experiment_inputs(rng)
         table = cmp.experiment_probabilities(inp)
         expected = Fraction(1, inp.universe_size * 2**int(inp.delta_exp))
@@ -124,14 +124,14 @@ def check_accept_identity(seed: int = 0, instances: int = 500) -> tuple[bool, st
         )
         if worst_float > 1e-12:
             return False, f"float deviation {worst_float}"
-    return True, f"{instances} instances exact; max float deviation {worst_float:.2e}"
+    return True, f"500 instances exact; max float deviation {worst_float:.2e}"
 
 
-def check_accept_bounds(seed: int = 0, instances: int = 500) -> tuple[bool, str]:
+def check_accept_bounds(seed: int = 0) -> tuple[bool, str]:
     """Both-accept probability bracketed by the bad-set mass, and the
     accepted-output law within gamma of the target."""
     rng = random.Random(seed)
-    for _ in range(instances):
+    for _ in range(500):
         inp, tau, nu_a, nu_b = _random_experiment_inputs(rng)
         table = cmp.experiment_probabilities(inp)
         accept = sum(table.both)
@@ -149,14 +149,14 @@ def check_accept_bounds(seed: int = 0, instances: int = 500) -> tuple[bool, str]
             tau_prime = FiniteDistribution(tuple(b / accept for b in table.both))
             if stat_distance(tau_d, tau_prime) > gamma:
                 return False, "output law further than gamma from target"
-    return True, f"{instances} instances exact"
+    return True, "500 instances exact"
 
 
-def check_bad_set_bound(seed: int = 0, instances: int = 1000) -> tuple[bool, str]:
+def check_bad_set_bound(seed: int = 0) -> tuple[bool, str]:
     """tau(Bad) <= (D(tau||nu) + 1) / delta_exp on random pairs."""
     rng = random.Random(seed)
     worst = -math.inf
-    for _ in range(instances):
+    for _ in range(1000):
         size = rng.randint(2, 10)
         tau_raw = [rng.random() + 1e-3 for _ in range(size)]
         nu_raw = [rng.random() + 1e-3 for _ in range(size)]
@@ -169,7 +169,7 @@ def check_bad_set_bound(seed: int = 0, instances: int = 1000) -> tuple[bool, str
         worst = max(worst, mass - limit)
         if mass > limit + 1e-12:
             return False, f"mass {mass} exceeds {limit}"
-    return True, f"{instances} pairs, worst margin {worst:.3e}"
+    return True, f"1000 pairs, worst margin {worst:.3e}"
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +331,11 @@ def check_extraction(seed: int, caps: Caps) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def check_conditional_distance(seed: int = 0, instances: int = 1000) -> tuple[bool, str]:
+def check_conditional_distance(seed: int = 0) -> tuple[bool, str]:
     """|Pi'_H - Pi| <= c + Pr[F]/Pr[H] on random finite spaces, with the
     precondition made true by choosing c as the measured distance on H - F."""
     rng = random.Random(seed)
-    for _ in range(instances):
+    for _ in range(1000):
         m = rng.randint(2, 6)
         weights = [rng.random() + 0.01 for _ in range(m)]
         total = sum(weights)
@@ -362,19 +362,19 @@ def check_conditional_distance(seed: int = 0, instances: int = 1000) -> tuple[bo
         )
         if not holds:
             return False, f"measured {measured} > bound {limit}"
-    return True, f"{instances} spaces"
+    return True, "1000 spaces"
 
 
-def check_ic_paths(seed: int = 0, instances: int = 200) -> tuple[bool, str]:
+def check_ic_paths(seed: int = 0) -> tuple[bool, str]:
     """Both information-cost computations agree, and 0 <= IC <= depth."""
     rng = random.Random(seed)
-    for _ in range(instances):
+    for _ in range(200):
         pi = ProtocolTree(_random_tree(rng, 3), 2, 2, 2)
         mu = _random_mu(rng)
         ic = information_cost(pi, mu)  # raises if the two paths disagree
         if not (0 <= ic <= pi.depth + 1e-9):
             return False, f"IC {ic} outside [0, depth={pi.depth}]"
-    return True, f"{instances} random (tree, distribution) pairs"
+    return True, "200 random (tree, distribution) pairs"
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from commlb.core import (
     PartialFunction,
     Rectangle,
 )
-from commlb.corpus import make_function, make_protocol
+from commlb.corpus import make_distribution, make_function, make_protocol
 from commlb.errors import (
     CapacityError,
     ConditioningError,
@@ -523,6 +523,20 @@ def test_verify_compression_paper_exact_small_delta(delta):
     start = time.perf_counter()
     report = verify_compression(pi, f, UNIFORM_2x2, delta, params, caps=caps)
     assert time.perf_counter() - start < 1.0
+    assert report.all_pass
+    assert report.collision_bound_pass is True
+
+
+def test_verify_compression_paper_exact_on_a_64_element_universe():
+    # GHD,3,1 under exchange_all: |U| = 64, IC = 6 bits and T near 2^249,
+    # one four-state chain per output value.
+    f = make_function("GHD,3,1")
+    pi = make_protocol("exchange_all", f=f)
+    mu = make_distribution("uniform", f)
+    params = compression_parameters(0.9, information_cost(pi, mu), pi.universe_size)
+    assert pi.universe_size == 64 and params.trials.bit_length() == 250
+    caps = default_caps().with_overrides(dp_trials=params.trials)
+    report = verify_compression(pi, f, mu, 0.9, params, caps=caps)
     assert report.all_pass
     assert report.collision_bound_pass is True
 

@@ -296,7 +296,7 @@ def test_caps_env_override(monkeypatch):
     caps = default_caps()
     assert caps.rect_side == 10
     assert caps.dp_trials == 999
-    assert caps.dp_universe == Caps().dp_universe
+    assert caps.grid_cells == Caps().grid_cells
 
 
 @pytest.mark.parametrize(
