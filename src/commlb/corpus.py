@@ -198,7 +198,9 @@ def corpus_triples() -> list[tuple[str, PartialFunction, InputDistribution, Prot
         mu = make_distribution("uniform", f)
         pi = make_protocol("exchange_all", f=f)
         triples.append((f"{label}/exchange_all", f, mu, pi))
-    eq1, and1, const1 = (make_function(label) for label in ("EQ,1", "AND,1", "CONST,1"))
+    eq1 = make_function("EQ,1")
+    and1 = make_function("AND,1")
+    const1 = make_function("CONST,1")
     mu2 = make_distribution("uniform", eq1)
     triples.append(("EQ,1/send_x", eq1, mu2, make_protocol("send_x")))
     triples.append(("EQ,1/noisy_bit", eq1, mu2, make_protocol("noisy_bit", flip=0.25)))
