@@ -10,9 +10,10 @@ The pipeline:
   experiment; each party outputs the transcript's value or aborts;
 * the exact output law, from the T-th power of one trial's transition matrix
   on a four-state chain per output value (nobody decided, only Bob, only
-  Alice, both have it) taken by squaring in O(log T) products, with each
-  party's own law in closed form, and a vectorized Monte Carlo engine for
-  cross-checking it, which draws the coins' top bytes at every trial, and
+  Alice, both have it) taken by squaring in O(log T) products, the chains
+  of every input cell stacked into one array and squared in one pass, with
+  each party's own law in closed form, and a vectorized Monte Carlo engine
+  for cross-checking it, which draws the coins' top bytes at every trial, and
   their low bits, u and the hash only at the trials where a top byte admits
   some party (about 2/256 of them once delta_exp >= 9);
 * the conversion of runs into a labeled-rectangle strategy.
@@ -31,7 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
@@ -149,9 +150,14 @@ def experiment_probabilities(inp: ExperimentInputs) -> ExperimentTable:
     inv_u = Fraction(1, size) if isinstance(scale, Fraction) else 1.0 / size
     both, alice_only, bob_only = [], [], []
     try:
+        square = scale * scale
+        if all(isinstance(v, float) for v in (*inp.p_a, *inp.q_a, *inp.p_b, *inp.q_b)):
+            # An exact constant meets a float factor as its float at every
+            # operation; convert each once, with the same bits.
+            scale, inv_u, square = float(scale), float(inv_u), float(square)
         for pa, qa, pb, qb in zip(inp.p_a, inp.q_a, inp.p_b, inp.q_b):
             # alpha <= min(pa, S*qb) and beta <= min(pb, S*qa), alpha/beta ~ U[0, S]
-            p_both = inv_u * min(pa, scale * qb) * min(pb, scale * qa) / (scale * scale)
+            p_both = inv_u * min(pa, scale * qb) * min(pb, scale * qa) / square
             p_alice = inv_u * pa * qa / scale
             p_bob = inv_u * pb * qb / scale
             both.append(p_both)
@@ -171,6 +177,15 @@ def experiment_probabilities(inp: ExperimentInputs) -> ExperimentTable:
 # ---------------------------------------------------------------------------
 
 
+def _check_accuracy(delta, info_cost=0.0) -> None:
+    """The rule on the accuracy delta and the information cost that every
+    compression parameter and entry point obeys."""
+    if not (0 < delta < 1):
+        raise ParameterError("delta must lie in (0, 1)")
+    if info_cost < 0:
+        raise ParameterError("info_cost must be nonnegative")
+
+
 @dataclass(frozen=True)
 class CompressionParameters:
     """(delta_exp, trials, hash_bits) driving a zero-communication run.
@@ -188,10 +203,7 @@ class CompressionParameters:
     mode: Literal["paper-exact", "override"]
 
     def __post_init__(self) -> None:
-        if not (0 < self.delta < 1):
-            raise ParameterError("delta must lie in (0, 1)")
-        if self.info_cost < 0:
-            raise ParameterError("info_cost must be nonnegative")
+        _check_accuracy(self.delta, self.info_cost)
         if self.delta_exp < 1 or self.trials < 1 or self.hash_bits < 0:
             raise ParameterError("delta_exp, trials >= 1 and hash_bits >= 0 required")
 
@@ -218,10 +230,7 @@ def compression_parameters(
 
     Pass ``overrides=(delta_exp, trials, hash_bits)`` to bypass the derivation
     (the analytic guarantees are then not asserted)."""
-    if not (0 < delta < 1):
-        raise ParameterError("delta must lie in (0, 1)")
-    if info_cost < 0:
-        raise ParameterError("info_cost must be nonnegative")
+    _check_accuracy(delta, info_cost)
     if overrides is not None:
         return CompressionParameters(delta, info_cost, *overrides, "override")
     if universe_size < 1:
@@ -497,8 +506,17 @@ def exact_output_distribution(
     masses would be subnormal) or a T of 2**1024 or more is refused, and so
     is an experiment table with a nonzero per-trial rate below 2**-1022 (a
     category mass summed over an output value, alone or times
-    2**-hash_bits), before the chain is built.
+    2**-hash_bits), before the chain is built.  This is the one-cell case of
+    ``_exact_laws``, which squares the chains of many cells in one pass.
     """
+    return _exact_laws(pi, mu, [(x, y)], params, caps)[(x, y)]
+
+
+def _exact_laws(pi, mu, cells, params, caps) -> dict[tuple[int, int], ExactLaw]:
+    """Exact laws of every cell of ``cells``: each cell's k chains are stacked
+    into one (cells * k, 4, 4) array and squared in one pass.  The float64
+    and trial-cap refusals come first, then the per-trial-rate refusal at
+    the first cell whose table fails it."""
     if params.lambda_exponent > 1022 or params.trials > int(sys.float_info.max):
         raise CapacityError(
             "the exact law needs lambda >= 2^-1022 and T < 2^1024 in float64; got "
@@ -510,105 +528,124 @@ def exact_output_distribution(
             f"T={params.trials} exceeds the DP cap {caps.dp_trials}; "
             "use MC mode or raise the dp_trials cap"
         )
-    inp = _experiment_cell(_Same(pi, mu), x, y, params.delta_exp)[0]
-    table = experiment_probabilities(inp)
+    same = _Same(pi, mu)
     outputs = pi.leaf_outputs()
     # Aggregate categories by the transcript's output value.  The chain runs
     # over the values some leaf outputs (at most |U| of them), not over all
     # of Z, so its size does not grow with the declared z_size.
     values = sorted(set(outputs))
     index = {z: i for i, z in enumerate(values)}
-    both_z = [0.0] * len(values)
-    aonly_z = [0.0] * len(values)
-    bonly_z = [0.0] * len(values)
-    for u, z in enumerate(outputs):
-        both_z[index[z]] += float(table.both[u])
-        aonly_z[index[z]] += float(table.alice_only[u])
-        bonly_z[index[z]] += float(table.bob_only[u])
     # Every nonzero rate of the chain and of the closed forms is one of these
     # masses, or at least one of them times rho = 2^-hash_bits.  float64
     # loses a rate below 2^-1022, and a mass that is 0 only as a float; a
     # law that would drop one is refused.
     floor = math.ldexp(1.0, params.hash_bits - 1022)  # the least mass whose rate is normal
-    masses = both_z + aonly_z + bonly_z
-    if min(masses) < floor and (any(0 < m < floor for m in masses) or any(
-            p and not float(p) for p in (*table.both, *table.alice_only, *table.bob_only))):
-        raise CapacityError(
-            "the exact law needs every nonzero per-trial rate >= 2^-1022 in float64; got a "
-            f"category mass below 2^-{1022 - params.hash_bits} under a hash match of "
-            f"2^-{params.hash_bits}"
-        )
-    law = _dp_law(both_z, aonly_z, bonly_z, params)
+    masses = []
+    for x, y in cells:
+        table = experiment_probabilities(_experiment_cell(same, x, y, params.delta_exp)[0])
+        both_z = [0.0] * len(values)
+        aonly_z = [0.0] * len(values)
+        bonly_z = [0.0] * len(values)
+        for u, z in enumerate(outputs):
+            both_z[index[z]] += float(table.both[u])
+            aonly_z[index[z]] += float(table.alice_only[u])
+            bonly_z[index[z]] += float(table.bob_only[u])
+        cell_masses = both_z + aonly_z + bonly_z
+        if min(cell_masses) < floor and (any(0 < m < floor for m in cell_masses) or any(
+                p and not float(p) for p in (*table.both, *table.alice_only, *table.bob_only))):
+            raise CapacityError(
+                "the exact law needs every nonzero per-trial rate >= 2^-1022 in float64; got a "
+                f"category mass below 2^-{1022 - params.hash_bits} under a hash match of "
+                f"2^-{params.hash_bits}"
+            )
+        masses.append((both_z, aonly_z, bonly_z))
 
-    def spread(probs: tuple[float, ...]) -> tuple[float, ...]:
-        full = [0.0] * pi.z_size
-        for z, p in zip(values, probs):
-            full[z] = p
-        return tuple(full) + probs[len(values):]
+    laws = _dp_law(masses, params)
+    if len(values) < pi.z_size:
+        # Scatter each law from the values some leaf outputs onto all of Z.
+        def spread(probs: tuple[float, ...]) -> tuple[float, ...]:
+            full = [0.0] * pi.z_size
+            for z, p in zip(values, probs):
+                full[z] = p
+            return tuple(full) + probs[len(values):]
 
-    return replace(
-        law,
-        output=spread(law.output),
-        alice_output=spread(law.alice_output),
-        bob_output=spread(law.bob_output),
-    )
+        laws = [ExactLaw(spread(law.output), law.abort, law.not_abort, law.collision,
+                         spread(law.alice_output), spread(law.bob_output)) for law in laws]
+    return dict(zip(cells, laws))
 
 
-def _dp_law(both_z, aonly_z, bonly_z, params: CompressionParameters) -> ExactLaw:
+def _dp_law(masses, params: CompressionParameters) -> list[ExactLaw]:
+    """The laws of the cells whose per-value category masses are ``masses``,
+    one (both_z, aonly_z, bonly_z) triple of k-long lists per cell, each law
+    over the k values in their order, with BOT last for each party.  Every
+    cell's k chains are stacked into one (cells * k, 4, 4) array, so one
+    loop of O(log T) batched products serves them all."""
     rho = math.ldexp(1.0, -params.hash_bits)
     trials = params.trials
-    alice_z = [b + o for b, o in zip(both_z, aonly_z)]
-    bob_z = [b + o for b, o in zip(both_z, bonly_z)]
-    alice_any, bob_any = sum(alice_z), sum(bob_z)  # Pr[a party accepts a trial]
+    cat = np.array(masses, dtype=float)  # (cells, 3, k)
+    alice, bob = cat[:, 0] + cat[:, 1], cat[:, 0] + cat[:, 2]  # each party's per-value rates
+    alice_z, bob_z = alice.tolist(), bob.tolist()
+    # Pr[Alice accepts a trial], Pr[Bob does] and the Bob-only mass, summed
+    # in order as Python floats.
+    totals = [(sum(a), sum(b), sum(m[2])) for a, b, m in zip(alice_z, bob_z, masses)]
+    alice_any, bob_any, bonly_any = np.array(totals).T
 
-    # One chain per output value z, over the states 0 nobody decided, 1 Bob
-    # has z and Alice is pending, 2 Alice has z and Bob is searching, 3 both
-    # have z; mass that moves toward any other outcome leaves the chain.  One
-    # trial maps the law through I + gen.  Every entry of gen is built
-    # directly, never as 1 - small, since rho can be 2^-43.
-    gen = np.zeros((len(both_z), 4, 4))
-    gen[:, 0, 3] = np.multiply(both_z, rho)
-    gen[:, 0, 2] = np.multiply(aonly_z, rho)
-    gen[:, 0, 1] = np.multiply(bonly_z, rho)
-    gen[:, 0, 0] = -(alice_any + sum(bonly_z) * rho)
-    gen[:, 1, 3] = np.multiply(alice_z, rho)
-    gen[:, 1, 1] = -alice_any
-    gen[:, 2, 3] = np.multiply(bob_z, rho)
-    gen[:, 2, 2] = -bob_any * rho
+    # One chain per cell and output value z, over the states 0 nobody
+    # decided, 1 Bob has z and Alice is pending, 2 Alice has z and Bob is
+    # searching, 3 both have z; mass that moves toward any other outcome
+    # leaves the chain.  One trial maps the law through I + gen.  Every
+    # entry of gen is built directly, never as 1 - small, since rho can be
+    # 2^-43.
+    gen = np.zeros((len(masses), cat.shape[2], 4, 4))
+    gen[..., 0, 1:] = (cat[:, ::-1] * rho).transpose(0, 2, 1)  # Bob only, Alice only, both
+    gen[..., 0, 0] = -(alice_any + bonly_any * rho)[:, None]
+    gen[..., 1, 3] = alice * rho
+    gen[..., 1, 1] = -alice_any[:, None]
+    gen[..., 2, 3] = bob * rho
+    gen[..., 2, 2] = (-bob_any * rho)[:, None]
 
     # (I + gen)^T = I + acc by squaring, carried on the gen part alone:
     # (I + P)^2 = I + (2P + P P) and (I + R)(I + P) = I + (R + P + R P), so
-    # rounding does not grow with T.
-    acc = np.zeros_like(gen)
-    power = gen
+    # rounding does not grow with T.  Every cell's chains share the one loop.
+    power = gen.reshape(-1, 4, 4)
+    acc = np.zeros_like(power)
     t = trials
     while True:
         if t & 1:
-            acc = acc + power + acc @ power
+            step = acc @ power
+            acc += power
+            acc += step
         t >>= 1
         if not t:
             break
-        power = 2.0 * power + power @ power
-    output = acc[:, 0, 3].tolist()
-    not_abort = sum(output)
-    # Each party's own law in closed form.  Alice outputs z when the first
-    # trial she accepts is a z trial and its hash matches; Bob outputs z when
-    # the first trial he accepts with a matching hash is a z trial.  BOT is
-    # taken directly too: as a complement of a mass near 1 it would be lost
-    # when it is tiny.
-    alice_miss = trials * math.log1p(-alice_any)  # log Pr[Alice accepts no trial]
-    bob_miss = trials * math.log1p(-bob_any * rho)
-    alice_law = [a * rho * -math.expm1(alice_miss) / alice_any for a in alice_z]
-    bob_law = [b * -math.expm1(bob_miss) / bob_any for b in bob_z]
-    union = alice_any + bob_any - sum(both_z)
-    return ExactLaw(
-        tuple(output),
-        1.0 - not_abort,
-        not_abort,
-        _collision(union * rho, trials),
-        tuple(alice_law) + ((1.0 - rho) + rho * math.exp(alice_miss),),
-        tuple(bob_law) + (math.exp(bob_miss),),
-    )
+        step = power @ power
+        power *= 2.0
+        power += step
+    outputs = acc[:, 0, 3].reshape(len(masses), -1).tolist()
+
+    laws = []
+    for output, (both_z, _, _), alice_z, bob_z, (alice_any, bob_any, _) in zip(
+            outputs, masses, alice_z, bob_z, totals):
+        not_abort = sum(output)
+        # Each party's own law in closed form.  Alice outputs z when the
+        # first trial she accepts is a z trial and its hash matches; Bob
+        # outputs z when the first trial he accepts with a matching hash is
+        # a z trial.  BOT is taken directly too: as a complement of a mass
+        # near 1 it would be lost when it is tiny.
+        alice_miss = trials * math.log1p(-alice_any)  # log Pr[Alice accepts no trial]
+        bob_miss = trials * math.log1p(-bob_any * rho)
+        alice_law = [a * rho * -math.expm1(alice_miss) / alice_any for a in alice_z]
+        bob_law = [b * -math.expm1(bob_miss) / bob_any for b in bob_z]
+        union = alice_any + bob_any - sum(both_z)
+        laws.append(ExactLaw(
+            tuple(output),
+            1.0 - not_abort,
+            not_abort,
+            _collision(union * rho, trials),
+            tuple(alice_law) + ((1.0 - rho) + rho * math.exp(alice_miss),),
+            tuple(bob_law) + (math.exp(bob_miss),),
+        ))
+    return laws
 
 
 def _collision(q: float, trials: int) -> float:
@@ -779,8 +816,7 @@ def verify_compression(
     bound is checked only on the DP's exact collision mass: its pass is None
     under overrides and in MC mode, which computes none.
     """
-    if not (0 < delta < 1):
-        raise ParameterError("delta must lie in (0, 1)")
+    _check_accuracy(delta)
     if engine not in ("dp", "mc"):
         raise ParameterError(f"engine must be 'dp' or 'mc', got {engine!r}")
     caps = caps or default_caps()
@@ -791,21 +827,22 @@ def verify_compression(
     ys = [y for y in range(pi.y_size) if mu.y_marginal(y) > 0]
     cells = [(x, y) for x in xs for y in ys]
     if engine == "mc":
-        mc_laws = _mc_laws(pi, mu, params, xs, ys, mc_samples, seed)
+        laws = _mc_laws(pi, mu, params, xs, ys, mc_samples, seed)
+    else:
+        laws = _exact_laws(pi, mu, cells, params, caps)
     reports = []
     run_laws: dict[tuple[int, int], tuple[list[float], float]] = {}
     collision_ok: bool | None = True if params.mode == "paper-exact" and engine == "dp" else None
     for x, y in cells:
+        law = laws[(x, y)]
         if engine == "dp":
-            law = exact_output_distribution(pi, mu, x, y, params, caps)
             out, not_abort, collision = list(law.output), law.not_abort, law.collision
             se = None
         else:
-            mc = mc_laws[(x, y)]
-            out = [c / mc.samples for c in mc.counts[:-1]]
+            out = [c / law.samples for c in law.counts[:-1]]
             not_abort = sum(out)
             collision = float("nan")
-            se = mc.max_standard_error()
+            se = law.max_standard_error()
         eq5 = not_abort <= (1 + delta) * lam + (tol if engine == "dp" else 5 * (se or 0))
         reports.append(InputReport(x, y, not_abort, eq5, collision, se))
         run_laws[(x, y)] = (out, not_abort)
@@ -897,8 +934,7 @@ def extract_strategy(
         raise CapacityError("extraction needs x_size + y_size <= 63 (int64 rectangle keys)")
     if seed_count < 1:
         raise ParameterError("seed_count must be positive")
-    if not (0 < delta < 1):
-        raise ParameterError("delta must lie in (0, 1)")
+    _check_accuracy(delta)
     mu.check_compatible(f)
 
     nx, ny, nz = pi.x_size, pi.y_size, pi.z_size

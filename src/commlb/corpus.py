@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import InputDistribution, PartialFunction
-from .errors import DegenerateInputError, ParameterError
+from .errors import ParameterError
 from .protocol import Leaf, Node, ProtocolTree
 
 __all__ = [
@@ -114,9 +114,7 @@ def make_distribution(kind: str, f: PartialFunction) -> InputDistribution:
             tuple(tuple(w for _ in range(f.y_size)) for _ in range(f.x_size))
         )
     if kind == "uniform_on_domain":
-        cells = f.domain()
-        if not cells:
-            raise DegenerateInputError("function has an empty promise set")
+        cells = f.domain()  # nonempty: PartialFunction refuses a table with no defined cell
         w = Fraction(1, len(cells))
         mass = [[Fraction(0)] * f.y_size for _ in range(f.x_size)]
         for x, y in cells:

@@ -338,6 +338,15 @@ def test_compress_delta_out_of_range(capsys):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("override", ["1,2", "1,2,3,4", "a,b,c"])
+def test_compress_bad_override_is_bad_input(capsys, override):
+    code, out, err = _run(capsys, "compress", "--prot", "corpus:noisy_bit,0.25",
+                          "--fn", "corpus:EQ,1", "--delta", "0.5", "--override", override)
+    assert code == EXIT_BAD_INPUT
+    assert out == "" and err.startswith(f"error: bad override {override!r}")
+    assert "Traceback" not in err
+
+
 def test_compress_conflicting_parameter_flags(capsys):
     code, _, err = _run(capsys, "compress", "--prot", "corpus:trivial_const",
                         "--delta", "0.9", "--paper-exact", "--override", "2,10,1")

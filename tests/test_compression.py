@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import time
 import tracemalloc
 from collections import Counter
@@ -45,7 +46,7 @@ from commlb.core import (
     PartialFunction,
     Rectangle,
 )
-from commlb.corpus import make_distribution, make_function, make_protocol
+from commlb.corpus import corpus_triples, make_distribution, make_function, make_protocol
 from commlb.errors import (
     CapacityError,
     ConditioningError,
@@ -164,6 +165,48 @@ def test_accepted_distribution_requires_acceptance():
     assert sum(table.both) == 0
     with pytest.raises(ConditioningError):
         table.accepted_distribution()
+
+
+def _fraction_constant_table(inp: ExperimentInputs):
+    """The closed forms with S, 1/|U| and S^2 kept as Fractions: each meets a
+    float factor through Fraction's float fallback."""
+    scale = Fraction(2) ** inp.delta_exp
+    inv_u = Fraction(1, inp.universe_size)
+    both, alice_only, bob_only = [], [], []
+    for pa, qa, pb, qb in zip(inp.p_a, inp.q_a, inp.p_b, inp.q_b):
+        p_both = inv_u * min(pa, scale * qb) * min(pb, scale * qa) / (scale * scale)
+        both.append(p_both)
+        alice_only.append(inv_u * pa * qa / scale - p_both)
+        bob_only.append(inv_u * pb * qb / scale - p_both)
+    return both, alice_only, bob_only
+
+
+def test_float_factor_table_matches_fraction_constants_bit_for_bit():
+    # Random float factors: tau, nu_a and nu_b are distributions and
+    # t >= max(tau, nu) per u, so p_a = t, p_b = tau / t, q_a = nu / t and
+    # q_b = t stay in [0, 1]; half the draws swap the parties' roles, so
+    # both arguments of each min are taken.
+    rng = random.Random(2024)
+    for _ in range(400):
+        size = rng.randint(1, 6)
+        raw = [rng.random() for _ in range(size)]
+        tau = [r / sum(raw) for r in raw]
+        raw = [rng.random() ** 3 for _ in range(size)]
+        nu = [r / sum(raw) for r in raw]
+        t = [rng.uniform(max(a, b), 1.0) for a, b in zip(tau, nu)]
+        factors = [t, [b / s for b, s in zip(nu, t)], [a / s for a, s in zip(tau, t)], list(t)]
+        if rng.random() < 0.5:
+            factors = factors[2:] + factors[:2]
+        delta_exp = rng.choice((1, 2, 3, 5, 9, 17, 40, 100, 300, 511))
+        inp = ExperimentInputs(*map(tuple, factors), delta_exp)
+        table = experiment_probabilities(inp)
+        got = (table.both, table.alice_only, table.bob_only)
+        want = tuple(map(tuple, _fraction_constant_table(inp)))
+        assert got == want
+        assert all(type(v) is float for part in got for v in part)
+    # S^2 past the float range is still refused.
+    with pytest.raises(CapacityError, match="2\\^\\(2 delta_exp\\)"):
+        experiment_probabilities(ExperimentInputs((1.0,), (1.0,), (1.0,), (1.0,), 512))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +398,7 @@ def test_dp_matches_linear_reference(nz, hash_bits):
         scaled = [mass * r / sum(raw) for r in raw]
         both, aonly, bonly = scaled[:nz], scaled[nz:2 * nz], scaled[2 * nz:]
         params = compression_parameters(0.5, 1.0, 1, overrides=(1, trials, hash_bits))
-        law = _dp_law(both, aonly, bonly, params)
+        (law,) = _dp_law([(both, aonly, bonly)], params)
         out, abort, alice, bob = _linear_dp_law(both, aonly, bonly, trials, hash_bits, nz)
         # Output probabilities and both laws, BOT included, agree relatively;
         # abort is a complement of a mass near 1, so it agrees to 1e-12
@@ -373,7 +416,7 @@ def test_dp_tiny_bot_entries():
     nz, trials = 3, 406
     both, aonly, bonly = ([0.43 / 9] * nz for _ in range(3))
     params = compression_parameters(0.5, 1.0, 1, overrides=(1, trials, 0))
-    law = _dp_law(both, aonly, bonly, params)
+    (law,) = _dp_law([(both, aonly, bonly)], params)
     _, _, alice, bob = _linear_dp_law(both, aonly, bonly, trials, 0, nz)
     assert 0 < alice[nz] < 1e-50 and 0 < bob[nz] < 1e-50
     assert law.alice_output[nz] == pytest.approx(alice[nz], rel=1e-12, abs=0)
@@ -1080,11 +1123,66 @@ def test_verify_compression_rejects_an_unknown_engine(monkeypatch, engine):
         raise AssertionError("a law was computed")
 
     monkeypatch.setattr(compression, "exact_output_distribution", no_law)
+    monkeypatch.setattr(compression, "_exact_laws", no_law)
     monkeypatch.setattr(compression, "_mc_laws", no_law)
     pi = make_protocol("trivial_const")
     params = compression_parameters(0.9, 0.0, 1)
     with pytest.raises(ParameterError, match=repr(engine)):
         verify_compression(pi, None, UNIFORM_2x2, 0.9, params, engine=engine)
+
+
+def _all_cells_cases():
+    for label, f, mu, pi in corpus_triples():
+        ic = information_cost(pi, mu)
+        for delta in (0.9, 0.7, 0.5):
+            yield f"{label}@{delta}", f, mu, pi, delta, compression_parameters(
+                delta, ic, pi.universe_size)
+    eq1 = make_function("EQ,1")
+    mu = make_distribution("uniform", eq1)
+    pi = make_protocol("noisy_bit", flip=0.25)
+    ic = information_cost(pi, mu)
+    for overrides in ((1, 30, 0), (3, 30, 2), (6, 500, 40)):
+        yield f"noisy_bit,0.25@{overrides}", eq1, mu, pi, 0.5, compression_parameters(
+            0.5, ic, pi.universe_size, overrides=overrides)
+    # A both-accept rate of about 2^-1121: refused by the per-trial-rate check.
+    pi = make_protocol("send_x")
+    yield "send_x@0.3", eq1, mu, pi, 0.3, compression_parameters(
+        0.3, information_cost(pi, mu), pi.universe_size)
+
+
+def test_all_cells_law_equals_the_per_cell_law():
+    # The one squaring pass over every cell's stacked chains gives each
+    # cell's law bit for bit; a law the per-cell call refuses is refused for
+    # the whole report too.
+    laws_checked = refused = 0
+    for name, f, mu, pi, delta, params in _all_cells_cases():
+        caps = default_caps().with_overrides(dp_trials=max(500, params.trials))
+        cells = [(x, y) for x in range(pi.x_size) for y in range(pi.y_size)
+                 if mu.x_marginal(x) > 0 and mu.y_marginal(y) > 0]
+        try:
+            per_cell = {(x, y): exact_output_distribution(pi, mu, x, y, params, caps)
+                        for x, y in cells}
+        except CapacityError as exc:
+            refused += 1
+            for call in (lambda: compression._exact_laws(pi, mu, cells, params, caps),
+                         lambda: verify_compression(pi, f, mu, delta, params, caps=caps)):
+                with pytest.raises(CapacityError, match=re.escape(str(exc))):
+                    call()
+            continue
+        assert compression._exact_laws(pi, mu, cells, params, caps) == per_cell, name
+        report = verify_compression(pi, f, mu, delta, params, engine="dp", caps=caps)
+        assert [(r.x, r.y) for r in report.inputs] == cells, name
+        for rep in report.inputs:
+            law = per_cell[(rep.x, rep.y)]
+            assert (rep.not_abort, rep.collision) == (law.not_abort, law.collision), name
+        assert report.aggregate_not_abort == sum(
+            float(mu.prob(x, y)) * law.not_abort for (x, y), law in per_cell.items()), name
+        laws_checked += len(cells)
+    # exchange_all on the five 2-bit functions is refused at delta 0.5
+    # (lambda below 2^-1022), and send_x at 0.3; the rest run.
+    # Cells: 4 on each 2x2 grid (7 triples x 3 deltas, 3 overrides), 16 on
+    # each 4x4 grid (5 triples x 2 deltas).
+    assert refused == 6 and laws_checked == 4 * (7 * 3 + 3) + 16 * 5 * 2
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from commlb.protocol import (
     ProtocolTree,
     factorization,
     information_cost,
+    information_cost_paths,
     marginal_x,
     marginal_y,
     protocol_error,
@@ -170,6 +171,25 @@ def test_protocol_error_examples():
     assert protocol_error(const1_tree, promise, UNIFORM_2x2) == 0.0
     const_f = PartialFunction.from_rows([[1, 1], [1, 1]], z_size=2)
     assert protocol_error(const1_tree, const_f, UNIFORM_2x2) == 0.0
+
+
+def test_protocol_error_refuses_a_mismatched_function():
+    const1_tree = ProtocolTree(Leaf(1), 2, 2, 2)
+    wide = PartialFunction.from_rows([[1, 0, 1], [0, 1, 0]], z_size=2)
+    wide_mu = InputDistribution(((Fraction(1, 6),) * 3,) * 2)
+    with pytest.raises(DimensionError, match="function grid does not match"):
+        protocol_error(const1_tree, wide, wide_mu)
+    # Same grid, but f outputs 2, which the tree's alphabet {0, 1} lacks.
+    three_labels = PartialFunction.from_rows([[2, 0], [0, 1]], z_size=3)
+    with pytest.raises(DimensionError, match="function outputs exceed"):
+        protocol_error(const1_tree, three_labels, UNIFORM_2x2)
+
+
+def test_information_cost_paths_refuses_a_mismatched_distribution():
+    wide_mu = InputDistribution(((Fraction(1, 6),) * 3,) * 2)
+    for paths in (information_cost_paths, information_cost):
+        with pytest.raises(DimensionError, match="distribution grid does not match"):
+            paths(send_x_tree(), wide_mu)
 
 
 def test_commprot_round_trip():
