@@ -10,12 +10,13 @@ The pipeline:
   experiment; each party outputs the transcript's value or aborts;
 * the exact output law, from the T-th power of one trial's transition matrix
   on a four-state chain per output value (nobody decided, only Bob, only
-  Alice, both have it) taken by squaring in O(log T) products, the chains
-  of every input cell stacked into one array and squared in one pass, with
-  each party's own law in closed form, and a vectorized Monte Carlo engine
-  for cross-checking it, which draws the coins' top bytes at every trial, and
-  their low bits, u and the hash only at the trials where a top byte admits
-  some party (about 2/256 of them once delta_exp >= 9);
+  Alice, both have it) taken by squaring in O(log T) products, the chains of
+  every input cell stacked into arrays of up to 4096 chains and each array
+  squared in one pass, with each party's own law in closed form, and a
+  vectorized Monte Carlo engine for cross-checking it, which draws the
+  coins' top bytes at every trial, and their low bits, u and the hash only
+  at the trials where a top byte admits some party (about 2/256 of them once
+  delta_exp >= 9);
 * the conversion of runs into a labeled-rectangle strategy.
 
 Experiment category probabilities are closed-form: with S = 2**delta_exp,
@@ -151,10 +152,6 @@ def experiment_probabilities(inp: ExperimentInputs) -> ExperimentTable:
     both, alice_only, bob_only = [], [], []
     try:
         square = scale * scale
-        if all(isinstance(v, float) for v in (*inp.p_a, *inp.q_a, *inp.p_b, *inp.q_b)):
-            # An exact constant meets a float factor as its float at every
-            # operation; convert each once, with the same bits.
-            scale, inv_u, square = float(scale), float(inv_u), float(square)
         for pa, qa, pb, qb in zip(inp.p_a, inp.q_a, inp.p_b, inp.q_b):
             # alpha <= min(pa, S*qb) and beta <= min(pb, S*qa), alpha/beta ~ U[0, S]
             p_both = inv_u * min(pa, scale * qb) * min(pb, scale * qa) / square
@@ -512,11 +509,16 @@ def exact_output_distribution(
     return _exact_laws(pi, mu, [(x, y)], params, caps)[(x, y)]
 
 
+_DP_CHAINS = 4096  # the most four-state chains squared in one batch
+
+
 def _exact_laws(pi, mu, cells, params, caps) -> dict[tuple[int, int], ExactLaw]:
-    """Exact laws of every cell of ``cells``: each cell's k chains are stacked
-    into one (cells * k, 4, 4) array and squared in one pass.  The float64
-    and trial-cap refusals come first, then the per-trial-rate refusal at
-    the first cell whose table fails it."""
+    """Exact laws of every cell of ``cells``.  The cells' chains, k per cell,
+    are stacked into one (chains, 4, 4) array per batch of at most
+    _DP_CHAINS chains, and each batch is squared in one pass.  The float64
+    and trial-cap refusals come first, then the per-trial-rate refusal at the
+    first cell whose table fails it, before any chain is built.  The masses
+    and the laws take O(cells * k) memory; the arrays, O(_DP_CHAINS)."""
     if params.lambda_exponent > 1022 or params.trials > int(sys.float_info.max):
         raise CapacityError(
             "the exact law needs lambda >= 2^-1022 and T < 2^1024 in float64; got "
@@ -560,18 +562,22 @@ def _exact_laws(pi, mu, cells, params, caps) -> dict[tuple[int, int], ExactLaw]:
             )
         masses.append((both_z, aonly_z, bonly_z))
 
-    laws = _dp_law(masses, params)
-    if len(values) < pi.z_size:
-        # Scatter each law from the values some leaf outputs onto all of Z.
-        def spread(probs: tuple[float, ...]) -> tuple[float, ...]:
-            full = [0.0] * pi.z_size
-            for z, p in zip(values, probs):
-                full[z] = p
-            return tuple(full) + probs[len(values):]
+    def spread(probs: tuple[float, ...]) -> tuple[float, ...]:
+        # Scatter a law from the values some leaf outputs onto all of Z.
+        full = [0.0] * pi.z_size
+        for z, p in zip(values, probs):
+            full[z] = p
+        return tuple(full) + probs[len(values):]
 
-        laws = [ExactLaw(spread(law.output), law.abort, law.not_abort, law.collision,
-                         spread(law.alice_output), spread(law.bob_output)) for law in laws]
-    return dict(zip(cells, laws))
+    # Each chain's products do not depend on its batch, so the laws do not
+    # depend on _DP_CHAINS.
+    laws = {}
+    batch = max(1, _DP_CHAINS // len(values))
+    for lo in range(0, len(cells), batch):
+        for cell, law in zip(cells[lo:lo + batch], _dp_law(masses[lo:lo + batch], params)):
+            laws[cell] = ExactLaw(spread(law.output), law.abort, law.not_abort, law.collision,
+                                  spread(law.alice_output), spread(law.bob_output))
+    return laws
 
 
 def _dp_law(masses, params: CompressionParameters) -> list[ExactLaw]:

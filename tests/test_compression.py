@@ -167,44 +167,8 @@ def test_accepted_distribution_requires_acceptance():
         table.accepted_distribution()
 
 
-def _fraction_constant_table(inp: ExperimentInputs):
-    """The closed forms with S, 1/|U| and S^2 kept as Fractions: each meets a
-    float factor through Fraction's float fallback."""
-    scale = Fraction(2) ** inp.delta_exp
-    inv_u = Fraction(1, inp.universe_size)
-    both, alice_only, bob_only = [], [], []
-    for pa, qa, pb, qb in zip(inp.p_a, inp.q_a, inp.p_b, inp.q_b):
-        p_both = inv_u * min(pa, scale * qb) * min(pb, scale * qa) / (scale * scale)
-        both.append(p_both)
-        alice_only.append(inv_u * pa * qa / scale - p_both)
-        bob_only.append(inv_u * pb * qb / scale - p_both)
-    return both, alice_only, bob_only
-
-
-def test_float_factor_table_matches_fraction_constants_bit_for_bit():
-    # Random float factors: tau, nu_a and nu_b are distributions and
-    # t >= max(tau, nu) per u, so p_a = t, p_b = tau / t, q_a = nu / t and
-    # q_b = t stay in [0, 1]; half the draws swap the parties' roles, so
-    # both arguments of each min are taken.
-    rng = random.Random(2024)
-    for _ in range(400):
-        size = rng.randint(1, 6)
-        raw = [rng.random() for _ in range(size)]
-        tau = [r / sum(raw) for r in raw]
-        raw = [rng.random() ** 3 for _ in range(size)]
-        nu = [r / sum(raw) for r in raw]
-        t = [rng.uniform(max(a, b), 1.0) for a, b in zip(tau, nu)]
-        factors = [t, [b / s for b, s in zip(nu, t)], [a / s for a, s in zip(tau, t)], list(t)]
-        if rng.random() < 0.5:
-            factors = factors[2:] + factors[:2]
-        delta_exp = rng.choice((1, 2, 3, 5, 9, 17, 40, 100, 300, 511))
-        inp = ExperimentInputs(*map(tuple, factors), delta_exp)
-        table = experiment_probabilities(inp)
-        got = (table.both, table.alice_only, table.bob_only)
-        want = tuple(map(tuple, _fraction_constant_table(inp)))
-        assert got == want
-        assert all(type(v) is float for part in got for v in part)
-    # S^2 past the float range is still refused.
+def test_float_table_refuses_a_scale_square_past_the_float_range():
+    # S^2 = 2^1024 with float factors: no float64 both-accept mass.
     with pytest.raises(CapacityError, match="2\\^\\(2 delta_exp\\)"):
         experiment_probabilities(ExperimentInputs((1.0,), (1.0,), (1.0,), (1.0,), 512))
 
@@ -1183,6 +1147,20 @@ def test_all_cells_law_equals_the_per_cell_law():
     # Cells: 4 on each 2x2 grid (7 triples x 3 deltas, 3 overrides), 16 on
     # each 4x4 grid (5 triples x 2 deltas).
     assert refused == 6 and laws_checked == 4 * (7 * 3 + 3) + 16 * 5 * 2
+
+
+@pytest.mark.parametrize("chains", [1, 5, 16])
+def test_exact_laws_do_not_depend_on_the_batch_size(monkeypatch, chains):
+    # Batches of one cell, of cells split across k, and of several cells
+    # give the laws of the one-batch pass bit for bit.
+    for label, _, mu, pi in corpus_triples():
+        params = compression_parameters(0.9, information_cost(pi, mu), pi.universe_size)
+        caps = default_caps().with_overrides(dp_trials=max(500, params.trials))
+        cells = [(x, y) for x in range(pi.x_size) for y in range(pi.y_size)]
+        whole = compression._exact_laws(pi, mu, cells, params, caps)
+        with monkeypatch.context() as patch:
+            patch.setattr(compression, "_DP_CHAINS", chains)
+            assert compression._exact_laws(pi, mu, cells, params, caps) == whole, label
 
 
 # ---------------------------------------------------------------------------
