@@ -20,8 +20,10 @@ added).  ``_best_rectangle`` finds the largest and smallest total weight
 over all rectangles from it, since a row set's best column set keeps the
 columns of one sign; it decides discrepancy and, through ``_alpha_value``, the
 feasibility of a corruption witness and the rect witness check.  On the
-witness side, every coverage test reads the grid of ``_coverage``, one pass
-over (rectangle, label, weight) entries.
+witness side, every coverage test reads the grids of ``_coverage``, one pass
+over (rectangle, label, weight) entries that walks each rectangle's set row
+and column bits and, given f, fills the coverage and the correct-label
+coverage together.
 
 The five LP bounds are one weight-form LP, built by ``_weight_form``:
 minimize the total weight on (rectangle, label) pairs subject to per-cell
@@ -120,7 +122,9 @@ class LabeledRectangleStrategy:
     """A distribution over (rectangle, label) pairs with efficiency eta.
 
     The normal form of a zero-communication protocol: weights p_{R,z} sum to
-    1 and no input is covered with total weight above eta.
+    1 and no input is covered with total weight above eta.  Both are checked
+    exactly when every weight and eta are exact numbers, else the total
+    within 1e-9 of 1 and each coverage within eta * (1 + 1e-9).
     """
 
     entries: tuple[tuple[Rectangle, int, Number], ...]
@@ -134,10 +138,11 @@ class LabeledRectangleStrategy:
             raise ParameterError("efficiency must be positive")
         if any(w < 0 for _, _, w in self.entries):
             raise ParameterError("negative strategy weight")
+        tol = _slack((self.efficiency, *(w for _, _, w in self.entries)), _NORM_TOL)
         total = sum((w for _, _, w in self.entries), Fraction(0))
-        if abs(total - 1) > _NORM_TOL:
+        if abs(total - 1) > tol:
             raise ParameterError(f"strategy weights sum to {float(total)}, not 1")
-        slack = self.efficiency * (1 + _NORM_TOL)
+        slack = self.efficiency * (1 + tol)
         for x, row in enumerate(self.coverage()):
             for y, cov in enumerate(row):
                 if cov > slack:
@@ -149,7 +154,8 @@ class LabeledRectangleStrategy:
         """The x_size x y_size grid of the weight on pairs whose rectangle
         contains each cell; given f, only on pairs that answer the cell
         correctly (any label off the promise)."""
-        return _coverage(self.entries, self.x_size, self.y_size, f)
+        cover, correct = _coverage(self.entries, self.x_size, self.y_size, f)
+        return cover if f is None else correct
 
 
 @dataclass(frozen=True)
@@ -209,18 +215,40 @@ def _coerce(v, mode: str) -> Number:
     return _exact(v) if mode == "rational" else float(v)
 
 
-def _coverage(entries, x_size: int, y_size: int, f: PartialFunction | None = None) -> list[list]:
+@functools.lru_cache(maxsize=1024)
+def _bit_positions(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of `mask`, lowest first."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _coverage(entries, x_size: int, y_size: int,
+              f: PartialFunction | None = None) -> tuple[list[list], list[list] | None]:
     """One pass over (rectangle, label, weight) `entries`: the x_size x
     y_size grid whose cell sums the weights of the entries whose rectangle
-    contains it; given f, only of those whose label answers the cell
-    correctly (any label off the promise).  Each cell adds its weights in
-    entry order, starting from 0."""
-    grid = [[0] * y_size for _ in range(x_size)]
+    contains it, and, given f, the grid of only those whose label answers
+    the cell correctly (any label off the promise; None without f).
+
+    Each rectangle's set row and column bits, masked to the grid, are read
+    from `_bit_positions`, memoized for the last 1,024 masks, and f's
+    labels from its table rows.  Each cell adds its weights in entry order,
+    starting from the int 0, so floats round as in a cell-by-cell sum and a
+    cell no entry covers stays 0."""
+    cover = [[0] * y_size for _ in range(x_size)]
+    correct = None if f is None else [[0] * y_size for _ in range(x_size)]
+    rows, cols = (1 << x_size) - 1, (1 << y_size) - 1
     for rect, label, w in entries:
-        for x, y in rect.cells(x_size, y_size):
-            if f is None or f.value(x, y) in (None, label):
-                grid[x][y] += w
-    return grid
+        ys = _bit_positions(rect.col_mask & cols)
+        keep = (None, label)
+        for x in _bit_positions(rect.row_mask & rows):
+            row = cover[x]
+            for y in ys:
+                row[y] += w
+            if correct is not None:
+                values, row = f.table[x], correct[x]
+                for y in ys:
+                    if values[y] in keep:
+                        row[y] += w
+    return cover, correct
 
 
 def _strategy_from_weights(weights, x_size, y_size) -> LabeledRectangleStrategy:
@@ -231,7 +259,7 @@ def _strategy_from_weights(weights, x_size, y_size) -> LabeledRectangleStrategy:
     if total <= 0:
         raise SolverError("cannot normalize an all-zero weight vector")
     entries = [(rect, z, w / total) for rect, z, w in weights if w > 0]
-    cover = _coverage(entries, x_size, y_size)
+    cover, _ = _coverage(entries, x_size, y_size)
     efficiency = max([1 / total, *(cov for row in cover for cov in row)])
     return LabeledRectangleStrategy(entries, efficiency, x_size, y_size)
 
@@ -793,11 +821,14 @@ def check_witness(
     """Re-derive feasibility and objective of a primal witness from scratch.
 
     Returns (feasible within 1e-7, recomputed objective).  Exact witnesses
-    are checked with zero tolerance.  A srec or rect witness is checked for
-    the label it was built for (`result.label`).  A partition witness whose
-    grid differs in shape from f, a srec or rect witness that holds a
-    rectangle or cell outside f's grid, or a mu of another shape raises
-    DimensionError.
+    are checked with zero tolerance.  A bprt, prt or bprt_mu witness reads
+    its coverage and its correct-label coverage from one `_coverage` pass
+    with f (the bit walk whose masks' bit positions are memoized for the
+    last 1,024 masks), and a srec witness its coverage from one pass
+    without.  A srec or rect witness is checked for the label it was built
+    for (`result.label`).  A partition witness whose grid differs in shape
+    from f, a srec or rect witness that holds a rectangle or cell outside
+    f's grid, or a mu of another shape raises DimensionError.
     """
     caps = caps or default_caps()
     eps = result.epsilon
@@ -811,7 +842,7 @@ def check_witness(
         tol = _slack((eps, *(w for _, _, w in strategy.entries)), _WITNESS_TOL)
         scale = 1 / strategy.efficiency  # back to raw LP weights w = p * scale
         objective = scale * sum((w for _, _, w in strategy.entries), Fraction(0))
-        cover, correct = strategy.coverage(), strategy.coverage(f)
+        cover, correct = _coverage(strategy.entries, f.x_size, f.y_size, f)
         cells = _cells(f)
         feasible = all(cover[x][y] * scale <= 1 + tol for x, y in cells)
         if name == "prt":
@@ -836,7 +867,8 @@ def check_witness(
         _check_on_grid(f, [rect for rect in weights
                            if rect.row_mask >> f.x_size or rect.col_mask >> f.y_size])
         tol = _slack((eps, *weights.values()), _WITNESS_TOL)
-        cover = _coverage([(rect, None, w) for rect, w in weights.items()], f.x_size, f.y_size)
+        cover, _ = _coverage([(rect, None, w) for rect, w in weights.items()],
+                             f.x_size, f.y_size)
         feasible = bool(f.preimage(z)) and all(
             (1 - eps) - tol <= cover[x][y] <= 1 + tol if f.value(x, y) == z
             else cover[x][y] <= eps + tol

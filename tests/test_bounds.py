@@ -34,7 +34,8 @@ from commlb.core import (
     enumerate_rectangles,
 )
 from commlb.corpus import corpus_functions, make_distribution, make_function
-from commlb.errors import CapacityError, DegenerateInputError, DimensionError, ParameterError
+from commlb.errors import (CapacityError, DegenerateInputError, DimensionError, ParameterError,
+                           SolverError)
 from commlb.solver import LpProblem, lp_solve
 
 EQ1 = make_function("EQ,1")
@@ -349,6 +350,9 @@ def test_corruption_rejects_bad_parameters():
         corruption_witness(CONST1, UNIFORM_2x2, 0, 1, 1)
     with pytest.raises(ParameterError):
         corruption_witness(CONST1, UNIFORM_2x2, 1, -1, 1)
+    three = PartialFunction.from_rows([[0, 1], [2, 0]], z_size=3)
+    with pytest.raises(ParameterError, match="two-output"):
+        corruption_witness(three, _uniform(three), 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +578,99 @@ def test_check_witness_bprt_mu_requires_mu():
     for result, f, mu in [(r, AND1, mu4), (r4, eq2, UNIFORM_2x2), (r, eq2, mu4)]:
         with pytest.raises(DimensionError):
             check_witness(result, f, mu)
+
+
+def test_check_witness_refuses_an_unknown_bound_name():
+    result = dataclasses.replace(bprt(EQ1, 0.1), bound_name="bogus")
+    with pytest.raises(ParameterError, match="unknown bound name"):
+        check_witness(result, EQ1)
+
+
+def test_solver_output_refusals():
+    with pytest.raises(SolverError, match="all-zero"):
+        bounds._strategy_from_weights([(Rectangle(0b1, 0b1), 0, 0.0)], 2, 2)
+    with pytest.raises(SolverError, match="negative"):
+        dataclasses.replace(bprt(EQ1, 0.1), value=-1.0)
+
+
+def _reference_coverage(entries, x_size, y_size, f=None) -> list[list]:
+    """The coverage grid cell by cell, through `Rectangle.cells` and
+    `f.value`, each cell adding its weights in entry order from 0."""
+    grid = [[0] * y_size for _ in range(x_size)]
+    for rect, label, w in entries:
+        for x, y in rect.cells(x_size, y_size):
+            if f is None or f.value(x, y) in (None, label):
+                grid[x][y] += w
+    return grid
+
+
+def _reference_pass(entries, x_size, y_size, f=None):
+    """`bounds._coverage` as two reference passes."""
+    return (_reference_coverage(entries, x_size, y_size),
+            None if f is None else _reference_coverage(entries, x_size, y_size, f))
+
+
+def test_coverage_matches_the_cell_by_cell_reference():
+    # Seeded random entries: float weights from 1e-12 to 1e6, Fractions,
+    # ints or all three; labels on defined and off-promise cells; masks
+    # with bits beyond the grid; and no entries at all.  Both grids must
+    # print as the reference's, so floats round alike and untouched cells
+    # stay the int 0.
+    rng = random.Random(30)
+    draws = {
+        "float": lambda: 10 ** rng.uniform(-12, 6),
+        "fraction": lambda: Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6)),
+        "int": lambda: rng.randint(0, 9),
+    }
+    kinds = [*draws, "mixed"]
+    for trial in range(300):
+        x_size, y_size, z_size = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 3)
+        rows = [[rng.choice([None, *range(z_size)]) for _ in range(y_size)]
+                for _ in range(x_size)]
+        rows[rng.randrange(x_size)][rng.randrange(y_size)] = 0
+        f = PartialFunction.from_rows(rows, z_size)
+        kind = kinds[trial % len(kinds)]
+        entries = [
+            (Rectangle(rng.randrange(1 << x_size + 2), rng.randrange(1 << y_size + 2)),
+             rng.randrange(z_size),
+             draws[rng.choice(list(draws)) if kind == "mixed" else kind]())
+            for _ in range(rng.randrange(12) if trial % 10 else 0)
+        ]
+        want = _reference_pass(entries, x_size, y_size, f)
+        fused = bounds._coverage(entries, x_size, y_size, f)
+        single = bounds._coverage(entries, x_size, y_size)
+        assert repr(fused) == repr(want), (trial, kind)
+        assert repr(single) == repr((want[0], None)), (trial, kind)
+
+
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_partition_witness_check_makes_one_coverage_pass(monkeypatch, mode):
+    # check_witness reads both grids of a bprt, prt or bprt_mu witness from
+    # one pass, and decides as two reference passes do on the benchmark's
+    # eight functions.
+    eps = Fraction(1, 10) if mode == "rational" else 0.1
+    coverage = bounds._coverage
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return coverage(*args)
+
+    for label in ("CONST,1", "AND,1", "EQ,1", "EQ,2", "GT,2", "DISJ,2", "IP,2", "GHD,2,1"):
+        f = make_function(label)
+        mu = _uniform(f)
+        for result in (bprt(f, eps, mode), prt(f, eps, mode), bprt_mu(f, mu, eps, mode)):
+            strategy, shape = result.primal_witness, (f.x_size, f.y_size)
+            assert strategy.coverage() == _reference_coverage(strategy.entries, *shape)
+            assert strategy.coverage(f) == _reference_coverage(strategy.entries, *shape, f)
+            calls.clear()
+            monkeypatch.setattr(bounds, "_coverage", counted)
+            got = check_witness(result, f, mu)
+            assert len(calls) == 1, (label, result.bound_name)
+            assert got[0] is True, (label, result.bound_name)
+            monkeypatch.setattr(bounds, "_coverage", _reference_pass)
+            assert check_witness(result, f, mu) == got, (label, result.bound_name)
+            monkeypatch.setattr(bounds, "_coverage", coverage)
 
 
 def _random_8x8() -> PartialFunction:
@@ -1392,3 +1489,17 @@ def test_strategy_invariants_enforced():
         LabeledRectangleStrategy(
             [(full, 0, Fraction(3, 2)), (full, 1, Fraction(-1, 2))], Fraction(2), 2, 2
         )
+
+
+def test_exact_strategy_checks_have_no_tolerance():
+    # All-exact weights and efficiency are checked exactly: a total of
+    # 1 + 1e-12, or a cell covered at efficiency * (1 + 1e-12), is refused.
+    # Float data keeps its 1e-9 tolerance.
+    full = Rectangle(0b11, 0b11)
+    tiny = Fraction(1, 10**12)
+    with pytest.raises(ParameterError, match="sum to"):
+        LabeledRectangleStrategy([(full, 1, 1 + tiny)], Fraction(2), 2, 2)
+    with pytest.raises(ParameterError, match="exceeds efficiency"):
+        LabeledRectangleStrategy([(full, 1, Fraction(1))], 1 / (1 + tiny), 2, 2)
+    LabeledRectangleStrategy([(full, 1, 1 + 1e-12)], 2.0, 2, 2)
+    LabeledRectangleStrategy([(full, 1, 1.0)], 1 / (1 + 1e-12), 2, 2)

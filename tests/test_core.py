@@ -193,6 +193,9 @@ def test_enumerate_rectangles_cap():
         list(enumerate_rectangles(9, 2))
     caps = Caps(rect_side=9)
     assert len(list(enumerate_rectangles(9, 1, caps))) == rectangle_count(9, 1)
+    for sizes in ((0, 2), (2, 0)):
+        with pytest.raises(ParameterError, match="positive"):
+            list(enumerate_rectangles(*sizes))
 
 
 # ---------------------------------------------------------------------------
