@@ -58,7 +58,7 @@ def _load_distribution(source: str, f: PartialFunction) -> InputDistribution:
 
 # The one parameter of the corpus protocols that take one: its keyword and type.
 _PROTOCOL_PARAMS = {"trivial_const": ("z", int), "noisy_bit": ("flip", float),
-                    "exchange_all": ("n", int)}
+                    "exchange_all": ("n", int), "buzzer": ("n", int)}
 
 
 def _load_protocol(source: str, f: PartialFunction | None) -> ProtocolTree:

@@ -24,8 +24,10 @@ Experiment category probabilities are closed-form: with S = 2**delta_exp,
     Pr[both accept on u]  = min(p_a, S*q_b) * min(p_b, S*q_a) / (|U| * S^2)
     Pr[Alice accepts on u] = p_a * q_a / (|U| * S)
 
-and the one-sided categories follow by inclusion-exclusion.  Everything is
-exact in rational mode (Fraction inputs, integer delta_exp).
+and the one-sided categories follow by inclusion-exclusion.  The table is
+exact when every factor is an int or a Fraction and delta_exp is an
+integer, as the factorization of an exact protocol under an exact mu is;
+otherwise it is float64 throughout.  The laws are float64 either way.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .caps import Caps, default_caps
 from .core import (FiniteDistribution, InputDistribution, Number, PartialFunction, Rectangle,
-                   _pow2, _slack)
+                   _is_exact, _pow2, _slack)
 from .errors import (
     CapacityError,
     ConditioningError,
@@ -142,29 +144,35 @@ class ExperimentTable:
 def experiment_probabilities(inp: ExperimentInputs) -> ExperimentTable:
     """Closed-form category probabilities of a single experiment.
 
-    With float factors they are float64, and the scale S = 2^delta_exp meets
-    them as a float: an S^2 past the float range (delta_exp >= 512) raises
-    CapacityError, since every both-accept mass is then at most 2^-1024 and
-    float64 cannot hold it."""
+    Exact when every factor is an int or a Fraction and delta_exp is
+    integral.  Otherwise the whole table is float64: the factors, S =
+    2^delta_exp and 1/|U| are floats, and no Fraction meets a float.  A float
+    S^2 past the float range (delta_exp >= 512) raises CapacityError, since
+    every both-accept mass is then at most 2^-1024 and float64 cannot hold
+    it."""
     size = inp.universe_size
-    scale = _pow2(inp.delta_exp)
-    inv_u = Fraction(1, size) if isinstance(scale, Fraction) else 1.0 / size
-    both, alice_only, bob_only = [], [], []
-    try:
-        square = scale * scale
-        for pa, qa, pb, qb in zip(inp.p_a, inp.q_a, inp.p_b, inp.q_b):
-            # alpha <= min(pa, S*qb) and beta <= min(pb, S*qa), alpha/beta ~ U[0, S]
-            p_both = inv_u * min(pa, scale * qb) * min(pb, scale * qa) / square
-            p_alice = inv_u * pa * qa / scale
-            p_bob = inv_u * pb * qb / scale
-            both.append(p_both)
-            alice_only.append(p_alice - p_both)
-            bob_only.append(p_bob - p_both)
-    except OverflowError:
+    columns = (inp.p_a, inp.q_a, inp.p_b, inp.q_b)
+    if _is_exact(v for col in columns for v in col) and isinstance(
+            scale := _pow2(inp.delta_exp), Fraction):
+        inv_u = Fraction(1, size)
+    elif inp.delta_exp >= 512:
         raise CapacityError(
             "the experiment table with float factors needs 2^(2 delta_exp) below 2^1024 in "
             f"float64; got delta_exp = {inp.delta_exp}"
-        ) from None
+        )
+    else:
+        scale, inv_u = 2.0 ** float(inp.delta_exp), 1.0 / size
+        columns = [map(float, col) for col in columns]
+    square = scale * scale
+    both, alice_only, bob_only = [], [], []
+    for pa, qa, pb, qb in zip(*columns):
+        # alpha <= min(pa, S*qb) and beta <= min(pb, S*qa), alpha/beta ~ U[0, S]
+        p_both = inv_u * min(pa, scale * qb) * min(pb, scale * qa) / square
+        p_alice = inv_u * pa * qa / scale
+        p_bob = inv_u * pb * qb / scale
+        both.append(p_both)
+        alice_only.append(p_alice - p_both)
+        bob_only.append(p_bob - p_both)
     covered = sum(both) + sum(alice_only) + sum(bob_only)
     return ExperimentTable(tuple(both), tuple(alice_only), tuple(bob_only), 1 - covered)
 
@@ -829,9 +837,11 @@ def verify_compression(
     lam = params.lambda_
     tol = 1e-9 * lam  # float-rounding allowance on exact quantities
 
-    xs = [x for x in range(pi.x_size) if mu.x_marginal(x) > 0]
-    ys = [y for y in range(pi.y_size) if mu.y_marginal(y) > 0]
+    # A marginal is positive exactly when some mass of its row or column is.
+    xs = [x for x in range(pi.x_size) if any(mu.mass[x])]
+    ys = [y for y in range(pi.y_size) if any(row[y] for row in mu.mass)]
     cells = [(x, y) for x in xs for y in ys]
+    weights = {(x, y): float(mu.mass[x][y]) for x, y in cells}
     if engine == "mc":
         laws = _mc_laws(pi, mu, params, xs, ys, mc_samples, seed)
     else:
@@ -855,7 +865,7 @@ def verify_compression(
         if collision_ok and collision > (delta / 16) * lam + tol:
             collision_ok = False
 
-    aggregate = sum(float(mu.prob(x, y)) * run_laws[(x, y)][1] for x, y in cells)
+    aggregate = sum(w * run_laws[cell][1] for cell, w in weights.items())
     eq6 = aggregate >= (1 - delta) * lam - (tol if engine == "dp" else 0.0)
 
     # Statistical distance between the two joint (X, Y, output) laws.
@@ -863,8 +873,7 @@ def verify_compression(
         distance = 1.0
     else:
         distance = 0.0
-        for x, y in cells:
-            w = float(mu.prob(x, y))
+        for (x, y), w in weights.items():
             if w == 0:
                 continue
             orig = output_distribution(pi, x, y)

@@ -170,6 +170,7 @@ class InputDistribution:
                 "mass",
                 tuple(tuple(v / total for v in row) for row in self.mass),
             )
+        object.__setattr__(self, "_exact", _is_exact(v for row in self.mass for v in row))
 
     @property
     def x_size(self) -> int:
@@ -178,6 +179,11 @@ class InputDistribution:
     @property
     def y_size(self) -> int:
         return len(self.mass[0])
+
+    @property
+    def is_exact(self) -> bool:
+        """Whether every mass is an int or a Fraction."""
+        return self._exact  # type: ignore[attr-defined]
 
     def prob(self, x: int, y: int) -> Number:
         return self.mass[x][y]

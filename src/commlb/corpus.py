@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .core import InputDistribution, PartialFunction
 from .errors import ParameterError
-from .protocol import Leaf, Node, ProtocolTree
+from .protocol import _MAX_DEPTH, Leaf, Node, ProtocolTree
 
 __all__ = [
     "CorpusSpec",
@@ -150,7 +150,10 @@ def make_protocol(kind: str, *, n: int = 1, z: int = 1, flip: float = 0.25,
     noisy_bit: Alice announces her bit flipped with probability ``flip``.
     exchange_all: both parties announce all n bits (0 <= n <= 3, read off f
     if given), and the leaf outputs f's value there (0 off the promise).
-    and_protocol: exchange_all on AND.
+    and_protocol: exchange_all on AND.  buzzer: AND's zero-error buzzer in
+    r = n rounds (1 <= r <= 250): in round t = 1..r, Alice and then Bob, if
+    holding 0, say "stop" (bit 1) with probability 1/(r - t + 1); a stop
+    outputs 0, and the output is 1 after round r.  Its depth is 2r.
     """
     if kind == "trivial_const":
         return ProtocolTree(Leaf(z), 2, 2, 2)
@@ -175,6 +178,14 @@ def make_protocol(kind: str, *, n: int = 1, z: int = 1, flip: float = 0.25,
         return ProtocolTree(_exchange_tree(f, n, 0, 0), 2**n, 2**n, z_size)
     if kind == "and_protocol":
         return make_protocol("exchange_all", f=make_function("AND,1"))
+    if kind == "buzzer":
+        if not 1 <= n <= _MAX_DEPTH // 2:
+            raise ParameterError(f"buzzer needs r in [1, {_MAX_DEPTH // 2}], got {n}")
+        tree: Node | Leaf = Leaf(1)
+        for left in range(1, n + 1):  # rounds from the last: r - t + 1 of them left
+            stop = (Fraction(1, left), Fraction(0))
+            tree = Node("A", stop, Node("B", stop, tree, Leaf(0)), Leaf(0))
+        return ProtocolTree(tree, 2, 2, 2)
     raise ParameterError(f"unknown protocol kind {kind!r}")
 
 

@@ -11,6 +11,13 @@ The distribution of the transcript factors as a product of per-party factors:
 Alice's factor collects her nodes and the public nodes along the path, Bob's
 factor collects his nodes.  This factorization is what the zero-communication
 compression consumes.
+
+Each call picks its number kind once.  When every branch probability of the
+tree and every mass of mu is an int or a Fraction, the factors, estimates and
+marginals are exact.  Otherwise they are float64 from the start: a float
+tree's factors are floats, an exact tree's are converted once, and each
+conditional weight mu(y|x) is rounded once as float(p / total), so no
+Fraction meets a float.  The information cost is a float either way.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from dataclasses import dataclass
 from typing import Literal, Union
 
 from .core import FiniteDistribution, InputDistribution, Number, PartialFunction
-from .core import _construct, _read_text
+from .core import _construct, _is_exact, _read_text
 from .errors import (
     ConditioningError,
     DimensionError,
@@ -101,30 +108,37 @@ class ProtocolTree:
         if self.x_size <= 0 or self.y_size <= 0 or self.z_size <= 0:
             raise ParameterError("x_size, y_size, z_size must be positive")
         leaves: list[tuple[str, Leaf]] = []
-        self._validate(self.root, "", leaves)
+        object.__setattr__(self, "_exact", self._validate(self.root, "", leaves))
         object.__setattr__(self, "_leaves", tuple(leaves))
         object.__setattr__(self, "_factor_memo", {})
 
-    def _validate(self, node, path: str, acc: list) -> None:
+    def _validate(self, node, path: str, acc: list) -> bool:
+        """Check the subtree at `node`, append its (path, leaf) pairs to
+        `acc`, and return whether its every probability is exact."""
         if isinstance(node, Leaf):
             if not (0 <= node.z < self.z_size):
                 raise ParameterError(f"leaf output {node.z} outside [0, {self.z_size})")
             acc.append((path, node))
-            return
+            return True
         expected = {"A": self.x_size, "B": self.y_size, "P": 1}[node.owner]
         if len(node.p1) != expected:
             raise DimensionError(
                 f"owner {node.owner} node needs {expected} probabilities, "
                 f"got {len(node.p1)}"
             )
-        self._validate(node.zero, path + "0", acc)
-        self._validate(node.one, path + "1", acc)
+        exact = self._validate(node.zero, path + "0", acc)
+        return self._validate(node.one, path + "1", acc) and exact and _is_exact(node.p1)
 
     @property
     def leaves(self) -> tuple[tuple[str, Leaf], ...]:
         """(transcript bit string, leaf) pairs in depth-first order; this
         ordering defines the universe U."""
         return self._leaves  # type: ignore[attr-defined]
+
+    @property
+    def is_exact(self) -> bool:
+        """Whether every branch probability is an int or a Fraction."""
+        return self._exact  # type: ignore[attr-defined]
 
     @property
     def universe_size(self) -> int:
@@ -141,8 +155,9 @@ class ProtocolTree:
 
     def factors(self, party: Literal["A", "B"], idx: int) -> tuple[Number, ...]:
         """Per-leaf product of the branch probabilities that ``party`` owns,
-        on its input ``idx``; public nodes count as Alice's.  Memoized per
-        (party, idx)."""
+        on its input ``idx``; public nodes count as Alice's.  Exact on an
+        exact tree, else every factor is a float (a party that owns no node
+        has the factor 1.0).  Memoized per (party, idx)."""
         memo = self._factor_memo  # type: ignore[attr-defined]
         if (party, idx) in memo:
             return memo[(party, idx)]
@@ -164,7 +179,7 @@ class ProtocolTree:
                 walk(node.zero, acc)
                 walk(node.one, acc)
 
-        walk(self.root, 1)
+        walk(self.root, 1 if self.is_exact else 1.0)
         memo[(party, idx)] = tuple(out)
         return memo[(party, idx)]
 
@@ -266,42 +281,56 @@ def transcript_distribution(pi: ProtocolTree, x: int, y: int) -> FiniteDistribut
     return FiniteDistribution(tuple(a * b for a, b in zip(pa, pb)))
 
 
-def _estimate(pi: ProtocolTree, mu: InputDistribution, party: str, idx: int) -> tuple[Number, ...]:
+def _factors(pi: ProtocolTree, party: str, idx: int, exact: bool) -> tuple[Number, ...]:
+    """``pi.factors(party, idx)`` in the call's number kind: as floats on the
+    float path (where only an exact tree has to convert them)."""
+    own = pi.factors(party, idx)
+    return own if exact or not pi.is_exact else tuple(map(float, own))
+
+
+def _estimate(pi: ProtocolTree, mu: InputDistribution, party: str, idx: int,
+              exact: bool) -> tuple[Number, ...]:
     """The other party's per-leaf factors averaged under mu given that
     ``party``'s input is ``idx``, pinned to 0 on the leaves where ``party``'s
-    own factor is 0."""
+    own factor is 0.  Exact when ``exact`` (pi and mu both exact); else in
+    float64, each conditional weight rounded once as float(p / total), so no
+    Fraction meets a float."""
     own = pi.factors(party, idx)
     if party == "A":
         name, other, total = "x", "B", mu.x_marginal(idx)
-        cond = [mu.prob(idx, y) for y in range(mu.y_size)]
+        cond = mu.mass[idx]
     else:
         name, other, total = "y", "A", mu.y_marginal(idx)
-        cond = [mu.prob(x, idx) for x in range(mu.x_size)]
+        cond = [row[idx] for row in mu.mass]
     if total == 0:
         raise ConditioningError(f"{name}={idx} has zero marginal probability")
-    acc = [0 * own[0]] * pi.universe_size
+    acc = [0 * own[0] if exact else 0.0] * pi.universe_size
     for j, p in enumerate(cond):
-        w = p / total
-        if w == 0:
+        if p == 0:
             continue
-        acc = [q + w * v for q, v in zip(acc, pi.factors(other, j))]
+        w = p / total if exact else float(p / total)
+        acc = [q + w * v for q, v in zip(acc, _factors(pi, other, j, exact))]
     # The average equals marginal/own wherever own > 0; pin the 0/0 leaves to
     # 0 so it literally is that quotient.
     return tuple(0 * q if p == 0 else q for p, q in zip(own, acc))
 
 
+def _marginal(pi: ProtocolTree, mu: InputDistribution, party: str, idx: int,
+              exact: bool) -> tuple[Number, ...]:
+    """The transcript law given ``party``'s input ``idx``: own factor times
+    ``_estimate``, in the call's number kind."""
+    return tuple(p * q for p, q in zip(_factors(pi, party, idx, exact),
+                                       _estimate(pi, mu, party, idx, exact)))
+
+
 def marginal_x(pi: ProtocolTree, mu: InputDistribution, x: int) -> FiniteDistribution:
     """Transcript distribution conditioned on X = x (averaged over y ~ mu(.|x))."""
-    return FiniteDistribution(
-        tuple(p * q for p, q in zip(pi.factors("A", x), _estimate(pi, mu, "A", x)))
-    )
+    return FiniteDistribution(_marginal(pi, mu, "A", x, pi.is_exact and mu.is_exact))
 
 
 def marginal_y(pi: ProtocolTree, mu: InputDistribution, y: int) -> FiniteDistribution:
     """Transcript distribution conditioned on Y = y (averaged over x ~ mu(.|y))."""
-    return FiniteDistribution(
-        tuple(p * q for p, q in zip(pi.factors("B", y), _estimate(pi, mu, "B", y)))
-    )
+    return FiniteDistribution(_marginal(pi, mu, "B", y, pi.is_exact and mu.is_exact))
 
 
 @dataclass(frozen=True)
@@ -321,10 +350,14 @@ def factorization(pi: ProtocolTree, mu: InputDistribution, x: int, y: int) -> Fa
     Public-coin factors fold into Alice's side.  q_a(u) is Alice's estimate of
     Bob's factor: the mu(.|x)-average of Bob's per-leaf products, so it lies
     in [0,1] and p_a*q_a reproduces the x-marginal identically (and
-    symmetrically for q_b).
+    symmetrically for q_b).  The factors are exact when every branch
+    probability of pi and every mass of mu is an int or a Fraction, and
+    float64 otherwise.
     """
+    exact = pi.is_exact and mu.is_exact
     return Factorization(
-        pi.factors("A", x), _estimate(pi, mu, "A", x), pi.factors("B", y), _estimate(pi, mu, "B", y)
+        _factors(pi, "A", x, exact), _estimate(pi, mu, "A", x, exact),
+        _factors(pi, "B", y, exact), _estimate(pi, mu, "B", y, exact),
     )
 
 
@@ -374,35 +407,32 @@ def information_cost_paths(
     """
     if mu.x_size != pi.x_size or mu.y_size != pi.y_size:
         raise DimensionError("distribution grid does not match protocol alphabet")
+    exact = pi.is_exact and mu.is_exact
     joint: dict[tuple[int, int, int], float] = {}
-    joints: dict[tuple[int, int], tuple] = {}
-    for x in range(pi.x_size):
-        for y in range(pi.y_size):
-            w = float(mu.prob(x, y))
+    joints: dict[tuple[int, int], tuple[float, list[float]]] = {}
+    for x, row in enumerate(mu.mass):
+        for y, m in enumerate(row):
+            w = float(m)
             if w == 0:
                 continue
-            dist = transcript_distribution(pi, x, y).weights
-            joints[(x, y)] = dist
+            dist = [float(p) for p in transcript_distribution(pi, x, y).weights]
+            joints[(x, y)] = (w, dist)
             for u, p in enumerate(dist):
                 if p:
-                    joint[(x, y, u)] = w * float(p)
+                    joint[(x, y, u)] = w * p
 
     path_a = _conditional_mi(joint, 1, 0) + _conditional_mi(joint, 0, 1)
 
     path_b = 0.0
     margs_x = {}
     margs_y = {}
-    for (x, y), dist in joints.items():
-        w = float(mu.prob(x, y))
+    for (x, y), (w, dist) in joints.items():
         if x not in margs_x:
-            margs_x[x] = marginal_x(pi, mu, x).weights
+            margs_x[x] = [float(q) for q in _marginal(pi, mu, "A", x, exact)]
         if y not in margs_y:
-            margs_y[y] = marginal_y(pi, mu, y).weights
-        for u, p in enumerate(dist):
-            path_b += w * (
-                _xlog2x_ratio(float(p), float(margs_x[x][u]))
-                + _xlog2x_ratio(float(p), float(margs_y[y][u]))
-            )
+            margs_y[y] = [float(q) for q in _marginal(pi, mu, "B", y, exact)]
+        for p, qx, qy in zip(dist, margs_x[x], margs_y[y]):
+            path_b += w * (_xlog2x_ratio(p, qx) + _xlog2x_ratio(p, qy))
 
     return path_a, path_b
 
@@ -443,9 +473,7 @@ def protocol_error(pi: ProtocolTree, f: PartialFunction, mu: InputDistribution) 
 
 def output_distribution(pi: ProtocolTree, x: int, y: int) -> tuple[float, ...]:
     """Distribution of the protocol's output value on fixed inputs."""
-    outputs = pi.leaf_outputs()
-    dist = transcript_distribution(pi, x, y).weights
     acc = [0.0] * pi.z_size
-    for u, p in enumerate(dist):
-        acc[outputs[u]] += float(p)
+    for z, a, b in zip(pi.leaf_outputs(), pi.factors("A", x), pi.factors("B", y)):
+        acc[z] += float(a * b)
     return tuple(acc)

@@ -593,6 +593,20 @@ def test_solver_output_refusals():
         dataclasses.replace(bprt(EQ1, 0.1), value=-1.0)
 
 
+@pytest.mark.parametrize("mode", ["float", "rational"])
+def test_bound_solve_refuses_a_bad_lp_solution(monkeypatch, mode):
+    # A solver answer other than optimal, then an optimal one whose dual is
+    # doubled, so its objective misses the primal's by the whole value.
+    monkeypatch.setattr(bounds, "lp_solve", lambda problem, mode, caps: solver.LpSolution(
+        "infeasible", None, None, None, "float"))
+    with pytest.raises(SolverError, match="bprt LP terminated infeasible"):
+        bprt(EQ1, 0.1, mode)
+    monkeypatch.setattr(bounds, "lp_solve", lambda problem, mode, caps: dataclasses.replace(
+        sol := lp_solve(problem, mode, caps), dual=tuple(2 * d for d in sol.dual)))
+    with pytest.raises(SolverError, match="bprt: primal/dual gap"):
+        bprt(EQ1, 0.1, mode)
+
+
 def _reference_coverage(entries, x_size, y_size, f=None) -> list[list]:
     """The coverage grid cell by cell, through `Rectangle.cells` and
     `f.value`, each cell adding its weights in entry order from 0."""

@@ -249,6 +249,14 @@ def test_compress_paper_exact_trivial(capsys):
     assert lines[-2].startswith("aggregate,") and lines[-2].endswith("True")
 
 
+def test_compress_paper_exact_buzzer(capsys):
+    # 400 levels deep, and lambda is still 2^-127 as from r = 8 on.
+    code, out, _ = _run(capsys, "compress", "--prot", "corpus:buzzer,200", "--fn", "corpus:AND,1",
+                        "--delta", "0.9", "--paper-exact", "--mode", "dp")
+    assert code == EXIT_OK
+    assert f"lambda={2.0**-127!r}" in out.split("\n")[0]
+
+
 def test_compress_paper_exact_dp_small_delta(capsys):
     # The DP cap is raised to T = 47,632,711,550; the DP's work grows with
     # log T, so this still finishes at once.

@@ -173,6 +173,63 @@ def test_float_table_refuses_a_scale_square_past_the_float_range():
         experiment_probabilities(ExperimentInputs((1.0,), (1.0,), (1.0,), (1.0,), 512))
 
 
+def _number_kind_cases():
+    """label -> (pi, mu, whether the factors and tables are floats)."""
+    eq1, ip2 = make_function("EQ,1"), make_function("IP,2")
+    uniform = make_distribution("uniform", eq1)
+    exchange = make_protocol("exchange_all", f=eq1)
+    return {
+        **{f"noisy_bit,{flip}": (make_protocol("noisy_bit", flip=flip), uniform, True)
+           for flip in (0.1, 0.25, 0.4)},
+        # to_text/from_text reads every probability as a float.
+        "exchange_all,1 from text": (ProtocolTree.from_text(exchange.to_text()), uniform, True),
+        "exchange_all,1 under a COMMDIST mu": (
+            exchange, InputDistribution.from_text("COMMDIST 1\n2 2\n0.1 0.2\n0.3 0.4\n"), True),
+        "send_x": (make_protocol("send_x"), uniform, False),
+        "exchange_all,1": (exchange, uniform, False),
+        "exchange_all,2 on IP,2": (make_protocol("exchange_all", f=ip2),
+                                   make_distribution("uniform", ip2), False),
+    }
+
+
+def _fraction_table(columns, delta_exp):
+    """The closed-form table entries, in experiment_probabilities' order,
+    of the factors taken exactly as Fractions."""
+    scale, size = Fraction(2) ** delta_exp, len(columns[0])
+    both, alice, bob = [], [], []
+    for pa, qa, pb, qb in zip(*(map(Fraction, col) for col in columns)):
+        both.append(min(pa, scale * qb) * min(pb, scale * qa) / (size * scale * scale))
+        alice.append(pa * qa / (size * scale) - both[-1])
+        bob.append(pb * qb / (size * scale) - both[-1])
+    return (*both, *alice, *bob, 1 - sum(both) - sum(alice) - sum(bob))
+
+
+@pytest.mark.parametrize("label", list(_number_kind_cases()))
+def test_factors_and_tables_keep_one_number_kind(label):
+    """A float protocol, or an exact one under a float mu, runs in float64
+    from the factorization to the table, and an exact one under an exact mu
+    stays in ints and Fractions; a float
+    entry is within 2^-50 relative of the table of the same factors taken
+    as Fractions."""
+    pi, mu, expect_float = _number_kind_cases()[label]
+    kinds = (float,) if expect_float else (int, Fraction)
+    for x in range(pi.x_size):
+        for y in range(pi.y_size):
+            fac = factorization(pi, mu, x, y)
+            columns = (fac.p_a, fac.q_a, fac.p_b, fac.q_b)
+            assert all(type(v) in kinds for col in columns for v in col)
+            for delta_exp in (1, 6, 40, 511):
+                table = experiment_probabilities(ExperimentInputs(*columns, delta_exp))
+                entries = (*table.both, *table.alice_only, *table.bob_only, table.neither)
+                assert all(type(v) in kinds for v in entries)
+                if expect_float and delta_exp < 511:  # at 511 both masses are subnormal
+                    for got, ref in zip(entries, _fraction_table(columns, delta_exp)):
+                        assert abs(Fraction(got) - ref) <= abs(ref) * Fraction(1, 2**50)
+            if expect_float:
+                with pytest.raises(CapacityError, match="2\\^\\(2 delta_exp\\)"):
+                    experiment_probabilities(ExperimentInputs(*columns, 512))
+
+
 # ---------------------------------------------------------------------------
 # Parameter derivation
 # ---------------------------------------------------------------------------

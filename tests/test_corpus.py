@@ -14,7 +14,8 @@ from commlb.corpus import (
     parse_spec,
 )
 from commlb.errors import ParameterError
-from commlb.protocol import protocol_error, transcript_distribution
+from commlb.core import InputDistribution
+from commlb.protocol import information_cost, protocol_error, transcript_distribution
 
 
 def test_parse_spec_forms():
@@ -143,6 +144,46 @@ def test_exchange_all_bounds_n():
     wide = PartialFunction.from_rows([[0] * 16] * 16, z_size=1)
     with pytest.raises(ParameterError):
         make_protocol("exchange_all", f=wide)
+
+
+def test_buzzer_is_a_zero_error_and_protocol():
+    f = make_function("AND,1")
+    for rounds in (1, 2, 5):
+        pi = make_protocol("buzzer", n=rounds)
+        assert (pi.depth, pi.universe_size, pi.is_exact) == (2 * rounds, 2 * rounds + 1, True)
+        assert protocol_error(pi, f, make_distribution("uniform", f)) == 0.0
+        # The all-zero transcript (no stop) is the one leaf that outputs 1,
+        # and only (1, 1) reaches it.
+        assert pi.leaf_outputs() == (1,) + (0,) * (2 * rounds)
+        for x in range(2):
+            for y in range(2):
+                assert transcript_distribution(pi, x, y).weights[0] == x & y
+    for rounds in (0, 251):
+        with pytest.raises(ParameterError):
+            make_protocol("buzzer", n=rounds)
+
+
+def test_buzzer_information_cost_falls_at_rate_one_over_r_squared():
+    # IC under the uniform mu at r = 1, 2, 4, ..., 128; each doubling of r
+    # shrinks the next difference by a ratio that rises toward the 4 of a
+    # 1/r^2 rate.
+    mu = make_distribution("uniform", make_function("AND,1"))
+    ics = [information_cost(make_protocol("buzzer", n=2**k), mu) for k in range(8)]
+    assert [round(ic, 4) for ic in ics] == [
+        1.5, 1.4056, 1.3745, 1.3648, 1.3619, 1.3610, 1.3608, 1.3607]
+    diffs = [a - b for a, b in zip(ics, ics[1:])]
+    ratios = [a / b for a, b in zip(diffs, diffs[1:])]
+    assert [round(q, 1) for q in ratios] == [3.0, 3.2, 3.3, 3.4, 3.5, 3.6]
+    assert all(a < b < 4 for a, b in zip(ratios, ratios[1:]))
+
+
+def test_buzzer_information_cost_reaches_the_and_constant():
+    # Near the maximizing mu on (00, 01, 10, 11), the 200-round buzzer's IC is
+    # within 1e-4 of IC(AND, 0) = C_and ~ 1.4923 bits (Braverman, Garg,
+    # Pankratov and Weinstein, STOC 2013).
+    m00, m01, m11 = Fraction("0.0809"), Fraction("0.2644"), Fraction("0.3903")
+    mu = InputDistribution(((m00, m01), (m01, m11)))
+    assert abs(information_cost(make_protocol("buzzer", n=200), mu) - 1.4923) < 1e-4
 
 
 def test_corpus_listings():

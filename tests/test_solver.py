@@ -9,7 +9,7 @@ import pytest
 
 from commlb import solver
 from commlb.caps import Caps
-from commlb.errors import CapacityError, DimensionError, ParameterError
+from commlb.errors import CapacityError, DimensionError, ParameterError, SolverError
 from commlb.solver import LpProblem, LpSolution, lp_solve
 
 
@@ -614,6 +614,24 @@ def test_forced_fallback_on_non_optimal_basis(monkeypatch):
     assert sol.path == "exact"
     assert sol.objective_value == 10
     _assert_exact_certificate(MAX_LP, sol)
+
+
+def test_float_simplex_refuses_a_singular_refactorization(monkeypatch):
+    # Refactorize after every pivot, with a basis solve that finds it singular.
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(solver, "_REFACTOR_EVERY", 1)
+    monkeypatch.setattr(solver.np.linalg, "solve", singular)
+    with pytest.raises(SolverError, match="singular basis at refactorization: Singular matrix"):
+        lp_solve(MAX_LP, "float")
+
+
+def test_float_simplex_refuses_past_its_pivot_limit(monkeypatch):
+    # A limit of 0 leaves the pricing pass only, and MAX_LP needs a pivot.
+    monkeypatch.setattr(solver, "_PIVOT_LIMIT_FACTOR", 0)
+    with pytest.raises(SolverError, match="pivot limit reached"):
+        lp_solve(MAX_LP, "float")
 
 
 def test_rational_data_beyond_float_range():
