@@ -45,7 +45,6 @@ from .bounds import (
     bprt,
     bprt_mu,
     check_witness,
-    corruption_witness,
     discrepancy,
     prt,
     rect_dual,

@@ -6,8 +6,7 @@ Five quantities over a partial function f on an x_size * y_size grid:
   distribution-free (``bprt``);
 * partition bound (``prt``);
 * smooth rectangle bound per output label (``srec``);
-* rectangle/corruption bound (``rect_dual``), plus the explicit corruption
-  witness construction (``corruption_witness``);
+* rectangle/corruption bound (``rect_dual``);
 * discrepancy (``discrepancy``).
 
 All of them stand on one rectangle layer.  ``_rect_incidence`` builds the
@@ -18,11 +17,10 @@ one numpy table of a grid's column sums over every row set, level by level
 (exact grids in integers, float grids in the order the rows were always
 added).  ``_best_rectangle`` finds the largest and smallest total weight
 over all rectangles from it, since a row set's best column set keeps the
-columns of one sign; it decides discrepancy and, through ``_alpha_value``, the
-feasibility of a corruption witness and the rect witness check.  On the
-witness side, every coverage test reads the grids of ``_coverage``, one pass
-over (rectangle, label, weight) entries that walks each rectangle's set row
-and column bits and, given f, fills the coverage and the correct-label
+columns of one sign; it decides discrepancy and the rect witness check.  On
+the witness side, every coverage test reads the grids of ``_coverage``, one
+pass over (rectangle, label, weight) entries that walks each rectangle's set
+row and column bits and, given f, fills the coverage and the correct-label
 coverage together.
 
 The five LP bounds are one weight-form LP, built by ``_weight_form``:
@@ -96,7 +94,6 @@ __all__ = [
     "prt",
     "srec",
     "rect_dual",
-    "corruption_witness",
     "discrepancy",
     "verify_bound_chain",
     "check_witness",
@@ -195,11 +192,6 @@ class ChainReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_eps(eps) -> None:
-    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 <= eps < 1:
-        raise ParameterError(f"eps must be a real number in [0, 1), got {eps!r}")
-
-
 def _check_label(z, f: PartialFunction) -> None:
     if isinstance(z, bool) or not isinstance(z, numbers.Integral) or not 0 <= z < f.z_size:
         raise ParameterError(f"label must be an int in [0, {f.z_size}), got {z!r}")
@@ -207,7 +199,8 @@ def _check_label(z, f: PartialFunction) -> None:
 
 def _eps(eps, mode: str) -> Number:
     """eps, checked to lie in [0, 1), in the arithmetic of `mode`."""
-    _check_eps(eps)
+    if isinstance(eps, bool) or not isinstance(eps, numbers.Real) or not 0 <= eps < 1:
+        raise ParameterError(f"eps must be a real number in [0, 1), got {eps!r}")
     return _coerce(eps, mode)
 
 
@@ -713,46 +706,6 @@ def rect_dual(
     )
 
 
-def corruption_witness(
-    f: PartialFunction,
-    mu: InputDistribution,
-    beta,
-    delta_c,
-    z: int,
-    eps=0,
-    caps: Caps | None = None,
-) -> tuple[dict[tuple[int, int], Number], bool, Number]:
-    """The explicit corruption assignment for a two-output function:
-    alpha = mu/beta on f^{-1}(z), mu/(delta_c * beta) on the other defined
-    side, 0 off the promise.  Feasibility of every rectangle constraint is
-    decided by the best-rectangle oracle; the rect_dual objective at this
-    alpha is returned either way."""
-    if f.z_size != 2:
-        raise ParameterError("corruption witness requires a two-output function")
-    if beta <= 0 or delta_c <= 0:
-        raise ParameterError("beta and delta_c must be positive")
-    _check_eps(eps)
-    mu.check_compatible(f)
-    alpha: dict[tuple[int, int], Number] = {}
-    for x, y in f.domain():
-        m = mu.prob(x, y)
-        alpha[(x, y)] = m / beta if f.value(x, y) == z else m / (delta_c * beta)
-    slack = _slack(alpha.values(), 1e-12)
-    feasible, objective = _alpha_value(f, alpha, z, eps, slack, caps or default_caps())
-    return alpha, feasible, objective
-
-
-def _alpha_value(f: PartialFunction, alpha, z: int, eps, tol, caps: Caps) -> tuple[bool, Number]:
-    """Whether alpha (0 where it is missing) keeps every rectangle's signed
-    total, alpha on f^{-1}(z) minus alpha on the rest of the promise, at most
-    1 + tol, decided by the best-rectangle oracle; and the rect_dual
-    objective (1 - eps) * alpha(f^{-1}(z)) - eps * alpha(rest) at alpha."""
-    worst, _ = _best_rectangle(_signed_grid(f, lambda x, y: alpha.get((x, y), 0), z), caps)
-    on_side = sum(alpha.get(cell, 0) for cell in f.preimage(z))
-    off_side = sum(alpha.get(cell, 0) for cell in f.domain() if f.value(*cell) != z)
-    return worst <= 1 + tol, (1 - eps) * on_side - eps * off_side
-
-
 # ---------------------------------------------------------------------------
 # Discrepancy
 # ---------------------------------------------------------------------------
@@ -881,8 +834,15 @@ def check_witness(
         _check_on_grid(f, [cell for cell in alpha
                            if not (0 <= cell[0] < f.x_size and 0 <= cell[1] < f.y_size)])
         tol = _slack((eps, *alpha.values()), _WITNESS_TOL)
-        fits, objective = _alpha_value(f, alpha, z, eps, tol, caps)
-        return fits and all(v >= -tol for v in alpha.values()), objective
+        # alpha (0 where it is missing) fits when every rectangle's signed
+        # total, alpha on f^{-1}(z) minus alpha on the rest of the promise, is
+        # at most 1 + tol, as the best-rectangle oracle decides; the rect_dual
+        # objective is (1 - eps) * alpha(f^{-1}(z)) - eps * alpha(rest).
+        worst, _ = _best_rectangle(_signed_grid(f, lambda x, y: alpha.get((x, y), 0), z), caps)
+        on_side = sum(alpha.get(cell, 0) for cell in f.preimage(z))
+        off_side = sum(alpha.get(cell, 0) for cell in f.domain() if f.value(*cell) != z)
+        objective = (1 - eps) * on_side - eps * off_side
+        return worst <= 1 + tol and all(v >= -tol for v in alpha.values()), objective
 
     raise ParameterError(f"unknown bound name {name!r}")
 

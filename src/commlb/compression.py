@@ -287,21 +287,12 @@ class _Same:
 
 
 @functools.lru_cache(maxsize=256)
-def _experiment_cell(same: _Same, x: int, y: int, delta_exp):
-    """The cell's factor functions and its read-only uint32 party rows,
-    shape (2, 2, |U|): Alice's row, then Bob's (see ``_party_rows``).
-    Memoized per (pi, mu, x, y, delta_exp): a scalar run would otherwise
-    spend most of its time rebuilding the factorization and converting it to
-    thresholds."""
+def _experiment_cell(same: _Same, x: int, y: int, delta_exp) -> ExperimentInputs:
+    """The cell's factor functions, memoized per (pi, mu, x, y, delta_exp):
+    a scalar run would otherwise spend most of its time rebuilding the
+    factorization."""
     pi, mu = same.objects
-    inp = ExperimentInputs.from_factorization(factorization(pi, mu, x, y), delta_exp)
-
-    def scaled(vals):
-        return [math.ldexp(float(v), -delta_exp) for v in vals]
-
-    rows = _thresholds([(scaled(inp.p_a), inp.q_a), (inp.q_b, scaled(inp.p_b))])
-    rows.flags.writeable = False
-    return inp, rows
+    return ExperimentInputs.from_factorization(factorization(pi, mu, x, y), delta_exp)
 
 
 def _seeded_rng(seed: int) -> np.random.Generator:
@@ -322,10 +313,19 @@ def _party_rows(same: _Same, xs: tuple, ys: tuple, delta_exp):
     alpha, beta ~ U[0, S], S = 2**delta_exp, Alice accepts u when alpha/S <=
     p_a(u)/S and beta/S <= q_a(u); Bob when alpha/S <= q_b(u) and beta/S <=
     p_b(u)/S.  Alice's row depends on x alone and Bob's on y alone, so each
-    is read off one memoized cell."""
-    alice = tuple(_experiment_cell(same, x, ys[0], delta_exp)[1][0] for x in xs)
-    bob = tuple(_experiment_cell(same, xs[0], y, delta_exp)[1][1] for y in ys)
-    return _kernel_setup(alice, bob, same.objects[0].leaf_outputs())
+    is read off one memoized cell, and all of them are converted to
+    read-only uint32 thresholds of shape (2, |U|) in one call."""
+
+    def scaled(vals):
+        return [math.ldexp(float(v), -delta_exp) for v in vals]
+
+    alice = [_experiment_cell(same, x, ys[0], delta_exp) for x in xs]
+    bob = [_experiment_cell(same, xs[0], y, delta_exp) for y in ys]
+    rows = _thresholds([(scaled(inp.p_a), inp.q_a) for inp in alice]
+                       + [(inp.q_b, scaled(inp.p_b)) for inp in bob])
+    rows.flags.writeable = False
+    return _kernel_setup(tuple(rows[:len(xs)]), tuple(rows[len(xs):]),
+                         same.objects[0].leaf_outputs())
 
 
 def _kernel_setup(a_rows, b_rows, outputs):
@@ -552,7 +552,7 @@ def _exact_laws(pi, mu, cells, params, caps) -> dict[tuple[int, int], ExactLaw]:
     floor = math.ldexp(1.0, params.hash_bits - 1022)  # the least mass whose rate is normal
     masses = []
     for x, y in cells:
-        table = experiment_probabilities(_experiment_cell(same, x, y, params.delta_exp)[0])
+        table = experiment_probabilities(_experiment_cell(same, x, y, params.delta_exp))
         both_z = [0.0] * len(values)
         aonly_z = [0.0] * len(values)
         bonly_z = [0.0] * len(values)

@@ -245,26 +245,31 @@ def check_dp_vs_mc(samples: int, seed: int, caps: Caps) -> tuple[bool, str]:
 
 def check_compression_guarantee(caps: Caps) -> tuple[bool, str]:
     """Exact verification of the three compression inequalities and the
-    collision bound at delta = 0.9, 0.7 and 0.5 on the noisy-bit protocol
-    with derived parameters (T up to 4.76e10)."""
-    pi = cps.make_protocol("noisy_bit", flip=0.25)
-    f = cps.make_function("corpus:EQ,1")
-    mu = cps.make_distribution("uniform", f)
-    ic = information_cost(pi, mu)
+    collision bound at delta = 0.9, 0.7 and 0.5 with derived parameters, on
+    the noisy-bit protocol over EQ,1 (T up to 4.76e10) and on the 200-round
+    buzzer over AND,1, whose lambda does not grow with its 400-level depth,
+    both under the uniform mu."""
+    instances = (("noisy_bit", cps.make_protocol("noisy_bit", flip=0.25), "corpus:EQ,1"),
+                 ("buzzer,200", cps.make_protocol("buzzer", n=200), "corpus:AND,1"))
     parts = []
-    for delta in (0.9, 0.7, 0.5):
-        params = cmp.compression_parameters(delta, ic, pi.universe_size)
-        report = cmp.verify_compression(
-            pi, f, mu, delta, params, engine="dp",
-            caps=caps.with_overrides(dp_trials=max(caps.dp_trials, params.trials)),
-        )
-        if not report.all_pass or report.collision_bound_pass is False:
-            return False, (f"delta={delta}: eq4={report.eq4_pass} eq5={report.eq5_pass} "
-                           f"eq6={report.eq6_pass} collision={report.collision_bound_pass}")
-        parts.append(
-            f"delta={delta} T={params.trials} "
-            f"agg/lambda={report.aggregate_not_abort / params.lambda_:.4f}"
-        )
+    for label, pi, fn in instances:
+        f = cps.make_function(fn)
+        mu = cps.make_distribution("uniform", f)
+        ic = information_cost(pi, mu)
+        for delta in (0.9, 0.7, 0.5):
+            params = cmp.compression_parameters(delta, ic, pi.universe_size)
+            report = cmp.verify_compression(
+                pi, f, mu, delta, params, engine="dp",
+                caps=caps.with_overrides(dp_trials=max(caps.dp_trials, params.trials)),
+            )
+            if not report.all_pass or report.collision_bound_pass is False:
+                return False, (f"{label} delta={delta}: eq4={report.eq4_pass} "
+                               f"eq5={report.eq5_pass} eq6={report.eq6_pass} "
+                               f"collision={report.collision_bound_pass}")
+            parts.append(
+                f"{label} delta={delta} T={params.trials} "
+                f"agg/lambda={report.aggregate_not_abort / params.lambda_:.4f}"
+            )
     return True, "; ".join(parts)
 
 

@@ -98,13 +98,14 @@ def test_criterion_06_dp_versus_monte_carlo():
 
 
 def test_criterion_07_compression_guarantees():
-    # Derived parameters at delta = 0.9, 0.7 and 0.5 on noisy_bit(0.25):
-    # per-input Pr[not abort] <= (1+delta)lambda, aggregate >=
-    # (1-delta)lambda, statistical distance <= delta and the collision bound,
-    # all exact up to 1e-9 float rounding.
+    # Derived parameters at delta = 0.9, 0.7 and 0.5 on noisy_bit(0.25) over
+    # EQ,1 and on the 200-round buzzer over AND,1: per-input Pr[not abort]
+    # <= (1+delta)lambda, aggregate >= (1-delta)lambda, statistical distance
+    # <= delta and the collision bound, all exact up to 1e-9 float rounding.
     result = _check(7, "compression-guarantee")
-    for delta in ("0.9", "0.7", "0.5"):
-        assert f"delta={delta} T=" in result.detail
+    for label in ("noisy_bit", "buzzer,200"):
+        for delta in ("0.9", "0.7", "0.5"):
+            assert f"{label} delta={delta} T=" in result.detail
 
 
 def test_criterion_08_information_cost_lower_bound():

@@ -17,7 +17,6 @@ from commlb.bounds import (
     bprt,
     bprt_mu,
     check_witness,
-    corruption_witness,
     csv_label,
     csv_row,
     discrepancy,
@@ -314,45 +313,6 @@ def test_rect_dual_below_srec_on_corpus():
             r = rect_dual(f, 0.1, z)
             s = srec(f, 0.1, z)
             assert r.value <= s.value + 1e-6, label
-
-
-def test_corruption_constant_function():
-    alpha, feasible, objective = corruption_witness(CONST1, UNIFORM_2x2, 1, 1, 1)
-    assert feasible
-    assert abs(objective - 1) < 1e-12
-    assert sum(alpha.values()) == 1
-
-
-def test_corruption_eq2():
-    f = make_function("EQ,2")
-    mu = _uniform(f)
-    alpha, feasible, objective = corruption_witness(
-        f, mu, Fraction(1, 8), Fraction(1, 2), 1
-    )
-    if feasible:
-        assert objective <= rect_dual(f, 0, 1).value + 1e-6
-
-
-def test_corruption_never_beats_rect_dual():
-    rng = random.Random(29)
-    for label, f in corpus_functions():
-        if f.z_size != 2:
-            continue
-        mu = _random_mu(rng, f.x_size, f.y_size)
-        beta = Fraction(rng.randint(1, 4), 4)
-        _, feasible, objective = corruption_witness(f, mu, beta, Fraction(1, 2), 1)
-        if feasible:
-            assert objective <= rect_dual(f, 0, 1, mode="float").value + 1e-6, label
-
-
-def test_corruption_rejects_bad_parameters():
-    with pytest.raises(ParameterError):
-        corruption_witness(CONST1, UNIFORM_2x2, 0, 1, 1)
-    with pytest.raises(ParameterError):
-        corruption_witness(CONST1, UNIFORM_2x2, 1, -1, 1)
-    three = PartialFunction.from_rows([[0, 1], [2, 0]], z_size=3)
-    with pytest.raises(ParameterError, match="two-output"):
-        corruption_witness(three, _uniform(three), 1, 1, 0)
 
 
 # ---------------------------------------------------------------------------

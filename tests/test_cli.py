@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import commlb
-from commlb import compression, protocol, verify
+from commlb import bounds, compression, protocol, verify
 from commlb.cli import (
     EXIT_BAD_INPUT,
     EXIT_CAPACITY,
@@ -399,6 +399,34 @@ def _shifted_law(exact_output_distribution):
     return shifted
 
 
+def _shifted_duals(verify_bound_chain):
+    # Every LP's dual objective 1e-3 off its primal one: past check 5's 1e-6.
+    def shifted(*args, **kwargs):
+        report = verify_bound_chain(*args, **kwargs)
+        return dataclasses.replace(report, results=tuple(
+            dataclasses.replace(r, dual_value=r.dual_value + 1e-3) for r in report.results))
+    return shifted
+
+
+def _shifted_not_abort(exact_output_distribution):
+    # 0.1 more not-abort mass: 0.05 more exact coverage, about 100 standard
+    # errors of check 9's sampled coverage.
+    def shifted(*args, **kwargs):
+        law = exact_output_distribution(*args, **kwargs)
+        return dataclasses.replace(law, not_abort=law.not_abort + 0.1)
+    return shifted
+
+
+def _dropped_term(conditional_distance_check):
+    # The bound without its Pr[F]/Pr[H] term: c alone.
+    def dropped(pi_dist, weights, value_map, event_f, event_h, c):
+        def pr(event):
+            return sum(w for i, w in enumerate(weights) if event >> i & 1)
+        return conditional_distance_check(pi_dist, weights, value_map, event_f, event_h,
+                                          c - pr(event_f) / pr(event_h))
+    return dropped
+
+
 # (check, module, attribute, breaker): each breaker takes the attribute, one
 # that a check reads its subject through, and returns a wrong version of it.
 BROKEN_SUBJECTS = [
@@ -406,7 +434,16 @@ BROKEN_SUBJECTS = [
     ("accept-bounds", compression, "experiment_probabilities", _doubled_both),
     ("bad-set-bound", verify, "bad_set",
      lambda bad_set: lambda *args: BadSet(bad_set(*args).members, 1.0)),
+    ("lp-duality", bounds, "verify_bound_chain", _shifted_duals),
     ("dp-vs-mc", compression, "exact_output_distribution", _shifted_law),
+    ("compression-guarantee", compression, "verify_compression",
+     lambda check: lambda *args, **kwargs: dataclasses.replace(check(*args, **kwargs),
+                                                               eq4_pass=False)),
+    # Check 8's right-hand side is about -delta on every triple, so only an
+    # information cost below it can fail it.
+    ("ic-lower-bound", verify, "information_cost", lambda _: lambda pi, mu: -1),
+    ("extraction", compression, "exact_output_distribution", _shifted_not_abort),
+    ("conditional-distance", compression, "conditional_distance_check", _dropped_term),
     ("ic-paths", verify, "information_cost", lambda _: lambda pi, mu: pi.depth + 1),
 ]
 

@@ -636,13 +636,13 @@ def test_run_zero_comm_memoizes_the_factorization(monkeypatch):
     run_zero_comm(pi, UNIFORM_2x2, 1, 1, params, seed=0)
     assert len(calls) == len(conversions) == 2
     cell = compression._experiment_cell
-    exact = cell(compression._Same(pi, UNIFORM_2x2), 0, 1, params.delta_exp)[0]
+    exact = cell(compression._Same(pi, UNIFORM_2x2), 0, 1, params.delta_exp)
     assert exact == ExperimentInputs.from_factorization(factorization(pi, UNIFORM_2x2, 0, 1), 2)
     # Equal in value but not in number type: the float input gets its own
     # factors, not the exact ones.
     float_mu = InputDistribution(((0.25, 0.25), (0.25, 0.25)))
     assert float_mu == UNIFORM_2x2
-    rounded = cell(compression._Same(pi, float_mu), 0, 1, params.delta_exp)[0]
+    rounded = cell(compression._Same(pi, float_mu), 0, 1, params.delta_exp)
     assert len(calls) == 3
     assert all(isinstance(v, Fraction) for v in exact.q_a)
     assert all(isinstance(v, float) for v in rounded.q_a)
